@@ -5,7 +5,7 @@
  * harness, tests/core/test_batched_vs_trampoline.py):
  *
  *   run_batched(kernel)       <->  Kernel._run_batched
- *   machine_run(machine, n)   <->  Machine._run_thread
+ *   machine_run(machine, n)   <->  Machine._run_batch
  *
  * The transcription discipline:
  *
@@ -1787,7 +1787,7 @@ cleanup:
 }
 
 /* ---------------------------------------------------------------------
- * machine_run(machine, budget): Machine._run_thread, compiled.
+ * machine_run(machine, budget): Machine._run_batch, compiled.
  *
  * Only entered when machine._profiler is None (the Python gate), so
  * the per-instruction profiler hook is compiled out entirely.  The
@@ -2494,7 +2494,7 @@ static PyMethodDef fast_methods[] = {
     {"run_batched", (PyCFunction)fast_run_batched, METH_O,
      "Compiled Kernel._run_batched; bit-identical to the pure loop."},
     {"machine_run", fast_machine_run, METH_VARARGS,
-     "Compiled Machine._run_thread; returns (executed, reason)."},
+     "Compiled Machine._run_batch; returns (executed, reason)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -5,9 +5,10 @@ Two fronts share one report format (``repro.analysis-report`` v1):
 * the **guest-program verifier** (:mod:`repro.analysis.verifier`)
   checks assembled ISA programs — control flow, window-depth balance,
   stale-register hazards — and, via the counter-exact abstract
-  interpreter (:mod:`repro.analysis.absmachine` driving
-  :mod:`repro.analysis.winmodel`), *predicts* the overflow/underflow
-  trap counts and WIM wraparounds a launch configuration will observe;
+  interpreter (:mod:`repro.analysis.absmachine`, which runs the
+  program on the real :mod:`repro.core` window schemes), *predicts*
+  the overflow/underflow trap counts and WIM wraparounds a launch
+  configuration will observe;
   :mod:`repro.analysis.topology` does the same job for stream
   workloads (producer/consumer graph, guaranteed and candidate
   deadlocks);
@@ -35,7 +36,6 @@ from repro.analysis.absmachine import (
     ImpreciseError,
     ProgramError,
 )
-from repro.analysis.winmodel import ModelCounters, WindowModel, make_model
 from repro.analysis.linter import lint_paths, lint_source
 from repro.analysis.topology import (
     ProbeKernel,
@@ -69,9 +69,6 @@ __all__ = [
     "AbstractMachine",
     "ImpreciseError",
     "ProgramError",
-    "ModelCounters",
-    "WindowModel",
-    "make_model",
     "lint_paths",
     "lint_source",
     "ProbeKernel",

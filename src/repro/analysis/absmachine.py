@@ -1,12 +1,14 @@
-"""Abstract executor: runs a guest program over the occupancy model.
+"""Abstract executor: runs a guest program on the real window schemes.
 
 This is the precision engine behind the verifier's *exact* predictions.
 It interprets an assembled :class:`~repro.isa.assembler.Program` with
 the same fetch/dispatch/scheduling structure as
-:class:`repro.isa.machine.Machine`, but drives a
-:class:`repro.analysis.winmodel.WindowModel` instead of the physical
-window file, and keeps each thread's register state as a stack of
-*logical* frames.
+:class:`repro.isa.machine.Machine`, and drives the same window policy:
+a real :class:`~repro.windows.cpu.WindowCPU` with the scheme from
+:func:`repro.core.make_scheme`, so every trap, spill, switch and cycle
+charge comes from the code the simulator runs.  Only the register
+*values* live elsewhere: each thread keeps them as a stack of *logical*
+frames, and the physical file's contents are never read.
 
 Logical frames are sound because the simulator always preserves frame
 data across physical motion: spilled ins/locals round-trip through the
@@ -28,16 +30,19 @@ budget exhaustion) is a *guaranteed* guest failure and raises
 
 from __future__ import annotations
 
-import operator
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.winmodel import (ModelError, ModelThread, WindowModel,
-                                     make_model)
+from repro.core import make_scheme
 from repro.core.costs import CostModel
 from repro.errors import ReproError
 from repro.isa.assembler import Program
-from repro.isa.instructions import ALU_OPS, Operand
+from repro.isa.instructions import ALU_FUNCS, BRANCH_TESTS, Operand
+from repro.metrics.counters import Counters
+from repro.runtime.batch import EXIT_BUDGET, EXIT_DONE, EXIT_YIELDED
+from repro.windows.cpu import WindowCPU
+from repro.windows.errors import WindowError
+from repro.windows.thread_windows import ThreadWindows
 
 
 class _Unknown:
@@ -61,31 +66,6 @@ class ProgramError(ReproError):
     """The guest is guaranteed to fault at this point on real runs."""
 
 
-_ALU_FUNCS: Dict[str, Callable[[int, int], int]] = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "and": operator.and_,
-    "or": operator.or_,
-    "xor": operator.xor,
-    "sll": operator.lshift,
-    "srl": operator.rshift,
-    "smul": operator.mul,
-}
-
-_BRANCH_TESTS: Dict[str, Callable[[int], bool]] = {
-    "be": lambda cc: cc == 0,
-    "bne": lambda cc: cc != 0,
-    "bg": lambda cc: cc > 0,
-    "bge": lambda cc: cc >= 0,
-    "bl": lambda cc: cc < 0,
-    "ble": lambda cc: cc <= 0,
-}
-
-_EXIT_DONE = "done"
-_EXIT_YIELDED = "yielded"
-_EXIT_BUDGET = "budget"
-
-
 class AbsFrame:
     """One logical register window: ins / locals / outs value lists."""
 
@@ -101,17 +81,17 @@ class AbsFrame:
 class AbsThread:
     """Abstract counterpart of ``machine.HWThread``."""
 
-    __slots__ = ("tid", "name", "pc", "args", "cc", "mt", "globals",
-                 "frames", "done", "exit_value", "instructions")
+    __slots__ = ("tid", "name", "pc", "args", "cc", "windows", "globals",
+                 "frames", "done", "exit_value", "instructions",
+                 "max_depth")
 
-    def __init__(self, tid: int, name: str, entry: int, args,
-                 mt: ModelThread):
+    def __init__(self, tid: int, name: str, entry: int, args):
         self.tid = tid
         self.name = name
         self.pc = entry
         self.args = tuple(args)
         self.cc: object = 0
-        self.mt = mt
+        self.windows = ThreadWindows(tid)
         self.globals: List[object] = [0] * 8
         # the entry frame: ins and locals are zero-filled by the scheme
         # at first dispatch; outs are physical residue
@@ -120,6 +100,8 @@ class AbsThread:
         self.done = False
         self.exit_value: Optional[int] = None
         self.instructions = 0
+        #: deepest logical call depth reached
+        self.max_depth = 0
 
 
 class AbstractMachine:
@@ -129,9 +111,13 @@ class AbstractMachine:
                  scheme: str = "SP",
                  cost_model: Optional[CostModel] = None, **scheme_kwargs):
         self.program = program
-        self.model: WindowModel = make_model(scheme, n_windows, cost_model,
-                                             **scheme_kwargs)
-        self.counters = self.model.counters
+        self.counters = Counters()
+        self.cpu = WindowCPU(n_windows, cost_model=cost_model,
+                             counters=self.counters)
+        self.scheme = make_scheme(scheme, self.cpu, **scheme_kwargs)
+        #: saves whose new CWP is window ``n_windows - 1``: the CWP
+        #: wrapped around the cyclic file
+        self.wraparounds = 0
         self.memory: Dict[object, object] = {}
         self.threads: List[AbsThread] = []
         self.ready: deque = deque()
@@ -143,10 +129,10 @@ class AbstractMachine:
     def add_thread(self, entry: str = "start", args=(),
                    name: str = "") -> AbsThread:
         tid = len(self.threads)
-        mt = self.model.add_thread(tid)
         thread = AbsThread(tid, name or "hw%d" % tid,
-                           self.program.entry(entry), args, mt)
+                           self.program.entry(entry), args)
         self.threads.append(thread)
+        self.scheme.register(thread.windows)
         self.ready.append(thread)
         return thread
 
@@ -169,21 +155,23 @@ class AbstractMachine:
                 raise ProgramError(
                     "step budget of %d exhausted (last batch: %s)"
                     % (max_steps,
-                       "budget" if reason is _EXIT_BUDGET else "event"))
+                       "budget" if reason is EXIT_BUDGET else "event"))
         self.steps = steps
+        self.counters.fold_thread_stats(t.windows for t in self.threads)
         return {t.name: t.exit_value for t in self.threads}
 
     def _switch_to(self, thread: AbsThread) -> None:
         out = self.current
-        self.model.context_switch(
-            out.mt if out is not None else None, thread.mt)
+        self.scheme.context_switch(
+            out.windows if out is not None else None, thread.windows)
         if thread.instructions == 0:
+            thread.max_depth = thread.windows.depth
             ins = thread.frames[-1].ins
             for i, arg in enumerate(thread.args[:6]):
                 ins[i] = arg
         self.current = thread
 
-    def _run_batch(self, budget: int) -> Tuple[int, str]:
+    def _run_batch(self, budget: int) -> Tuple[int, int]:
         thread = self.current
         assert thread is not None
         instrs = self.program.instructions
@@ -200,22 +188,22 @@ class AbstractMachine:
             reason = self._step(thread, instr)
             if reason:
                 return executed, reason
-        return executed, _EXIT_BUDGET
+        return executed, EXIT_BUDGET
 
     # -- one instruction ---------------------------------------------------
 
-    def _step(self, thread: AbsThread, instr) -> Optional[str]:
+    def _step(self, thread: AbsThread, instr) -> Optional[int]:
         op = instr.op
         ops = instr.operands
         c = self.counters
-        if op in _ALU_FUNCS:
+        if op in ALU_FUNCS:
             a = self._value(thread, ops[0])
             b = self._value(thread, ops[1])
             if a is UNKNOWN or b is UNKNOWN:
                 result: object = UNKNOWN
             else:
                 try:
-                    result = _ALU_FUNCS[op](a, b)
+                    result = ALU_FUNCS[op](a, b)
                 except (ValueError, TypeError, OverflowError) as exc:
                     raise ProgramError(
                         "%s: %s faults: %s" % (thread.name, op, exc),
@@ -224,13 +212,13 @@ class AbstractMachine:
             c.compute_cycles += 1
             thread.pc += 1
             return None
-        if op in _BRANCH_TESTS:
+        if op in BRANCH_TESTS:
             cc = thread.cc
             if cc is UNKNOWN:
                 raise ImpreciseError(
                     "%s: %s branches on an unknown condition code"
                     % (thread.name, op), pc=thread.pc)
-            thread.pc = (instr.label if _BRANCH_TESTS[op](cc)
+            thread.pc = (instr.label if BRANCH_TESTS[op](cc)
                          else thread.pc + 1)
             c.compute_cycles += 1
             return None
@@ -269,7 +257,12 @@ class AbstractMachine:
                 b = self._value(thread, ops[1])
                 value = (UNKNOWN if (a is UNKNOWN or b is UNKNOWN)
                          else a + b)
-            self.model.save(thread.mt)
+            tw = thread.windows
+            self.cpu.save(tw)
+            if tw.cwp == self.cpu.n_windows - 1:
+                self.wraparounds += 1
+            if tw.depth > thread.max_depth:
+                thread.max_depth = tw.depth
             caller = thread.frames[-1]
             # callee ins alias the caller's outs (hardware adjacency);
             # locals and outs start as physical residue
@@ -315,16 +308,16 @@ class AbstractMachine:
             value = thread.frames[-1].outs[0]
             thread.exit_value = None if value is UNKNOWN else value
             thread.done = True
-            self.model.retire(thread.mt)
+            self.scheme.retire(thread.windows)
             self.current = None
-            return _EXIT_DONE
+            return EXIT_DONE
         if op == "yield":
             c.compute_cycles += 1
             thread.pc += 1
             if self.ready:
                 self.ready.append(thread)
                 self._switch_to(self.ready.popleft())
-                return _EXIT_YIELDED
+                return EXIT_YIELDED
             return None
         raise ProgramError("unknown op %r" % op, pc=thread.pc)
 
@@ -343,8 +336,8 @@ class AbstractMachine:
             b = self._value(thread, operands[1])
             value = UNKNOWN if (a is UNKNOWN or b is UNKNOWN) else a + b
         try:
-            self.model.restore(thread.mt)
-        except ModelError as exc:
+            self.cpu.restore(thread.windows)
+        except WindowError as exc:
             raise ProgramError(str(exc), pc=thread.pc) from exc
         thread.frames.pop()
         if operands:

@@ -14,6 +14,9 @@ from repro.analysis.linter import lint_paths
 from repro.analysis.report import AnalysisReport, merge_reports
 from repro.analysis.topology import analyze_workload_config
 from repro.analysis.verifier import ThreadSpec, verify_corpus, verify_program
+from repro.core import make_scheme
+from repro.windows.cpu import WindowCPU
+from repro.windows.errors import WindowGeometryError
 
 
 def _emit(report: AnalysisReport, as_json: bool) -> int:
@@ -32,6 +35,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    try:
+        # the real constructors reject a window count below the
+        # scheme's minimum: a usage error, not a finding
+        make_scheme(args.scheme, WindowCPU(args.windows))
+    except WindowGeometryError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     reports: List[AnalysisReport] = []
     if args.corpus or not (args.files or args.workloads):
         reports.append(verify_corpus(

@@ -10,10 +10,10 @@ Ties the front-end passes together over one program:
 * stale-value hazards from the def-use pass (reads of registers never
   written in the current window);
 * and — when the launch configuration is known — *predictions*: the
-  abstract interpreter replays the program against the counter-exact
-  window model, yielding the overflow/underflow trap counts, WIM
-  wraparounds and per-thread maximum depth the real machine will
-  observe for that window count and scheme.  When the program's control
+  abstract interpreter replays the program on the real window scheme,
+  yielding the overflow/underflow trap counts, WIM wraparounds and
+  per-thread maximum depth the real machine will observe for that
+  window count and scheme.  When the program's control
   flow depends on values the abstract machine cannot know, predictions
   degrade from ``exact`` to ``bounded`` (CFG depth bounds only).
 """
@@ -159,21 +159,35 @@ def _predict(program: Program, threads: Sequence[ThreadSpec],
                                   name=spec.name)
                for spec in threads]
     exits = machine.run(max_steps=max_steps)
-    counters = machine.counters
-    comparable = counters.as_comparable()
-    # the transfer histogram is keyed by (saved, restored) tuples;
-    # flatten for the JSON report while keeping deterministic order
-    comparable["switch_transfer_hist"] = {
-        "%d,%d" % key: count
-        for key, count in sorted(comparable["switch_transfer_hist"].items())}
+    c = machine.counters
     return {
         "mode": "exact",
-        "counters": comparable,
-        "wraparounds": counters.wraparounds,
+        "counters": {
+            "saves": c.saves, "restores": c.restores,
+            "overflow_traps": c.overflow_traps,
+            "underflow_traps": c.underflow_traps,
+            "windows_spilled": c.windows_spilled,
+            "windows_restored": c.windows_restored,
+            "context_switches": c.context_switches,
+            # keyed by (saved, restored) tuples; flattened for the JSON
+            # report in a deterministic order
+            "switch_transfer_hist": {
+                "%d,%d" % key: count
+                for key, count in sorted(c.switch_transfer_hist.items())},
+            "compute_cycles": c.compute_cycles,
+            "call_cycles": c.call_cycles,
+            "trap_cycles": c.trap_cycles,
+            "switch_cycles": c.switch_cycles,
+            "total_cycles": c.total_cycles,
+        },
+        "wraparounds": machine.wraparounds,
         "exit_values": exits,
+        # per-thread tallies come from the counters: the run-end fold
+        # moved them there and zeroed the ThreadWindows fields
         "threads": [
-            {"name": t.name, "max_depth": t.mt.max_depth,
-             "saves": t.mt.stat_saves, "restores": t.mt.stat_restores}
+            {"name": t.name, "max_depth": t.max_depth,
+             "saves": c.per_thread_saves.get(t.tid, 0),
+             "restores": c.per_thread_restores.get(t.tid, 0)}
             for t in handles],
     }
 

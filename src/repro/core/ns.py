@@ -24,8 +24,7 @@ from repro.windows.occupancy import FRAME, FREE, RESERVED
 from repro.windows.thread_windows import ThreadWindows
 
 #: Tamir & Sequin transfer-depth default ("transferring one window is
-#: the best in most cases", §2); shared with the static window model
-#: (:mod:`repro.analysis.winmodel`) so the two never drift apart.
+#: the best in most cases", §2).
 DEFAULT_TRANSFER_DEPTH = 1
 
 
@@ -195,8 +194,8 @@ class NSScheme(Scheme):
         if out_tw is not None and out_tw.resident > 0:
             ob = wf._out_base[out_tw.cwp]
             out_tw.saved_outs = regs[ob:ob + 8]
-            # -- _flush_all_inline, inlined (one flush per quantum;
-            # the loop spills every resident window, bottom first) --
+            # -- flush-all (one per quantum): spill every resident
+            # window, bottom first; NS threads never hold a PRW --
             above = wf._above
             in_base = wf._in_base
             pool = wf._frame_pool
@@ -286,7 +285,7 @@ class NSScheme(Scheme):
         if cycles is None:
             cycles = self.cost.ns_switch_cost(saves, restores)
             cache[key] = cycles
-        # _record_switch, inlined (one call per quantum)
+        # count the switch (one per quantum)
         counters = self.counters
         counters.context_switches += 1
         counters.switch_transfer_hist[(saves, restores)] += 1
@@ -305,60 +304,3 @@ class NSScheme(Scheme):
                 "switch", tid=in_tw.tid,
                 out_tid=out_tw.tid if out_tw is not None else None,
                 saves=saves, restores=restores, cycles=cycles)
-
-    def _flush_all_inline(self, tw: ThreadWindows, fault_store) -> int:
-        """Spill every resident window, outermost (bottom) first.
-
-        The caller has already saved the stack-top outs; NS threads
-        never hold a PRW, so the generic :meth:`Scheme._spill_bottom`
-        PRW bookkeeping does not apply here.
-        """
-        wf = self.wf
-        below_to_above = wf._above
-        kinds = self.map._kind
-        tids = self.map._tid
-        frames = tw.store.frames
-        counters = self.counters
-        regs = wf._regs
-        in_base = wf._in_base
-        pool = wf._frame_pool
-        bottom = tw.bottom
-        depth = tw.depth - tw.resident + 1
-        flushed = 0
-        while tw.resident > 0:
-            # wf.capture, inlined (one per flushed window)
-            base = in_base[bottom]
-            mid = base + 8
-            if pool:
-                frame = pool.pop()
-                frame.ins[:] = regs[base:mid]
-                frame.local_regs[:] = regs[mid:mid + 8]
-                frame.depth = depth
-            else:
-                frame = Frame(regs[base:mid], regs[mid:mid + 8], depth)
-            if fault_store is not None:
-                fault_store("spill", tw, frame, counters)
-            if frames:
-                last_depth = frames[-1].depth
-                if last_depth >= 0 and depth >= 0 \
-                        and depth != last_depth + 1:
-                    raise WindowIntegrityError(
-                        "non-contiguous spill: depth %d pushed over depth %d"
-                        % (depth, last_depth))
-            frames.append(frame)
-            kinds[bottom] = FREE
-            tids[bottom] = None
-            tw.resident -= 1
-            bottom = below_to_above[bottom]
-            depth += 1
-            flushed += 1
-        tw.cwp = None
-        tw.bottom = None
-        return flushed
-
-    def _flush_all(self, tw: ThreadWindows) -> int:
-        """Flush every active window, outermost (bottom) first, and save
-        the stack-top out registers in the thread context."""
-        assert tw.cwp is not None
-        tw.saved_outs = list(self.wf.outs_of(tw.cwp))
-        return self._flush_all_inline(tw, self.cpu._fault_store)

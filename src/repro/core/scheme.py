@@ -22,7 +22,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Optional
 
-from repro.metrics.counters import SwitchRecord
 from repro.windows.backing_store import Frame
 from repro.windows.errors import WindowGeometryError, WindowIntegrityError
 from repro.windows.occupancy import FRAME, FREE
@@ -63,32 +62,6 @@ class Scheme(ABC):
 
     def _set_tracing(self, active: bool) -> None:
         self._tracing = active
-
-    # -- trace events -------------------------------------------------------
-
-    def _record_switch(self, out_tw: Optional[ThreadWindows],
-                       in_tw: ThreadWindows, saves: int, restores: int,
-                       cycles: int) -> None:
-        """Count one context switch and publish its trace event.
-
-        Equivalent to ``counters.record_switch`` with the per-thread
-        dict update batched onto ``in_tw`` (folded at run end)."""
-        out_tid = out_tw.tid if out_tw is not None else None
-        counters = self.counters
-        counters.context_switches += 1
-        counters.switch_transfer_hist[(saves, restores)] += 1
-        counters.windows_spilled += saves
-        counters.windows_restored += restores
-        counters.switch_cycles += cycles
-        in_tw.stat_switches += 1
-        if counters.keep_trace:
-            counters.switch_trace.append(
-                SwitchRecord(out_tid, in_tw.tid, saves, restores, cycles))
-        if self._tel_switch is not None:
-            self._tel_switch.append(cycles)
-        if self._tracing:
-            self.events.emit("switch", tid=in_tw.tid, out_tid=out_tid,
-                             saves=saves, restores=restores, cycles=cycles)
 
     # -- registration ------------------------------------------------------
 
@@ -138,12 +111,6 @@ class Scheme(ABC):
             self.cpu.current = None
 
     # -- shared helpers --------------------------------------------------------
-
-    def _frame_of_bottom(self, tw: ThreadWindows) -> Frame:
-        """Capture the bottom resident frame with its logical depth."""
-        assert tw.bottom is not None
-        depth = tw.depth - tw.resident + 1
-        return self.wf.capture(tw.bottom, depth)
 
     def _spill_bottom(self, victim: ThreadWindows) -> int:
         """Spill the victim's stack-bottom window to its backing store.
@@ -269,60 +236,3 @@ class Scheme(ABC):
                 victim.prw = None
             saves += 1
         return saves
-
-    def _restore_top_frame(self, tw: ThreadWindows, w: int) -> None:
-        """Load the thread's innermost stored frame into window ``w``."""
-        frames = tw.store.frames
-        if not frames:
-            raise WindowIntegrityError(
-                "underflow from an empty backing store")
-        frame = frames.pop()
-        fault_store = self.cpu._fault_store
-        if fault_store is not None:
-            fault_store("restore", tw, frame, self.counters)
-        expected = tw.depth - tw.resident
-        if frame.depth >= 0 and frame.depth != expected:
-            raise WindowIntegrityError(
-                "thread %d restored frame of depth %d at depth %d"
-                % (tw.tid, frame.depth, expected),
-                thread=tw.tid, frame_depth=frame.depth, expected=expected)
-        wf = self.wf
-        regs = wf._regs
-        base = wf._in_base[w]
-        mid = base + 8
-        regs[base:mid] = frame.ins
-        regs[mid:mid + 8] = frame.local_regs
-        wf.release_frame(frame)
-
-    def _install_single_frame(self, tw: ThreadWindows, w: int) -> int:
-        """Give ``tw`` exactly one resident window at ``w``; returns the
-        number of window restores performed (0 for a fresh thread)."""
-        restores = 0
-        if tw.started:
-            if not tw.store:
-                raise WindowGeometryError(
-                    "started thread %d is windowless with an empty "
-                    "backing store" % tw.tid)
-            self._restore_top_frame(tw, w)
-            restores = 1
-        else:
-            self.wf.clear_window(w)
-            tw.depth = 1
-        tw.cwp = w
-        tw.bottom = w
-        tw.resident = 1
-        wmap = self.map
-        wmap._kind[w] = FRAME
-        wmap._tid[w] = tw.tid
-        return restores
-
-    def _run_thread(self, tw: ThreadWindows) -> None:
-        """Point the hardware at the incoming thread."""
-        assert tw.cwp is not None
-        self.wf.cwp = tw.cwp
-        self.cpu.current = tw
-        tw.started = True
-
-    def _wim_only_thread(self, tw: ThreadWindows) -> None:
-        """WIM: only the thread's resident windows are valid (§3)."""
-        self.wf.set_wim_except(tw.resident_windows(self.wf.n_windows))

@@ -26,11 +26,6 @@ from repro.windows.errors import WindowGeometryError, WindowIntegrityError
 from repro.windows.occupancy import FRAME, FREE, RESERVED
 from repro.windows.thread_windows import ThreadWindows
 
-#: free windows granted as growth headroom when a boundary is placed
-#: (see ``SharingScheme.grant_headroom``); module-level so the static
-#: window model (:mod:`repro.analysis.winmodel`) shares the value.
-GRANT_HEADROOM = 4
-
 
 class SharingScheme(Scheme):
     """Common trap handling for the SNP and SP schemes."""
@@ -46,7 +41,7 @@ class SharingScheme(Scheme):
     #: granting costs nothing — the WIM is recomputed anyway — but an
     #: unbounded grant would push the boundary far from the thread and
     #: crowd the next windowless allocation into its neighbour's back.
-    grant_headroom = GRANT_HEADROOM
+    grant_headroom = 4
 
     def __init__(self, cpu, allocation: Optional[AllocationPolicy] = None):
         super().__init__(cpu)
@@ -67,10 +62,6 @@ class SharingScheme(Scheme):
 
     def boundary_of(self, tw: ThreadWindows) -> int:
         """The reserved window guarding the running thread's growth."""
-        raise NotImplementedError
-
-    def _set_boundary(self, tw: ThreadWindows, w: int) -> None:
-        """Record ``w`` as the new boundary (map + scheme bookkeeping)."""
         raise NotImplementedError
 
     def simple_top(self, out_tw: Optional[ThreadWindows]) -> int:
@@ -205,11 +196,6 @@ class SharingScheme(Scheme):
             bitmap[:end] = valid_t[:end]
         return saves
 
-    def _relocatable_boundary(self, tw: ThreadWindows):
-        """The thread-or-scheme boundary window that may be re-sited
-        while placing a new boundary (None when there is none)."""
-        raise NotImplementedError
-
     def handle_underflow(self, tw: ThreadWindows) -> None:
         """The paper's in-place restore (§3.2 / Figure 8)."""
         wf = self.wf
@@ -275,9 +261,3 @@ class SharingScheme(Scheme):
             self._spill_bottom(out_tw)
             count += 1
         return count
-
-    # -- dispatch bookkeeping ----------------------------------------------
-
-    def _note_dispatch(self, tw: ThreadWindows) -> None:
-        self._dispatch_seq += 1
-        self.last_dispatched[tw.tid] = self._dispatch_seq

@@ -39,13 +39,6 @@ class SNPScheme(SharingScheme):
     def boundary_of(self, tw: ThreadWindows) -> int:
         return self.reserved
 
-    def _set_boundary(self, tw: ThreadWindows, w: int) -> None:
-        self.map.set_reserved(w)
-        self.reserved = w
-
-    def _relocatable_boundary(self, tw: ThreadWindows):
-        return self.reserved
-
     def simple_top(self, out_tw: Optional[ThreadWindows]) -> int:
         # "The window above the suspended thread's is allocated": the
         # old reserved window sits exactly there and is available.
@@ -75,8 +68,9 @@ class SNPScheme(SharingScheme):
                    self.allocation.choose_top(self, out_tw, in_tw, need=2))
             if top != self.reserved and kinds[top] is not FREE:
                 saves += self._make_free(top)
-            # _install_single_frame + _restore_top_frame, inlined (a
-            # per-quantum path: every windowless re-entry runs it)
+            # Install one frame at ``top``: the innermost stored frame,
+            # or a zeroed one for a fresh thread (a per-quantum path:
+            # every windowless re-entry runs it).
             base = wf._in_base[top]
             mid = base + 8
             restores = 0
@@ -164,7 +158,7 @@ class SNPScheme(SharingScheme):
             ob = wf._out_base[in_tw.cwp]
             regs[ob:ob + 8] = saved
             in_tw.saved_outs = None
-        # _run_thread + _note_dispatch, inlined
+        # point the hardware at the incoming thread; stamp the dispatch
         wf.cwp = in_tw.cwp
         self.cpu.current = in_tw
         in_tw.started = True
@@ -178,7 +172,7 @@ class SNPScheme(SharingScheme):
             cycles = (self.cost.snp_switch_cost(saves, restores)
                       + self.cost.flush_cost(flushed))
             cache[key] = cycles
-        # _record_switch, inlined (one call per quantum)
+        # count the switch (one per quantum)
         saves += flushed
         counters = self.counters
         counters.context_switches += 1

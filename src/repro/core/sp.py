@@ -53,13 +53,6 @@ class SPScheme(SharingScheme):
                 "thread %d has no PRW while running" % tw.tid)
         return tw.prw
 
-    def _set_boundary(self, tw: ThreadWindows, w: int) -> None:
-        self.map.set_reserved(w, tw.tid)
-        tw.prw = w
-
-    def _relocatable_boundary(self, tw: ThreadWindows):
-        return tw.prw
-
     def simple_top(self, out_tw: Optional[ThreadWindows]) -> int:
         # "The window above the reserved window of the suspended thread
         # is allocated."
@@ -83,8 +76,8 @@ class SPScheme(SharingScheme):
         flushed = (self._flush_out_windows(out_tw, flush_out)
                    if flush_out else 0)
         if out_tw is not None and out_tw.has_windows:
-            # _snug_prw, inlined: move the PRW down to immediately
-            # above the stack-top (§4.1) — bookkeeping only.
+            # Snug the PRW: move it down to immediately above the
+            # stack-top (§4.1) — bookkeeping only.
             snug = wf._above[out_tw.cwp]
             prw = out_tw.prw
             if prw != snug:
@@ -117,9 +110,10 @@ class SPScheme(SharingScheme):
                 top = self.allocation.choose_top(self, out_tw, in_tw, need=2)
             if kinds[top] is not FREE:
                 saves += self._make_free(top)
-            # _install_single_frame + _restore_top_frame, inlined (the
-            # windowless re-entry path dominates the SP switch mix on
-            # small files; every helper call here is per quantum)
+            # Install one frame at ``top``: the innermost stored frame,
+            # or a zeroed one for a fresh thread (the windowless
+            # re-entry path dominates the SP switch mix on small files,
+            # so it runs straight against the flat register file)
             regs = wf._regs
             base = wf._in_base[top]
             mid = base + 8
@@ -209,7 +203,7 @@ class SPScheme(SharingScheme):
             ob = wf._out_base[in_tw.cwp]
             wf._regs[ob:ob + 8] = saved
             in_tw.saved_outs = None
-        # _run_thread + _note_dispatch, inlined
+        # point the hardware at the incoming thread; stamp the dispatch
         wf.cwp = in_tw.cwp
         self.cpu.current = in_tw
         in_tw.started = True
@@ -223,7 +217,7 @@ class SPScheme(SharingScheme):
             cycles = (self.cost.sp_switch_cost(saves, restores, allocated)
                       + self.cost.flush_cost(flushed))
             cache[key] = cycles
-        # _record_switch, inlined (one call per quantum)
+        # count the switch (one per quantum)
         saves += flushed
         counters = self.counters
         counters.context_switches += 1
@@ -243,28 +237,6 @@ class SPScheme(SharingScheme):
                 "switch", tid=in_tw.tid,
                 out_tid=out_tw.tid if out_tw is not None else None,
                 saves=saves, restores=restores, cycles=cycles)
-
-    def _snug_prw(self, tw: ThreadWindows) -> None:
-        """Move the PRW down to immediately above the stack-top (§4.1).
-
-        The windows between are vacated frames (already free in the
-        map); the reserved window has no contents to copy, but the outs
-        of the stack-top live in the window immediately above the top,
-        so they are copied into the new PRW position register bank —
-        physically they are already there, because the outs of window
-        ``w`` *are* the ins of ``above(w)``; only bookkeeping moves.
-        """
-        assert tw.cwp is not None and tw.prw is not None
-        snug = self.wf.above(tw.cwp)
-        if tw.prw == snug:
-            return
-        if not self.map.is_free(snug):
-            raise WindowGeometryError(
-                "window %d above thread %d's top is %s, expected vacated"
-                % (snug, tw.tid, self.map.kind(snug)))
-        self.map.set_free(tw.prw)
-        self.map.set_reserved(snug, tw.tid)
-        tw.prw = snug
 
     def retire(self, tw: ThreadWindows) -> None:
         if tw.prw is not None and self._anchor == tw.prw:

@@ -2,13 +2,37 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import operator
+from typing import Callable, Dict, Optional, Tuple
 
 #: three-operand ALU ops: op rs1, rs2_or_imm, rd
 ALU_OPS = ("add", "sub", "and", "or", "xor", "sll", "srl", "smul")
 
+#: the semantics of each ALU op (shared by every interpreter)
+ALU_FUNCS: Dict[str, Callable[[int, int], int]] = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+    "sll": operator.lshift,
+    "srl": operator.rshift,
+    "smul": operator.mul,
+}
+
 #: conditional branches on the last ``cmp`` (signed)
 BRANCH_OPS = ("ba", "be", "bne", "bg", "bge", "bl", "ble")
+
+#: taken-test of each conditional branch on the ``cmp`` difference
+#: (``ba`` is unconditional and handled on its own)
+BRANCH_TESTS: Dict[str, Callable[[int], bool]] = {
+    "be": lambda cc: cc == 0,
+    "bne": lambda cc: cc != 0,
+    "bg": lambda cc: cc > 0,
+    "bge": lambda cc: cc >= 0,
+    "bl": lambda cc: cc < 0,
+    "ble": lambda cc: cc <= 0,
+}
 
 #: everything else
 OTHER_OPS = ("mov", "cmp", "ld", "st", "save", "restore",

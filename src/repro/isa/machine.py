@@ -23,13 +23,12 @@ uses, so the two interpreters can share tooling.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from repro.core import make_scheme
 from repro.isa.assembler import Program
-from repro.isa.instructions import ALU_OPS, Operand
+from repro.isa.instructions import ALU_FUNCS, ALU_OPS, BRANCH_TESTS, Operand
 from repro.isa.registers import read_register, write_register
 from repro.metrics.counters import Counters
 from repro.runtime.batch import EXIT_BUDGET, EXIT_DONE, EXIT_YIELDED
@@ -37,26 +36,6 @@ from repro.windows.cpu import WindowCPU
 from repro.windows.thread_windows import ThreadWindows
 
 WORD = 4
-
-_ALU_FUNCS: Dict[str, Callable[[int, int], int]] = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "and": operator.and_,
-    "or": operator.or_,
-    "xor": operator.xor,
-    "sll": operator.lshift,
-    "srl": operator.rshift,
-    "smul": operator.mul,
-}
-
-_BRANCH_TESTS: Dict[str, Callable[[int], bool]] = {
-    "be": lambda cc: cc == 0,
-    "bne": lambda cc: cc != 0,
-    "bg": lambda cc: cc > 0,
-    "bge": lambda cc: cc >= 0,
-    "bl": lambda cc: cc < 0,
-    "ble": lambda cc: cc <= 0,
-}
 
 
 class MachineFault(Exception):
@@ -106,10 +85,7 @@ class Machine:
         self.program = program
         self.counters = counters if counters is not None else Counters()
         self.cpu = WindowCPU(n_windows, counters=self.counters)
-        if scheme.upper() == "NS":
-            self.scheme = make_scheme("NS", self.cpu)
-        else:
-            self.scheme = make_scheme(scheme, self.cpu)
+        self.scheme = make_scheme(scheme, self.cpu)
         self.memory: Dict[int, int] = {}
         self.threads: List[HWThread] = []
         self.ready: deque = deque()
@@ -128,8 +104,8 @@ class Machine:
         """Precompute the opcode -> bound-handler table."""
         dispatch: Dict[str, Callable] = {}
         for op in ALU_OPS:
-            dispatch[op] = self._make_alu(_ALU_FUNCS[op])
-        for op, test in _BRANCH_TESTS.items():
+            dispatch[op] = self._make_alu(ALU_FUNCS[op])
+        for op, test in BRANCH_TESTS.items():
             dispatch[op] = self._make_branch(test)
         dispatch.update({
             "mov": self._op_mov,
@@ -190,7 +166,7 @@ class Machine:
         while self.ready or self.current is not None:
             if self.current is None:
                 self._switch_to(self.ready.popleft())
-            executed, reason = self._run_thread(max_steps - steps)
+            executed, reason = self._run_batch(max_steps - steps)
             steps += executed
             if steps >= max_steps:
                 # Checked on every batch boundary, not only on
@@ -216,7 +192,7 @@ class Machine:
                 self.cpu.wf.write_in(i, arg)
         self.current = thread
 
-    def _run_thread(self, budget: int):
+    def _run_batch(self, budget: int):
         """Run the current thread's batch; returns ``(executed, reason)``.
 
         ``reason`` is the batch-exit code: whatever the quantum-ending
@@ -406,15 +382,3 @@ class Machine:
     def _write(self, operand: Operand, value: int) -> None:
         write_register(self.cpu.wf, operand.bank, operand.index, value)
 
-
-def _alu(op: str, a: int, b: int) -> int:
-    """Kept for direct use in tests; the interpreter's dispatch table
-    binds the same functions from ``_ALU_FUNCS``."""
-    fn = _ALU_FUNCS.get(op)
-    if fn is None:
-        raise MachineFault("bad ALU op %r" % op)
-    return fn(a, b)
-
-
-def _branch_taken(op: str, cc: int) -> bool:
-    return _BRANCH_TESTS[op](cc)

@@ -2,7 +2,7 @@
 
 The simulator's proven hot path — the fused batched dispatch loop of
 :meth:`repro.runtime.kernel.Kernel._run_batched` and the ISA fetch loop
-of :meth:`repro.isa.machine.Machine._run_thread` — has an optional
+of :meth:`repro.isa.machine.Machine._run_batch` — has an optional
 compiled twin in the C extension :mod:`repro._fast` (built from
 ``src/repro/_fastcore.c``; see ``setup.py`` / the ``[compiled]``
 extra).  Both backends are required to be *bit-identical*; the

@@ -1,18 +1,22 @@
 """The exactness contract: static predictions == dynamic counters.
 
-For every committed program under its canonical launch, across all
-three schemes and two window-file sizes, the abstract interpreter's
-predicted counters must match the real machine's ``Counters``
-attribute-for-attribute (including the switch-transfer histogram and
-every cycle category), the predicted WIM wraparounds must match the
-dynamic count of saves landing in window ``n-1``, and the per-thread
-maximum depth must match the dynamic trace.  The stream-topology
-verdicts get the same treatment against both execution cores.
+The abstract interpreter runs the real window schemes but keeps its own
+register values, fetch loop and scheduler; this suite pins it against
+:class:`repro.isa.Machine`.  For every committed program under its
+canonical launch, across all three schemes and several window-file
+sizes, the abstract interpreter's counters must match the real
+machine's ``Counters`` attribute-for-attribute (including the
+switch-transfer histogram and every cycle category), its WIM
+wraparounds must match the dynamic count of saves landing in window
+``n-1``, and the per-thread maximum depth must match the dynamic trace.
+The verifier's whole prediction report gets the same check, and the
+stream-topology verdicts get it against both execution cores.
 """
 
 import pytest
 
-from repro.analysis import AbstractMachine, ProbeKernel, analyze_kernel
+from repro.analysis import (AbstractMachine, ProbeKernel, analyze_kernel,
+                            verify_program)
 from repro.analysis.verifier import corpus_cases
 from repro.isa import Machine, assemble
 from repro.runtime.errors import DeadlockError
@@ -20,7 +24,7 @@ from repro.runtime.ops import Read, Write
 from tests.support.trampoline import make_kernel
 
 SCHEMES = ("NS", "SNP", "SP")
-WINDOW_COUNTS = (8, 32)
+WINDOW_COUNTS = (4, 8, 32)
 CORES = ("batched", "generator")
 
 
@@ -79,7 +83,7 @@ def _run_static(case, scheme, n_windows):
                                   name=spec.name)
                for spec in case.threads]
     exits = machine.run(max_steps=case.max_steps)
-    return exits, machine.counters, threads
+    return exits, machine, threads
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -88,24 +92,25 @@ def test_corpus_counters_exact(scheme, n_windows):
     for case in corpus_cases():
         exits_d, counters_d, wraps_d, depth_d = _run_dynamic(
             case, scheme, n_windows)
-        exits_s, counters_s, threads_s = _run_static(
+        exits_s, machine_s, threads_s = _run_static(
             case, scheme, n_windows)
+        counters_s = machine_s.counters
         label = "%s/%s/w%d" % (case.name, scheme, n_windows)
         assert exits_s == exits_d, label
-        static = counters_s.as_comparable()
+        static = _dynamic_comparable(counters_s)
         dynamic = _dynamic_comparable(counters_d)
         for key in dynamic:
             assert static[key] == dynamic[key], "%s: %s" % (label, key)
-        assert counters_s.wraparounds == wraps_d, label
+        assert machine_s.wraparounds == wraps_d, label
         for thread in threads_s:
-            assert thread.mt.max_depth == depth_d[thread.tid], (
+            assert thread.max_depth == depth_d[thread.tid], (
                 "%s: tid %d max depth" % (label, thread.tid))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_per_thread_stats_exact(scheme):
-    """The model's per-thread save/restore attribution matches the
-    dynamic ``ThreadWindows`` stats (two-thread interleaved case)."""
+    """The abstract run's per-thread save/restore/switch attribution
+    matches the dynamic one (two-thread interleaved case)."""
     case = next(c for c in corpus_cases() if c.name == "two_counters")
     machine = Machine(assemble(case.source), n_windows=6, scheme=scheme)
     for s in case.threads:
@@ -116,13 +121,45 @@ def test_per_thread_stats_exact(scheme):
     for s in case.threads:
         amachine.add_thread(s.entry, args=s.args, name=s.name)
     amachine.run(max_steps=case.max_steps)
-    predicted = amachine.model.fold_thread_stats()
+    predicted = amachine.counters
     counters = machine.counters
-    assert predicted["per_thread_saves"] == dict(counters.per_thread_saves)
-    assert predicted["per_thread_restores"] == dict(
+    assert predicted.per_thread_saves == dict(counters.per_thread_saves)
+    assert predicted.per_thread_restores == dict(
         counters.per_thread_restores)
-    assert predicted["per_thread_switches"] == dict(
+    assert predicted.per_thread_switches == dict(
         counters.per_thread_switches)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_verifier_prediction_matches_dynamic_run(scheme):
+    """Everything in the verifier's prediction report — counters,
+    wraparounds, exit values and each thread's max depth, saves and
+    restores — equals what ``Machine`` and its event stream observe."""
+    case = next(c for c in corpus_cases() if c.name == "two_counters")
+    n_windows = 6
+    exits, counters, wraps, max_depth = _run_dynamic(case, scheme,
+                                                     n_windows)
+    report = verify_program(case.source, name=case.name,
+                            threads=case.threads, pokes=case.pokes,
+                            n_windows=n_windows, scheme=scheme,
+                            max_steps=case.max_steps)
+    prediction = report.meta["prediction"]
+    assert prediction["mode"] == "exact"
+    dynamic = _dynamic_comparable(counters)
+    dynamic["switch_transfer_hist"] = {
+        "%d,%d" % key: count
+        for key, count in dynamic["switch_transfer_hist"].items()}
+    assert prediction["counters"] == dynamic
+    assert prediction["wraparounds"] == wraps
+    assert prediction["exit_values"] == exits
+    expected_threads = [
+        {"name": spec.name, "max_depth": max_depth[tid],
+         "saves": counters.per_thread_saves.get(tid, 0),
+         "restores": counters.per_thread_restores.get(tid, 0)}
+        for tid, spec in enumerate(case.threads)]
+    assert prediction["threads"] == expected_threads
+    # two threads that both call: the attribution must be non-trivial
+    assert all(t["saves"] and t["restores"] for t in expected_threads)
 
 
 # -- stream-topology verdicts against both execution cores ---------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.windows.backing_store import Frame
-from repro.windows.reference import ReferenceWindowFile
+from tests.support.reference import ReferenceWindowFile
 from repro.windows.window_file import REGS_PER_BANK, WindowFile
 
 # ops: (kind, window-ish, reg, value) — window/reg are reduced mod the
