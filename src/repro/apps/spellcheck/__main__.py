@@ -36,7 +36,8 @@ def check_document(document: bytes, dict1: bytes, dict2: bytes,
     """Run the pipeline over arbitrary document bytes.
 
     ``instrument`` (optional) receives the kernel before spawning, so
-    observability consumers can subscribe to ``kernel.events``.
+    observability consumers can subscribe to ``kernel.events`` or arm
+    the kernel's quantum observers.
     ``faults``/``audit``/``watchdog``/``crash_dir`` are the robustness
     knobs (see :mod:`repro.faults`); register verification is forced on
     under injection so a corrupting fault is detected, not absorbed.
@@ -140,21 +141,28 @@ def main(argv=None) -> int:
         dict_size = max(200, int(round(DICT_SIZE * args.scale)))
     dict1, dict2, __ = generate_dictionaries(size=dict_size)
 
+    # --trace puts the Perfetto exporter on the event bus (which takes
+    # the step loop); --report arms the kernel's quantum observers,
+    # which keep the batched loop.
     observers = {}
     instrument = None
     if args.trace or args.report:
         from repro.metrics.behavior import BehaviorTracker
+        from repro.metrics.events import EventTally
         from repro.metrics.perfetto import PerfettoExporter
         from repro.metrics.tracing import OccupancyTimeline
 
         def instrument(kernel):
-            observers["recorder"] = kernel.enable_tracing()
-            observers["exporter"] = PerfettoExporter()
-            kernel.events.subscribe(observers["exporter"])
-            observers["tracker"] = BehaviorTracker()
-            kernel.tracker = observers["tracker"]
-            observers["timeline"] = OccupancyTimeline()
-            kernel.timeline = observers["timeline"]
+            if args.trace:
+                observers["exporter"] = PerfettoExporter()
+                kernel.events.subscribe(observers["exporter"])
+            if args.report:
+                observers.update(tracker=BehaviorTracker(),
+                                 timeline=OccupancyTimeline(),
+                                 tally=EventTally())
+                kernel.tracker = observers["tracker"]
+                kernel.timeline = observers["timeline"]
+                kernel.tally = observers["tally"]
 
     telemetry = None
     if args.metrics or args.metrics_out:
@@ -229,7 +237,7 @@ def main(argv=None) -> int:
                     "m": args.m, "n": args.n, "workload": "spellcheck"},
             tracker=observers["tracker"],
             timeline=observers["timeline"],
-            recorder=observers["recorder"],
+            tally=observers["tally"],
             metrics=metrics_snapshot)
         write_report(run_report, args.report)
         print("wrote RunReport: %s" % args.report)

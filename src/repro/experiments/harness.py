@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.core.working_set import FIFOPolicy, WorkingSetPolicy
 from repro.metrics.behavior import BehaviorTracker
-from repro.metrics.events import TraceRecorder
+from repro.metrics.events import EventTally
 from repro.metrics.report import build_run_report
 from repro.metrics.tracing import OccupancyTimeline
 
@@ -116,6 +116,11 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
     attached and return its versioned RunReport dict (the document
     ``benchmarks/`` emits for cross-PR perf trajectories).
 
+    The observers (behaviour tracker, occupancy timeline, event tally)
+    are fed by the kernel once per quantum, not through the event bus,
+    so a point without faults, audit or watchdog runs on the batched
+    loop.
+
     ``faults`` (a :meth:`FaultPlan.parse` spec), ``audit`` and
     ``watchdog`` turn on the robustness machinery; register
     verification is forced on under injection so corruptions are
@@ -128,14 +133,14 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
     config = SpellConfig.named(concurrency, granularity,
                                scale=scale, seed=seed)
     policy = WorkingSetPolicy() if working_set else FIFOPolicy()
-    observers = {}
+    tracker = BehaviorTracker()
+    timeline = OccupancyTimeline()
+    tally = EventTally()
 
     def instrument(kernel):
-        observers["recorder"] = kernel.enable_tracing()
-        observers["tracker"] = BehaviorTracker()
-        kernel.tracker = observers["tracker"]
-        observers["timeline"] = OccupancyTimeline()
-        kernel.timeline = observers["timeline"]
+        kernel.tracker = tracker
+        kernel.timeline = timeline
+        kernel.tally = tally
 
     injector = None
     if faults:
@@ -160,12 +165,8 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
         report_config["audit"] = True
     if watchdog:
         report_config["watchdog"] = watchdog
-    return build_run_report(
-        result,
-        config=report_config,
-        tracker=observers["tracker"],
-        timeline=observers["timeline"],
-        recorder=observers["recorder"])
+    return build_run_report(result, config=report_config, tracker=tracker,
+                            timeline=timeline, tally=tally)
 
 
 def sweep_windows(concurrency: str, granularity: str,

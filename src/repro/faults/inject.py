@@ -57,6 +57,9 @@ class FaultInjector:
             site = self._pending.setdefault(spec.site, {})
             site.setdefault(spec.at, []).append(spec)
         self._trap_action: Optional[str] = None
+        #: armed drop/dup actions a trap consumed; each is one more
+        #: ``fault`` event on top of ``fired``
+        self.trap_actions_applied = 0
 
     def bind(self, events) -> None:
         self.events = events
@@ -136,10 +139,12 @@ class FaultInjector:
     def take_trap_action(self, tw) -> Optional[str]:
         """Consume the armed drop/dup action at the next overflow trap."""
         action, self._trap_action = self._trap_action, None
-        if action is not None and self.events is not None \
-                and self.events.active:
-            self.events.emit("fault", tid=tw.tid, fault="trap_" + action,
-                             site="overflow", applied=True)
+        if action is not None:
+            self.trap_actions_applied += 1
+            if self.events is not None and self.events.active:
+                self.events.emit("fault", tid=tw.tid,
+                                 fault="trap_" + action,
+                                 site="overflow", applied=True)
         return action
 
     # -- hook: cpu.restore ---------------------------------------------------

@@ -3,7 +3,12 @@ analysis, aggregate telemetry, Perfetto export, run reports and
 plain-text reporting."""
 
 from repro.metrics.counters import Counters, SwitchRecord, TrapRecord
-from repro.metrics.events import EventBus, TraceEvent, TraceRecorder
+from repro.metrics.events import (
+    EventBus,
+    EventTally,
+    TraceEvent,
+    TraceRecorder,
+)
 from repro.metrics.perfetto import PerfettoExporter
 from repro.metrics.profiler import CycleProfiler
 from repro.metrics.report import (
@@ -26,6 +31,7 @@ __all__ = [
     "SwitchRecord",
     "TrapRecord",
     "EventBus",
+    "EventTally",
     "TraceEvent",
     "TraceRecorder",
     "PerfettoExporter",

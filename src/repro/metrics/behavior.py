@@ -12,10 +12,12 @@
 * **Parallel slackness** — ready-queue length when a thread is picked
   (sampled by :class:`repro.runtime.scheduler.ReadyQueue`).
 
-The tracker subscribes to the kernel's event bus (attaching with
-``kernel.tracker = BehaviorTracker()`` subscribes it automatically) and
-records one row per scheduling quantum; the analysis functions then
-aggregate over configurable periods.
+Attach with ``kernel.tracker = BehaviorTracker()``: the kernel feeds it
+once per scheduling quantum (``on_dispatch``, then the quantum's lowest
+and highest call depth through ``on_depth``, and ``finish`` at run
+end) on every execution loop, without the event bus.  It records one
+row per quantum; the analysis functions then aggregate over
+configurable periods.
 """
 
 from __future__ import annotations
@@ -52,20 +54,6 @@ class BehaviorTracker:
         self._start = 0
         self._min = 0
         self._max = 0
-
-    # -- event-bus subscriber ------------------------------------------------
-
-    def on_event(self, event) -> None:
-        """Consume bus events: quanta open on ``dispatch``, depth
-        excursions come from ``save``/``restore``, and ``run_end``
-        closes the final quantum."""
-        kind = event.kind
-        if kind == "dispatch":
-            self.on_dispatch(event.tid, event.attrs["depth"], event.cycle)
-        elif kind == "save" or kind == "restore":
-            self.on_depth(event.attrs["depth"])
-        elif kind == "run_end":
-            self.finish(event.cycle)
 
     # -- kernel hooks -------------------------------------------------------
 

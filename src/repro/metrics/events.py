@@ -10,14 +10,16 @@ the kernel; the stock ones are:
 * :class:`TraceRecorder` (here) — keeps the raw event list and computes
   per-thread cycle attribution and switch-cost percentiles;
 * :class:`repro.metrics.perfetto.PerfettoExporter` — Chrome trace-event
-  JSON for ``chrome://tracing`` / Perfetto;
-* :class:`repro.metrics.behavior.BehaviorTracker` and
-  :class:`repro.metrics.tracing.OccupancyTimeline` — the paper-§5
-  analyses, now bus subscribers.
+  JSON for ``chrome://tracing`` / Perfetto.
 
 The bus is **disabled by default**: publishers guard every emit with a
 single ``if bus.active`` check, so an uninstrumented run pays one no-op
-branch per event site and allocates nothing.
+branch per event site and allocates nothing.  A live subscriber forces
+the kernel's step-granular loop, so the RunReport observers do not
+subscribe: :class:`EventTally` (here) and the paper-§5 analyses
+(:class:`repro.metrics.behavior.BehaviorTracker`,
+:class:`repro.metrics.tracing.OccupancyTimeline`) are fed once per
+scheduling quantum by the kernel itself, on every loop.
 """
 
 from __future__ import annotations
@@ -140,6 +142,21 @@ def percentile(values: List[float], q: float) -> float:
     return float(ordered[rank])
 
 
+def switch_cost_stats(costs: List[int]) -> Dict[str, float]:
+    """Count / mean / p50 / p95 / p99 / max of a list of switch costs."""
+    if not costs:
+        return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
+                "p99": 0.0, "max": 0.0}
+    return {
+        "count": len(costs),
+        "mean": sum(costs) / len(costs),
+        "p50": percentile(costs, 50),
+        "p95": percentile(costs, 95),
+        "p99": percentile(costs, 99),
+        "max": float(max(costs)),
+    }
+
+
 class TraceRecorder:
     """Bus subscriber that keeps every event and derives run statistics."""
 
@@ -217,19 +234,110 @@ class TraceRecorder:
 
     def switch_cost_stats(self) -> Dict[str, float]:
         """Mean / p50 / p95 / p99 / max of the switch-cost distribution."""
-        costs = self.switch_costs()
-        if not costs:
-            return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
-                    "p99": 0.0, "max": 0.0}
-        return {
-            "count": len(costs),
-            "mean": sum(costs) / len(costs),
-            "p50": percentile(costs, 50),
-            "p95": percentile(costs, 95),
-            "p99": percentile(costs, 99),
-            "max": float(max(costs)),
-        }
+        return switch_cost_stats(self.switch_costs())
 
     def trap_timeline(self) -> List[TraceEvent]:
         """Every overflow/underflow trap, in cycle order."""
         return self.filter(kinds=("overflow", "underflow"))
+
+
+class EventTally:
+    """The RunReport ``events`` statistics, tallied without the bus.
+
+    Arm with ``kernel.tally = EventTally()`` before the first spawn.
+    The kernel reports every scheduling quantum to it — the dispatch
+    (cycle and the cost of the switch into it) and the block, yield or
+    retire that stopped it — at the points where it would emit those
+    events, on every loop, so the run keeps the batched loop.
+    :meth:`summary` rebuilds exactly what a :class:`TraceRecorder`
+    subscribed for the same run reports: ``total``, ``by_kind``,
+    ``switch_cost`` and ``per_thread_cycles``.
+    """
+
+    def __init__(self):
+        self.dispatches = 0
+        #: quanta stopped by each event kind
+        self.stops: Dict[str, int] = {"block": 0, "yield": 0, "retire": 0}
+        #: cycle cost of every context switch, in order
+        self.switch_costs: List[int] = []
+        #: tid -> cycles between its dispatches and its stops
+        self.per_thread_cycles: Dict[int, int] = {}
+        #: streams closed (set by the kernel)
+        self.stream_closes = 0
+        #: ``fault`` events: injector firings plus applied trap actions
+        #: (set at run end)
+        self.faults = 0
+        self.finished = False
+        self._tid = 0
+        self._start = 0
+
+    # -- kernel hooks -------------------------------------------------------
+
+    def on_dispatch(self, tid: int, cycle: int,
+                    switch_cost: Optional[int]) -> None:
+        """A quantum starts; ``switch_cost`` is None when the thread
+        resumed with no context switch."""
+        self.dispatches += 1
+        if switch_cost is not None:
+            self.switch_costs.append(switch_cost)
+        self._tid = tid
+        self._start = cycle
+
+    def on_stop(self, kind: str, cycle: int) -> None:
+        """The running quantum ended in ``kind`` (block/yield/retire);
+        a completed run stops every quantum it dispatched."""
+        self.stops[kind] += 1
+        tid = self._tid
+        self.per_thread_cycles[tid] = (
+            self.per_thread_cycles.get(tid, 0) + cycle - self._start)
+
+    def finish(self, faults: int) -> None:
+        self.faults = faults
+        self.finished = True
+
+    # -- the report section ----------------------------------------------
+
+    def by_kind(self, result) -> Dict[str, int]:
+        """Event counts per kind for the finished run ``result``.
+
+        Window instructions and traps come from its counters.  The rest
+        follow from the quanta and two invariants of a completed run:
+        every block parks its thread on exactly one waiter list and
+        every wake takes one off, with no thread left blocked at the
+        end (so wakes equal blocks); and a thread enters the ready
+        queue exactly when it is spawned, woken or yields.
+        """
+        counters = result.counters
+        spawns = len(result.threads)
+        blocks = self.stops["block"]
+        counts = {
+            "spawn": spawns,
+            "enqueue": spawns + blocks + self.stops["yield"],
+            "switch": len(self.switch_costs),
+            "dispatch": self.dispatches,
+            "save": counters.saves,
+            "restore": counters.restores,
+            "overflow": counters.overflow_traps,
+            "underflow": counters.underflow_traps,
+            "block": blocks,
+            "wake": blocks,
+            "yield": self.stops["yield"],
+            "retire": self.stops["retire"],
+            "stream_close": self.stream_closes,
+            "fault": self.faults,
+            "run_end": int(self.finished),
+        }
+        return {kind: n for kind, n in sorted(counts.items()) if n}
+
+    def summary(self, result) -> Optional[Dict[str, Any]]:
+        """The RunReport ``events`` section (None when nothing ran)."""
+        by_kind = self.by_kind(result)
+        if not by_kind:
+            return None
+        return {
+            "total": sum(by_kind.values()),
+            "by_kind": by_kind,
+            "switch_cost": switch_cost_stats(self.switch_costs),
+            "per_thread_cycles": {str(tid): n for tid, n
+                                  in self.per_thread_cycles.items()},
+        }

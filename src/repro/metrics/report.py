@@ -3,11 +3,11 @@
 A *RunReport* merges everything the instrumentation layer knows about a
 run — the :class:`~repro.metrics.counters.Counters` snapshot, the §5
 behaviour measures from :class:`~repro.metrics.behavior.BehaviorTracker`,
-occupancy-timeline statistics, and event-stream statistics from a
-:class:`~repro.metrics.events.TraceRecorder` — into a single dict with a
-stable, versioned schema.  The experiment harness and the benchmark
-suite emit these so per-PR performance trajectories can be diffed
-mechanically.
+occupancy-timeline statistics, and event-stream statistics from the
+kernel-fed :class:`~repro.metrics.events.EventTally` — into a single
+dict with a stable, versioned schema.  The experiment harness and the
+benchmark suite emit these so per-PR performance trajectories can be
+diffed mechanically.
 
 Schema (``repro.run-report`` version 1)::
 
@@ -49,7 +49,7 @@ def _str_keys(mapping: Dict[Any, Any]) -> Dict[str, Any]:
 
 def build_run_report(result, config: Optional[Dict[str, Any]] = None,
                      tracker=None, timeline=None,
-                     recorder=None, metrics=None) -> Dict[str, Any]:
+                     tally=None, metrics=None) -> Dict[str, Any]:
     """Assemble the report dict for one finished run.
 
     ``result`` is the :class:`repro.runtime.kernel.RunResult`; the
@@ -111,14 +111,7 @@ def build_run_report(result, config: Optional[Dict[str, Any]] = None,
             "churn": timeline.churn(),
         }
 
-    events = None
-    if recorder is not None and len(recorder):
-        events = {
-            "total": len(recorder),
-            "by_kind": dict(sorted(recorder.by_kind().items())),
-            "switch_cost": recorder.switch_cost_stats(),
-            "per_thread_cycles": _str_keys(recorder.per_thread_cycles()),
-        }
+    events = tally.summary(result) if tally is not None else None
 
     report = {
         "schema": SCHEMA_NAME,

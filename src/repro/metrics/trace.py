@@ -6,8 +6,9 @@
     python -m repro.metrics.trace --perfetto trace.json --report report.json
 
 Records one run of the spell-check pipeline (or a synthetic workload)
-with the full observability stack attached — event recorder, behaviour
-tracker, occupancy timeline, Perfetto exporter — then prints or exports
+with the full observability stack attached — event recorder and
+Perfetto exporter on the event bus, and the kernel-fed behaviour
+tracker, occupancy timeline and event tally — then prints or exports
 what was captured:
 
 * ``--summary`` (default): per-thread cycle attribution, switch-cost
@@ -24,7 +25,7 @@ import argparse
 import sys
 
 from repro.metrics.behavior import BehaviorTracker
-from repro.metrics.events import TraceRecorder
+from repro.metrics.events import EventTally, TraceRecorder
 from repro.metrics.perfetto import PerfettoExporter
 from repro.metrics.report import build_run_report, write_report
 from repro.metrics.reporting import format_table
@@ -52,6 +53,8 @@ def record_run(args):
     kernel.tracker = tracker
     timeline = OccupancyTimeline()
     kernel.timeline = timeline
+    tally = EventTally()
+    kernel.tally = tally
     telemetry = None
     if args.metrics or args.metrics_out:
         from repro.metrics.telemetry import RunTelemetry
@@ -92,7 +95,8 @@ def record_run(args):
         print(injector.summary())
     if telemetry is not None:
         telemetry.finalize(result)
-    return result, config, recorder, exporter, tracker, timeline, telemetry
+    return (result, config, recorder, exporter, tracker, timeline, tally,
+            telemetry)
 
 
 def print_events(recorder: TraceRecorder, args) -> None:
@@ -229,8 +233,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        result, config, recorder, exporter, tracker, timeline, telemetry \
-            = record_run(args)
+        (result, config, recorder, exporter, tracker, timeline, tally,
+         telemetry) = record_run(args)
     except Exception as exc:
         from repro.errors import ReproError
 
@@ -257,7 +261,7 @@ def main(argv=None) -> int:
         wrote = True
     if args.report:
         report = build_run_report(result, config=config, tracker=tracker,
-                                  timeline=timeline, recorder=recorder,
+                                  timeline=timeline, tally=tally,
                                   metrics=metrics_snapshot)
         write_report(report, args.report)
         print("wrote RunReport: %s" % args.report)

@@ -8,13 +8,16 @@ window, one column per scheduling quantum — which makes the difference
 between the schemes directly visible (NS wipes the file every column;
 SP's columns barely change).
 
-Attach with ``kernel.timeline = OccupancyTimeline()``.
+Attach with ``kernel.timeline = OccupancyTimeline()``: the kernel takes
+one snapshot per dispatch, on every execution loop, without the event
+bus.  A snapshot copies the window map's raw kind and owner columns;
+the glyphs are only rendered when a sample's ``cells`` are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.windows.occupancy import FRAME, FREE, RESERVED
 
@@ -25,13 +28,29 @@ _PRW_GLYPHS = "abcdefghijklmnopqrstuvwxyz"
 _FRAME_GLYPHS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+def _glyph(kind: str, tid: Optional[int]) -> str:
+    if kind == FREE:
+        return _FREE_GLYPH
+    if kind == RESERVED:
+        if tid is None:
+            return _RESERVED_GLYPH
+        return _PRW_GLYPHS[tid % len(_PRW_GLYPHS)]
+    return _FRAME_GLYPHS[tid % len(_FRAME_GLYPHS)]
+
+
 @dataclass
 class TimelineSample:
     """Occupancy of every window at one instant."""
 
     cycle: int
     running_tid: int
-    cells: List[str]  # one glyph per physical window
+    kinds: Tuple[str, ...]            # WindowMap kind per physical window
+    tids: Tuple[Optional[int], ...]   # WindowMap owner per physical window
+
+    @property
+    def cells(self) -> List[str]:
+        """One glyph per physical window."""
+        return [_glyph(k, t) for k, t in zip(self.kinds, self.tids)]
 
 
 class OccupancyTimeline:
@@ -52,17 +71,6 @@ class OccupancyTimeline:
         self._dropped = 0
         self._stride = 1
         self._since_kept = 0
-        #: the CPU snapshots are taken from; set when the timeline is
-        #: attached to a kernel (``kernel.timeline = ...`` subscribes it
-        #: to the kernel's event bus)
-        self.cpu = None
-
-    # -- event-bus subscriber ----------------------------------------------
-
-    def on_event(self, event) -> None:
-        """Take one snapshot per ``dispatch`` event on the bus."""
-        if event.kind == "dispatch" and self.cpu is not None:
-            self.snapshot(self.cpu, event.tid, event.cycle)
 
     # -- kernel hook -----------------------------------------------------------
 
@@ -82,20 +90,8 @@ class OccupancyTimeline:
             self._since_kept = 1 % self._stride
         wmap = cpu.map
         self.n_windows = wmap.n_windows
-        cells = []
-        for w in range(wmap.n_windows):
-            kind, tid = wmap.entry(w)
-            if kind == FREE:
-                cells.append(_FREE_GLYPH)
-            elif kind == RESERVED:
-                if tid is None:
-                    cells.append(_RESERVED_GLYPH)
-                else:
-                    cells.append(_PRW_GLYPHS[tid % len(_PRW_GLYPHS)])
-            else:
-                cells.append(
-                    _FRAME_GLYPHS[tid % len(_FRAME_GLYPHS)])
-        self.samples.append(TimelineSample(cycle, running_tid, cells))
+        self.samples.append(TimelineSample(
+            cycle, running_tid, tuple(wmap._kind), tuple(wmap._tid)))
 
     # -- analysis ----------------------------------------------------------------
 
@@ -108,9 +104,7 @@ class OccupancyTimeline:
         """Mean fraction of windows holding live frames."""
         if not self.samples or not self.n_windows:
             return 0.0
-        frames = sum(
-            sum(1 for c in s.cells if c in _FRAME_GLYPHS)
-            for s in self.samples)
+        frames = sum(s.kinds.count(FRAME) for s in self.samples)
         return frames / (len(self.samples) * self.n_windows)
 
     def churn(self) -> float:
@@ -121,18 +115,21 @@ class OccupancyTimeline:
             return 0.0
         changed = 0
         for prev, cur in zip(self.samples, self.samples[1:]):
-            changed += sum(1 for a, b in zip(prev.cells, cur.cells)
-                           if a != b)
+            if prev.kinds == cur.kinds and prev.tids == cur.tids:
+                continue
+            # distinct owners can share a glyph (tids 36 apart), and
+            # churn counts what the rendered timeline shows
+            changed += sum(
+                1 for k0, t0, k1, t1 in zip(prev.kinds, prev.tids,
+                                            cur.kinds, cur.tids)
+                if (k0 != k1 or t0 != t1)
+                and _glyph(k0, t0) != _glyph(k1, t1))
         return changed / ((len(self.samples) - 1) * self.n_windows)
 
     def distinct_owners(self, window: int) -> int:
         """How many different threads' frames a window held."""
-        owners = set()
-        for s in self.samples:
-            cell = s.cells[window]
-            if cell in _FRAME_GLYPHS:
-                owners.add(cell)
-        return len(owners)
+        return len({_glyph(FRAME, s.tids[window]) for s in self.samples
+                    if s.kinds[window] == FRAME})
 
     # -- rendering ----------------------------------------------------------------
 
@@ -144,9 +141,10 @@ class OccupancyTimeline:
         if len(samples) > max_columns:
             step = len(samples) / max_columns
             samples = [samples[int(i * step)] for i in range(max_columns)]
+        columns = [s.cells for s in samples]
         lines = []
         for w in range(self.n_windows):
-            row = "".join(s.cells[w] for s in samples)
+            row = "".join(cells[w] for cells in columns)
             lines.append("W%-2d %s" % (w, row))
         if legend:
             lines.append("")

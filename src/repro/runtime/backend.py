@@ -22,7 +22,9 @@ Fallback is always graceful: requesting ``"compiled"`` without the
 extension built warns once and runs pure, and configurations that need
 the step-granular loop (fault injection, invariant audit, watchdog)
 transparently run on the pure path — with a single warning when the
-compiled backend was requested explicitly.
+compiled backend was requested explicitly.  So do runs with quantum
+observers armed (``kernel.tracker``/``timeline``/``tally``), which the
+compiled twin does not feed; they keep the pure batched loop.
 """
 
 from __future__ import annotations
@@ -106,8 +108,14 @@ def warn_step_granular_fallback(reason: str) -> None:
     the compiled and pure paths are bit-identical — just not
     accelerated.
     """
+    warn_pure_fallback("%s requires the step-granular execution path"
+                       % reason)
+
+
+def warn_pure_fallback(why: str) -> None:
+    """One warning when an explicitly-compiled run takes a pure loop
+    (``why`` says what the compiled twin lacks)."""
     warnings.warn(
-        "compiled backend: %s requires the step-granular execution "
-        "path; this run uses the pure-Python loop (results are "
-        "identical)" % reason,
-        RuntimeWarning, stacklevel=3)
+        "compiled backend: %s; this run uses the pure-Python loop "
+        "(results are identical)" % why,
+        RuntimeWarning, stacklevel=4)

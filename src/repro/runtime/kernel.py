@@ -120,6 +120,7 @@ class Kernel:
         #: backend= kwarg > $REPRO_BACKEND > auto-detect, with graceful
         #: fallback to pure when repro._fast is not built
         requested = backend_mod.requested_backend(backend)
+        self._requested_backend = requested
         self.backend = backend_mod.select_backend(backend)
         self._fast = (backend_mod.load_fast()
                       if self.backend == "compiled" else None)
@@ -162,8 +163,14 @@ class Kernel:
         #: mirror of ``events.active`` (see EventBus.watch_activity)
         self._tracing = False
         self.events.watch_activity(self._set_tracing)
+        #: quantum observers (see the ``tracker``/``timeline``/``tally``
+        #: properties); ``_observed`` is True while any is armed
         self._tracker = None
         self._timeline = None
+        self._tally = None
+        self._observed = False
+        #: counters.switch_cycles at the last observed dispatch
+        self._switch_cycles_seen = 0
         #: optional :class:`repro.metrics.telemetry.RunTelemetry`; the
         #: profiler is mirrored into ``_profiler`` so the step loop's
         #: guard is a hoisted-local None check (attach_telemetry)
@@ -210,34 +217,105 @@ class Kernel:
 
     @property
     def tracker(self):
-        """Optional :class:`repro.metrics.behavior.BehaviorTracker`.
-
-        Assigning one subscribes it to the event bus (the legacy
-        hand-wired attribute is kept as this alias)."""
+        """Optional :class:`repro.metrics.behavior.BehaviorTracker`,
+        fed once per scheduling quantum by the kernel."""
         return self._tracker
 
     @tracker.setter
     def tracker(self, tracker) -> None:
-        if self._tracker is not None:
-            self.events.unsubscribe(self._tracker)
         self._tracker = tracker
-        if tracker is not None:
-            self.events.subscribe(tracker)
+        self._arm_observers()
 
     @property
     def timeline(self):
         """Optional :class:`repro.metrics.tracing.OccupancyTimeline`,
-        subscribed to the event bus when assigned."""
+        which snapshots the window map at every dispatch."""
         return self._timeline
 
     @timeline.setter
     def timeline(self, timeline) -> None:
-        if self._timeline is not None:
-            self.events.unsubscribe(self._timeline)
         self._timeline = timeline
-        if timeline is not None:
-            timeline.cpu = self.cpu
-            self.events.subscribe(timeline)
+        self._arm_observers()
+
+    @property
+    def tally(self):
+        """Optional :class:`repro.metrics.events.EventTally`: the
+        RunReport ``events`` statistics, counted without the bus."""
+        return self._tally
+
+    @tally.setter
+    def tally(self, tally) -> None:
+        self._tally = tally
+        self._arm_observers()
+
+    def _arm_observers(self) -> None:
+        """Quantum observers are fed at the dispatch and quantum-exit
+        points of both pure loops, not through the event bus, so an
+        observed run keeps the batched loop.  The compiled twin has no
+        such hooks: an observed run takes the pure batched loop, with
+        one warning when the compiled backend was requested
+        explicitly."""
+        self._observed = (self._tracker is not None
+                          or self._timeline is not None
+                          or self._tally is not None)
+        self._switch_cycles_seen = self.counters.switch_cycles
+        if self._observed and self._fast is not None:
+            if self._requested_backend == "compiled":
+                from repro.runtime import backend as backend_mod
+
+                backend_mod.warn_pure_fallback(
+                    "the run observers (tracker, timeline, tally) are "
+                    "fed by the pure-Python loop only")
+            self.backend = "pure"
+            self._fast = None
+
+    def _quantum_started(self, thread: SimThread, switched: bool) -> None:
+        """Observer hook at a dispatch; ``switched`` is False when the
+        thread resumed without a context switch.  Only the switch into
+        a quantum moves ``switch_cycles``, so its cost is the growth
+        since the previous dispatch."""
+        counters = self.counters
+        cycle = counters.total_cycles
+        switch_cost = None
+        if switched:
+            switch_cost = counters.switch_cycles - self._switch_cycles_seen
+            self._switch_cycles_seen = counters.switch_cycles
+        tid = thread.tid
+        if self._timeline is not None:
+            self._timeline.snapshot(self.cpu, tid, cycle)
+        if self._tracker is not None:
+            self._tracker.on_dispatch(tid, thread.windows.depth, cycle)
+        if self._tally is not None:
+            self._tally.on_dispatch(tid, cycle, switch_cost)
+
+    def _quantum_stopped(self, thread: SimThread, low: int,
+                         high: int) -> None:
+        """Observer hook at a quantum exit; ``low``/``high`` bound the
+        call depths the quantum's saves and restores reached (the
+        depths ``WindowCPU.save``/``restore`` emit)."""
+        state = thread.state
+        if state == BLOCKED:
+            kind = "block"
+        elif state == READY:
+            kind = "yield"
+        elif state == DONE:
+            kind = "retire"
+        else:
+            return  # an error or the step budget cut the quantum short
+        if self._tracker is not None:
+            self._tracker.on_depth(low)
+            self._tracker.on_depth(high)
+        if self._tally is not None:
+            self._tally.on_stop(kind, self.counters.total_cycles)
+
+    def _observers_finish(self) -> None:
+        if self._tracker is not None:
+            self._tracker.finish(self.counters.total_cycles)
+        if self._tally is not None:
+            faults = self.faults
+            self._tally.finish(
+                0 if faults is None
+                else len(faults.fired) + faults.trap_actions_applied)
 
     def attach_telemetry(self, telemetry) -> None:
         """Arm aggregate metrics (:mod:`repro.metrics.telemetry`).
@@ -364,6 +442,8 @@ class Kernel:
                 raise RuntimeFault("step budget of %d exceeded" % max_steps)
         if self._tracing:
             self.events.emit("run_end")
+        if self._observed:
+            self._observers_finish()
         self.counters.fold_thread_stats(t.windows for t in self.threads)
         if stepped:
             loop = "step"
@@ -455,6 +535,8 @@ class Kernel:
         if self._tracing:
             self.events.emit("dispatch", tid=thread.tid,
                              depth=thread.windows.depth)
+        if self._observed:
+            self._quantum_started(thread, out is not thread)
         if self.audit:
             self._audit()
 
@@ -485,6 +567,7 @@ class Kernel:
         watchdog = self._watchdog
         prof = self._profiler
         gen_stack = thread.gen_stack
+        low = high = tw.depth  # the quantum's depth excursion
         try:
             while True:
                 self._steps += 1
@@ -512,6 +595,8 @@ class Kernel:
                 except StopIteration as stop:
                     if self._handle_return(thread, getattr(stop, "value", None)):
                         return EXIT_DONE  # thread finished
+                    if tw.depth < low:
+                        low = tw.depth
                     continue
                 thread.resume_value = None
                 t = type(cmd)
@@ -520,6 +605,8 @@ class Kernel:
                     self._progress += 1
                 elif t is Call:
                     self._do_call(thread, cmd)
+                    if tw.depth > high:
+                        high = tw.depth
                 elif t is Read:
                     thread.pending = ("read", cmd.stream, cmd.max_bytes)
                 elif t is Write:
@@ -553,6 +640,8 @@ class Kernel:
                         "thread %s yielded %r; expected a runtime op"
                         % (thread.name, cmd))
         finally:
+            if self._observed:
+                self._quantum_stopped(thread, low, high)
             # The profiler samples on quantum boundaries only — the
             # per-step path carries zero profiler code, and a quantum
             # (one thread's uninterrupted run) is the natural unit of
@@ -593,8 +682,10 @@ class Kernel:
 
         Only entered when every step-granular hook is dead (no step
         budget, watchdog, faults, audit or tracing — see
-        ``_run_to_completion``); the profiler and telemetry buffers
-        are quantum-granular and folded per batch.
+        ``_run_to_completion``); the profiler, the telemetry buffers
+        and the quantum observers (tracker, timeline, tally) are
+        quantum-granular and fed per batch, the observers from two
+        frame-local depth compares at the save/restore sites.
         """
         cpu = self.cpu
         wf = cpu.wf
@@ -615,6 +706,9 @@ class Kernel:
         restore_cost = cpu._restore_instr_cost
         prof = self._profiler
         prof_cd = prof._cd if prof is not None else 0
+        observed = self._observed
+        quantum_started = self._quantum_started
+        quantum_stopped = self._quantum_stopped
         handle_overflow = scheme.handle_overflow
         handle_underflow = scheme.handle_underflow
         context_switch = scheme.context_switch
@@ -642,6 +736,10 @@ class Kernel:
         call_cycles = 0            # -> counters.call_cycles
         saves_total = 0            # -> counters.saves
         restores_total = 0         # -> counters.restores
+        # the running quantum's depth excursion, for the observers;
+        # reset at each observed dispatch (unobserved, the save/restore
+        # compares run on stale bounds that nothing reads)
+        low = high = self.current.windows.depth
         try:
             while True:            # one iteration per quantum
                 thread = self.current
@@ -831,6 +929,8 @@ class Kernel:
                                 tw.cwp = target
                                 tw.resident -= 1
                                 tw.depth -= 1
+                            if tw.depth < low:
+                                low = tw.depth
                             got = regs[out_base[wf.cwp]]
                             if verify and got is not value \
                                     and got != value:
@@ -872,6 +972,8 @@ class Kernel:
                             tw.cwp = target
                             tw.resident += 1
                             tw.depth += 1
+                            if tw.depth > high:
+                                high = tw.depth
                             kinds[target] = FRAME
                             tids[target] = tw.tid
                             if verify:
@@ -1089,6 +1191,15 @@ class Kernel:
                         restores_total += n_restores
                         tw.stat_restores += n_restores
                         thread.returns += n_restores
+                    if observed:
+                        # the observers read counters.total_cycles
+                        if compute:
+                            counters.compute_cycles += compute
+                            compute = 0
+                        if call_cycles:
+                            counters.call_cycles += call_cycles
+                            call_cycles = 0
+                        quantum_stopped(thread, low, high)
                     if prof is not None:
                         prof_cd -= 1
                         if prof_cd <= 0:
@@ -1127,6 +1238,9 @@ class Kernel:
                     nxt.start_root()
                     if verify:
                         cpu.write_local(0, ("sig", nxt.tid, 1))
+                if observed:
+                    quantum_started(nxt, True)
+                    low = high = nxt.windows.depth
         finally:
             self._steps += steps
             self._progress += progress
@@ -1297,6 +1411,8 @@ class Kernel:
             self.events.emit("block", tid=thread.tid, on=on, op=op)
 
     def _do_close(self, stream: Stream) -> None:
+        if self._tally is not None and not stream.closed:
+            self._tally.stream_closes += 1
         stream.close()
         if stream.read_waiters:
             self._wake_readers(stream)

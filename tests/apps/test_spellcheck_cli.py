@@ -62,3 +62,41 @@ def test_check_document_scheme_independent():
         reports.add(report)
     assert len(reports) == 1
     assert b"xqzzk" in reports.pop()
+
+
+def _bus_report(scale, scheme, n_windows):
+    """The ``--report`` document as the bus-fed observers build it."""
+    from repro.apps.spellcheck.corpus import DICT_SIZE, generate_corpus
+    from tests.support.bus_oracle import BusObservers
+
+    document = generate_corpus(scale=scale)
+    dict1, dict2, __ = generate_dictionaries(
+        size=max(200, int(round(DICT_SIZE * scale))))
+    bus = BusObservers()
+    result, __ = check_document(document, dict1, dict2, m=16, n=16,
+                                scheme=scheme, n_windows=n_windows,
+                                instrument=bus.attach)
+    return bus.report(result, {"scheme": scheme, "n_windows": n_windows,
+                               "m": 16, "n": 16, "workload": "spellcheck"})
+
+
+def test_cli_report_is_unchanged_and_keeps_the_batched_loop(
+        tmp_path, monkeypatch):
+    from repro.metrics.report import to_json
+    from repro.runtime.kernel import Kernel
+
+    expected = to_json(_bus_report(0.02, "SNP", 6))
+    args = ["--scale", "0.02", "--scheme", "SNP", "--windows", "6"]
+
+    def forbidden(self, max_steps):
+        raise AssertionError("--report without --trace took the step loop")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Kernel, "_run_quantum", forbidden)
+        assert main(args + ["--report", str(tmp_path / "r.json")]) == 0
+    assert (tmp_path / "r.json").read_text() == expected
+    # --trace puts the Perfetto exporter on the bus; same report
+    assert main(args + ["--report", str(tmp_path / "rt.json"),
+                        "--trace", str(tmp_path / "t.json")]) == 0
+    assert (tmp_path / "rt.json").read_text() == expected
+    assert (tmp_path / "t.json").is_file()

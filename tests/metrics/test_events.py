@@ -159,28 +159,31 @@ class TestKernelPublishing:
 
 
 class TestLegacyAliases:
-    def test_tracker_alias_subscribes(self):
-        kernel = Kernel(n_windows=8, scheme="SP")
+    def test_tracker_alias_is_fed_without_the_bus(self):
+        kernel = Kernel(n_windows=8, scheme="SP", backend="pure")
         tracker = BehaviorTracker()
         kernel.tracker = tracker
         assert kernel.tracker is tracker
-        assert kernel.events.active
+        assert not kernel.events.active
         stream = kernel.stream(2, "s")
         kernel.spawn(_producer, stream, 20, name="p")
         kernel.spawn(_consumer, stream, name="c")
-        kernel.run()
+        result = kernel.run()
+        assert result.loop == "pure-batched"
         assert tracker.quanta
         assert tracker.granularity() > 0
 
-    def test_timeline_alias_subscribes(self):
-        kernel = Kernel(n_windows=8, scheme="SP")
+    def test_timeline_alias_is_fed_without_the_bus(self):
+        kernel = Kernel(n_windows=8, scheme="SP", backend="pure")
         timeline = OccupancyTimeline()
         kernel.timeline = timeline
         assert kernel.timeline is timeline
+        assert not kernel.events.active
         stream = kernel.stream(2, "s")
         kernel.spawn(_producer, stream, 20, name="p")
         kernel.spawn(_consumer, stream, name="c")
-        kernel.run()
+        result = kernel.run()
+        assert result.loop == "pure-batched"
         assert timeline.samples
         assert timeline.n_windows == 8
 

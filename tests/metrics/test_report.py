@@ -6,6 +6,7 @@ import pytest
 
 from repro import Call, CloseStream, Kernel, Read, Tick, Write
 from repro.metrics.behavior import BehaviorTracker
+from repro.metrics.events import EventTally
 from repro.metrics.report import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
@@ -41,7 +42,8 @@ def _consumer(stream):
 
 def _instrumented_run(scheme="SNP", n_windows=6, items=40):
     kernel = Kernel(n_windows=n_windows, scheme=scheme)
-    recorder = kernel.enable_tracing()
+    tally = EventTally()
+    kernel.tally = tally
     tracker = BehaviorTracker()
     kernel.tracker = tracker
     timeline = OccupancyTimeline()
@@ -54,7 +56,7 @@ def _instrumented_run(scheme="SNP", n_windows=6, items=40):
         result,
         config={"scheme": scheme, "n_windows": n_windows,
                 "workload": "unit"},
-        tracker=tracker, timeline=timeline, recorder=recorder), result
+        tracker=tracker, timeline=timeline, tally=tally), result
 
 
 @pytest.fixture(scope="module")

@@ -137,6 +137,36 @@ class TestFallback:
                 FaultPlan.parse("sched@2", seed=1)))
         assert kernel._fast is None
 
+    @needs_compiled
+    def test_observed_run_warns_once_and_takes_pure_batched(self):
+        from repro.metrics.behavior import BehaviorTracker
+        from repro.metrics.events import EventTally
+        from repro.metrics.tracing import OccupancyTimeline
+
+        with pytest.warns(RuntimeWarning, match="run observers") as caught:
+            kernel = Kernel(backend="compiled")
+            kernel.tracker = BehaviorTracker()
+            kernel.timeline = OccupancyTimeline()
+            kernel.tally = EventTally()
+        assert len([w for w in caught
+                    if "run observers" in str(w.message)]) == 1
+        assert kernel.backend == "pure"
+        assert kernel._fast is None
+        tick_workload(kernel)
+        result = kernel.run()
+        assert result.loop == "pure-batched"
+        assert kernel.tally.summary(result)["by_kind"]["retire"] == 1
+
+    @needs_compiled
+    def test_observed_run_silent_without_explicit_request(self):
+        from repro.metrics.events import EventTally
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = Kernel()
+            kernel.tally = EventTally()
+        assert kernel._fast is None
+
 
 class TestGeneratorRetirement:
     def test_public_constructor_rejects_generator(self):
