@@ -1,27 +1,118 @@
-"""Whole-system invariant checks, used heavily by the test suite.
+"""Whole-system invariant checks: the window-geometry audit.
 
 These verify the geometric claims DESIGN.md (and the paper's §3) rely
 on: contiguous per-thread regions, exactly one reserved window per
 boundary, WIM matching the running thread, and occupancy/thread-state
-agreement.  Production runs never call this (it is O(n_windows *
-n_threads) per call); property tests call it after every step.
+agreement.  Property tests call :func:`check_invariants` after every
+step, and the kernel calls it after every dispatch, call and return
+when the audit is on (``Kernel(audit=True)``, which every fuzz trial
+arms).
+
+The check runs in one pass: it builds the occupancy map the threads'
+state implies (each thread's resident run from ``cwp``, its private
+reserved window, the scheme's global reserved window) and compares it
+with the real map in one list compare, then checks the running
+thread's CWP and the WIM.  Only when that fails does it walk the state
+invariant by invariant (:func:`_walk`) to raise the first violation
+with its full diagnosis; a state the one-pass check rejects but the
+walk accepts (a free window with a stale thread id, which the walk
+does not look at) passes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
 
 from repro.windows.errors import WindowGeometryError
 from repro.windows.occupancy import FRAME, FREE, RESERVED
 from repro.windows.thread_windows import ThreadWindows
 
+_ABSENT = object()
+
 
 def check_invariants(cpu, scheme, threads: Iterable[ThreadWindows]) -> None:
     """Raise :class:`WindowGeometryError` on any violated invariant."""
+    if type(threads) is not list:
+        threads = list(threads)
+    try:
+        if _consistent(cpu, scheme, threads):
+            return
+    except (TypeError, IndexError):
+        pass  # malformed state: the walk raises the diagnosis
+    _walk(cpu, scheme, threads)
+
+
+def _consistent(cpu, scheme, threads: List[ThreadWindows]) -> bool:
+    """One pass over the state; True only when every invariant holds
+    (False says nothing about which one failed)."""
     wf = cpu.wf
     wmap = cpu.map
     n = wf.n_windows
-    threads = list(threads)
+    below = wf._below
+    kinds = [FREE] * n
+    tids = [None] * n
+    for tw in threads:
+        tid = tw.tid
+        resident = tw.resident
+        frames = tw.store.frames
+        if tw.depth != resident + len(frames):
+            return False
+        w = tw.cwp
+        if resident > 0:
+            bottom = tw.bottom
+            if (w is None or bottom is None or not 0 <= w < n
+                    or (bottom - w) % n + 1 != resident):
+                return False
+            for __ in range(resident):
+                if kinds[w] is not FREE:
+                    return False
+                kinds[w] = FRAME
+                tids[w] = tid
+                w = below[w]
+        elif resident or w is not None or tw.bottom is not None:
+            return False
+        prw = tw.prw
+        if prw is not None:
+            if resident <= 0 or not 0 <= prw < n or kinds[prw] is not FREE:
+                return False
+            kinds[prw] = RESERVED
+            tids[prw] = tid
+        depth = 1
+        for frame in frames:
+            if frame.depth != depth and frame.depth >= 0:
+                return False
+            depth += 1
+    reserved = getattr(scheme, "reserved", _ABSENT)
+    if reserved is not _ABSENT:
+        if not 0 <= reserved < n or kinds[reserved] is not FREE:
+            return False
+        kinds[reserved] = RESERVED
+    if kinds != wmap._kind or tids != wmap._tid:
+        return False
+    running = cpu.current
+    if running is not None:
+        w = running.cwp
+        if w != wf.cwp:
+            return False
+        wim = wf._wim
+        if scheme.shares_windows:
+            for __ in range(running.resident):
+                if wim[w]:
+                    return False
+                w = below[w]
+            if not wim[scheme.boundary_of(running)]:
+                return False
+        elif not wim[reserved] or wim.count(0) != n - 1:
+            return False
+    return True
+
+
+def _walk(cpu, scheme, threads: List[ThreadWindows]) -> None:
+    """The invariants one at a time, in a fixed order: raises the first
+    violation found with its full diagnosis."""
+    wf = cpu.wf
+    wmap = cpu.map
+    n = wf.n_windows
 
     claimed: Dict[int, str] = {}
 

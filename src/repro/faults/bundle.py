@@ -30,10 +30,11 @@ Schema (``repro.crash-bundle`` version 3)::
     }
 
 Version 2 records the execution core (``config["core"]``) the crash
-was captured under; replay reruns under that exact core, so a
-step-granular fault run can never silently diverge onto a different
-core (e.g. after the generator core retires).  Version 1 bundles
-(no recorded core) still load and replay under the ambient default.
+was captured under; replay reruns under that core, never the ambient
+``$REPRO_CORE``.  A bundle recorded on the retired ``"generator"`` core
+reruns on the batched loop, which carries the same hooks and is
+bit-identical with it.  Version 1 bundles (no recorded core) still
+load and replay under the ambient default.
 
 Version 3 replaces v2's ``events`` (the tail of an event-bus
 subscriber, which forced the step-granular loop) with ``flight``: the
@@ -153,8 +154,8 @@ def build_crash_bundle(error: BaseException, kernel,
     snap["per_thread_saves"] = _jsonable(snap["per_thread_saves"])
     snap["per_thread_restores"] = _jsonable(snap["per_thread_restores"])
 
-    # v2: the execution core is part of the replay identity — a crash
-    # captured on the step-granular path must rerun there.
+    # v2: the execution core is part of the replay identity — a replay
+    # reruns under the recorded core, not the ambient one.
     config_doc = dict(config if config is not None
                       else kernel.crash_config)
     config_doc.setdefault("core", kernel.core)

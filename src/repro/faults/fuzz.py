@@ -1,5 +1,5 @@
 """The adversarial workload fuzzer: seeded random fault plans x random
-synthetic workloads x NS/SNP/SP x both execution cores.
+synthetic workloads x NS/SNP/SP.
 
 Each trial derives its own RNG from ``(seed, trial index)`` — the
 whole campaign is a pure function of the seed, so a CI failure names
@@ -60,6 +60,8 @@ class FuzzTrial:
     bundle: Optional[Path] = None
     minimized: Optional[MinimizeResult] = None
     detail: str = ""
+    #: the dispatch loop a survived trial ran (``RunResult.loop``)
+    loop: Optional[str] = None
 
     def describe(self) -> str:
         text = ("trial %02d %-22s %-3s w%d %-9s faults=%s -> %s"
@@ -202,8 +204,8 @@ def run_fuzz(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             continue
         injector = FaultInjector(trial.plan)
         try:
-            run_workload(trial.config, faults=injector,
-                         crash_dir=raw_dir)
+            trial.loop = run_workload(trial.config, faults=injector,
+                                      crash_dir=raw_dir).loop
         except ReproError as exc:
             trial.outcome = "detected"
             trial.error_type = type(exc).__name__

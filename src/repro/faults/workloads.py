@@ -211,12 +211,11 @@ def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
     ``config`` supplies both the workload parameters and the kernel
     knobs; ``faults`` is an armed :class:`FaultInjector` (or None).
     The run executes under the config's recorded execution ``core`` —
-    an explicit core always beats ``$REPRO_CORE``, so a bundle
-    captured on the step-granular path can never silently replay on a
-    different core.  Bundles recorded before the ``"generator"`` core
-    retired from the public ``core=`` switch still replay on the
-    reference trampoline: the retired name maps to forcing the
-    step-granular loop on an otherwise-batched kernel.
+    an explicit core always beats ``$REPRO_CORE``.  Bundles recorded on
+    the retired ``"generator"`` core replay on the batched loop, which
+    now carries every hook those runs armed (faults, audit, watchdog,
+    step budget) bit-identically; the recorded name stays in the
+    replayed bundle's config.
 
     ``trial_budget`` caps steps *without* entering the config (the
     minimizer's runaway guard for candidate runs); a ``max_steps`` in
@@ -232,7 +231,6 @@ def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
         max_steps = (trial_budget if max_steps is None
                      else min(max_steps, trial_budget))
     core = config.get("core")
-    reference = core == RETIRED_GENERATOR_CORE
     kernel = Kernel(
         n_windows=int(config.get("n_windows", 8)),
         scheme=str(config.get("scheme", "SP")),
@@ -242,12 +240,6 @@ def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
         watchdog=int(config.get("watchdog", 0)) or None,
         crash_dir=crash_dir,
         crash_config=config,
-        core="batched" if reference else core)
-    if reference:
-        # recorded on the retired step-granular core: force the
-        # reference trampoline so the replay never silently runs on
-        # the batched path (bit-identical, but the bundle's recorded
-        # core is part of the reproduction recipe)
-        kernel.core = RETIRED_GENERATOR_CORE
+        core="batched" if core == RETIRED_GENERATOR_CORE else core)
     workload.build(kernel, config)
     return kernel.run(max_steps=max_steps)

@@ -19,12 +19,13 @@ Selection precedence (highest first):
    ``"pure"`` otherwise.
 
 Fallback is always graceful: requesting ``"compiled"`` without the
-extension built warns once and runs pure, and configurations that need
-the step-granular loop (fault injection, invariant audit, watchdog)
-transparently run on the pure path — with a single warning when the
-compiled backend was requested explicitly.  So do runs with quantum
-observers armed (``kernel.tracker``/``timeline``/``tally``), which the
-compiled twin does not feed; they keep the pure batched loop.
+extension built warns once and runs pure.  The compiled twin has no
+hooks, so runs that arm one — fault injection, the invariant audit,
+the watchdog, a step budget, or the quantum observers
+(``kernel.tracker``/``timeline``/``tally``) — take the pure batched
+loop, with a single :func:`warn_pure_fallback` warning when the
+compiled backend was requested explicitly (a step budget, given only
+at ``run()``, falls back silently).
 """
 
 from __future__ import annotations
@@ -97,19 +98,6 @@ def select_backend(backend: Optional[str] = None) -> str:
             RuntimeWarning, stacklevel=3)
         return "pure"
     return "compiled" if available else "pure"
-
-
-def warn_step_granular_fallback(reason: str) -> None:
-    """One warning when an explicitly-compiled run needs the pure path.
-
-    Fault injection, the invariant audit and the watchdog all observe
-    individual steps, so those configurations run the step-granular
-    pure-Python loop regardless of backend; the run is still correct —
-    the compiled and pure paths are bit-identical — just not
-    accelerated.
-    """
-    warn_pure_fallback("%s requires the step-granular execution path"
-                       % reason)
 
 
 def warn_pure_fallback(why: str) -> None:

@@ -8,15 +8,19 @@ leaving the batch only on a *batch-exit event* — block, yield,
 completion — with cycle accounting and per-thread statistics folded
 once per batch instead of once per step.
 
-The step-granular generator trampoline
+The batched core carries every run hook: fault injection, the
+invariant audit after each dispatch, call and return, the watchdog
+and a step budget (checked at the start of every step, so
+:data:`EXIT_BUDGET` fires at the step it always did).  The
+step-granular generator trampoline
 (:meth:`repro.runtime.kernel.Kernel._run_quantum`) is no longer a
-public core choice: it survives as the batched core's compat path for
-configurations that need per-step hooks (fault injection, watchdog,
-audit, tracing, step budgets) and as the differential harness's
-reference loop (forced through ``tests/support/trampoline.py``, never
-through ``core=``).  Crash bundles recorded on the retired core still
-replay on it — :func:`repro.faults.workloads.run_workload` maps the
-recorded name to the reference loop.
+public core choice: it survives only for event-bus tracing, whose
+subscribers see every save and restore, and as the differential
+harness's reference loop (forced through
+``tests/support/trampoline.py``, never through ``core=``).  Crash
+bundles recorded on the retired core still replay —
+:func:`repro.faults.workloads.run_workload` runs them on the batched
+loop.
 
 Both loops are required to be *bit-identical*: same counters, same
 per-thread statistics, same trace-event sequences, same step counts

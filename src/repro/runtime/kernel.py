@@ -76,10 +76,10 @@ class RunResult:
     #: ``"pure-batched"`` or ``"step"`` (any quantum on the
     #: step-granular loop makes the whole run ``"step"``)
     loop: Optional[str] = None
-    #: why a ``"step"`` run left the batched loop: ``"faults"``,
-    #: ``"audit"``, ``"watchdog"``, ``"max_steps"`` or ``"tracing"``
-    #: (``"core"`` for the test-only forced reference loop); None on a
-    #: batched run
+    #: why a ``"step"`` run left the batched loop: ``"tracing"`` (an
+    #: event-bus subscriber) or ``"core"`` (the test-only forced
+    #: reference loop); None on a batched run.  Fault injection, the
+    #: audit, the watchdog and step budgets all run batched.
     loop_reason: Optional[str] = None
 
     @property
@@ -126,17 +126,17 @@ class Kernel:
                       if self.backend == "compiled" else None)
         if self._fast is not None and (faults is not None or audit
                                        or watchdog):
-            # These hooks observe individual steps, so such runs take
-            # the step-granular pure loop regardless of backend (the
-            # batchable gate below routes them); only an *explicit*
-            # compiled request warns about it.
+            # The compiled twin has none of these hooks: such runs take
+            # the pure batched loop, and only an *explicit* compiled
+            # request warns about it.
             if requested == "compiled":
                 needs = [name for name, on in (
                     ("fault injection", faults is not None),
                     ("invariant audit", audit),
                     ("watchdog", bool(watchdog))) if on]
-                backend_mod.warn_step_granular_fallback(
-                    " + ".join(needs))
+                backend_mod.warn_pure_fallback(
+                    "the compiled loop has no %s hook%s"
+                    % (" + ".join(needs), "s" if len(needs) > 1 else ""))
             self.backend = "pure"
             self._fast = None
         self.counters = counters if counters is not None else Counters()
@@ -180,6 +180,8 @@ class Kernel:
         #: run the static topology check before the first step (run())
         self._analyze = analyze
         self._steps = 0
+        #: the running call's step budget (run(max_steps=...))
+        self._max_steps: Optional[int] = None
         #: progress clock: ticks, calls, returns, spawns and completed
         #: blocking operations move it; yield storms do not
         self._progress = 0
@@ -399,23 +401,18 @@ class Kernel:
             raise
 
     def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
-        # The batched core needs every step hook to be dead: a step
-        # budget, the watchdog, fault injection and the invariant audit
-        # all observe (or perturb) individual steps, so those
-        # configurations run the step-granular compat loop instead —
-        # which is also the whole of the "generator" core.  Tracing is
-        # re-checked per quantum because a subscriber may attach
-        # mid-run.  ``reason`` names the first hook that forced the
-        # step loop; it lands on RunResult with the loop that ran.
-        reason = ("faults" if self.faults is not None
-                  else "audit" if self.audit
-                  else "watchdog" if self._watchdog is not None
-                  else "max_steps" if max_steps is not None
-                  else "core" if self.core != "batched"
-                  else None)
+        # Fault injection, the invariant audit, the watchdog and a step
+        # budget all ride the batched loop; only event-bus tracing
+        # (re-checked per quantum, because a subscriber may attach
+        # mid-run) and the test-only reference core take the
+        # step-granular loop.  ``reason`` names why; it lands on
+        # RunResult with the loop that ran.  The compiled twin has no
+        # step budget, so a budgeted run takes the pure batched loop.
+        reason = "core" if self.core != "batched" else None
         batchable = reason is None
         stepped = False
-        fast = self._fast
+        fast = self._fast if max_steps is None else None
+        self._max_steps = max_steps
         while True:
             if self.current is None:
                 if not self.ready:
@@ -540,24 +537,54 @@ class Kernel:
         if self.audit:
             self._audit()
 
-    def _audit(self) -> None:
+    def _audit(self, steps: int = 0, cycles: int = 0) -> None:
         """Continuous invariant audit: the full geometry check after
-        every dispatch, call and return (expensive; opt-in)."""
+        every dispatch, call and return (opt-in).  The batched loop
+        passes the steps and cycles its accumulators have not folded
+        yet, so the crash context is exact on both loops."""
         try:
             check_invariants(self.cpu, self.scheme,
                              [t.windows for t in self.threads])
         except WindowError as exc:
-            raise exc.with_context(audit=True, step=self._steps,
-                                   cycle=self.counters.total_cycles)
+            raise exc.with_context(
+                audit=True, step=self._steps + steps,
+                cycle=self.counters.total_cycles + cycles)
+
+    def _step_gate(self, steps: int, progress: int) -> bool:
+        """The per-step hooks at the start of a batched step, given the
+        batch's unfolded step and progress counts: True when the step
+        budget is spent; raises LivelockError when the watchdog
+        expires.  Called exactly where the step loop checks both."""
+        step = self._steps + steps
+        max_steps = self._max_steps
+        if max_steps is not None and step >= max_steps:
+            return True
+        watchdog = self._watchdog
+        if watchdog is not None:
+            progress += self._progress
+            if watchdog.expired(progress, step):
+                raise self._livelock_error(watchdog, progress, step)
+        return False
+
+    def _livelock_error(self, watchdog, progress: int,
+                        step: int) -> LivelockError:
+        return LivelockError(
+            "no progress for %d steps (watchdog max_stall=%d); "
+            "threads: %s" % (
+                watchdog.stalled_for(progress, step),
+                watchdog.max_stall,
+                ", ".join("%s=%s" % (t.name, t.state)
+                          for t in self.threads)),
+            max_stall=watchdog.max_stall, progress=progress)
 
     # -- quantum execution ----------------------------------------------------------
 
     def _run_quantum(self, max_steps: Optional[int]) -> int:
-        """Step-granular quantum loop (the "generator" core, and the
-        batched core's compat path for configurations that need
-        per-step hooks: step budgets, watchdog, faults, audit,
-        tracing).  Runs the current thread until it blocks, yields or
-        finishes."""
+        """Step-granular quantum loop: the path of event-bus tracing,
+        whose subscribers see every save and restore, and the
+        reference loop the differential tests force through
+        ``tests/support/trampoline.py``.  Runs the current thread
+        until it blocks, yields or finishes."""
         thread = self.current
         assert thread is not None
         tw = thread.windows
@@ -575,15 +602,8 @@ class Kernel:
                     return EXIT_BUDGET
                 if watchdog is not None and watchdog.expired(self._progress,
                                                              self._steps):
-                    raise LivelockError(
-                        "no progress for %d steps (watchdog max_stall=%d); "
-                        "threads: %s" % (
-                            watchdog.stalled_for(self._progress, self._steps),
-                            watchdog.max_stall,
-                            ", ".join("%s=%s" % (t.name, t.state)
-                                      for t in self.threads)),
-                        max_stall=watchdog.max_stall,
-                        progress=self._progress)
+                    raise self._livelock_error(watchdog, self._progress,
+                                               self._steps)
                 if thread.pending is not None:
                     if not self._continue_pending(thread):
                         self._block(thread)
@@ -680,12 +700,24 @@ class Kernel:
         core; they touch only trap/switch counters, never the
         batch-local ones, so folding late is safe.
 
-        Only entered when every step-granular hook is dead (no step
-        budget, watchdog, faults, audit or tracing — see
-        ``_run_to_completion``); the profiler, the telemetry buffers
-        and the quantum observers (tracker, timeline, tally) are
-        quantum-granular and fed per batch, the observers from two
-        frame-local depth compares at the save/restore sites.
+        Every hook but event-bus tracing runs here, each a hoisted
+        local that is None unless armed, so an unhooked run pays one
+        None check per site:
+
+        * fault injection: the CPU's save/restore fault hooks at the
+          inlined save/restore, the armed trap action on the overflow
+          path, and the ready queue's enqueue hook (the FIFO wake fast
+          path is off while it is armed);
+        * the invariant audit after every dispatch, call and return,
+          given the unfolded step and cycle counts (``_audit``);
+        * the step budget and the watchdog at the start of every step
+          (``_step_gate``): a spent budget returns with the thread
+          still current, as the step loop's EXIT_BUDGET does.
+
+        The profiler, the telemetry buffers and the quantum observers
+        (tracker, timeline, tally) are quantum-granular and fed per
+        batch, the observers from two frame-local depth compares at
+        the save/restore sites.
         """
         cpu = self.cpu
         wf = cpu.wf
@@ -706,6 +738,14 @@ class Kernel:
         restore_cost = cpu._restore_instr_cost
         prof = self._profiler
         prof_cd = prof._cd if prof is not None else 0
+        # the fuzz hooks: each is None unless armed, so an unhooked run
+        # pays one None check per site
+        faults = cpu.faults
+        fault_save = cpu._fault_save
+        fault_restore = cpu._fault_restore
+        audit = self._audit if self.audit else None
+        gate = (self._step_gate if self._max_steps is not None
+                or self._watchdog is not None else None)
         observed = self._observed
         quantum_started = self._quantum_started
         quantum_stopped = self._quantum_stopped
@@ -751,6 +791,8 @@ class Kernel:
                 resume = thread.resume_value
                 steps += 1         # the entry iteration (compat parity)
                 try:
+                    if gate is not None and gate(steps, progress):
+                        return     # EXIT_BUDGET
                     # Entry with an in-flight op (_continue_pending,
                     # inlined): completion shares the step with the
                     # send that follows, as in the compat loop's
@@ -896,11 +938,13 @@ class Kernel:
                                     ready.push_woken(waiter)
                                 del thread.join_waiters[:]
                                 break  # EXIT_DONE
-                            n_restores += 1
                             cwp = wf.cwp
                             if verify:
                                 sig = regs[in_base[cwp] + 8]
                                 if sig != ("sig", thread.tid, tw.depth):
+                                    # the return counts before the
+                                    # check, the restore after it
+                                    thread.returns += 1
                                     raise WindowIntegrityError(
                                         "thread %s frame signature "
                                         "corrupted: %r at depth %d"
@@ -913,9 +957,14 @@ class Kernel:
                             regs[in_base[cwp]] = value
                             # -- WindowCPU.restore, inlined --
                             if tw.depth <= 1:
+                                thread.returns += 1
                                 raise WindowGeometryError(
                                     "thread %d executed restore at "
                                     "depth %d" % (tw.tid, tw.depth))
+                            if fault_restore is not None:
+                                fault_restore(cpu, tw)
+                                cwp = wf.cwp
+                            n_restores += 1
                             call_cycles += restore_cost
                             target = below[cwp]
                             if wim[target]:
@@ -939,9 +988,13 @@ class Kernel:
                                     "across restore: %r != %r"
                                     % (thread.name, got, value),
                                     thread=thread.name, depth=tw.depth)
+                            if audit is not None:
+                                audit(steps, compute + call_cycles)
                             resume = got
                             gen = gen_stack[-1]
                             steps += 1
+                            if gate is not None and gate(steps, progress):
+                                return  # EXIT_BUDGET
                             continue
                         resume = None
                         t = type(cmd)
@@ -957,17 +1010,28 @@ class Kernel:
                                 for i, a in enumerate(args[:8]):
                                     regs[ob + i] = a
                             # -- WindowCPU.save, inlined --
+                            if fault_save is not None:
+                                fault_save(cpu, tw)
+                                cwp = wf.cwp
                             n_saves += 1
                             call_cycles += save_cost
                             target = above[cwp]
                             if wim[target]:
-                                handle_overflow(tw)
-                                target = above[wf.cwp]
-                                if wim[target]:
-                                    raise WindowGeometryError(
-                                        "overflow handler left target "
-                                        "window %d invalid" % target,
-                                        window=target, thread=tw.tid)
+                                action = (faults.take_trap_action(tw)
+                                          if faults is not None else None)
+                                # a dropped trap falls through: the save
+                                # runs straight into the invalid window
+                                if action != "drop":
+                                    handle_overflow(tw)
+                                    if action == "dup":
+                                        handle_overflow(tw)
+                                    target = above[wf.cwp]
+                                    if wim[target]:
+                                        raise WindowGeometryError(
+                                            "overflow handler left "
+                                            "target window %d invalid"
+                                            % target,
+                                            window=target, thread=tw.tid)
                             wf.cwp = target
                             tw.cwp = target
                             tw.resident += 1
@@ -990,11 +1054,15 @@ class Kernel:
                                             argument=i, depth=tw.depth)
                                 regs[ib + 8] = ("sig", thread.tid,
                                                 tw.depth)
+                            if audit is not None:
+                                audit(steps, compute + call_cycles)
                             gen = cmd.factory(*args)
                             gen_stack.append(gen)
                         elif t is Read_:
                             stream = cmd.stream
                             steps += 1  # the attempt iteration
+                            if gate is not None and gate(steps, progress):
+                                return  # EXIT_BUDGET
                             sdata = stream._data
                             if sdata or stream.closed:
                                 # -- Stream.pull, inlined --
@@ -1043,6 +1111,8 @@ class Kernel:
                             stream = cmd.stream
                             data = cmd.data
                             steps += 1
+                            if gate is not None and gate(steps, progress):
+                                return  # EXIT_BUDGET
                             # -- Stream.push, inlined --
                             if stream.closed:
                                 raise StreamClosedError(
@@ -1089,6 +1159,8 @@ class Kernel:
                         elif t is ReadLine_:
                             stream = cmd.stream
                             steps += 1
+                            if gate is not None and gate(steps, progress):
+                                return  # EXIT_BUDGET
                             # -- has_line/at_eof/pull_line, inlined --
                             sdata = stream._data
                             idx = sdata.find(b"\n")
@@ -1157,6 +1229,8 @@ class Kernel:
                                     "%s tried to join itself"
                                     % thread.name)
                             steps += 1
+                            if gate is not None and gate(steps, progress):
+                                return  # EXIT_BUDGET
                             if target_t.state == DONE:
                                 progress += 1
                                 resume = target_t.result
@@ -1179,6 +1253,8 @@ class Kernel:
                                 "thread %s yielded %r; expected a "
                                 "runtime op" % (thread.name, cmd))
                         steps += 1
+                        if gate is not None and gate(steps, progress):
+                            return  # EXIT_BUDGET
                 finally:
                     # Quantum boundary: fold the per-thread statistics
                     # (the run-global accumulators keep accumulating).
@@ -1225,12 +1301,15 @@ class Kernel:
                     ready.slackness_samples.append(len(queue) - 1)
                 nxt = popleft()
                 out = self.last_suspended
-                assert out is not nxt, "self-switch should be impossible"
-                if out is not None:
-                    context_switch(out.windows, nxt.windows,
-                                   flush_out=out.flush_on_switch)
-                else:
-                    context_switch(None, nxt.windows, flush_out=False)
+                if out is not nxt:
+                    if out is not None:
+                        context_switch(out.windows, nxt.windows,
+                                       flush_out=out.flush_on_switch)
+                    else:
+                        context_switch(None, nxt.windows, flush_out=False)
+                # else: a ``sched`` fault shuffled the thread that just
+                # yielded back to the head of the queue; it resumes with
+                # no switch and no cost (as in _dispatch)
                 self.last_suspended = None
                 self.current = nxt
                 nxt.state = RUNNING
@@ -1239,8 +1318,10 @@ class Kernel:
                     if verify:
                         cpu.write_local(0, ("sig", nxt.tid, 1))
                 if observed:
-                    quantum_started(nxt, True)
+                    quantum_started(nxt, out is not nxt)
                     low = high = nxt.windows.depth
+                if audit is not None:
+                    audit(steps, compute + call_cycles)
         finally:
             self._steps += steps
             self._progress += progress

@@ -1,8 +1,8 @@
 """Run the whole chaos suite under every execution backend.
 
-Fault injection, the watchdog and the invariant audit force the kernel
-onto the step-granular loop (they need per-step hooks), but the
-*decision* to fall back — and the surrounding batch boundaries in
+Fault injection, the watchdog and the invariant audit run on the pure
+batched loop (the compiled twin has none of these hooks), but the
+*decision* to fall back from the compiled backend — and the backend of
 unfaulted reference runs — depend on the ambient execution
 configuration.  Parameterizing via ``$REPRO_BACKEND`` (the same
 override CI uses) exercises every fault class, the watchdog and

@@ -1,10 +1,11 @@
-"""Faults must fire at the same simulated point in both cores.
+"""Faults must fire at the same simulated point in both loops.
 
 The differential harness (tests/core/test_batched_vs_trampoline.py)
 proves unfaulted runs bit-identical; this file pins the *faulted* side:
 for every fault class the injector's fired records (kind, site, trigger
 count and detail), the outcome, the error text and the cycle-domain
-counters must agree exactly between the batched core and the
+counters must agree exactly between the batched loop, which carries
+the fault hooks, the audit and the watchdog itself, and the
 step-granular reference trampoline (``tests.support.trampoline``).
 """
 
@@ -13,7 +14,7 @@ import pytest
 from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
-from tests.support.trampoline import force_trampoline
+from tests.support.trampoline import forbid_step_loop, force_trampoline
 
 SPEC_OF = {
     "register": "register@3:0",
@@ -67,13 +68,18 @@ def run_faulted(core, spec):
         snap["traps"] = (counters.overflow_traps,
                          counters.underflow_traps)
         snap["switches"] = counters.context_switches
+        snap["loop"] = result.loop
     return snap
 
 
 @pytest.mark.parametrize("kind", sorted(SPEC_OF))
-def test_fault_fires_identically_in_both_cores(kind):
+def test_fault_fires_identically_in_both_cores(kind, monkeypatch):
     spec = SPEC_OF[kind]
     gen = run_faulted("generator", spec)
+    forbid_step_loop(monkeypatch)
     bat = run_faulted("batched", spec)
     assert gen["fired"], "fault %s never fired" % kind
+    loops = (gen.pop("loop", None), bat.pop("loop", None))
     assert gen == bat
+    if bat["outcome"] == "survived":
+        assert loops == ("step", "pure-batched")

@@ -7,6 +7,7 @@ from repro.faults import FuzzReport, draw_trial, run_fuzz
 from repro.faults.fuzz import FuzzTrial
 from repro.faults.plan import FaultPlan
 from repro.runtime.batch import ENV_CORE
+from tests.support.trampoline import forbid_step_loop
 
 #: a seed/trial window known (by construction, any works) to include
 #: both survived and detected outcomes — see test_smoke_mixes_outcomes
@@ -81,17 +82,23 @@ class TestCampaign:
                 assert trial.minimized.path.exists()
                 assert trial.bundle.parent.name == "raw"
 
-    def test_sched_fault_resuming_the_yielder_survives(self, tmp_path):
+    def test_sched_fault_resuming_the_yielder_survives(self, tmp_path,
+                                                       monkeypatch):
         """Trial 17 of this campaign is a yield storm whose ``sched``
         fault shuffles the thread that just yielded back to the head of
         the queue; the kernel must resume it without a context switch
-        (it used to die on a bare self-switch AssertionError)."""
+        (the batched dispatch used to assert on such a self-switch).
+        Every trial and every minimizer replay runs batched."""
+        forbid_step_loop(monkeypatch)
         report = run_fuzz(trials=18, seed=SMOKE_SEED, out_dir=tmp_path)
         trial = next(t for t in report.trials if t.index == 17)
         assert trial.workload == "synthetic-yield-storm"
         assert any(spec.kind == "sched" for spec in trial.plan.specs)
         assert trial.outcome != "unexpected", trial.error_type
         assert report.ok
+        survived = [t for t in report.trials if t.outcome == "survived"]
+        assert "synthetic-yield-storm" in {t.workload for t in survived}
+        assert {t.loop for t in survived} == {"pure-batched"}
 
     def test_summary_counts(self, tmp_path):
         report = run_fuzz(trials=3, seed=5, out_dir=tmp_path)

@@ -1,10 +1,11 @@
-"""Watchdog + fault injection under the batched core's auto-fallback.
+"""Watchdog + fault injection on the batched loop.
 
-``core="batched"`` with a watchdog or fault injector armed must drop
-onto the step-granular loop (the batch fast path has no per-step
-hooks), detect livelock exactly as the generator core does, capture a
-replayable LivelockError bundle, and round-trip that bundle through
-the delta-debugging minimizer.
+``core="batched"`` with a watchdog or fault injector armed stays on the
+batched loop (the step loop is forbidden on that side), detects
+livelock at exactly the step the step-granular reference trampoline
+does, captures a replayable LivelockError bundle, and round-trips that
+bundle through the delta-debugging minimizer without leaving the
+batched loop.
 """
 
 import pytest
@@ -20,14 +21,14 @@ from repro.faults import (
 )
 from repro.runtime import LivelockError
 from repro.runtime.batch import ENV_CORE
-from tests.support.trampoline import make_kernel
+from tests.support.trampoline import forbid_step_loop, make_kernel
 
 
 @pytest.fixture(autouse=True, params=["batched"])
 def execution_core(request, monkeypatch):
     """Override the suite-wide two-core sweep: these tests pin the
-    ambient core to ``batched`` (the fallback under test) and reach
-    the reference trampoline via ``tests.support.trampoline``."""
+    ambient core to ``batched`` (the loop under test) and reach the
+    reference trampoline via ``tests.support.trampoline``."""
     monkeypatch.setenv(ENV_CORE, request.param)
     return request.param
 
@@ -50,18 +51,21 @@ STORM_CONFIG = {
 
 
 class TestAutoFallback:
-    def test_watchdog_livelock_fires_under_batched_core(self):
+    def test_watchdog_livelock_fires_under_batched_core(self, monkeypatch):
+        forbid_step_loop(monkeypatch)
         kernel = storm_kernel("batched")
         with pytest.raises(LivelockError) as info:
             kernel.run()
         assert info.value.context["max_stall"] == 80
         assert "step" in info.value.context
 
-    def test_batched_matches_generator_with_watchdog(self):
-        """The fallback is bit-identical: same failing step, same
-        cycle count, same counters on both cores."""
+    def test_batched_matches_generator_with_watchdog(self, monkeypatch):
+        """Bit-identical: same failing step, same cycle count, same
+        counters on both loops."""
         errors = {}
-        for core in ("batched", "generator"):
+        for core in ("generator", "batched"):
+            if core == "batched":
+                forbid_step_loop(monkeypatch)
             kernel = storm_kernel(core)
             with pytest.raises(LivelockError) as info:
                 kernel.run()
@@ -70,9 +74,10 @@ class TestAutoFallback:
                             kernel.counters.snapshot())
         assert errors["batched"] == errors["generator"]
 
-    def test_watchdog_and_faults_combined_under_batched(self):
-        """Both step-granular hooks armed at once: the survivable
-        sched fault fires *and* the watchdog still catches the storm."""
+    def test_watchdog_and_faults_combined_under_batched(self, monkeypatch):
+        """Both hooks armed at once: the survivable sched fault fires
+        *and* the watchdog still catches the storm."""
+        forbid_step_loop(monkeypatch)
         injector = FaultInjector(FaultPlan.parse("sched@2", seed=7))
         kernel = storm_kernel("batched", faults=injector)
         with pytest.raises(LivelockError) as info:
@@ -80,9 +85,11 @@ class TestAutoFallback:
         assert injector.fired, "sched fault never fired"
         assert info.value.context["faults_fired"] == len(injector.fired)
 
-    def test_combined_parity_across_cores(self):
+    def test_combined_parity_across_cores(self, monkeypatch):
         runs = {}
-        for core in ("batched", "generator"):
+        for core in ("generator", "batched"):
+            if core == "batched":
+                forbid_step_loop(monkeypatch)
             injector = FaultInjector(FaultPlan.parse("sched@2", seed=7))
             kernel = storm_kernel(core, faults=injector)
             with pytest.raises(LivelockError) as info:
@@ -93,6 +100,11 @@ class TestAutoFallback:
 
 
 class TestLivelockBundle:
+    @pytest.fixture(autouse=True)
+    def batched_only(self, monkeypatch):
+        """Capture, replay and every minimizer candidate run batched."""
+        forbid_step_loop(monkeypatch)
+
     def crash(self, tmp_path, plan_text=None):
         config = dict(STORM_CONFIG)
         injector = (FaultInjector(FaultPlan.parse(plan_text, seed=7))

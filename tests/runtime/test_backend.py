@@ -120,7 +120,7 @@ class TestFallback:
         assert kernel.backend == "pure"
         assert kernel._fast is None
         fallbacks = [w for w in caught
-                     if "step-granular" in str(w.message)]
+                     if "compiled loop has no" in str(w.message)]
         assert len(fallbacks) == 1
         # the run is still correct on the fallback path
         tick_workload(kernel)

@@ -1,7 +1,7 @@
 """Batch-exit edge cases: both cores must agree at the boundaries.
 
 The run-until-event core leaves a batch only on block, yield,
-completion or (on the compat path) a step budget — and each of those
+completion or a spent step budget — and each of those
 boundaries has an edge where an off-by-one would be invisible to
 throughput tests but visible in the cycle ledger.  Every test here
 runs the same workload on the batched core and on the step-granular

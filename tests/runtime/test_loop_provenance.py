@@ -1,6 +1,8 @@
 """Execution provenance: ``RunResult.loop`` names the dispatch loop a
-run took and ``RunResult.loop_reason`` why it left the batched one —
-and a run with crash bundles on keeps the batched loop."""
+run took and ``RunResult.loop_reason`` why it left the batched one
+(only event-bus tracing or the forced reference core do) — crash
+bundles, fault injection, the audit, the watchdog and a step budget
+all keep the batched loop."""
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.faults import FaultInjector, FaultPlan
 from repro.runtime.backend import compiled_available
 from repro.runtime.kernel import Kernel
+from tests.support.trampoline import forbid_step_loop, force_trampoline
 
 CONFIG = SpellConfig.named("high", "coarse", scale=0.05)
 
@@ -33,21 +36,29 @@ def test_crash_dir_run_never_enters_the_step_loop(tmp_path, monkeypatch):
     assert recorded.counters.snapshot() == bare.counters.snapshot()
 
 
-def test_faulted_run_reports_the_step_loop():
+def test_faulted_run_takes_the_pure_batched_loop():
     injector = FaultInjector(FaultPlan.parse("store_delay@1"))
     result, __ = run_spellchecker(8, "SP", CONFIG, faults=injector,
                                   verify_registers=True)
-    assert (result.loop, result.loop_reason) == ("step", "faults")
+    assert injector.fired
+    assert (result.loop, result.loop_reason) == ("pure-batched", None)
 
 
-@pytest.mark.parametrize("kwargs, reason", [
-    ({"audit": True}, "audit"),
-    ({"watchdog": 10_000}, "watchdog"),
-    ({"max_steps": 10_000_000}, "max_steps"),
-])
-def test_step_hooks_name_their_reason(kwargs, reason):
+@pytest.mark.parametrize("kwargs", [
+    {"audit": True},
+    {"watchdog": 10_000},
+    {"max_steps": 10_000_000},
+], ids=["audit", "watchdog", "max_steps"])
+def test_step_hooks_keep_the_batched_loop(kwargs, monkeypatch):
+    forbid_step_loop(monkeypatch)
     result, __ = run_spellchecker(8, "SP", CONFIG, **kwargs)
-    assert (result.loop, result.loop_reason) == ("step", reason)
+    assert (result.loop, result.loop_reason) == ("pure-batched", None)
+
+
+def test_reference_run_reports_core():
+    result, __ = run_spellchecker(8, "SP", CONFIG,
+                                  instrument=force_trampoline)
+    assert (result.loop, result.loop_reason) == ("step", "core")
 
 
 def test_traced_run_reports_tracing():
