@@ -32,7 +32,7 @@ def check_document(document: bytes, dict1: bytes, dict2: bytes,
                    m: int, n: int, scheme: str, n_windows: int,
                    instrument=None, faults=None, audit: bool = False,
                    watchdog=None, crash_dir=None, crash_config=None,
-                   core=None, backend=None):
+                   backend=None):
     """Run the pipeline over arbitrary document bytes.
 
     ``instrument`` (optional) receives the kernel before spawning, so
@@ -51,7 +51,7 @@ def check_document(document: bytes, dict1: bytes, dict2: bytes,
                     verify_registers=faults is not None,
                     faults=faults, audit=audit, watchdog=watchdog,
                     crash_dir=crash_dir, crash_config=crash_config,
-                    core=core, backend=backend)
+                    backend=backend)
     if instrument is not None:
         instrument(kernel)
     s1 = kernel.stream(m, "S1")
@@ -117,13 +117,6 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write the repro.metrics-snapshot JSON here "
                              "(implies --metrics)")
-    parser.add_argument("--core", choices=("batched",),
-                        default=None,
-                        help="execution core (default: $REPRO_CORE or "
-                             'the batched run-until-event core; the '
-                             'step-granular "generator" core was retired '
-                             "and lives on only as the test suite's "
-                             "reference loop)")
     parser.add_argument("--backend", choices=("compiled", "pure"),
                         default=None,
                         help="execution backend (default: $REPRO_BACKEND "
@@ -141,9 +134,8 @@ def main(argv=None) -> int:
         dict_size = max(200, int(round(DICT_SIZE * args.scale)))
     dict1, dict2, __ = generate_dictionaries(size=dict_size)
 
-    # --trace puts the Perfetto exporter on the event bus (which takes
-    # the step loop); --report arms the kernel's quantum observers,
-    # which keep the batched loop.
+    # --trace puts the Perfetto exporter on the event bus; --report arms
+    # the kernel's quantum observers.  Both keep the batched loop.
     observers = {}
     instrument = None
     if args.trace or args.report:
@@ -199,7 +191,7 @@ def main(argv=None) -> int:
             args.windows, instrument=instrument, faults=injector,
             audit=args.audit, watchdog=args.watchdog,
             crash_dir=args.crash_dir, crash_config=crash_config,
-            core=args.core, backend=args.backend)
+            backend=args.backend)
     except Exception as exc:
         from repro.errors import ReproError
 

@@ -100,7 +100,6 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
                      instrument=None, faults=None, audit: bool = False,
                      watchdog: Optional[int] = None, crash_dir=None,
                      crash_config=None,
-                     core: Optional[str] = None,
                      analyze: bool = False,
                      backend: Optional[str] = None,
                      ) -> Tuple[RunResult, bytes]:
@@ -119,9 +118,7 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
     ``crash_dir`` is set and no explicit ``crash_config`` is given, a
     replayable workload description is embedded in any crash bundle.
 
-    ``core`` selects the execution core (see
-    :mod:`repro.runtime.batch`) — None picks up ``$REPRO_CORE`` or the
-    batched default.  ``backend`` selects the execution backend
+    ``backend`` selects the execution backend
     ("compiled"/"pure"; see :mod:`repro.runtime.backend`) — None picks
     up ``$REPRO_BACKEND`` or auto-detects.
 
@@ -142,7 +139,7 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
                     verify_registers=verify_registers,
                     faults=faults, audit=audit, watchdog=watchdog,
                     crash_dir=crash_dir, crash_config=crash_config,
-                    core=core, analyze=analyze, backend=backend)
+                    analyze=analyze, backend=backend)
     if instrument is not None:
         instrument(kernel)
     build_spellchecker(kernel, config)

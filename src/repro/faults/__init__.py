@@ -22,8 +22,7 @@ On top of the replay contract sit two diagnosis tools:
   verified by deterministic replay (``python -m repro.faults
   minimize``); and
 * :func:`run_fuzz` runs seeded random fault plans against random
-  workloads across schemes and execution cores, auto-minimizing every
-  detected failure (``python -m repro.faults fuzz``).
+  workloads across schemes, auto-minimizing every detected failure (``python -m repro.faults fuzz``).
 """
 
 from repro.faults.bundle import (

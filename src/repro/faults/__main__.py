@@ -7,7 +7,7 @@ the minimization provenance (for ``.min`` bundles) and the tail of the
 event flight recorder.
 
 ``replay`` re-executes the workload the bundle describes (same config,
-same seed, same fault plan, same execution core) and verifies the
+same seed, same fault plan) and verifies the
 rerun crashes with a bit-for-bit identical bundle — the determinism
 contract that makes an injected failure diagnosable instead of
 anecdotal.
@@ -17,8 +17,7 @@ fault plan and a shrunk workload schedule, verified by replay at every
 reduction step (see :mod:`repro.faults.minimize`).
 
 ``fuzz`` runs a seeded campaign of random fault plans x random
-workloads x schemes x execution cores, auto-minimizing every detected
-failure; exits non-zero unless every trial survives-or-minimizes.
+workloads x schemes, auto-minimizing every detected failure; exits non-zero unless every trial survives-or-minimizes.
 
 All bundle-file problems (missing path, corrupt JSON, foreign schema)
 exit with code 2 and a one-line structured error, never a traceback.
@@ -151,7 +150,6 @@ def fuzz(args) -> int:
         trials=args.trials, seed=args.seed, out_dir=args.out,
         workloads=args.workloads.split(",") if args.workloads else None,
         schemes=tuple(args.schemes.split(",")),
-        cores=tuple(args.cores.split(",")),
         minimize=not args.no_minimize,
         trial_budget=args.trial_budget,
         log=print)
@@ -189,8 +187,8 @@ def main(argv=None) -> int:
                       help="step cap per candidate run (default: "
                            "4x the original crash's steps)")
     fuzz_p = sub.add_parser(
-        "fuzz", help="seeded random fault plans x workloads x schemes "
-                     "x cores; auto-minimizes every failure")
+        "fuzz", help="seeded random fault plans x workloads x schemes; "
+                     "auto-minimizes every failure")
     fuzz_p.add_argument("--trials", type=int, default=25)
     fuzz_p.add_argument("--seed", type=int, default=1993)
     fuzz_p.add_argument("--out", default="fuzz-out",
@@ -200,10 +198,6 @@ def main(argv=None) -> int:
                         help="comma-separated workload names "
                              "(default: all registered)")
     fuzz_p.add_argument("--schemes", default="NS,SNP,SP")
-    fuzz_p.add_argument("--cores", default="batched",
-                        help='execution cores to draw trials from; the '
-                             'retired "generator" name is still accepted '
-                             'for bundle-compatible replay draws')
     fuzz_p.add_argument("--trial-budget", type=int, default=300_000,
                         metavar="STEPS")
     fuzz_p.add_argument("--no-minimize", action="store_true",

@@ -7,8 +7,7 @@ Schema (``repro.crash-bundle`` version 3)::
       "schema": "repro.crash-bundle",
       "version": 3,
       "error":     {"type", "message", "context"},
-      "config":    {...the kernel's crash_config: workload + knobs,
-                    incl. the execution "core" the crash ran under...},
+      "config":    {...the kernel's crash_config: workload + knobs...},
       "fault_plan": FaultPlan payload | null,
       "machine":   {"scheme", "n_windows", "cwp", "wim", "occupancy",
                     "windows": [{"ins", "locals"}, ...]},
@@ -29,12 +28,12 @@ Schema (``repro.crash-bundle`` version 3)::
                       replay-identity of the bundle)
     }
 
-Version 2 records the execution core (``config["core"]``) the crash
-was captured under; replay reruns under that core, never the ambient
-``$REPRO_CORE``.  A bundle recorded on the retired ``"generator"`` core
-reruns on the batched loop, which carries the same hooks and is
-bit-identical with it.  Version 1 bundles (no recorded core) still
-load and replay under the ambient default.
+Bundles written while the simulator still had a choice of execution
+loops record it as ``config["core"]`` (``"batched"`` or the retired
+``"generator"``).  That key is legacy: replay ignores it, since the one
+batched loop carries every hook and is bit-identical with the loop
+that was retired, and new bundles do not write it.  Version 1 bundles,
+which predate it, still load and replay.
 
 Version 3 replaces v2's ``events`` (the tail of an event-bus
 subscriber, which forced the step-granular loop) with ``flight``: the
@@ -154,11 +153,8 @@ def build_crash_bundle(error: BaseException, kernel,
     snap["per_thread_saves"] = _jsonable(snap["per_thread_saves"])
     snap["per_thread_restores"] = _jsonable(snap["per_thread_restores"])
 
-    # v2: the execution core is part of the replay identity — a replay
-    # reruns under the recorded core, not the ambient one.
     config_doc = dict(config if config is not None
                       else kernel.crash_config)
-    config_doc.setdefault("core", kernel.core)
 
     return {
         "schema": BUNDLE_SCHEMA,
@@ -281,7 +277,7 @@ def rerun_bundle_workload(config: Dict[str, Any],
                           plan: Optional[FaultPlan],
                           crash_dir) -> None:
     """Re-execute the workload a bundle describes — same config, same
-    plan, same execution core; any crash lands a bundle in
+    plan; any crash lands a bundle in
     ``crash_dir``.  Raises whatever the run raises."""
     from repro.faults.inject import FaultInjector
     from repro.faults.workloads import run_workload

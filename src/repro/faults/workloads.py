@@ -3,8 +3,7 @@ embed, keyed by the ``workload`` field of its config.
 
 A bundle's ``config`` dict is the *complete* description of the run
 that crashed — workload name, workload parameters, and the kernel
-knobs (scheme, windows, verification, audit, watchdog, execution core,
-step budget).  :func:`run_workload` turns such a config back into a
+knobs (scheme, windows, verification, audit, watchdog, step budget).  :func:`run_workload` turns such a config back into a
 live run, which is what replay, delta-debugging minimization
 (:mod:`repro.faults.minimize`) and the fuzzer
 (:mod:`repro.faults.fuzz`) all build on.
@@ -210,19 +209,17 @@ def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
 
     ``config`` supplies both the workload parameters and the kernel
     knobs; ``faults`` is an armed :class:`FaultInjector` (or None).
-    The run executes under the config's recorded execution ``core`` —
-    an explicit core always beats ``$REPRO_CORE``.  Bundles recorded on
-    the retired ``"generator"`` core replay on the batched loop, which
-    now carries every hook those runs armed (faults, audit, watchdog,
-    step budget) bit-identically; the recorded name stays in the
-    replayed bundle's config.
+    A ``core`` key, which bundles recorded before the step-granular
+    loop was retired carry, is ignored: there is one dispatch loop,
+    and it carries every hook those runs armed (faults, audit,
+    watchdog, step budget) bit-identically; the recorded name stays in
+    the replayed bundle's config.
 
     ``trial_budget`` caps steps *without* entering the config (the
     minimizer's runaway guard for candidate runs); a ``max_steps`` in
     the config itself is part of the replayed run and is recorded.
     Raises whatever the run raises.
     """
-    from repro.runtime.batch import RETIRED_GENERATOR_CORE
     from repro.runtime.kernel import Kernel
 
     workload = get_workload(str(config.get("workload")))
@@ -230,7 +227,6 @@ def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
     if trial_budget is not None:
         max_steps = (trial_budget if max_steps is None
                      else min(max_steps, trial_budget))
-    core = config.get("core")
     kernel = Kernel(
         n_windows=int(config.get("n_windows", 8)),
         scheme=str(config.get("scheme", "SP")),
@@ -239,7 +235,6 @@ def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
         audit=bool(config.get("audit", False)),
         watchdog=int(config.get("watchdog", 0)) or None,
         crash_dir=crash_dir,
-        crash_config=config,
-        core="batched" if core == RETIRED_GENERATOR_CORE else core)
+        crash_config=config)
     workload.build(kernel, config)
     return kernel.run(max_steps=max_steps)

@@ -117,8 +117,8 @@ def print_summary(result, recorder: TraceRecorder, tracker,
     counters = result.counters
     names = {t.tid: t.name for t in result.threads}
 
-    print("run: %d cycles, %d steps, %d events" % (
-        counters.total_cycles, result.steps, len(recorder)))
+    print("run: %d cycles, %d steps, %d events, loop=%s" % (
+        counters.total_cycles, result.steps, len(recorder), result.loop))
     print()
 
     per_cycles = recorder.per_thread_cycles()

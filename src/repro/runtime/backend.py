@@ -7,8 +7,8 @@ compiled twin in the C extension :mod:`repro._fast` (built from
 ``src/repro/_fastcore.c``; see ``setup.py`` / the ``[compiled]``
 extra).  Both backends are required to be *bit-identical*; the
 differential harness (``tests/core/test_batched_vs_trampoline.py``)
-enforces it the same way it pins the batched core to the step-granular
-reference.
+enforces it the same way it pins the pure batched loop to the
+step-granular reference loop kept in ``tests/support/trampoline.py``.
 
 Selection precedence (highest first):
 

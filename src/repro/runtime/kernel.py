@@ -1,4 +1,4 @@
-"""The multi-tasking kernel: trampoline execution + non-preemptive
+"""The multi-tasking kernel: run-until-event execution + non-preemptive
 scheduling over the window simulator.
 
 Every procedure call a thread makes becomes a simulated ``save`` and
@@ -22,13 +22,6 @@ from repro.core.invariants import check_invariants
 from repro.core.scheme import Scheme
 from repro.errors import ReproError
 from repro.metrics.counters import Counters
-from repro.runtime.batch import (
-    EXIT_BLOCKED,
-    EXIT_BUDGET,
-    EXIT_DONE,
-    EXIT_YIELDED,
-    resolve_core,
-)
 from repro.runtime.errors import DeadlockError, LivelockError, RuntimeFault
 from repro.runtime.ops import (
     Call,
@@ -72,15 +65,9 @@ class RunResult:
     threads: List[SimThread]
     steps: int
     slackness_samples: List[int] = field(default_factory=list)
-    #: the dispatch loop that executed: ``"compiled-batched"``,
-    #: ``"pure-batched"`` or ``"step"`` (any quantum on the
-    #: step-granular loop makes the whole run ``"step"``)
+    #: the dispatch loop that executed: ``"compiled-batched"`` when
+    #: the compiled twin ran every quantum, else ``"pure-batched"``
     loop: Optional[str] = None
-    #: why a ``"step"`` run left the batched loop: ``"tracing"`` (an
-    #: event-bus subscriber) or ``"core"`` (the test-only forced
-    #: reference loop); None on a batched run.  Fault injection, the
-    #: audit, the watchdog and step budgets all run batched.
-    loop_reason: Optional[str] = None
 
     @property
     def total_cycles(self) -> int:
@@ -108,37 +95,25 @@ class Kernel:
                  watchdog: Optional[int] = None,
                  crash_dir=None,
                  crash_config: Optional[dict] = None,
-                 core: Optional[str] = None,
                  analyze: bool = False,
                  backend: Optional[str] = None):
         from repro.runtime import backend as backend_mod
 
-        #: execution core: "batched" (run-until-event, the default);
-        #: an explicit argument wins over the $REPRO_CORE override
-        self.core = resolve_core(core)
         #: effective execution backend ("compiled"/"pure"); precedence
         #: backend= kwarg > $REPRO_BACKEND > auto-detect, with graceful
         #: fallback to pure when repro._fast is not built
-        requested = backend_mod.requested_backend(backend)
-        self._requested_backend = requested
+        self._requested_backend = backend_mod.requested_backend(backend)
         self.backend = backend_mod.select_backend(backend)
         self._fast = (backend_mod.load_fast()
                       if self.backend == "compiled" else None)
-        if self._fast is not None and (faults is not None or audit
-                                       or watchdog):
-            # The compiled twin has none of these hooks: such runs take
-            # the pure batched loop, and only an *explicit* compiled
-            # request warns about it.
-            if requested == "compiled":
-                needs = [name for name, on in (
-                    ("fault injection", faults is not None),
-                    ("invariant audit", audit),
-                    ("watchdog", bool(watchdog))) if on]
-                backend_mod.warn_pure_fallback(
-                    "the compiled loop has no %s hook%s"
-                    % (" + ".join(needs), "s" if len(needs) > 1 else ""))
-            self.backend = "pure"
-            self._fast = None
+        needs = [name for name, on in (
+            ("fault injection", faults is not None),
+            ("invariant audit", audit),
+            ("watchdog", bool(watchdog))) if on]
+        if self._fast is not None and needs:
+            self._drop_compiled(
+                "the compiled loop has no %s hook%s"
+                % (" + ".join(needs), "s" if len(needs) > 1 else ""))
         self.counters = counters if counters is not None else Counters()
         self.cpu = WindowCPU(n_windows, cost_model, self.counters)
         kwargs = dict(scheme_kwargs or {})
@@ -172,7 +147,7 @@ class Kernel:
         #: counters.switch_cycles at the last observed dispatch
         self._switch_cycles_seen = 0
         #: optional :class:`repro.metrics.telemetry.RunTelemetry`; the
-        #: profiler is mirrored into ``_profiler`` so the step loop's
+        #: profiler is mirrored into ``_profiler`` so the batched loop's
         #: guard is a hoisted-local None check (attach_telemetry)
         self.telemetry = None
         self._profiler = None
@@ -214,6 +189,20 @@ class Kernel:
 
     def _set_tracing(self, active: bool) -> None:
         self._tracing = active
+        if active and self._fast is not None:
+            self._drop_compiled("the event bus is fed by the pure-Python "
+                                "loop only")
+
+    def _drop_compiled(self, why: str) -> None:
+        """The compiled twin has no hooks: a run that arms one takes
+        the pure batched loop, and only an *explicit* compiled request
+        warns about it."""
+        if self._requested_backend == "compiled":
+            from repro.runtime import backend as backend_mod
+
+            backend_mod.warn_pure_fallback(why)
+        self.backend = "pure"
+        self._fast = None
 
     # -- observability ------------------------------------------------------
 
@@ -252,24 +241,17 @@ class Kernel:
 
     def _arm_observers(self) -> None:
         """Quantum observers are fed at the dispatch and quantum-exit
-        points of both pure loops, not through the event bus, so an
-        observed run keeps the batched loop.  The compiled twin has no
-        such hooks: an observed run takes the pure batched loop, with
-        one warning when the compiled backend was requested
-        explicitly."""
+        points of the pure batched loop, not through the event bus.
+        The compiled twin has no such hooks: an observed run takes the
+        pure batched loop (see ``_drop_compiled``)."""
         self._observed = (self._tracker is not None
                           or self._timeline is not None
                           or self._tally is not None)
         self._switch_cycles_seen = self.counters.switch_cycles
         if self._observed and self._fast is not None:
-            if self._requested_backend == "compiled":
-                from repro.runtime import backend as backend_mod
-
-                backend_mod.warn_pure_fallback(
-                    "the run observers (tracker, timeline, tally) are "
-                    "fed by the pure-Python loop only")
-            self.backend = "pure"
-            self._fast = None
+            self._drop_compiled("the run observers (tracker, timeline, "
+                                "tally) are fed by the pure-Python loop "
+                                "only")
 
     def _quantum_started(self, thread: SimThread, switched: bool) -> None:
         """Observer hook at a dispatch; ``switched`` is False when the
@@ -401,55 +383,44 @@ class Kernel:
             raise
 
     def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
-        # Fault injection, the invariant audit, the watchdog and a step
-        # budget all ride the batched loop; only event-bus tracing
-        # (re-checked per quantum, because a subscriber may attach
-        # mid-run) and the test-only reference core take the
-        # step-granular loop.  ``reason`` names why; it lands on
-        # RunResult with the loop that ran.  The compiled twin has no
-        # step budget, so a budgeted run takes the pure batched loop.
-        reason = "core" if self.core != "batched" else None
-        batchable = reason is None
-        stepped = False
-        fast = self._fast if max_steps is None else None
+        # Every hook rides the batched loop.  The compiled twin has no
+        # step budget, so a budgeted run takes the pure loop; tracing
+        # drops the twin (``_set_tracing``), so ``_fast`` is re-read
+        # after every return to this loop.
+        compiled = max_steps is None
         self._max_steps = max_steps
-        while True:
-            if self.current is None:
-                if not self.ready:
-                    blocked = [t for t in self.threads if t.state == BLOCKED]
-                    if blocked:
-                        raise self._deadlock_error(blocked)
-                    break
-                self._dispatch(self.ready.pop())
-            if batchable and not self._tracing:
-                # Runs quanta back-to-back (dispatch included) until
-                # everything is done/blocked or tracing comes alive;
-                # the loop here re-checks deadlock and tracing.
-                if fast is not None:
-                    fast.run_batched(self)
-                else:
-                    self._run_batched()
+        while self._next_quantum():
+            fast = self._fast if compiled else None
+            if fast is not None:
+                fast.run_batched(self)
             else:
-                if not stepped:
-                    stepped = True
-                    if reason is None:
-                        reason = "tracing"
-                self._run_quantum(max_steps)
+                self._run_batched()
             if max_steps is not None and self._steps >= max_steps:
                 raise RuntimeFault("step budget of %d exceeded" % max_steps)
+        return self._finish("compiled-batched"
+                            if compiled and self._fast is not None
+                            else "pure-batched")
+
+    def _next_quantum(self) -> bool:
+        """Dispatch the next ready thread unless one is running; False
+        when every thread is done, DeadlockError when all are blocked."""
+        if self.current is None:
+            if not self.ready:
+                blocked = [t for t in self.threads if t.state == BLOCKED]
+                if blocked:
+                    raise self._deadlock_error(blocked)
+                return False
+            self._dispatch(self.ready.pop())
+        return True
+
+    def _finish(self, loop: str) -> RunResult:
         if self._tracing:
             self.events.emit("run_end")
         if self._observed:
             self._observers_finish()
         self.counters.fold_thread_stats(t.windows for t in self.threads)
-        if stepped:
-            loop = "step"
-        else:
-            loop = "compiled-batched" if fast is not None else "pure-batched"
-            reason = None
         return RunResult(self.counters, list(self.threads), self._steps,
-                         list(self.ready.slackness_samples),
-                         loop=loop, loop_reason=reason)
+                         list(self.ready.slackness_samples), loop=loop)
 
     # -- failure reporting --------------------------------------------------
 
@@ -541,7 +512,7 @@ class Kernel:
         """Continuous invariant audit: the full geometry check after
         every dispatch, call and return (opt-in).  The batched loop
         passes the steps and cycles its accumulators have not folded
-        yet, so the crash context is exact on both loops."""
+        yet, so the crash context is exact."""
         try:
             check_invariants(self.cpu, self.scheme,
                              [t.windows for t in self.threads])
@@ -554,7 +525,7 @@ class Kernel:
         """The per-step hooks at the start of a batched step, given the
         batch's unfolded step and progress counts: True when the step
         budget is spent; raises LivelockError when the watchdog
-        expires.  Called exactly where the step loop checks both."""
+        expires.  Called at the start of every step."""
         step = self._steps + steps
         max_steps = self._max_steps
         if max_steps is not None and step >= max_steps:
@@ -579,100 +550,6 @@ class Kernel:
 
     # -- quantum execution ----------------------------------------------------------
 
-    def _run_quantum(self, max_steps: Optional[int]) -> int:
-        """Step-granular quantum loop: the path of event-bus tracing,
-        whose subscribers see every save and restore, and the
-        reference loop the differential tests force through
-        ``tests/support/trampoline.py``.  Runs the current thread
-        until it blocks, yields or finishes."""
-        thread = self.current
-        assert thread is not None
-        tw = thread.windows
-        cpu = self.cpu
-        counters = cpu.counters
-        verify = self.verify_registers
-        watchdog = self._watchdog
-        prof = self._profiler
-        gen_stack = thread.gen_stack
-        low = high = tw.depth  # the quantum's depth excursion
-        try:
-            while True:
-                self._steps += 1
-                if max_steps is not None and self._steps >= max_steps:
-                    return EXIT_BUDGET
-                if watchdog is not None and watchdog.expired(self._progress,
-                                                             self._steps):
-                    raise self._livelock_error(watchdog, self._progress,
-                                               self._steps)
-                if thread.pending is not None:
-                    if not self._continue_pending(thread):
-                        self._block(thread)
-                        return EXIT_BLOCKED
-                    self._progress += 1
-                gen = gen_stack[-1]
-                try:
-                    cmd = gen.send(thread.resume_value)
-                except StopIteration as stop:
-                    if self._handle_return(thread, getattr(stop, "value", None)):
-                        return EXIT_DONE  # thread finished
-                    if tw.depth < low:
-                        low = tw.depth
-                    continue
-                thread.resume_value = None
-                t = type(cmd)
-                if t is Tick:
-                    counters.compute_cycles += cmd.cycles
-                    self._progress += 1
-                elif t is Call:
-                    self._do_call(thread, cmd)
-                    if tw.depth > high:
-                        high = tw.depth
-                elif t is Read:
-                    thread.pending = ("read", cmd.stream, cmd.max_bytes)
-                elif t is Write:
-                    thread.pending = ("write", cmd.stream, cmd.data, 0)
-                elif t is ReadLine:
-                    thread.pending = ("readline", cmd.stream)
-                elif t is CloseStream:
-                    self._do_close(cmd.stream)
-                elif t is YieldCPU:
-                    if self.ready:
-                        if self._tracing:
-                            self.events.emit("yield", tid=thread.tid)
-                        self.ready.push_yielded(thread)
-                        self.last_suspended = thread
-                        self.current = None
-                        return EXIT_YIELDED
-                    # Nobody else to run: keep going, no switch, no cost.
-                elif t is FlushHint:
-                    thread.flush_on_switch = cmd.flush
-                elif t is Spawn:
-                    thread.resume_value = self._spawn(
-                        cmd.factory, cmd.args, cmd.name)
-                    self._progress += 1
-                elif t is Join:
-                    if cmd.thread is thread:
-                        raise RuntimeFault(
-                            "%s tried to join itself" % thread.name)
-                    thread.pending = ("join", cmd.thread)
-                else:
-                    raise RuntimeFault(
-                        "thread %s yielded %r; expected a runtime op"
-                        % (thread.name, cmd))
-        finally:
-            if self._observed:
-                self._quantum_stopped(thread, low, high)
-            # The profiler samples on quantum boundaries only — the
-            # per-step path carries zero profiler code, and a quantum
-            # (one thread's uninterrupted run) is the natural unit of
-            # cycle attribution.  Stacks are captured where threads
-            # block or yield; per-op attribution is derived exactly
-            # from the run counters at finalize time.
-            if prof is not None:
-                prof._cd -= 1
-                if prof._cd <= 0:
-                    prof._check(thread, None, counters)
-
     def _run_batched(self) -> None:
         """The run-until-event core: dispatch loop plus batch executor
         fused into one frame.
@@ -685,24 +562,25 @@ class Kernel:
         occupancy arrays, op classes) hoist once per *run* instead of
         once per step or quantum.
 
-        Bit-identical to the step-granular loop — the differential
-        suite enforces it — with the per-step machinery inlined: the
-        two window instructions (``WindowCPU.save``/``restore``),
-        stream completion, and the counter updates.  Run-global
-        counters (steps, progress, compute/call cycles, save/restore
-        totals) accumulate in frame locals and fold once in the outer
-        ``finally``; per-thread statistics fold at each quantum
-        boundary in the inner ``finally``.  Both folds run on
+        Bit-identical to a step-granular trampoline that executes one
+        runtime op per step through ``WindowCPU.save``/``restore`` (the
+        differential suites hold it to ``tests/support/trampoline.py``),
+        with the per-step machinery inlined: the two window
+        instructions, stream completion, and the counter updates.
+        Run-global counters (steps, progress, compute/call cycles,
+        save/restore totals) accumulate in frame locals and fold once
+        in the outer ``finally``; per-thread statistics fold at each
+        quantum boundary in the inner ``finally``.  Both folds run on
         exceptional exits too, so a window trap escaping mid-batch
-        leaves step and cycle counts exactly where the reference core
+        leaves step and cycle counts exactly where the reference loop
         would (crash-context identity).  Trap handlers and context
         switches run through the scheme exactly as in the reference
-        core; they touch only trap/switch counters, never the
+        loop; they touch only trap/switch counters, never the
         batch-local ones, so folding late is safe.
 
-        Every hook but event-bus tracing runs here, each a hoisted
-        local that is None unless armed, so an unhooked run pays one
-        None check per site:
+        Every hook runs here, each a hoisted local that is None (or
+        False) unless armed, so an unhooked run pays one check per
+        site:
 
         * fault injection: the CPU's save/restore fault hooks at the
           inlined save/restore, the armed trap action on the overflow
@@ -712,7 +590,18 @@ class Kernel:
           given the unfolded step and cycle counts (``_audit``);
         * the step budget and the watchdog at the start of every step
           (``_step_gate``): a spent budget returns with the thread
-          still current, as the step loop's EXIT_BUDGET does.
+          still current (EXIT_BUDGET);
+        * event-bus tracing: ``events_on``, read once per quantum at
+          its dispatch, guards the kernel's and the CPU's emit sites
+          (dispatch, save, restore, block, wake, yield, retire).  While
+          it is on, the compute and call-cycle accumulators fold into
+          ``counters`` at each Tick and before each save/restore emit
+          or window trap, so every stamp on the bus — the scheme's,
+          the ready queue's, the streams' and the injector's too —
+          reads the exact cycle (an untrapped save or restore pays
+          one ``events_on`` check).  A
+          subscriber that attaches mid-quantum sees exact stamps from
+          the next dispatch on.
 
         The profiler, the telemetry buffers and the quantum observers
         (tracker, timeline, tally) are quantum-granular and fed per
@@ -749,6 +638,8 @@ class Kernel:
         observed = self._observed
         quantum_started = self._quantum_started
         quantum_stopped = self._quantum_stopped
+        events = self.events
+        events_on = self._tracing
         handle_overflow = scheme.handle_overflow
         handle_underflow = scheme.handle_underflow
         context_switch = scheme.context_switch
@@ -762,7 +653,7 @@ class Kernel:
         # Plain FIFO with no fault injector attached: a wake is exactly
         # "state = READY, append to the deque" (the push_woken fast
         # path); neither condition can change during a run.  Tracing
-        # can, so the wake sites re-check it and fall back.
+        # can, so the wake sites check ``events_on`` and fall back.
         fifo_wake = ready._fifo and ready.faults is None
         READY_, BLOCKED_ = READY, BLOCKED
         # op classes as frame locals (one global load each, not per step)
@@ -789,13 +680,13 @@ class Kernel:
                 n_saves = 0        # -> tw.stat_saves (== thread.calls)
                 n_restores = 0     # -> tw.stat_restores (== thread.returns)
                 resume = thread.resume_value
-                steps += 1         # the entry iteration (compat parity)
+                steps += 1         # the entry iteration
                 try:
                     if gate is not None and gate(steps, progress):
                         return     # EXIT_BUDGET
                     # Entry with an in-flight op (_continue_pending,
                     # inlined): completion shares the step with the
-                    # send that follows, as in the compat loop's
+                    # send that follows, as in the reference loop's
                     # pending-resume iteration; a still-blocked op
                     # re-blocks without entering the batch (falling
                     # through to the dispatch below).
@@ -827,7 +718,7 @@ class Kernel:
                                 stream.bytes_written += pushed
                                 offset += pushed
                                 if stream.read_waiters:
-                                    if fifo_wake and not self._tracing:
+                                    if fifo_wake and not events_on:
                                         for waiter in stream.read_waiters:
                                             waiter.blocked_on = None
                                             waiter.state = READY_
@@ -859,7 +750,7 @@ class Kernel:
                                 if take:
                                     stream.bytes_read += take
                                 if take and stream.write_waiters:
-                                    if fifo_wake and not self._tracing:
+                                    if fifo_wake and not events_on:
                                         for waiter in stream.write_waiters:
                                             waiter.blocked_on = None
                                             waiter.state = READY_
@@ -893,7 +784,7 @@ class Kernel:
                                 line = None
                             if line is not None:
                                 if line and stream.write_waiters:
-                                    if fifo_wake and not self._tracing:
+                                    if fifo_wake and not events_on:
                                         for waiter in stream.write_waiters:
                                             waiter.blocked_on = None
                                             waiter.state = READY_
@@ -933,8 +824,15 @@ class Kernel:
                                 thread.state = DONE
                                 scheme.retire(tw)
                                 self.current = None
+                                if events_on:
+                                    events.emit("retire", tid=thread.tid,
+                                                name=thread.name)
                                 for waiter in thread.join_waiters:
                                     waiter.blocked_on = None
+                                    if events_on:
+                                        events.emit(
+                                            "wake", tid=waiter.tid,
+                                            on=thread.name, op="join")
                                     ready.push_woken(waiter)
                                 del thread.join_waiters[:]
                                 break  # EXIT_DONE
@@ -970,7 +868,15 @@ class Kernel:
                             if wim[target]:
                                 # Underflow: the in-place restore
                                 # (§3.2); the CWP does not move.
+                                if events_on:
+                                    counters.call_cycles += call_cycles
+                                    call_cycles = 0
                                 handle_underflow(tw)
+                                if events_on:
+                                    events.emit(
+                                        "restore", tid=tw.tid,
+                                        window=wf.cwp, depth=tw.depth,
+                                        inplace=True)
                             else:
                                 kinds[cwp] = FREE
                                 tids[cwp] = None
@@ -978,6 +884,13 @@ class Kernel:
                                 tw.cwp = target
                                 tw.resident -= 1
                                 tw.depth -= 1
+                                if events_on:
+                                    counters.call_cycles += call_cycles
+                                    call_cycles = 0
+                                    events.emit(
+                                        "restore", tid=tw.tid,
+                                        window=target, depth=tw.depth,
+                                        freed=cwp, inplace=False)
                             if tw.depth < low:
                                 low = tw.depth
                             got = regs[out_base[wf.cwp]]
@@ -1001,6 +914,9 @@ class Kernel:
                         if t is Tick_:
                             compute += cmd.cycles
                             progress += 1
+                            if events_on:
+                                counters.compute_cycles += compute
+                                compute = 0
                         elif t is Call_:
                             progress += 1
                             args = cmd.args
@@ -1017,6 +933,9 @@ class Kernel:
                             call_cycles += save_cost
                             target = above[cwp]
                             if wim[target]:
+                                if events_on:
+                                    counters.call_cycles += call_cycles
+                                    call_cycles = 0
                                 action = (faults.take_trap_action(tw)
                                           if faults is not None else None)
                                 # a dropped trap falls through: the save
@@ -1040,6 +959,11 @@ class Kernel:
                                 high = tw.depth
                             kinds[target] = FRAME
                             tids[target] = tw.tid
+                            if events_on:
+                                counters.call_cycles += call_cycles
+                                call_cycles = 0
+                                events.emit("save", tid=tw.tid,
+                                            window=target, depth=tw.depth)
                             if verify:
                                 ib = in_base[target]
                                 for i, a in enumerate(args[:8]):
@@ -1078,8 +1002,7 @@ class Kernel:
                                 if take:
                                     stream.bytes_read += take
                                     if stream.write_waiters:
-                                        if fifo_wake \
-                                                and not self._tracing:
+                                        if fifo_wake and not events_on:
                                             for waiter in \
                                                     stream.write_waiters:
                                                 waiter.blocked_on = None
@@ -1102,8 +1025,8 @@ class Kernel:
                             thread.blocks += 1
                             self.last_suspended = thread
                             self.current = None
-                            if self._tracing:
-                                self.events.emit(
+                            if events_on:
+                                events.emit(
                                     "block", tid=thread.tid,
                                     on=stream.name or "stream", op="read")
                             break  # EXIT_BLOCKED
@@ -1129,7 +1052,7 @@ class Kernel:
                             if pushed:
                                 stream.bytes_written += pushed
                                 if stream.read_waiters:
-                                    if fifo_wake and not self._tracing:
+                                    if fifo_wake and not events_on:
                                         for waiter in \
                                                 stream.read_waiters:
                                             waiter.blocked_on = None
@@ -1150,8 +1073,8 @@ class Kernel:
                             thread.blocks += 1
                             self.last_suspended = thread
                             self.current = None
-                            if self._tracing:
-                                self.events.emit(
+                            if events_on:
+                                events.emit(
                                     "block", tid=thread.tid,
                                     on=stream.name or "stream",
                                     op="write")
@@ -1188,14 +1111,14 @@ class Kernel:
                                 thread.blocks += 1
                                 self.last_suspended = thread
                                 self.current = None
-                                if self._tracing:
-                                    self.events.emit(
+                                if events_on:
+                                    events.emit(
                                         "block", tid=thread.tid,
                                         on=stream.name or "stream",
                                         op="read")
                                 break  # EXIT_BLOCKED
                             if line and stream.write_waiters:
-                                if fifo_wake and not self._tracing:
+                                if fifo_wake and not events_on:
                                     for waiter in stream.write_waiters:
                                         waiter.blocked_on = None
                                         waiter.state = READY_
@@ -1210,6 +1133,8 @@ class Kernel:
                             do_close(cmd.stream)
                         elif t is YieldCPU_:
                             if ready:
+                                if events_on:
+                                    events.emit("yield", tid=thread.tid)
                                 ready.push_yielded(thread)
                                 self.last_suspended = thread
                                 self.current = None
@@ -1243,8 +1168,8 @@ class Kernel:
                             thread.blocks += 1
                             self.last_suspended = thread
                             self.current = None
-                            if self._tracing:
-                                self.events.emit(
+                            if events_on:
+                                events.emit(
                                     "block", tid=thread.tid,
                                     on=target_t.name, op="join")
                             break  # EXIT_BLOCKED
@@ -1291,12 +1216,16 @@ class Kernel:
                             prof._check(thread, None, counters)
                             prof_cd = prof._cd
                 # Dispatch the next thread without leaving the frame.
-                if self._tracing:
-                    return  # a subscriber attached mid-run: compat loop
                 if not queue:
                     return  # all done, or deadlock (outer loop decides)
-                # _dispatch, inlined minus the trace emit (tracing was
-                # just checked, and it can only flip inside a quantum)
+                # _dispatch, inlined; tracing is read once per quantum,
+                # here, and what an untraced quantum accumulated folds
+                # before the switch is stamped
+                events_on = self._tracing
+                if events_on:
+                    counters.compute_cycles += compute
+                    counters.call_cycles += call_cycles
+                    compute = call_cycles = 0
                 if ready.sample_slackness:
                     ready.slackness_samples.append(len(queue) - 1)
                 nxt = popleft()
@@ -1317,6 +1246,9 @@ class Kernel:
                     nxt.start_root()
                     if verify:
                         cpu.write_local(0, ("sig", nxt.tid, 1))
+                if events_on:
+                    events.emit("dispatch", tid=nxt.tid,
+                                depth=nxt.windows.depth)
                 if observed:
                     quantum_started(nxt, out is not nxt)
                     low = high = nxt.windows.depth
@@ -1336,133 +1268,7 @@ class Kernel:
             if prof is not None:
                 prof._cd = prof_cd
 
-    # -- call / return ----------------------------------------------------------
-
-    def _do_call(self, thread: SimThread, cmd: Call) -> None:
-        thread.calls += 1
-        self._progress += 1
-        cpu = self.cpu
-        tw = thread.windows
-        args = cmd.args
-        if self.verify_registers:
-            for i, a in enumerate(args[:8]):
-                cpu.write_out(i, a)
-        cpu.save(tw)
-        if self.verify_registers:
-            for i, a in enumerate(args[:8]):
-                got = cpu.read_in(i)
-                if got is not a and got != a:
-                    raise WindowIntegrityError(
-                        "argument %d of %s corrupted across save: %r != %r"
-                        % (i, thread.name, got, a),
-                        thread=thread.name, argument=i, depth=tw.depth)
-            cpu.write_local(0, ("sig", thread.tid, tw.depth))
-        if self.audit:
-            self._audit()
-        thread.gen_stack.append(cmd.factory(*args))
-        thread.resume_value = None
-
-    def _handle_return(self, thread: SimThread, value: Any) -> bool:
-        """Pop a finished procedure; True when the thread is done."""
-        thread.gen_stack.pop()
-        self._progress += 1
-        tw = thread.windows
-        cpu = self.cpu
-        if not thread.gen_stack:
-            if self.verify_registers and tw.depth != 1:
-                raise WindowIntegrityError(
-                    "thread %s finished at call depth %d"
-                    % (thread.name, tw.depth))
-            thread.result = value
-            thread.state = DONE
-            self.scheme.retire(tw)
-            self.current = None
-            events_on = self._tracing
-            if events_on:
-                self.events.emit("retire", tid=thread.tid,
-                                 name=thread.name)
-            for waiter in thread.join_waiters:
-                waiter.blocked_on = None
-                if events_on:
-                    self.events.emit("wake", tid=waiter.tid,
-                                     on=thread.name, op="join")
-                self.ready.push_woken(waiter)
-            del thread.join_waiters[:]
-            return True
-        thread.returns += 1
-        if self.verify_registers:
-            sig = cpu.read_local(0)
-            if sig != ("sig", thread.tid, tw.depth):
-                raise WindowIntegrityError(
-                    "thread %s frame signature corrupted: %r at depth %d"
-                    % (thread.name, sig, tw.depth),
-                    thread=thread.name, depth=tw.depth)
-        wf = cpu.wf
-        wf._regs[wf._in_base[wf.cwp]] = value
-        cpu.restore(tw)
-        got = wf._regs[wf._out_base[wf.cwp]]
-        if self.verify_registers and got is not value and got != value:
-            raise WindowIntegrityError(
-                "return value of %s corrupted across restore: %r != %r"
-                % (thread.name, got, value),
-                thread=thread.name, depth=tw.depth)
-        thread.resume_value = got
-        if self.audit:
-            self._audit()
-        return False
-
     # -- blocking stream operations ------------------------------------------------
-
-    def _continue_pending(self, thread: SimThread) -> bool:
-        """Try to complete the in-flight op; False means block."""
-        pending = thread.pending
-        kind = pending[0]
-        stream: Stream = pending[1]
-        if kind == "write":
-            data, offset = pending[2], pending[3]
-            pushed = stream.push(data[offset:])
-            if pushed:
-                offset += pushed
-                if stream.read_waiters:
-                    self._wake_readers(stream)
-            if offset >= len(data):
-                thread.pending = None
-                thread.resume_value = None
-                return True
-            thread.pending = ("write", stream, data, offset)
-            return False
-        if kind == "read":
-            if stream.is_empty and not stream.closed:
-                return False
-            data = stream.pull(pending[2])
-            if data and stream.write_waiters:
-                self._wake_writers(stream)
-            thread.pending = None
-            thread.resume_value = data
-            return True
-        if kind == "readline":
-            if stream.has_line() or stream.at_eof:
-                line = stream.pull_line()
-                if line is None:
-                    line = b""
-                if line and stream.write_waiters:
-                    self._wake_writers(stream)
-                thread.pending = None
-                thread.resume_value = line
-                return True
-            if stream.is_full:
-                raise RuntimeFault(
-                    "readline on %r: line longer than the stream capacity"
-                    % stream.name)
-            return False
-        if kind == "join":
-            target: SimThread = pending[1]
-            if target.state != DONE:
-                return False
-            thread.pending = None
-            thread.resume_value = target.result
-            return True
-        raise RuntimeFault("unknown pending op %r" % kind)
 
     def _block(self, thread: SimThread) -> None:
         pending = thread.pending

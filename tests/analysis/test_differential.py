@@ -10,7 +10,8 @@ switch-transfer histogram and every cycle category), its WIM
 wraparounds must match the dynamic count of saves landing in window
 ``n-1``, and the per-thread maximum depth must match the dynamic trace.
 The verifier's whole prediction report gets the same check, and the
-stream-topology verdicts get it against both execution cores.
+stream-topology verdicts get it against both the production loop and
+the step-granular reference loop (``tests/support/trampoline.py``).
 """
 
 import pytest
@@ -21,7 +22,8 @@ from repro.analysis.verifier import corpus_cases
 from repro.isa import Machine, assemble
 from repro.runtime.errors import DeadlockError
 from repro.runtime.ops import Read, Write
-from tests.support.trampoline import make_kernel
+from tests.support.trampoline import (REFERENCE_CORE, make_kernel,
+                                      trampoline_everywhere)
 
 SCHEMES = ("NS", "SNP", "SP")
 WINDOW_COUNTS = (4, 8, 32)
@@ -162,7 +164,7 @@ def test_verifier_prediction_matches_dynamic_run(scheme):
     assert all(t["saves"] and t["restores"] for t in expected_threads)
 
 
-# -- stream-topology verdicts against both execution cores ---------------
+# -- stream-topology verdicts against both loops --------------------------
 
 
 def _lonely_reader(stream):
@@ -192,7 +194,7 @@ def _build_clean(kernel):
 @pytest.mark.parametrize("core", CORES)
 def test_static_deadlock_verdict_matches_dynamic(core):
     """A statically-guaranteed deadlock really deadlocks — on both
-    execution cores — and a statically-clean chain really completes."""
+    loops — and a statically-clean chain really completes."""
     probe = ProbeKernel()
     _build_deadlocked(probe)
     report = analyze_kernel(probe)
@@ -215,7 +217,7 @@ def test_static_deadlock_verdict_matches_dynamic(core):
 @pytest.mark.parametrize("core", CORES)
 def test_cycle_candidates_are_candidates_not_errors(core):
     """Ping-pong is a static cycle *candidate* that dynamically
-    completes on both cores — the verdicts must agree: reported as a
+    completes on both loops — the verdicts must agree: reported as a
     candidate (meta), not as a guaranteed deadlock (error)."""
     from repro.apps.synthetic import spawn_ping_pong
 
@@ -231,14 +233,18 @@ def test_cycle_candidates_are_candidates_not_errors(core):
 
 
 @pytest.mark.parametrize("core", CORES)
-def test_committed_workloads_clean_and_complete(core):
+def test_committed_workloads_clean_and_complete(core, monkeypatch):
     """Every registered workload is statically clean and dynamically
-    completes under its default parameters on both cores."""
+    completes under its default parameters on both loops."""
     from repro.analysis import analyze_workload_config
     from repro.faults.workloads import WORKLOADS, run_workload
 
+    if core == REFERENCE_CORE:
+        trampoline_everywhere(monkeypatch)
+    loop = "step" if core == REFERENCE_CORE else "pure-batched"
     for name in sorted(WORKLOADS):
         report = analyze_workload_config({"workload": name})
         assert report.clean, (name, [f.describe() for f in report.findings])
-        run_workload({"workload": name, "core": core,
-                      "scale": 0.05, "max_steps": 2_000_000})
+        result = run_workload({"workload": name, "scale": 0.05,
+                               "max_steps": 2_000_000})
+        assert result.loop == loop, name

@@ -82,21 +82,24 @@ def _bus_report(scale, scheme, n_windows):
 
 def test_cli_report_is_unchanged_and_keeps_the_batched_loop(
         tmp_path, monkeypatch):
+    import repro.apps.spellcheck.__main__ as cli
     from repro.metrics.report import to_json
-    from repro.runtime.kernel import Kernel
 
     expected = to_json(_bus_report(0.02, "SNP", 6))
     args = ["--scale", "0.02", "--scheme", "SNP", "--windows", "6"]
+    loops = []
 
-    def forbidden(self, max_steps):
-        raise AssertionError("--report without --trace took the step loop")
+    def spy(*args, **kwargs):
+        result, report = check_document(*args, **kwargs)
+        loops.append(result.loop)
+        return result, report
 
-    with monkeypatch.context() as patch:
-        patch.setattr(Kernel, "_run_quantum", forbidden)
-        assert main(args + ["--report", str(tmp_path / "r.json")]) == 0
+    monkeypatch.setattr(cli, "check_document", spy)
+    assert main(args + ["--report", str(tmp_path / "r.json")]) == 0
     assert (tmp_path / "r.json").read_text() == expected
     # --trace puts the Perfetto exporter on the bus; same report
     assert main(args + ["--report", str(tmp_path / "rt.json"),
                         "--trace", str(tmp_path / "t.json")]) == 0
     assert (tmp_path / "rt.json").read_text() == expected
     assert (tmp_path / "t.json").is_file()
+    assert loops == ["pure-batched", "pure-batched"]

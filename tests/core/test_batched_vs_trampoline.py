@@ -1,28 +1,33 @@
-"""Differential equivalence harness: batched core vs the reference loop.
+"""Differential equivalence harness: the production loop vs the
+reference loop.
 
-The run-until-event core (``core="batched"``) must be *bit-identical*
-to the step-granular reference trampoline (the retired "generator"
-core, reachable only through ``tests.support.trampoline``): same step
-counts, same counters (including the switch/trap cycle sums and
-transfer histograms), same per-thread statistics, same trace record
-sequences, same thread results — across every scheme and window-file
-size.  The batched core itself has two *backends* — the pure-Python
-loop and the optional compiled twin (:mod:`repro._fast`) — and every
-comparison here runs on each backend that is built, so the compiled
-path is pinned against the same reference.  This suite drives every
-(core, backend) variant over the same workloads and compares full run
-snapshots:
+The kernel's one dispatch loop, the run-until-event batched loop, must
+be *bit-identical* to the step-granular reference trampoline
+(:class:`tests.support.trampoline.ReferenceKernel`, parameterized here
+under its old core name, "generator"): same step counts, same counters
+(including the switch/trap cycle sums and transfer histograms), same
+per-thread statistics, same trace record sequences, same event-bus
+streams, same thread results — across every scheme and window-file
+size.  The batched loop has two *backends* — the pure-Python loop and
+the optional compiled twin (:mod:`repro._fast`) — and every comparison
+here runs on each backend that is built, so the compiled path is
+pinned against the same reference (a traced run drops to the pure
+loop).  This suite drives every (loop, backend) variant over the same
+workloads and compares full run snapshots:
 
 * deterministic synthetic apps (stream pipeline, spawn/join tree,
   line-oriented protocol) over NS/SNP/SP x {8, 32} windows;
 * hypothesis-generated random programs (random thread counts, stream
-  topologies, call depths, chunk sizes) — deadlocks count as agreement
-  when both cores report the identical deadlock;
+  topologies, call depths, chunk sizes), traced or not — deadlocks
+  count as agreement when both loops report the identical deadlock;
+* traced spellcheck runs, with and without a fault plan armed, whose
+  event streams must match event for event (kind, cycle, tid, attrs);
 * golden pins for the spellchecker and a synthetic app, so a
-  regression that changes *both* cores in lockstep still trips.
+  regression that changes *both* loops in lockstep still trips.
 """
 
 import random
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,8 +44,15 @@ from repro import (
     Write,
     YieldCPU,
 )
+from repro.faults import FaultInjector, FaultPlan
+from repro.metrics.events import TraceRecorder
 from repro.runtime.backend import compiled_available
-from tests.support.trampoline import force_trampoline, make_kernel
+from repro.runtime.kernel import Kernel
+from tests.support.trampoline import (
+    ReferenceKernel,
+    force_trampoline,
+    make_kernel,
+)
 
 SCHEMES = ("NS", "SNP", "SP")
 WINDOW_SIZES = (8, 32)
@@ -80,22 +92,41 @@ def snapshot(kernel, result, error):
     return snap
 
 
+def events_of(recorder):
+    return [(e.kind, e.cycle, e.tid, e.attrs) for e in recorder]
+
+
+def enable_tracing(kernel):
+    """Subscribe a recorder; on an explicitly compiled kernel that
+    drops the compiled twin, with its expected fallback warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "compiled backend: the event bus",
+                                RuntimeWarning)
+        return kernel.enable_tracing()
+
+
 def run_core(core, build, scheme, n_windows, keep_trace=True,
-             backend="pure", **kw):
+             backend="pure", traced=False, **kw):
     """Build a workload on a fresh kernel and run it to the end."""
     kernel = make_kernel(core=core, n_windows=n_windows, scheme=scheme,
                          backend=backend, **kw)
     kernel.counters.keep_trace = keep_trace
+    recorder = enable_tracing(kernel) if traced else None
     build(kernel)
     result = error = None
     try:
         result = kernel.run()
     except Exception as exc:
         # Deadlocks and runtime faults (e.g. a random program writing
-        # to a stream a peer closed) are legal outcomes — both cores
+        # to a stream a peer closed) are legal outcomes — both loops
         # must fail at the same point with the same enriched message.
         error = exc
-    return snapshot(kernel, result, error)
+    snap = snapshot(kernel, result, error)
+    if recorder is not None:
+        snap["events"] = events_of(recorder)
+        if result is not None and core == "batched":
+            assert result.loop == "pure-batched"
+    return snap
 
 
 def assert_equivalent(build, scheme, n_windows, **kw):
@@ -249,21 +280,58 @@ def test_register_verification_on(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_event_bus_traces_identical(scheme):
-    """With a live event-bus subscriber both cores take the
-    step-granular path; the recorded event streams must still match
-    exactly under ``core="batched"`` on every backend."""
+    """A traced run keeps the production batched loop (the compiled
+    twin drops to the pure one), and its event stream matches the
+    reference loop's event for event on every backend and workload."""
 
-    def run_traced(core, backend="pure"):
-        kernel = make_kernel(core=core, n_windows=8, scheme=scheme,
-                             backend=backend)
-        recorder = kernel.enable_tracing()
-        build_pipeline(kernel)
+    def run_traced(kernel, build):
+        recorder = enable_tracing(kernel)
+        build(kernel)
+        return kernel.run().loop, events_of(recorder)
+
+    for name, build in sorted(WORKLOADS.items()):
+        loop, reference = run_traced(
+            ReferenceKernel(n_windows=8, scheme=scheme), build)
+        assert loop == "step"
+        for backend in BACKENDS:
+            kernel = Kernel(n_windows=8, scheme=scheme, backend=backend)
+            assert type(kernel) is Kernel
+            assert run_traced(kernel, build) == ("pure-batched",
+                                                 reference), name
+
+
+def test_subscriber_attached_mid_run_sees_exact_stamps():
+    """A subscriber that attaches inside a quantum sees the batched
+    loop's exact stream from the next dispatch on."""
+
+    def run_attached(kernel):
+        recorder = TraceRecorder()
+        raw = kernel.stream(8, "raw")
+
+        def producer():
+            for i in range(30):
+                if i == 12:
+                    kernel.events.subscribe(recorder)
+                yield Tick(3)
+                yield Call(depth_calls, 5)
+                yield Write(raw, b"x" * 5)
+            yield CloseStream(raw)
+
+        def consumer():
+            while (yield Read(raw, 3)):
+                yield Tick(2)
+
+        kernel.spawn(producer, name="producer")
+        kernel.spawn(consumer, name="consumer")
         kernel.run()
-        return [(e.kind, e.cycle, e.tid, e.attrs) for e in recorder]
+        events = events_of(recorder)
+        first = next(i for i, e in enumerate(events) if e[0] == "dispatch")
+        return events[first:]
 
-    reference = run_traced("generator")
-    for backend in BACKENDS:
-        assert reference == run_traced("batched", backend)
+    reference = run_attached(ReferenceKernel(n_windows=6, scheme="SP"))
+    assert len(reference) > 100
+    assert run_attached(Kernel(n_windows=6, scheme="SP",
+                               backend="pure")) == reference
 
 
 # -- hypothesis-driven random programs -----------------------------------
@@ -332,11 +400,63 @@ def build_random(threads_spec, close_all):
           suppress_health_check=[HealthCheck.too_slow])
 @given(threads_spec=PROGRAMS, scheme=st.sampled_from(SCHEMES),
        n_windows=st.sampled_from(WINDOW_SIZES),
-       close_all=st.booleans())
+       close_all=st.booleans(), traced=st.booleans())
 def test_random_programs_bit_identical(threads_spec, scheme, n_windows,
-                                       close_all):
+                                       close_all, traced):
     assert_equivalent(build_random(threads_spec, close_all),
-                      scheme, n_windows)
+                      scheme, n_windows, traced=traced)
+
+
+# -- traced spellcheck runs ------------------------------------------------
+
+
+def traced_spell(reference, scheme, n_windows, plan=None):
+    """A traced spellcheck run, on the reference loop or the production
+    one: its loop, event stream and error (None when it completed)."""
+    from repro.apps.spellcheck.pipeline import SpellConfig, run_spellchecker
+
+    recorders, loop, error = [], None, None
+
+    def instrument(kernel):
+        if reference:
+            force_trampoline(kernel)
+        recorders.append(kernel.enable_tracing())
+
+    faults = (FaultInjector(FaultPlan.parse(plan, seed=1993))
+              if plan else None)
+    try:
+        result, __ = run_spellchecker(
+            n_windows, scheme, SpellConfig.named("high", "fine",
+                                                 scale=0.02),
+            verify_registers=True, faults=faults, audit=plan is not None,
+            backend="pure", instrument=instrument)
+        loop = result.loop
+    except Exception as exc:  # a detected fault: compare it too
+        error = (type(exc).__name__, str(exc))
+    return loop, events_of(recorders[0]), error
+
+
+@pytest.mark.parametrize("n_windows", (4, 8, 32))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_traced_spellcheck_streams_identical(scheme, n_windows):
+    loop, events, error = traced_spell(False, scheme, n_windows)
+    assert (loop, error) == ("pure-batched", None)
+    assert {"save", "restore", "switch", "dispatch", "block", "wake",
+            "retire", "run_end"} <= {e[0] for e in events}
+    assert traced_spell(True, scheme, n_windows) \
+        == ("step", events, None)
+
+
+@pytest.mark.parametrize("plan", ["sched@2,store_delay@3", "retval@7"],
+                         ids=["survived", "detected"])
+def test_traced_faulted_streams_identical(plan):
+    """Fault events are stamped with the exact cycle on both loops —
+    including a run the fault crashes mid-quantum."""
+    loop, events, error = traced_spell(False, "SP", 6, plan)
+    assert "fault" in {e[0] for e in events}
+    reference = traced_spell(True, "SP", 6, plan)
+    assert (events, error) == reference[1:]
+    assert (loop, reference[0]) in ((None, None), ("pure-batched", "step"))
 
 
 # -- golden pins ---------------------------------------------------------

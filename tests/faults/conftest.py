@@ -9,23 +9,19 @@ override CI uses) exercises every fault class, the watchdog and
 crash-bundle replay with the compiled backend both absent-from and
 present-in the selection, without touching the individual tests; when
 the compiled extension is not built, the sweep collapses to the pure
-backend alone.
+backend alone.  The ids name the loop every run takes, the batched
+one, with the backend.
 """
 
 import pytest
 
 from repro.runtime.backend import ENV_BACKEND, compiled_available
-from repro.runtime.batch import CORES, ENV_CORE
 
 BACKENDS = ("pure",) + (("compiled",) if compiled_available() else ())
 
-SWEEP = tuple((core, backend) for core in CORES for backend in BACKENDS)
 
-
-@pytest.fixture(autouse=True, params=SWEEP,
-                ids=["%s-%s" % pair for pair in SWEEP])
-def execution_core(request, monkeypatch):
-    core, backend = request.param
-    monkeypatch.setenv(ENV_CORE, core)
-    monkeypatch.setenv(ENV_BACKEND, backend)
-    return core
+@pytest.fixture(autouse=True, params=BACKENDS,
+                ids=["batched-%s" % backend for backend in BACKENDS])
+def execution_backend(request, monkeypatch):
+    monkeypatch.setenv(ENV_BACKEND, request.param)
+    return request.param

@@ -6,8 +6,8 @@ resulting bundle.  The corpus is the acceptance fixture for the
 delta-debugging minimizer: ``tests/faults/test_minimize_corpus.py``
 asserts every bundle replays bit-for-bit and shrinks to <=2 specs.
 
-Bundles are deterministic (no timestamps, content-addressed names,
-explicit execution core), so rerunning this script after a
+Bundles are deterministic (no timestamps, content-addressed names),
+so rerunning this script after a
 behaviour-preserving change reproduces the identical files::
 
     PYTHONPATH=src python tests/faults/corpus/regen.py
@@ -22,7 +22,8 @@ from repro.faults import FaultInjector, FaultPlan, run_workload
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent
 
 #: (bundle config, over-specified plan text, plan seed) per case;
-#: every config pins ``core`` so the bundle is ambient-independent
+#: each config keeps the legacy ``core`` key it was recorded with (a
+#: replay ignores it) so the content-addressed bundle names stay put
 CASES = [
     # window-integrity corruption buried in 5 specs of chaff
     ({"workload": "spellcheck", "scheme": "SP", "n_windows": 6,
@@ -30,7 +31,8 @@ CASES = [
       "verify_registers": True, "audit": False, "watchdog": 0,
       "core": "batched"},
      "store_delay@1,sched@2,retval@4,store_delay@6,sched@9", 77),
-    # return-value corruption in a fork/join tree, generator core
+    # return-value corruption in a fork/join tree (recorded on the
+    # since-retired generator core)
     ({"workload": "synthetic-fork-join", "scheme": "SNP",
       "n_windows": 6, "n_children": 3, "items": 12,
       "flush_hint": True, "verify_registers": True, "audit": True,

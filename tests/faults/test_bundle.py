@@ -195,8 +195,8 @@ class TestFlightRecorder:
 
     def test_same_bundle_on_every_loop(self, tmp_path):
         """The record sites sit in the schemes, which every loop calls,
-        so the batched loop, the step loop and the compiled twin write
-        the same bundle (only the recorded core differs)."""
+        so the batched loop, the reference loop and the compiled twin
+        write the same bundle."""
         kernels = {
             "pure": Kernel(n_windows=4, scheme="SP", backend="pure",
                            crash_dir=tmp_path / "pure"),
@@ -210,9 +210,7 @@ class TestFlightRecorder:
                 crash_dir=tmp_path / "compiled")
         bundles = {}
         for name, kernel in kernels.items():
-            bundle = churn_bundle(kernel)
-            del bundle["config"]["core"]
-            bundles[name] = bundle
+            bundles[name] = churn_bundle(kernel)
         assert bundles["pure"]["flight"]
         for name, bundle in bundles.items():
             assert bundle == bundles["pure"], name
@@ -273,39 +271,16 @@ class TestValidation:
 
 
 class TestCoreRecording:
-    """v2 bundles capture the execution core and replay under it."""
-
-    def test_bundle_records_execution_core(self, tmp_path,
-                                           execution_core):
-        exc = crash(tmp_path)
-        bundle = load_bundle(exc.bundle_path)
-        assert bundle["config"]["core"] == execution_core
-
-    def test_replay_sticks_to_recorded_core(self, tmp_path,
-                                            execution_core,
-                                            monkeypatch):
-        """A bundle captured under one core must replay under that
-        core even when the ambient ``$REPRO_CORE`` says otherwise —
-        the recorded core is part of the replay identity.  The ambient
-        value here is the *retired* generator name, which would raise
-        if the replay ever consulted it."""
-        from repro.runtime.batch import ENV_CORE, RETIRED_GENERATOR_CORE
-
-        exc = crash(tmp_path / "orig")
-        monkeypatch.setenv(ENV_CORE, RETIRED_GENERATOR_CORE)
-        matched, new_path, detail = replay_bundle(
-            exc.bundle_path, workdir=tmp_path / "replay")
-        assert matched, detail
-        bundle = load_bundle(new_path)
-        assert bundle["config"]["core"] == execution_core
+    """Bundles no longer record an execution core; the versions that
+    predate or carry the legacy ``config["core"]`` still load."""
 
     def test_v1_bundle_without_core_still_loads(self, tmp_path):
-        """Version-1 bundles (no recorded core) predate the field and
-        must keep loading."""
+        """Version-1 bundles predate the core field and must keep
+        loading."""
         exc = crash(tmp_path)
         doc = json.loads(exc.bundle_path.read_text())
+        assert "core" not in doc["config"]
         doc["version"] = 1
-        del doc["config"]["core"]
         old = tmp_path / "v1.json"
         old.write_text(json.dumps(doc))
         bundle = load_bundle(old)

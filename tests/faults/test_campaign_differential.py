@@ -13,8 +13,7 @@ import pathlib
 import pytest
 
 from repro.faults import load_bundle, minimize_bundle, run_fuzz
-from repro.runtime.batch import ENV_CORE
-from tests.support.trampoline import forbid_step_loop, trampoline_everywhere
+from tests.support.trampoline import trampoline_everywhere
 
 SEED = 1993
 TRIALS = 18
@@ -23,10 +22,9 @@ CORPUS = sorted((pathlib.Path(__file__).parent / "corpus")
 
 
 @pytest.fixture(autouse=True, params=["batched"])
-def execution_core(request, monkeypatch):
-    """Trials and bundles record their own core; pin the ambient env so
-    the suite-wide sweep does not repeat the comparison."""
-    monkeypatch.setenv(ENV_CORE, request.param)
+def execution_backend(request):
+    """Run once on the ambient backend, so the directory-wide backend
+    sweep does not repeat the comparison."""
     return request.param
 
 
@@ -54,7 +52,6 @@ def test_robustness_job_is_identical_on_both_loops(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         trampoline_everywhere(patch)
         reference, reference_loops = run_job(tmp_path / "reference")
-    forbid_step_loop(monkeypatch)
     batched, batched_loops = run_job(tmp_path / "batched")
     assert (reference_loops, batched_loops) == ({"step"}, {"pure-batched"})
     outcomes = {t[2] for t in batched["trials"]}

@@ -9,7 +9,7 @@ from repro.errors import ReproError
 from repro.faults import BundleError, load_bundle
 from repro.faults.__main__ import main
 
-pytestmark = pytest.mark.usefixtures("execution_core")
+pytestmark = pytest.mark.usefixtures("execution_backend")
 
 
 @pytest.fixture(params=["show", "replay", "minimize"])

@@ -14,7 +14,7 @@ import pytest
 from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
-from tests.support.trampoline import forbid_step_loop, force_trampoline
+from tests.support.trampoline import force_trampoline
 
 SPEC_OF = {
     "register": "register@3:0",
@@ -35,9 +35,9 @@ CONFIG = SpellConfig.named("high", "coarse", scale=0.05)
 
 
 @pytest.fixture(autouse=True)
-def execution_core():
-    # Override the directory-wide core sweep: this test drives both
-    # cores explicitly and must not be run twice.
+def execution_backend():
+    # Override the directory-wide backend sweep: this test drives both
+    # loops explicitly and must not be run twice.
     yield
 
 
@@ -73,10 +73,9 @@ def run_faulted(core, spec):
 
 
 @pytest.mark.parametrize("kind", sorted(SPEC_OF))
-def test_fault_fires_identically_in_both_cores(kind, monkeypatch):
+def test_fault_fires_identically_in_both_cores(kind):
     spec = SPEC_OF[kind]
     gen = run_faulted("generator", spec)
-    forbid_step_loop(monkeypatch)
     bat = run_faulted("batched", spec)
     assert gen["fired"], "fault %s never fired" % kind
     loops = (gen.pop("loop", None), bat.pop("loop", None))

@@ -20,14 +20,12 @@ from repro.faults.minimize import (
     shrink_int,
 )
 from repro.errors import ReproError
-from repro.runtime.batch import ENV_CORE
 
 
 @pytest.fixture(autouse=True, params=["batched"])
-def execution_core(request, monkeypatch):
-    """End-to-end minimizations pin their core in the bundle config;
-    skip the suite-wide two-core sweep."""
-    monkeypatch.setenv(ENV_CORE, request.param)
+def execution_backend(request):
+    """Run once on the ambient backend: faulted minimizations keep the
+    pure batched loop, so skip the directory-wide backend sweep."""
     return request.param
 
 
@@ -115,7 +113,6 @@ CRASH_CONFIG = {
     "workload": "synthetic-fork-join", "scheme": "SNP",
     "n_windows": 6, "n_children": 3, "items": 12, "flush_hint": True,
     "verify_registers": True, "audit": True, "watchdog": 0,
-    "core": "batched",
 }
 CHAFF_PLAN = "sched@1,store_delay@2,retval@2,store_delay@7"
 

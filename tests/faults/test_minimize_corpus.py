@@ -13,18 +13,16 @@ import pathlib
 import pytest
 
 from repro.faults import load_bundle, minimize_bundle, replay_bundle
-from repro.runtime.batch import ENV_CORE
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 BUNDLES = sorted(CORPUS_DIR.glob("crash-*.json"))
 
 
 @pytest.fixture(autouse=True, params=["batched"])
-def execution_core(request, monkeypatch):
-    """Corpus bundles pin their own execution core in the config, so
-    the suite-wide two-core env sweep would only run every replay
-    twice for nothing; pin the ambient core instead."""
-    monkeypatch.setenv(ENV_CORE, request.param)
+def execution_backend(request):
+    """Run once on the ambient backend: corpus bundles are faulted runs
+    on the pure batched loop, so the directory-wide backend sweep would
+    only replay everything twice."""
     return request.param
 
 

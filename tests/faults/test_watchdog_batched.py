@@ -1,11 +1,9 @@
 """Watchdog + fault injection on the batched loop.
 
-``core="batched"`` with a watchdog or fault injector armed stays on the
-batched loop (the step loop is forbidden on that side), detects
-livelock at exactly the step the step-granular reference trampoline
-does, captures a replayable LivelockError bundle, and round-trips that
-bundle through the delta-debugging minimizer without leaving the
-batched loop.
+With a watchdog or fault injector armed, the kernel's one batched loop
+detects livelock at exactly the step the step-granular reference
+trampoline does, captures a replayable LivelockError bundle, and
+round-trips that bundle through the delta-debugging minimizer.
 """
 
 import pytest
@@ -20,16 +18,14 @@ from repro.faults import (
     run_workload,
 )
 from repro.runtime import LivelockError
-from repro.runtime.batch import ENV_CORE
-from tests.support.trampoline import forbid_step_loop, make_kernel
+from tests.support.trampoline import make_kernel
 
 
 @pytest.fixture(autouse=True, params=["batched"])
-def execution_core(request, monkeypatch):
-    """Override the suite-wide two-core sweep: these tests pin the
-    ambient core to ``batched`` (the loop under test) and reach the
-    reference trampoline via ``tests.support.trampoline``."""
-    monkeypatch.setenv(ENV_CORE, request.param)
+def execution_backend(request):
+    """Run once on the ambient backend instead of the directory-wide
+    backend sweep; the reference loop is reached through
+    ``tests.support.trampoline``."""
     return request.param
 
 
@@ -44,28 +40,25 @@ def storm_kernel(core, watchdog=80, faults=None, **kwargs):
 
 STORM_CONFIG = {
     "workload": "synthetic-yield-storm",
-    "scheme": "SP", "n_windows": 4, "core": "batched",
+    "scheme": "SP", "n_windows": 4,
     "n_spinners": 2, "spins": 300,
     "verify_registers": True, "audit": False, "watchdog": 80,
 }
 
 
 class TestAutoFallback:
-    def test_watchdog_livelock_fires_under_batched_core(self, monkeypatch):
-        forbid_step_loop(monkeypatch)
+    def test_watchdog_livelock_fires_under_batched_core(self):
         kernel = storm_kernel("batched")
         with pytest.raises(LivelockError) as info:
             kernel.run()
         assert info.value.context["max_stall"] == 80
         assert "step" in info.value.context
 
-    def test_batched_matches_generator_with_watchdog(self, monkeypatch):
+    def test_batched_matches_generator_with_watchdog(self):
         """Bit-identical: same failing step, same cycle count, same
         counters on both loops."""
         errors = {}
         for core in ("generator", "batched"):
-            if core == "batched":
-                forbid_step_loop(monkeypatch)
             kernel = storm_kernel(core)
             with pytest.raises(LivelockError) as info:
                 kernel.run()
@@ -74,10 +67,9 @@ class TestAutoFallback:
                             kernel.counters.snapshot())
         assert errors["batched"] == errors["generator"]
 
-    def test_watchdog_and_faults_combined_under_batched(self, monkeypatch):
+    def test_watchdog_and_faults_combined_under_batched(self):
         """Both hooks armed at once: the survivable sched fault fires
         *and* the watchdog still catches the storm."""
-        forbid_step_loop(monkeypatch)
         injector = FaultInjector(FaultPlan.parse("sched@2", seed=7))
         kernel = storm_kernel("batched", faults=injector)
         with pytest.raises(LivelockError) as info:
@@ -85,11 +77,9 @@ class TestAutoFallback:
         assert injector.fired, "sched fault never fired"
         assert info.value.context["faults_fired"] == len(injector.fired)
 
-    def test_combined_parity_across_cores(self, monkeypatch):
+    def test_combined_parity_across_cores(self):
         runs = {}
         for core in ("generator", "batched"):
-            if core == "batched":
-                forbid_step_loop(monkeypatch)
             injector = FaultInjector(FaultPlan.parse("sched@2", seed=7))
             kernel = storm_kernel(core, faults=injector)
             with pytest.raises(LivelockError) as info:
@@ -100,11 +90,6 @@ class TestAutoFallback:
 
 
 class TestLivelockBundle:
-    @pytest.fixture(autouse=True)
-    def batched_only(self, monkeypatch):
-        """Capture, replay and every minimizer candidate run batched."""
-        forbid_step_loop(monkeypatch)
-
     def crash(self, tmp_path, plan_text=None):
         config = dict(STORM_CONFIG)
         injector = (FaultInjector(FaultPlan.parse(plan_text, seed=7))
@@ -118,7 +103,6 @@ class TestLivelockBundle:
         assert exc.bundle_path is not None
         bundle = load_bundle(exc.bundle_path)
         assert bundle["error"]["type"] == "LivelockError"
-        assert bundle["config"]["core"] == "batched"
         matched, __, detail = replay_bundle(exc.bundle_path,
                                             workdir=tmp_path / "replay")
         assert matched, detail

@@ -1,11 +1,10 @@
 """Kernel-fed RunReport observers: byte-identical to the bus-fed ones.
 
 ``run_report_point`` arms the behaviour tracker, the occupancy timeline
-and the event tally on the kernel, which feeds them once per quantum
-and keeps the batched loop.  The reference is the old wiring
-(:mod:`tests.support.bus_oracle`): a ``TraceRecorder`` and bus-fed
-tracker and timeline on the step-granular loop.  Both must produce the
-same report, byte for byte.
+and the event tally on the kernel, which feeds them once per quantum.
+The reference is the old wiring (:mod:`tests.support.bus_oracle`): a
+``TraceRecorder`` and bus-fed tracker and timeline.  Both run on the
+batched loop, and both must produce the same report, byte for byte.
 """
 
 import pytest
@@ -19,13 +18,11 @@ from repro.metrics.behavior import BehaviorTracker
 from repro.metrics.events import EventTally
 from repro.metrics.report import to_json
 from repro.metrics.tracing import OccupancyTimeline
-from repro.runtime.kernel import Kernel
 from tests.support.bus_oracle import BusObservers
 
 SCALE = 0.02
 
-#: the golden grid, plus one faulted and one audited point (both run
-#: the kernel hooks on the step loop)
+#: the golden grid, plus one faulted and one audited point
 POINTS = [
     dict(scheme=scheme, n_windows=n, concurrency=conc, granularity=gran)
     for scheme in ("NS", "SNP", "SP")
@@ -59,7 +56,7 @@ def _oracle_report(point, config):
         queue_policy=FIFOPolicy(), instrument=bus.attach,
         verify_registers=bool(faults), faults=injector,
         audit=point.get("audit", False))
-    assert result.loop == "step"
+    assert result.loop == "pure-batched"
     return bus.report(result, config)
 
 
@@ -72,9 +69,6 @@ def test_report_point_matches_the_bus_oracle(point):
 
 
 def test_report_point_keeps_the_batched_loop(monkeypatch):
-    def forbidden(self, max_steps):
-        raise AssertionError("a report point entered the step loop")
-
     results = []
 
     def spy(*args, **kwargs):
@@ -82,7 +76,6 @@ def test_report_point_keeps_the_batched_loop(monkeypatch):
         results.append(result)
         return result, output
 
-    monkeypatch.setattr(Kernel, "_run_quantum", forbidden)
     monkeypatch.setattr(harness, "run_spellchecker", spy)
     report = harness.run_report_point("SP", 8, "high", "fine",
                                       scale=SCALE)
@@ -91,9 +84,9 @@ def test_report_point_keeps_the_batched_loop(monkeypatch):
         report["events"]["by_kind"]["dispatch"]
 
 
-def test_kernel_observers_agree_with_the_bus_on_the_step_loop():
-    """Armed next to a bus subscriber, the kernel hooks run on the step
-    loop and must still see what the bus sees (the trace CLI's setup)."""
+def test_kernel_observers_agree_with_the_bus_on_the_batched_loop():
+    """Armed next to a bus subscriber (the trace CLI's setup), the
+    kernel hooks see what the bus sees, on the same batched loop."""
     bus = BusObservers()
     tracker, timeline, tally = (BehaviorTracker(), OccupancyTimeline(),
                                 EventTally())
@@ -106,7 +99,7 @@ def test_kernel_observers_agree_with_the_bus_on_the_step_loop():
     result, __ = run_spellchecker(
         6, "NS", SpellConfig.named("high", "fine", scale=SCALE),
         instrument=instrument)
-    assert result.loop == "step"
+    assert result.loop == "pure-batched"
     assert tally.summary(result) == bus.events_section()
     assert tracker.quanta == bus.tracker.quanta
     assert timeline.samples == bus.timeline.samples

@@ -15,6 +15,14 @@ class TestTraceCli:
         assert "events by kind" in out
         assert "p50" in out and "p99" in out
 
+    def test_summary_names_the_loop(self, capsys):
+        """A traced run keeps the batched loop, and says so."""
+        assert main(["--app", "pingpong", "--rounds", "10",
+                     "--summary"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith("run: ")
+        assert header.endswith(", loop=pure-batched")
+
     def test_list_with_filters(self, capsys):
         assert main(["--app", "pingpong", "--rounds", "30", "--list",
                      "--kind", "switch,overflow", "--limit", "5"]) == 0

@@ -4,9 +4,9 @@ The compiled fast path (:mod:`repro._fast`) is optional: selection
 must honor kwarg > ``$REPRO_BACKEND`` > auto-detect, degrade to the
 pure loop with a single warning when the compiled backend is
 explicitly requested but unusable, and never warn when the fallback
-was not explicitly opposed.  The retired ``"generator"`` core must
-raise a pointer error from the public constructor while remaining
-reachable for bundle replay and the test-support trampoline.
+was not explicitly opposed.  The retired ``"generator"`` core lives on
+only as the test-support reference loop, and bundles recorded on it
+still replay.
 """
 
 import warnings
@@ -21,7 +21,6 @@ from repro.runtime.backend import (
     requested_backend,
     select_backend,
 )
-from repro.runtime.batch import resolve_core
 
 needs_compiled = pytest.mark.skipif(
     not compiled_available(), reason="repro._fast not built")
@@ -158,6 +157,19 @@ class TestFallback:
         assert kernel.tally.summary(result)["by_kind"]["retire"] == 1
 
     @needs_compiled
+    def test_traced_run_warns_once_and_takes_pure_batched(self):
+        with pytest.warns(RuntimeWarning, match="event bus") as caught:
+            kernel = Kernel(backend="compiled")
+            recorder = kernel.enable_tracing()
+            kernel.events.subscribe(lambda event: None)
+        assert len([w for w in caught
+                    if "event bus" in str(w.message)]) == 1
+        assert kernel.backend == "pure"
+        tick_workload(kernel)
+        assert kernel.run().loop == "pure-batched"
+        assert recorder.by_kind()["retire"] == 1
+
+    @needs_compiled
     def test_observed_run_silent_without_explicit_request(self):
         from repro.metrics.events import EventTally
 
@@ -169,26 +181,16 @@ class TestFallback:
 
 
 class TestGeneratorRetirement:
-    def test_public_constructor_rejects_generator(self):
-        with pytest.raises(ValueError, match="retired"):
-            Kernel(core="generator")
-
-    def test_resolve_core_pointer_error(self):
-        with pytest.raises(ValueError,
-                           match="tests/support/trampoline.py"):
-            resolve_core("generator")
-
-    def test_unknown_core_still_generic(self):
-        with pytest.raises(ValueError, match="unknown execution core"):
-            resolve_core("warp")
+    def test_kernel_takes_no_core_argument(self):
+        with pytest.raises(TypeError, match="core"):
+            Kernel(core="batched")
 
     def test_trampoline_support_module_forces_reference_loop(self):
         from tests.support.trampoline import make_kernel
 
         kernel = make_kernel(core="generator")
-        assert kernel.core == "generator"
         tick_workload(kernel)
-        kernel.run()
+        assert kernel.run().loop == "step"
         assert kernel.threads[0].result == "ok"
         assert kernel._steps > 0
 

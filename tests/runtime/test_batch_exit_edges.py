@@ -1,4 +1,5 @@
-"""Batch-exit edge cases: both cores must agree at the boundaries.
+"""Batch-exit edge cases: the production loop and the reference loop
+must agree at the boundaries.
 
 The run-until-event core leaves a batch only on block, yield,
 completion or a spent step budget — and each of those

@@ -1,5 +1,5 @@
-"""The hooks the batched loop carries fire exactly where the step loop's
-do: the step budget and the watchdog at the start of every step, the
+"""The hooks the batched loop carries fire exactly where the reference
+step loop's do: the step budget and the watchdog at the start of every step, the
 invariant audit after every dispatch, call and return.
 
 Each test sweeps a firing point over every step of a workload that
@@ -30,11 +30,7 @@ from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.bundle import build_crash_bundle, bundle_to_json
 from repro.windows.occupancy import FRAME
-from tests.support.trampoline import (
-    forbid_step_loop,
-    force_trampoline,
-    make_kernel,
-)
+from tests.support.trampoline import make_kernel
 
 
 def _leaf(n):
@@ -104,54 +100,48 @@ WORKLOADS = {"every-op": every_op, "storm": storm, "fork-join": fork_join}
 
 
 def run(build, loop, scheme="SNP", n_windows=4, max_steps=None,
-        watchdog=None, plan=None, audit=True, monkeypatch=None):
+        watchdog=None, plan=None, audit=True):
     faults = (FaultInjector(FaultPlan.parse(plan, seed=7))
               if plan else None)
-    kernel = make_kernel(n_windows=n_windows, scheme=scheme,
-                         faults=faults, audit=audit, watchdog=watchdog,
-                         crash_config={"core": "batched"})
-    if loop == "step":
-        force_trampoline(kernel)
+    kernel = make_kernel("generator" if loop == "step" else "batched",
+                         n_windows=n_windows, scheme=scheme,
+                         faults=faults, audit=audit, watchdog=watchdog)
     build(kernel)
     try:
-        if loop == "step":
-            result = kernel.run(max_steps=max_steps)
-        else:
-            with monkeypatch.context() as patch:
-                forbid_step_loop(patch)
-                result = kernel.run(max_steps=max_steps)
+        result = kernel.run(max_steps=max_steps)
     except ReproError as exc:
         return ("error", str(exc),
                 bundle_to_json(build_crash_bundle(exc, kernel)))
+    assert result.loop == ("step" if loop == "step" else "pure-batched")
     return ("ok", result.steps, result.counters.snapshot(),
             result.thread_results(),
             [(t.calls, t.returns, t.blocks) for t in result.threads])
 
 
-def assert_loops_agree(build, monkeypatch, **kwargs):
+def assert_loops_agree(build, **kwargs):
     reference = run(build, "step", **kwargs)
-    batched = run(build, "batched", monkeypatch=monkeypatch, **kwargs)
+    batched = run(build, "batched", **kwargs)
     assert batched == reference, kwargs
     return reference
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 @pytest.mark.parametrize("scheme", ["NS", "SNP", "SP"])
-def test_step_budget_fires_at_the_same_step(name, scheme, monkeypatch):
+def test_step_budget_fires_at_the_same_step(name, scheme):
     build = WORKLOADS[name]
     n_windows = 4 if scheme != "SP" else 5
-    full = assert_loops_agree(build, monkeypatch, scheme=scheme,
+    full = assert_loops_agree(build, scheme=scheme,
                               n_windows=n_windows)
     assert full[0] == "ok", full[1]
     for budget in range(1, full[1] + 2):
-        assert_loops_agree(build, monkeypatch, scheme=scheme,
+        assert_loops_agree(build, scheme=scheme,
                            n_windows=n_windows, max_steps=budget)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 @pytest.mark.parametrize("max_stall", [1, 2, 3, 5, 8, 13])
-def test_watchdog_fires_at_the_same_step(name, max_stall, monkeypatch):
-    assert_loops_agree(WORKLOADS[name], monkeypatch, watchdog=max_stall)
+def test_watchdog_fires_at_the_same_step(name, max_stall):
+    assert_loops_agree(WORKLOADS[name], watchdog=max_stall)
 
 
 @pytest.mark.parametrize("plan", ["sched@1", "sched@2,sched@5",
@@ -160,11 +150,10 @@ def test_watchdog_fires_at_the_same_step(name, max_stall, monkeypatch):
                                   "store_corrupt@3", "cwp@4"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 @pytest.mark.parametrize("scheme", ["NS", "SNP", "SP"])
-def test_faulted_runs_agree_under_every_hook(name, scheme, plan,
-                                             monkeypatch):
+def test_faulted_runs_agree_under_every_hook(name, scheme, plan):
     n_windows = 4 if scheme != "SP" else 5
     for max_stall in (None, 2, 7):
-        assert_loops_agree(WORKLOADS[name], monkeypatch, plan=plan,
+        assert_loops_agree(WORKLOADS[name], plan=plan,
                            scheme=scheme, n_windows=n_windows,
                            watchdog=max_stall)
 
@@ -186,8 +175,8 @@ def _corrupt_then_yield(kernel):
     kernel.spawn(bystander, name="bystander")
 
 
-def test_audit_catches_corruption_at_the_next_dispatch(monkeypatch):
-    outcome = assert_loops_agree(_corrupt_then_yield, monkeypatch,
+def test_audit_catches_corruption_at_the_next_dispatch():
+    outcome = assert_loops_agree(_corrupt_then_yield,
                                  scheme="SP", n_windows=6)
     assert outcome[0] == "error"
     assert "audit=True" in outcome[1]

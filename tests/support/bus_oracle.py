@@ -6,9 +6,10 @@ occupancy timeline subscribed to the event bus and the report's
 ``events`` section came from a :class:`TraceRecorder`.  This module
 keeps that wiring for tests: :meth:`BusObservers.attach` (usable as an
 ``instrument=`` hook) subscribes a recorder plus one adapter that feeds
-the tracker and timeline from the recorded event stream, which forces
-the step-granular loop, and :meth:`BusObservers.report` builds the
-RunReport from the recorder's own statistics methods.
+the tracker and timeline from the recorded event stream (the run keeps
+the batched loop, whose emit sites feed the bus), and
+:meth:`BusObservers.report` builds the RunReport from the recorder's
+own statistics methods.
 """
 
 from __future__ import annotations

@@ -1,72 +1,312 @@
-"""Test-only access to the step-granular reference loop.
+"""The step-granular reference loop the differential suites pin the
+production kernel to.
 
-The ``"generator"`` execution core is no longer a public ``core=``
-choice (see :func:`repro.runtime.batch.resolve_core`): the batched
-core is the runtime, and carries every hook (fault injection, the
-invariant audit, the watchdog, step budgets).  The step-granular
-trampoline (:meth:`repro.runtime.kernel.Kernel._run_quantum`) survives
-only as
+Production has one dispatch loop per backend:
+:meth:`repro.runtime.kernel.Kernel._run_batched` (and its compiled
+twin), which runs each quantum as a straight-line batch and carries
+every hook — fault injection, the invariant audit, the watchdog, step
+budgets, the quantum observers and event-bus tracing.
+:class:`ReferenceKernel` keeps the generator trampoline it replaced:
+one runtime op per step, each ``save``/``restore`` through
+``WindowCPU``, every check re-made at every step.  Simple enough to
+read as the specification, it is what the batched loop must match
+exactly: counters, per-thread statistics, step counts, crash contexts
+and trace-event streams.
 
-* the path of event-bus tracing, whose subscribers see every save and
-  restore, and
-* the differential harness's *reference loop* — what the batched and
-  compiled backends are pinned bit-identical against.
-
-This module is the one sanctioned way for tests to run a kernel on
-that reference loop.  It works by flipping the resolved ``core``
-attribute *after* construction, which makes
-``Kernel._run_to_completion`` treat every quantum as non-batchable and
-route it through ``_run_quantum``.  :func:`trampoline_everywhere`
-does that for every kernel a whole job builds (a fuzz campaign, a
-minimization), and :func:`forbid_step_loop` proves the other side of
-a comparison never touched the step loop.
+* :class:`ReferenceKernel` — a ``Kernel`` whose runs take the
+  reference loop (``RunResult.loop == "step"``);
+* :func:`force_trampoline` — pin an already-built kernel to it (an
+  ``instrument=`` hook for pipelines that build their own kernel);
+* :func:`make_kernel` — ``Kernel(...)`` or ``ReferenceKernel(...)`` by
+  the test-parameter name ``"batched"``/``"generator"``;
+* :func:`trampoline_everywhere` — every kernel a whole job builds (a
+  fuzz campaign, a minimization) runs the reference loop.
 """
 
 from __future__ import annotations
 
-from repro.runtime.batch import RETIRED_GENERATOR_CORE
-from repro.runtime.kernel import Kernel
+from typing import Any, Optional
 
-#: the name tests use to parameterize over {reference, batched}
-REFERENCE_CORE = RETIRED_GENERATOR_CORE
+from repro.runtime.batch import (
+    EXIT_BLOCKED,
+    EXIT_BUDGET,
+    EXIT_DONE,
+    EXIT_YIELDED,
+)
+from repro.runtime.errors import RuntimeFault
+from repro.runtime.kernel import Kernel, RunResult
+from repro.runtime.ops import (
+    Call,
+    CloseStream,
+    FlushHint,
+    Join,
+    Read,
+    ReadLine,
+    Spawn,
+    Tick,
+    Write,
+    YieldCPU,
+)
+from repro.runtime.streams import Stream
+from repro.runtime.thread import DONE, SimThread
+from repro.windows.errors import WindowIntegrityError
+
+#: the test-parameter name of the reference loop (the execution core
+#: it once was)
+REFERENCE_CORE = "generator"
+
+
+class ReferenceKernel(Kernel):
+    """A kernel that runs every quantum on the step-granular loop."""
+
+    def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
+        self._max_steps = max_steps
+        while self._next_quantum():
+            self._run_quantum(max_steps)
+            if max_steps is not None and self._steps >= max_steps:
+                raise RuntimeFault("step budget of %d exceeded" % max_steps)
+        return self._finish("step")
+
+    def _run_quantum(self, max_steps: Optional[int]) -> int:
+        """Step-granular quantum loop: one runtime op per step, with
+        ``WindowCPU.save``/``restore`` doing the window work.  Runs the
+        current thread until it blocks, yields or finishes."""
+        thread = self.current
+        assert thread is not None
+        tw = thread.windows
+        cpu = self.cpu
+        counters = cpu.counters
+        verify = self.verify_registers
+        watchdog = self._watchdog
+        prof = self._profiler
+        gen_stack = thread.gen_stack
+        low = high = tw.depth  # the quantum's depth excursion
+        try:
+            while True:
+                self._steps += 1
+                if max_steps is not None and self._steps >= max_steps:
+                    return EXIT_BUDGET
+                if watchdog is not None and watchdog.expired(self._progress,
+                                                             self._steps):
+                    raise self._livelock_error(watchdog, self._progress,
+                                               self._steps)
+                if thread.pending is not None:
+                    if not self._continue_pending(thread):
+                        self._block(thread)
+                        return EXIT_BLOCKED
+                    self._progress += 1
+                gen = gen_stack[-1]
+                try:
+                    cmd = gen.send(thread.resume_value)
+                except StopIteration as stop:
+                    if self._handle_return(thread, getattr(stop, "value", None)):
+                        return EXIT_DONE  # thread finished
+                    if tw.depth < low:
+                        low = tw.depth
+                    continue
+                thread.resume_value = None
+                t = type(cmd)
+                if t is Tick:
+                    counters.compute_cycles += cmd.cycles
+                    self._progress += 1
+                elif t is Call:
+                    self._do_call(thread, cmd)
+                    if tw.depth > high:
+                        high = tw.depth
+                elif t is Read:
+                    thread.pending = ("read", cmd.stream, cmd.max_bytes)
+                elif t is Write:
+                    thread.pending = ("write", cmd.stream, cmd.data, 0)
+                elif t is ReadLine:
+                    thread.pending = ("readline", cmd.stream)
+                elif t is CloseStream:
+                    self._do_close(cmd.stream)
+                elif t is YieldCPU:
+                    if self.ready:
+                        if self._tracing:
+                            self.events.emit("yield", tid=thread.tid)
+                        self.ready.push_yielded(thread)
+                        self.last_suspended = thread
+                        self.current = None
+                        return EXIT_YIELDED
+                    # Nobody else to run: keep going, no switch, no cost.
+                elif t is FlushHint:
+                    thread.flush_on_switch = cmd.flush
+                elif t is Spawn:
+                    thread.resume_value = self._spawn(
+                        cmd.factory, cmd.args, cmd.name)
+                    self._progress += 1
+                elif t is Join:
+                    if cmd.thread is thread:
+                        raise RuntimeFault(
+                            "%s tried to join itself" % thread.name)
+                    thread.pending = ("join", cmd.thread)
+                else:
+                    raise RuntimeFault(
+                        "thread %s yielded %r; expected a runtime op"
+                        % (thread.name, cmd))
+        finally:
+            if self._observed:
+                self._quantum_stopped(thread, low, high)
+            # The profiler samples on quantum boundaries only — the
+            # per-step path carries zero profiler code, and a quantum
+            # (one thread's uninterrupted run) is the natural unit of
+            # cycle attribution.  Stacks are captured where threads
+            # block or yield; per-op attribution is derived exactly
+            # from the run counters at finalize time.
+            if prof is not None:
+                prof._cd -= 1
+                if prof._cd <= 0:
+                    prof._check(thread, None, counters)
+
+    def _do_call(self, thread: SimThread, cmd: Call) -> None:
+        thread.calls += 1
+        self._progress += 1
+        cpu = self.cpu
+        tw = thread.windows
+        args = cmd.args
+        if self.verify_registers:
+            for i, a in enumerate(args[:8]):
+                cpu.write_out(i, a)
+        cpu.save(tw)
+        if self.verify_registers:
+            for i, a in enumerate(args[:8]):
+                got = cpu.read_in(i)
+                if got is not a and got != a:
+                    raise WindowIntegrityError(
+                        "argument %d of %s corrupted across save: %r != %r"
+                        % (i, thread.name, got, a),
+                        thread=thread.name, argument=i, depth=tw.depth)
+            cpu.write_local(0, ("sig", thread.tid, tw.depth))
+        if self.audit:
+            self._audit()
+        thread.gen_stack.append(cmd.factory(*args))
+        thread.resume_value = None
+
+    def _handle_return(self, thread: SimThread, value: Any) -> bool:
+        """Pop a finished procedure; True when the thread is done."""
+        thread.gen_stack.pop()
+        self._progress += 1
+        tw = thread.windows
+        cpu = self.cpu
+        if not thread.gen_stack:
+            if self.verify_registers and tw.depth != 1:
+                raise WindowIntegrityError(
+                    "thread %s finished at call depth %d"
+                    % (thread.name, tw.depth))
+            thread.result = value
+            thread.state = DONE
+            self.scheme.retire(tw)
+            self.current = None
+            events_on = self._tracing
+            if events_on:
+                self.events.emit("retire", tid=thread.tid,
+                                 name=thread.name)
+            for waiter in thread.join_waiters:
+                waiter.blocked_on = None
+                if events_on:
+                    self.events.emit("wake", tid=waiter.tid,
+                                     on=thread.name, op="join")
+                self.ready.push_woken(waiter)
+            del thread.join_waiters[:]
+            return True
+        thread.returns += 1
+        if self.verify_registers:
+            sig = cpu.read_local(0)
+            if sig != ("sig", thread.tid, tw.depth):
+                raise WindowIntegrityError(
+                    "thread %s frame signature corrupted: %r at depth %d"
+                    % (thread.name, sig, tw.depth),
+                    thread=thread.name, depth=tw.depth)
+        wf = cpu.wf
+        wf._regs[wf._in_base[wf.cwp]] = value
+        cpu.restore(tw)
+        got = wf._regs[wf._out_base[wf.cwp]]
+        if self.verify_registers and got is not value and got != value:
+            raise WindowIntegrityError(
+                "return value of %s corrupted across restore: %r != %r"
+                % (thread.name, got, value),
+                thread=thread.name, depth=tw.depth)
+        thread.resume_value = got
+        if self.audit:
+            self._audit()
+        return False
+
+    def _continue_pending(self, thread: SimThread) -> bool:
+        """Try to complete the in-flight op; False means block."""
+        pending = thread.pending
+        kind = pending[0]
+        stream: Stream = pending[1]
+        if kind == "write":
+            data, offset = pending[2], pending[3]
+            pushed = stream.push(data[offset:])
+            if pushed:
+                offset += pushed
+                if stream.read_waiters:
+                    self._wake_readers(stream)
+            if offset >= len(data):
+                thread.pending = None
+                thread.resume_value = None
+                return True
+            thread.pending = ("write", stream, data, offset)
+            return False
+        if kind == "read":
+            if stream.is_empty and not stream.closed:
+                return False
+            data = stream.pull(pending[2])
+            if data and stream.write_waiters:
+                self._wake_writers(stream)
+            thread.pending = None
+            thread.resume_value = data
+            return True
+        if kind == "readline":
+            if stream.has_line() or stream.at_eof:
+                line = stream.pull_line()
+                if line is None:
+                    line = b""
+                if line and stream.write_waiters:
+                    self._wake_writers(stream)
+                thread.pending = None
+                thread.resume_value = line
+                return True
+            if stream.is_full:
+                raise RuntimeFault(
+                    "readline on %r: line longer than the stream capacity"
+                    % stream.name)
+            return False
+        if kind == "join":
+            target: SimThread = pending[1]
+            if target.state != DONE:
+                return False
+            thread.pending = None
+            thread.resume_value = target.result
+            return True
+        raise RuntimeFault("unknown pending op %r" % kind)
+
+
+#: the loop's methods, for :func:`trampoline_everywhere`
+_REFERENCE_METHODS = ("_run_to_completion", "_run_quantum", "_do_call",
+                      "_handle_return", "_continue_pending")
 
 
 def force_trampoline(kernel: Kernel) -> Kernel:
     """Pin an already-built kernel to the step-granular reference loop."""
-    kernel.core = REFERENCE_CORE
+    kernel.__class__ = ReferenceKernel
     return kernel
 
 
-def make_kernel(core=None, **kwargs) -> Kernel:
-    """``Kernel(...)`` that still accepts ``core="generator"``.
-
-    Drop-in for test fixtures that parameterize over execution cores:
-    the retired name builds a batched kernel and forces the reference
-    trampoline; anything else is passed through to ``Kernel`` (and
-    validated there).
-    """
+def make_kernel(core: str = "batched", **kwargs) -> Kernel:
+    """A production kernel, or a reference one for ``"generator"``."""
     if core == REFERENCE_CORE:
-        return force_trampoline(Kernel(core="batched", **kwargs))
-    return Kernel(core=core, **kwargs)
+        return ReferenceKernel(**kwargs)
+    assert core == "batched", core
+    return Kernel(**kwargs)
 
 
 def trampoline_everywhere(monkeypatch) -> None:
-    """Pin every kernel built from now on (for the rest of the test) to
-    the reference loop."""
-    init = Kernel.__init__
-
-    def forced_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        force_trampoline(self)
-
-    monkeypatch.setattr(Kernel, "__init__", forced_init)
-
-
-def forbid_step_loop(monkeypatch) -> None:
-    """Fail any run that enters the step-granular loop (for the rest
-    of the test): proof that a crashing run, which returns no
-    ``RunResult.loop``, stayed batched."""
-    def forbidden(self, max_steps):
-        raise AssertionError("the run entered the step-granular loop")
-
-    monkeypatch.setattr(Kernel, "_run_quantum", forbidden)
+    """Run every kernel (for the rest of the test) on the reference
+    loop, including the ones a fuzz campaign or a minimization builds
+    out of reach of the test."""
+    for name in _REFERENCE_METHODS:
+        monkeypatch.setattr(Kernel, name, ReferenceKernel.__dict__[name],
+                            raising=False)
