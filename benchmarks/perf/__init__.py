@@ -1,9 +1,10 @@
 """Tracked performance suite: simulator steps/sec + sweep wall-clock.
 
 Run ``python -m benchmarks.perf`` (repo root on the path, ``src`` on
-``PYTHONPATH``) to measure, ``--update`` to rewrite the committed
-baseline ``BENCH_5.json``, ``--check`` to fail when the current tree
-regresses more than the tolerance against that baseline.
+``PYTHONPATH``) to measure, ``--update`` to append the next committed
+baseline ``BENCH_<n+1>.json``, ``--check`` to fail when the current
+tree regresses more than the tolerance against the newest baseline
+measured on the pure-Python loop (``BASELINE_PATH``).
 """
 
 from benchmarks.perf.bench import (  # noqa: F401

@@ -13,24 +13,19 @@ evaluation program):
   {high, low} concurrency x {coarse, medium, fine} granularity) through
   the serial harness, i.e. what one engine worker pays per grid.
 
-Both measurements run on one *execution backend* — the pure-Python
-loop or the optional compiled fast path (:mod:`repro._fast`) —
-selected with ``--backend`` / ``$REPRO_BACKEND`` / auto-detection and
-recorded in the document's ``settings`` (together with the Python
-version and compiler, so numbers are only ever read like-with-like).
+The document's ``settings`` record the Python version and compiler,
+so numbers are only ever read like-with-like.
 
 Baselines are committed at the repo root as ``BENCH_<n>.json`` and
 form the perf history: each PR that re-baselines appends the next id
 instead of overwriting.  ``--check`` compares against the latest
-baseline *measured on the same backend* (pre-backend documents count
-as pure) and fails (exit 1) when the current tree's headline steps/sec
-or sweep throughput regresses more than ``--tolerance`` (default 20%,
-override with ``REPRO_BENCH_TOLERANCE``); ``--update`` writes the next
-``BENCH_<n+1>.json``, preserving the recorded pre-optimization
-reference numbers under ``baseline_pre_pr``.  ``--ab-backends`` runs
-the micro suite on both backends back-to-back and reports the
-speedup; its result rides along in the updated baseline under
-``backends_ab``.
+baseline measured on the pure-Python loop (``BENCH_8.json`` was
+measured on a C extension that no longer exists and stays only as
+history) and fails (exit 1) when the current tree's headline
+steps/sec or sweep throughput regresses more than ``--tolerance``
+(default 20%, override with ``REPRO_BENCH_TOLERANCE``); ``--update``
+writes the next ``BENCH_<n+1>.json``, preserving the recorded
+pre-optimization reference numbers under ``baseline_pre_pr``.
 
 Two additional modes:
 
@@ -58,7 +53,6 @@ from typing import Dict, List, Optional
 from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.experiments.harness import run_point
 from repro.ioutil import atomic_write_text
-from repro.runtime import backend as backend_mod
 
 SCHEMA_NAME = "repro.bench"
 SCHEMA_VERSION = 1
@@ -88,8 +82,32 @@ def next_bench_id(root: Optional[Path] = None) -> str:
     return "BENCH_%d" % ((history[-1][0] + 1) if history else 1)
 
 
+def load_baseline(path: Optional[Path] = None) -> Dict[str, object]:
+    path = Path(path) if path is not None else BASELINE_PATH
+    doc = json.loads(path.read_text())
+    if doc.get("schema") != SCHEMA_NAME:
+        raise ValueError("not a %s document: %r"
+                         % (SCHEMA_NAME, doc.get("schema")))
+    return doc
+
+
+def measured_compiled(doc: Dict[str, object]) -> bool:
+    """True for a history document measured on the deleted compiled C
+    extension (``BENCH_8.json``): ``--history`` lists it, but it is
+    never a ``--check`` baseline and never a delta's reference."""
+    return doc.get("settings", {}).get("backend") == "compiled"
+
+
+def latest_pure_baseline(root: Optional[Path] = None) -> Optional[Path]:
+    """Newest committed baseline measured on the pure-Python loop."""
+    for __, path in reversed(bench_history_paths(root)):
+        if not measured_compiled(load_baseline(path)):
+            return path
+    return None
+
+
 #: the committed baseline this suite checks against (repo root)
-BASELINE_PATH = latest_bench_path() \
+BASELINE_PATH = latest_pure_baseline() \
     or REPO_ROOT / (next_bench_id() + ".json")
 
 SCHEMES = ("NS", "SNP", "SP")
@@ -128,8 +146,7 @@ def _env_int(name: str, default: int) -> int:
 
 
 def bench_micro_point(scheme: str, n_windows: int, scale: float,
-                      repeats: int,
-                      backend: Optional[str] = None) -> Dict[str, object]:
+                      repeats: int) -> Dict[str, object]:
     """Best-of-``repeats`` steps/sec for one (scheme, windows) point."""
     config = SpellConfig.named(MICRO_CONCURRENCY, MICRO_GRANULARITY,
                                scale=scale)
@@ -137,8 +154,7 @@ def bench_micro_point(scheme: str, n_windows: int, scale: float,
     steps = 0
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        result, _out = run_spellchecker(n_windows, scheme, config,
-                                        backend=backend)
+        result, _out = run_spellchecker(n_windows, scheme, config)
         elapsed = time.perf_counter() - start
         steps = result.steps
         if best is None or elapsed < best:
@@ -171,9 +187,8 @@ def bench_sweep(scale: float) -> Dict[str, object]:
 def run_suite(micro_scale: Optional[float] = None,
               sweep_scale: Optional[float] = None,
               repeats: Optional[int] = None,
-              backend: Optional[str] = None,
               quiet: bool = False) -> Dict[str, object]:
-    """Run the full suite on one backend; returns the bench document."""
+    """Run the full suite; returns the bench document."""
     micro_scale = (micro_scale if micro_scale is not None
                    else _env_float("REPRO_BENCH_SCALE", DEFAULT_MICRO_SCALE))
     sweep_scale = (sweep_scale if sweep_scale is not None
@@ -181,13 +196,12 @@ def run_suite(micro_scale: Optional[float] = None,
                                    DEFAULT_SWEEP_SCALE))
     repeats = (repeats if repeats is not None
                else _env_int("REPRO_BENCH_REPEATS", DEFAULT_REPEATS))
-    backend = backend_mod.select_backend(backend)
 
     micro: List[Dict[str, object]] = []
     for scheme in SCHEMES:
         for n_windows in MICRO_WINDOWS:
             point = bench_micro_point(scheme, n_windows, micro_scale,
-                                      repeats, backend=backend)
+                                      repeats)
             micro.append(point)
             if not quiet:
                 print("micro %-3s w=%-2d  %8d steps  %7.3fs  %10.0f steps/s"
@@ -198,23 +212,12 @@ def run_suite(micro_scale: Optional[float] = None,
     total_wall = sum(p["wall_s"] for p in micro)
     headline = round(total_steps / total_wall, 1)
 
-    # the sweep goes through the experiment harness, which builds its
-    # kernels internally — pin its backend through the environment
-    saved = os.environ.get(backend_mod.ENV_BACKEND)
-    os.environ[backend_mod.ENV_BACKEND] = backend
-    try:
-        sweep = bench_sweep(sweep_scale)
-    finally:
-        if saved is None:
-            os.environ.pop(backend_mod.ENV_BACKEND, None)
-        else:
-            os.environ[backend_mod.ENV_BACKEND] = saved
+    sweep = bench_sweep(sweep_scale)
     if not quiet:
         print("sweep %d points in %.3fs (%.2f points/s)"
               % (sweep["points"], sweep["wall_s"],
                  sweep["points_per_sec"]))
-        print("headline spellcheck steps/sec (%s backend): %.0f"
-              % (backend, headline))
+        print("headline spellcheck steps/sec: %.0f" % headline)
 
     return {
         "schema": SCHEMA_NAME,
@@ -226,7 +229,6 @@ def run_suite(micro_scale: Optional[float] = None,
             "repeats": repeats,
             "concurrency": MICRO_CONCURRENCY,
             "granularity": MICRO_GRANULARITY,
-            "backend": backend,
             "python": platform.python_version(),
             "compiler": platform.python_compiler(),
         },
@@ -234,39 +236,6 @@ def run_suite(micro_scale: Optional[float] = None,
         "spellcheck_steps_per_sec": headline,
         "sweep": sweep,
     }
-
-
-def load_baseline(path: Optional[Path] = None) -> Dict[str, object]:
-    path = Path(path) if path is not None else BASELINE_PATH
-    doc = json.loads(path.read_text())
-    if doc.get("schema") != SCHEMA_NAME:
-        raise ValueError("not a %s document: %r"
-                         % (SCHEMA_NAME, doc.get("schema")))
-    return doc
-
-
-def doc_backend(doc: Dict[str, object]) -> str:
-    """The backend a bench document was measured on.
-
-    Documents from before the compiled backend existed carry no record
-    — they were necessarily measured on the pure loop.
-    """
-    return str(doc.get("settings", {}).get("backend") or "pure")
-
-
-def latest_matching_baseline(backend: str, root: Optional[Path] = None):
-    """Newest committed baseline measured on ``backend`` (or None).
-
-    The like-with-like rule for ``--check``: a compiled run is never
-    gated against pure numbers (a broken build would look like a 2x
-    win) and a pure run is never gated against compiled numbers (every
-    pure run would look like a regression).
-    """
-    for __, path in reversed(bench_history_paths(root)):
-        doc = load_baseline(path)
-        if doc_backend(doc) == backend:
-            return path, doc
-    return None, None
 
 
 def check_against_baseline(current: Dict[str, object],
@@ -482,86 +451,42 @@ def bench_ab_metrics(scale: Optional[float] = None,
     return doc
 
 
-def bench_ab_backends(micro_scale: Optional[float] = None,
-                      repeats: Optional[int] = None,
-                      quiet: bool = False) -> Dict[str, object]:
-    """Pure-vs-compiled A/B of the micro suite (same workloads, same
-    scale, interleaved by point so ambient load hits both sides)."""
-    micro_scale = (micro_scale if micro_scale is not None
-                   else _env_float("REPRO_BENCH_SCALE", DEFAULT_MICRO_SCALE))
-    repeats = (repeats if repeats is not None
-               else _env_int("REPRO_BENCH_REPEATS", DEFAULT_REPEATS))
-    if not backend_mod.compiled_available():
-        raise SystemExit("--ab-backends needs the compiled extension; "
-                         "build it with: python setup.py build_ext "
-                         "--inplace")
-    sides: Dict[str, List[Dict[str, object]]] = {"pure": [],
-                                                 "compiled": []}
-    for scheme in SCHEMES:
-        for n_windows in MICRO_WINDOWS:
-            for backend in ("pure", "compiled"):
-                point = bench_micro_point(scheme, n_windows, micro_scale,
-                                          repeats, backend=backend)
-                sides[backend].append(point)
-    doc: Dict[str, object] = {"micro_scale": micro_scale,
-                              "repeats": repeats}
-    for backend, points in sides.items():
-        steps = sum(p["steps"] for p in points)
-        wall = sum(p["wall_s"] for p in points)
-        doc[backend] = {
-            "micro": points,
-            "spellcheck_steps_per_sec": round(steps / wall, 1),
-        }
-    speedup = (doc["compiled"]["spellcheck_steps_per_sec"]
-               / doc["pure"]["spellcheck_steps_per_sec"])
-    doc["speedup"] = round(speedup, 3)
-    if not quiet:
-        for backend in ("pure", "compiled"):
-            for point in doc[backend]["micro"]:
-                print("ab %-8s %-3s w=%-2d  %10.0f steps/s"
-                      % (backend, point["scheme"], point["n_windows"],
-                         point["steps_per_sec"]))
-        print("ab backends: pure %.0f vs compiled %.0f steps/s "
-              "(x%.2f)"
-              % (doc["pure"]["spellcheck_steps_per_sec"],
-                 doc["compiled"]["spellcheck_steps_per_sec"], speedup))
-    return doc
-
-
 def render_history(docs: List[Dict[str, object]],
                    tolerance: float = DEFAULT_TOLERANCE) -> str:
     """Trend table over successive benchmark documents.
 
-    Deltas compare each baseline to its predecessor *on the same
-    backend* (numbers are only comparable like-with-like); a drop
-    beyond ``tolerance`` on the headline is flagged REGRESSED.
+    Deltas compare each pure-loop baseline to its pure predecessor; a
+    drop beyond ``tolerance`` on the headline is flagged REGRESSED.
+    Documents measured on the deleted compiled extension are listed,
+    labelled as such, with no delta.
     """
     from repro.metrics.reporting import format_table
 
     rows = []
-    prev_by_backend: Dict[str, float] = {}
+    prev: Optional[float] = None
     for doc in docs:
-        backend = doc_backend(doc)
+        compiled = measured_compiled(doc)
         headline = float(doc["spellcheck_steps_per_sec"])
         micro8 = {p["scheme"]: p["steps_per_sec"]
                   for p in doc.get("micro", []) if p["n_windows"] == 8}
         sweep = float(doc.get("sweep", {}).get("points_per_sec", 0))
-        prev = prev_by_backend.get(backend)
-        if prev is None or prev <= 0:
+        if compiled or prev is None or prev <= 0:
             delta, flag = "", ""
         else:
             change = headline / prev - 1.0
             delta = "%+.1f%%" % (100.0 * change)
             flag = "REGRESSED" if change < -tolerance else ""
-        rows.append([doc.get("bench_id", "?"), backend,
+        rows.append([doc.get("bench_id", "?"),
+                     "compiled (history)" if compiled else "pure",
                      "%.0f" % headline, delta,
                      "%.0f" % micro8.get("NS", 0),
                      "%.0f" % micro8.get("SNP", 0),
                      "%.0f" % micro8.get("SP", 0),
                      "%.2f" % sweep, flag])
-        prev_by_backend[backend] = headline
+        if not compiled:
+            prev = headline
     return format_table(
-        ["bench", "backend", "steps/s", "delta", "NS w=8", "SNP w=8",
+        ["bench", "loop", "steps/s", "delta", "NS w=8", "SNP w=8",
          "SP w=8", "sweep pts/s", ""],
         rows, title="perf history (headline spellcheck steps/sec)")
 
@@ -578,7 +503,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail if the tree regresses vs the baseline")
     parser.add_argument("--baseline", default=None,
                         help="baseline path (default: the latest repo "
-                             "BENCH_<n>.json)")
+                             "BENCH_<n>.json measured on the pure loop)")
     parser.add_argument("--out", default=None,
                         help="also write the measured document here")
     parser.add_argument("--tolerance", type=float,
@@ -596,17 +521,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                            DEFAULT_AB_TOLERANCE),
                         help="max fractional telemetry overhead for "
                              "--ab-metrics (default 0.03)")
-    parser.add_argument("--backend", choices=("compiled", "pure"),
-                        default=None,
-                        help="execution backend to measure (default: "
-                             "$REPRO_BACKEND or auto-detect); recorded "
-                             "in the document, and --check gates only "
-                             "against a baseline measured on the same "
-                             "backend")
-    parser.add_argument("--ab-backends", action="store_true",
-                        help="run the micro suite on both backends "
-                             "back-to-back and report the speedup "
-                             "(needs the compiled extension built)")
     parser.add_argument("--micro-scale", type=float, default=None)
     parser.add_argument("--sweep-scale", type=float, default=None)
     parser.add_argument("--repeats", type=int, default=None)
@@ -640,29 +554,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    100.0 * args.ab_tolerance))
         return 0
 
-    if args.ab_backends:
-        ab = bench_ab_backends(micro_scale=args.micro_scale,
-                               repeats=args.repeats)
-        if args.out:
-            atomic_write_text(Path(args.out),
-                              json.dumps(ab, indent=2, sort_keys=True)
-                              + "\n")
-            print("wrote %s" % args.out)
-        return 0
-
     current = run_suite(micro_scale=args.micro_scale,
                         sweep_scale=args.sweep_scale,
-                        repeats=args.repeats,
-                        backend=args.backend)
-    backend = str(current["settings"]["backend"])
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-    elif args.check:
-        # like-with-like: gate against the newest baseline measured on
-        # the same backend, never across backends
-        baseline_path, _doc = latest_matching_baseline(backend)
-    else:
-        baseline_path = BASELINE_PATH
+                        repeats=args.repeats)
+    baseline_path = Path(args.baseline) if args.baseline else BASELINE_PATH
 
     if args.out:
         atomic_write_text(Path(args.out),
@@ -695,29 +590,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.check:
-        if baseline_path is None or not baseline_path.exists():
-            print("no committed %s-backend baseline; run with --update "
-                  "first" % backend, file=sys.stderr)
-            return 2
-        baseline = load_baseline(baseline_path)
-        base_backend = doc_backend(baseline)
-        if base_backend != backend:
-            print("baseline %s was measured on the %s backend, current "
-                  "run on %s; refusing a cross-backend gate"
-                  % (baseline_path.name, base_backend, backend),
+        if not baseline_path.exists():
+            print("no committed baseline; run with --update first",
                   file=sys.stderr)
             return 2
+        baseline = load_baseline(baseline_path)
         failures = check_against_baseline(current, baseline,
                                           args.tolerance)
         if failures:
             for line in failures:
                 print("FAIL: %s" % line, file=sys.stderr)
             return 1
-        print("bench check OK: headline %.0f steps/s vs baseline %.0f "
-              "(%s backend, tolerance %.0f%%)"
-              % (current["spellcheck_steps_per_sec"],
+        print("bench check OK: headline %.0f steps/s vs %s %.0f "
+              "(tolerance %.0f%%)"
+              % (current["spellcheck_steps_per_sec"], baseline_path.name,
                  baseline["spellcheck_steps_per_sec"],
-                 backend, 100.0 * args.tolerance))
+                 100.0 * args.tolerance))
     return 0
 
 

@@ -31,8 +31,7 @@ from repro.runtime.kernel import Kernel
 def check_document(document: bytes, dict1: bytes, dict2: bytes,
                    m: int, n: int, scheme: str, n_windows: int,
                    instrument=None, faults=None, audit: bool = False,
-                   watchdog=None, crash_dir=None, crash_config=None,
-                   backend=None):
+                   watchdog=None, crash_dir=None, crash_config=None):
     """Run the pipeline over arbitrary document bytes.
 
     ``instrument`` (optional) receives the kernel before spawning, so
@@ -50,8 +49,7 @@ def check_document(document: bytes, dict1: bytes, dict2: bytes,
     kernel = Kernel(n_windows=n_windows, scheme=scheme,
                     verify_registers=faults is not None,
                     faults=faults, audit=audit, watchdog=watchdog,
-                    crash_dir=crash_dir, crash_config=crash_config,
-                    backend=backend)
+                    crash_dir=crash_dir, crash_config=crash_config)
     if instrument is not None:
         instrument(kernel)
     s1 = kernel.stream(m, "S1")
@@ -117,12 +115,6 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write the repro.metrics-snapshot JSON here "
                              "(implies --metrics)")
-    parser.add_argument("--backend", choices=("compiled", "pure"),
-                        default=None,
-                        help="execution backend (default: $REPRO_BACKEND "
-                             "or auto-detect: the compiled repro._fast "
-                             "fast path when built, else the pure-Python "
-                             "loop)")
     args = parser.parse_args(argv)
 
     if args.file:
@@ -190,8 +182,7 @@ def main(argv=None) -> int:
             document, dict1, dict2, args.m, args.n, args.scheme,
             args.windows, instrument=instrument, faults=injector,
             audit=args.audit, watchdog=args.watchdog,
-            crash_dir=args.crash_dir, crash_config=crash_config,
-            backend=args.backend)
+            crash_dir=args.crash_dir, crash_config=crash_config)
     except Exception as exc:
         from repro.errors import ReproError
 

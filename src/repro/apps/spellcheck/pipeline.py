@@ -101,7 +101,6 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
                      watchdog: Optional[int] = None, crash_dir=None,
                      crash_config=None,
                      analyze: bool = False,
-                     backend: Optional[str] = None,
                      ) -> Tuple[RunResult, bytes]:
     """Build and run the pipeline; returns (result, misspelling report).
 
@@ -117,10 +116,6 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
     knobs, forwarded to the kernel (see :mod:`repro.faults`).  When
     ``crash_dir`` is set and no explicit ``crash_config`` is given, a
     replayable workload description is embedded in any crash bundle.
-
-    ``backend`` selects the execution backend
-    ("compiled"/"pure"; see :mod:`repro.runtime.backend`) — None picks
-    up ``$REPRO_BACKEND`` or auto-detects.
 
     ``analyze`` runs the static stream-topology check
     (:mod:`repro.analysis.topology`) before the first step; a
@@ -139,7 +134,7 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
                     verify_registers=verify_registers,
                     faults=faults, audit=audit, watchdog=watchdog,
                     crash_dir=crash_dir, crash_config=crash_config,
-                    analyze=analyze, backend=backend)
+                    analyze=analyze)
     if instrument is not None:
         instrument(kernel)
     build_spellchecker(kernel, config)

@@ -71,8 +71,7 @@ class Machine:
     def __init__(self, program: Program, n_windows: int = 8,
                  scheme: str = "SP", counters: Optional[Counters] = None,
                  analyze: bool = False,
-                 thread_entries=("start",),
-                 backend: Optional[str] = None):
+                 thread_entries=("start",)):
         if analyze:
             # opt-in pre-run gate: structural verification (control
             # flow, depth balance, stale reads) before any execution;
@@ -95,10 +94,6 @@ class Machine:
         #: fetch loop's guard a single hoisted-local check
         self._profiler = None
         self.telemetry = None
-        from repro.runtime import backend as backend_mod
-        self.backend = backend_mod.select_backend(backend)
-        self._fast = (backend_mod.load_fast()
-                      if self.backend == "compiled" else None)
 
     def _build_dispatch(self) -> Dict[str, Callable]:
         """Precompute the opcode -> bound-handler table."""
@@ -202,13 +197,6 @@ class Machine:
         """
         thread = self.current
         assert thread is not None
-        if (self._fast is not None and self._profiler is None
-                and budget < (1 << 62)):
-            # Compiled twin of the loop below (bit-identical; pinned by
-            # tests/isa against this reference).  The per-op profiler
-            # hook needs the step-granular path, so a bound profiler
-            # keeps the run here.
-            return self._fast.machine_run(self, budget)
         instrs = self.program.instructions
         n_instrs = len(instrs)
         dispatch_get = self._dispatch.get

@@ -16,10 +16,9 @@ The bus is **disabled by default**: publishers guard every emit with a
 single ``if bus.active`` check (or a mirrored flag), so an
 uninstrumented run pays one no-op branch per event site and allocates
 nothing.  A traced run keeps the kernel's batched loop, whose emit
-sites read the flag once per quantum (the compiled twin has none, so
-tracing takes the pure loop).  The RunReport observers still do not
-subscribe, because per-event fan-out is far dearer than a quantum
-hook: :class:`EventTally` (here) and the paper-§5 analyses
+sites read the flag once per quantum.  The RunReport observers still
+do not subscribe, because per-event fan-out is far dearer than a
+quantum hook: :class:`EventTally` (here) and the paper-§5 analyses
 (:class:`repro.metrics.behavior.BehaviorTracker`,
 :class:`repro.metrics.tracing.OccupancyTimeline`) are fed once per
 scheduling quantum by the kernel itself.

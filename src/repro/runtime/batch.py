@@ -39,10 +39,3 @@ EXIT_YIELDED = 2
 EXIT_DONE = 3
 #: the caller-imposed step/instruction budget expired mid-batch
 EXIT_BUDGET = 4
-
-EXIT_NAMES = {
-    EXIT_BLOCKED: "blocked",
-    EXIT_YIELDED: "yielded",
-    EXIT_DONE: "done",
-    EXIT_BUDGET: "budget",
-}

@@ -65,8 +65,8 @@ class RunResult:
     threads: List[SimThread]
     steps: int
     slackness_samples: List[int] = field(default_factory=list)
-    #: the dispatch loop that executed: ``"compiled-batched"`` when
-    #: the compiled twin ran every quantum, else ``"pure-batched"``
+    #: the dispatch loop that executed (``"pure-batched"``; the test
+    #: suite's reference loop reports ``"step"``)
     loop: Optional[str] = None
 
     @property
@@ -95,25 +95,7 @@ class Kernel:
                  watchdog: Optional[int] = None,
                  crash_dir=None,
                  crash_config: Optional[dict] = None,
-                 analyze: bool = False,
-                 backend: Optional[str] = None):
-        from repro.runtime import backend as backend_mod
-
-        #: effective execution backend ("compiled"/"pure"); precedence
-        #: backend= kwarg > $REPRO_BACKEND > auto-detect, with graceful
-        #: fallback to pure when repro._fast is not built
-        self._requested_backend = backend_mod.requested_backend(backend)
-        self.backend = backend_mod.select_backend(backend)
-        self._fast = (backend_mod.load_fast()
-                      if self.backend == "compiled" else None)
-        needs = [name for name, on in (
-            ("fault injection", faults is not None),
-            ("invariant audit", audit),
-            ("watchdog", bool(watchdog))) if on]
-        if self._fast is not None and needs:
-            self._drop_compiled(
-                "the compiled loop has no %s hook%s"
-                % (" + ".join(needs), "s" if len(needs) > 1 else ""))
+                 analyze: bool = False):
         self.counters = counters if counters is not None else Counters()
         self.cpu = WindowCPU(n_windows, cost_model, self.counters)
         kwargs = dict(scheme_kwargs or {})
@@ -189,20 +171,6 @@ class Kernel:
 
     def _set_tracing(self, active: bool) -> None:
         self._tracing = active
-        if active and self._fast is not None:
-            self._drop_compiled("the event bus is fed by the pure-Python "
-                                "loop only")
-
-    def _drop_compiled(self, why: str) -> None:
-        """The compiled twin has no hooks: a run that arms one takes
-        the pure batched loop, and only an *explicit* compiled request
-        warns about it."""
-        if self._requested_backend == "compiled":
-            from repro.runtime import backend as backend_mod
-
-            backend_mod.warn_pure_fallback(why)
-        self.backend = "pure"
-        self._fast = None
 
     # -- observability ------------------------------------------------------
 
@@ -241,17 +209,11 @@ class Kernel:
 
     def _arm_observers(self) -> None:
         """Quantum observers are fed at the dispatch and quantum-exit
-        points of the pure batched loop, not through the event bus.
-        The compiled twin has no such hooks: an observed run takes the
-        pure batched loop (see ``_drop_compiled``)."""
+        points of the batched loop, not through the event bus."""
         self._observed = (self._tracker is not None
                           or self._timeline is not None
                           or self._tally is not None)
         self._switch_cycles_seen = self.counters.switch_cycles
-        if self._observed and self._fast is not None:
-            self._drop_compiled("the run observers (tracker, timeline, "
-                                "tally) are fed by the pure-Python loop "
-                                "only")
 
     def _quantum_started(self, thread: SimThread, switched: bool) -> None:
         """Observer hook at a dispatch; ``switched`` is False when the
@@ -383,23 +345,13 @@ class Kernel:
             raise
 
     def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
-        # Every hook rides the batched loop.  The compiled twin has no
-        # step budget, so a budgeted run takes the pure loop; tracing
-        # drops the twin (``_set_tracing``), so ``_fast`` is re-read
-        # after every return to this loop.
-        compiled = max_steps is None
+        # Every hook rides the batched loop.
         self._max_steps = max_steps
         while self._next_quantum():
-            fast = self._fast if compiled else None
-            if fast is not None:
-                fast.run_batched(self)
-            else:
-                self._run_batched()
+            self._run_batched()
             if max_steps is not None and self._steps >= max_steps:
                 raise RuntimeFault("step budget of %d exceeded" % max_steps)
-        return self._finish("compiled-batched"
-                            if compiled and self._fast is not None
-                            else "pure-batched")
+        return self._finish("pure-batched")
 
     def _next_quantum(self) -> bool:
         """Dispatch the next ready thread unless one is running; False

@@ -8,12 +8,8 @@ under its old core name, "generator"): same step counts, same counters
 (including the switch/trap cycle sums and transfer histograms), same
 per-thread statistics, same trace record sequences, same event-bus
 streams, same thread results — across every scheme and window-file
-size.  The batched loop has two *backends* — the pure-Python loop and
-the optional compiled twin (:mod:`repro._fast`) — and every comparison
-here runs on each backend that is built, so the compiled path is
-pinned against the same reference (a traced run drops to the pure
-loop).  This suite drives every (loop, backend) variant over the same
-workloads and compares full run snapshots:
+size.  This suite drives both loops over the same workloads and
+compares full run snapshots:
 
 * deterministic synthetic apps (stream pipeline, spawn/join tree,
   line-oriented protocol) over NS/SNP/SP x {8, 32} windows;
@@ -27,7 +23,6 @@ workloads and compares full run snapshots:
 """
 
 import random
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,7 +41,6 @@ from repro import (
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.events import TraceRecorder
-from repro.runtime.backend import compiled_available
 from repro.runtime.kernel import Kernel
 from tests.support.trampoline import (
     ReferenceKernel,
@@ -56,11 +50,10 @@ from tests.support.trampoline import (
 
 SCHEMES = ("NS", "SNP", "SP")
 WINDOW_SIZES = (8, 32)
-#: execution backends of the batched core to pin against the reference
-BACKENDS = ("pure",) + (("compiled",) if compiled_available() else ())
-#: every (core, backend) execution variant under test
-VARIANTS = (("generator", "pure"),) + tuple(
-    ("batched", backend) for backend in BACKENDS)
+#: the reference loop and the production loop, by test-parameter name
+CORES = ("generator", "batched")
+#: their test ids (the ``-pure`` suffix is historical; ids stay stable)
+CORE_IDS = ["%s-pure" % core for core in CORES]
 
 COUNTER_FIELDS = (
     "saves", "restores", "overflow_traps", "underflow_traps",
@@ -96,22 +89,13 @@ def events_of(recorder):
     return [(e.kind, e.cycle, e.tid, e.attrs) for e in recorder]
 
 
-def enable_tracing(kernel):
-    """Subscribe a recorder; on an explicitly compiled kernel that
-    drops the compiled twin, with its expected fallback warning."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "compiled backend: the event bus",
-                                RuntimeWarning)
-        return kernel.enable_tracing()
-
-
 def run_core(core, build, scheme, n_windows, keep_trace=True,
-             backend="pure", traced=False, **kw):
+             traced=False, **kw):
     """Build a workload on a fresh kernel and run it to the end."""
     kernel = make_kernel(core=core, n_windows=n_windows, scheme=scheme,
-                         backend=backend, **kw)
+                         **kw)
     kernel.counters.keep_trace = keep_trace
-    recorder = enable_tracing(kernel) if traced else None
+    recorder = kernel.enable_tracing() if traced else None
     build(kernel)
     result = error = None
     try:
@@ -131,14 +115,12 @@ def run_core(core, build, scheme, n_windows, keep_trace=True,
 
 def assert_equivalent(build, scheme, n_windows, **kw):
     gen = run_core("generator", build, scheme, n_windows, **kw)
-    for backend in BACKENDS:
-        bat = run_core("batched", build, scheme, n_windows,
-                       backend=backend, **kw)
-        assert gen == bat, _diff(gen, bat, backend)
+    bat = run_core("batched", build, scheme, n_windows, **kw)
+    assert gen == bat, _diff(gen, bat)
 
 
-def _diff(gen, bat, backend):
-    lines = ["cores diverged (batched backend: %s):" % backend]
+def _diff(gen, bat):
+    lines = ["cores diverged:"]
     for key in gen:
         if gen[key] != bat[key]:
             lines.append("  %s:" % key)
@@ -280,12 +262,12 @@ def test_register_verification_on(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_event_bus_traces_identical(scheme):
-    """A traced run keeps the production batched loop (the compiled
-    twin drops to the pure one), and its event stream matches the
-    reference loop's event for event on every backend and workload."""
+    """A traced run keeps the production batched loop, and its event
+    stream matches the reference loop's event for event on every
+    workload."""
 
     def run_traced(kernel, build):
-        recorder = enable_tracing(kernel)
+        recorder = kernel.enable_tracing()
         build(kernel)
         return kernel.run().loop, events_of(recorder)
 
@@ -293,11 +275,10 @@ def test_event_bus_traces_identical(scheme):
         loop, reference = run_traced(
             ReferenceKernel(n_windows=8, scheme=scheme), build)
         assert loop == "step"
-        for backend in BACKENDS:
-            kernel = Kernel(n_windows=8, scheme=scheme, backend=backend)
-            assert type(kernel) is Kernel
-            assert run_traced(kernel, build) == ("pure-batched",
-                                                 reference), name
+        kernel = Kernel(n_windows=8, scheme=scheme)
+        assert type(kernel) is Kernel
+        assert run_traced(kernel, build) == ("pure-batched",
+                                             reference), name
 
 
 def test_subscriber_attached_mid_run_sees_exact_stamps():
@@ -330,8 +311,7 @@ def test_subscriber_attached_mid_run_sees_exact_stamps():
 
     reference = run_attached(ReferenceKernel(n_windows=6, scheme="SP"))
     assert len(reference) > 100
-    assert run_attached(Kernel(n_windows=6, scheme="SP",
-                               backend="pure")) == reference
+    assert run_attached(Kernel(n_windows=6, scheme="SP")) == reference
 
 
 # -- hypothesis-driven random programs -----------------------------------
@@ -429,7 +409,7 @@ def traced_spell(reference, scheme, n_windows, plan=None):
             n_windows, scheme, SpellConfig.named("high", "fine",
                                                  scale=0.02),
             verify_registers=True, faults=faults, audit=plan is not None,
-            backend="pure", instrument=instrument)
+            instrument=instrument)
         loop = result.loop
     except Exception as exc:  # a detected fault: compare it too
         error = (type(exc).__name__, str(exc))
@@ -476,9 +456,9 @@ GOLDEN_PIPELINE = {
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("core,backend", VARIANTS)
-def test_golden_pipeline_pins(scheme, core, backend):
-    snap = run_core(core, build_pipeline, scheme, 8, backend=backend)
+@pytest.mark.parametrize("core", CORES, ids=CORE_IDS)
+def test_golden_pipeline_pins(scheme, core):
+    snap = run_core(core, build_pipeline, scheme, 8)
     counters = snap["counters"]
     total = (counters["compute_cycles"] + counters["call_cycles"]
              + counters["trap_cycles"] + counters["switch_cycles"])
@@ -495,8 +475,8 @@ GOLDEN_SPELLCHECK = {
 }
 
 
-def run_spell(scheme, n_windows, config, core, backend):
-    """``run_spellchecker`` on one (core, backend) execution variant.
+def run_spell(scheme, n_windows, config, core):
+    """``run_spellchecker`` on the production or the reference loop.
 
     The reference variant rides the ``instrument`` hook: the pipeline
     builds a batched kernel and the hook pins it to the step-granular
@@ -505,18 +485,17 @@ def run_spell(scheme, n_windows, config, core, backend):
     from repro.apps.spellcheck.pipeline import run_spellchecker
 
     instrument = force_trampoline if core == "generator" else None
-    return run_spellchecker(
-        n_windows, scheme, config, backend=backend,
-        instrument=instrument)
+    return run_spellchecker(n_windows, scheme, config,
+                            instrument=instrument)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("core,backend", VARIANTS)
-def test_golden_spellcheck_pins(scheme, core, backend):
+@pytest.mark.parametrize("core", CORES, ids=CORE_IDS)
+def test_golden_spellcheck_pins(scheme, core):
     from repro.apps.spellcheck.pipeline import SpellConfig
 
     config = SpellConfig.named("low", "medium", scale=0.05)
-    result, output = run_spell(scheme, 8, config, core, backend)
+    result, output = run_spell(scheme, 8, config, core)
     assert (result.steps,
             result.counters.context_switches) == GOLDEN_SPELLCHECK[scheme]
     assert output  # the pipeline actually produced corrections
@@ -529,16 +508,14 @@ def test_spellcheck_bit_identical(scheme, n_windows):
 
     config = SpellConfig.named("high", "medium", scale=0.05)
     runs = {}
-    for core, backend in VARIANTS:
-        result, output = run_spell(scheme, n_windows, config, core, backend)
+    for core in CORES:
+        result, output = run_spell(scheme, n_windows, config, core)
         c = result.counters
-        runs[core, backend] = (
+        runs[core] = (
             result.steps, output,
             {f: getattr(c, f) for f in COUNTER_FIELDS},
             dict(c.switch_transfer_hist),
             sorted((t.name, t.windows.stat_saves, t.windows.stat_restores,
                     t.windows.stat_switches) for t in result.threads),
         )
-    reference = runs["generator", "pure"]
-    for backend in BACKENDS:
-        assert runs["batched", backend] == reference, backend
+    assert runs["batched"] == runs["generator"]

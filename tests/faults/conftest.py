@@ -1,27 +1,15 @@
-"""Run the whole chaos suite under every execution backend.
+"""Test-id label for the chaos suite.
 
-Fault injection, the watchdog and the invariant audit run on the pure
-batched loop (the compiled twin has none of these hooks), but the
-*decision* to fall back from the compiled backend — and the backend of
-unfaulted reference runs — depend on the ambient execution
-configuration.  Parameterizing via ``$REPRO_BACKEND`` (the same
-override CI uses) exercises every fault class, the watchdog and
-crash-bundle replay with the compiled backend both absent-from and
-present-in the selection, without touching the individual tests; when
-the compiled extension is not built, the sweep collapses to the pure
-backend alone.  The ids name the loop every run takes, the batched
-one, with the backend.
+Every run here takes the production batched loop (``RunResult.loop ==
+"pure-batched"``), or the test-only reference loop where a test asks
+for it.  There is nothing to vary, so the fixture below has one value:
+it only keeps the ``[batched-pure]`` label these test ids have always
+carried.  Modules whose ids say ``[batched]`` override it.
 """
 
 import pytest
 
-from repro.runtime.backend import ENV_BACKEND, compiled_available
 
-BACKENDS = ("pure",) + (("compiled",) if compiled_available() else ())
-
-
-@pytest.fixture(autouse=True, params=BACKENDS,
-                ids=["batched-%s" % backend for backend in BACKENDS])
-def execution_backend(request, monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, request.param)
+@pytest.fixture(autouse=True, params=["batched-pure"])
+def loop_label(request):
     return request.param

@@ -22,10 +22,8 @@ CORPUS = sorted((pathlib.Path(__file__).parent / "corpus")
 
 
 @pytest.fixture(autouse=True, params=["batched"])
-def execution_backend(request):
-    """Run once on the ambient backend, so the directory-wide backend
-    sweep does not repeat the comparison."""
-    return request.param
+def loop_label(request):
+    return request.param  # keeps the [batched] test ids
 
 
 def run_job(out):

@@ -9,8 +9,6 @@ from repro.errors import ReproError
 from repro.faults import BundleError, load_bundle
 from repro.faults.__main__ import main
 
-pytestmark = pytest.mark.usefixtures("execution_backend")
-
 
 @pytest.fixture(params=["show", "replay", "minimize"])
 def command(request):

@@ -35,9 +35,8 @@ CONFIG = SpellConfig.named("high", "coarse", scale=0.05)
 
 
 @pytest.fixture(autouse=True)
-def execution_backend():
-    # Override the directory-wide backend sweep: this test drives both
-    # loops explicitly and must not be run twice.
+def loop_label():
+    # this test drives both loops explicitly: no id label
     yield
 
 

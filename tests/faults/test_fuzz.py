@@ -60,11 +60,8 @@ SEED_1993_DRAWS = [
 
 
 @pytest.fixture(autouse=True, params=["batched"])
-def execution_backend(request):
-    """Run once on the ambient backend: every trial's faults keep it on
-    the pure batched loop, so the directory-wide backend sweep would
-    only double the cost."""
-    return request.param
+def loop_label(request):
+    return request.param  # keeps the [batched] test ids
 
 
 class TestDraws:

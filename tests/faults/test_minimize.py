@@ -23,10 +23,8 @@ from repro.errors import ReproError
 
 
 @pytest.fixture(autouse=True, params=["batched"])
-def execution_backend(request):
-    """Run once on the ambient backend: faulted minimizations keep the
-    pure batched loop, so skip the directory-wide backend sweep."""
-    return request.param
+def loop_label(request):
+    return request.param  # keeps the [batched] test ids
 
 
 class TestDdmin:

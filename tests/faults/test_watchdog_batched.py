@@ -22,11 +22,8 @@ from tests.support.trampoline import make_kernel
 
 
 @pytest.fixture(autouse=True, params=["batched"])
-def execution_backend(request):
-    """Run once on the ambient backend instead of the directory-wide
-    backend sweep; the reference loop is reached through
-    ``tests.support.trampoline``."""
-    return request.param
+def loop_label(request):
+    return request.param  # keeps the [batched] test ids
 
 
 def storm_kernel(core, watchdog=80, faults=None, **kwargs):

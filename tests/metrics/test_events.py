@@ -160,7 +160,7 @@ class TestKernelPublishing:
 
 class TestLegacyAliases:
     def test_tracker_alias_is_fed_without_the_bus(self):
-        kernel = Kernel(n_windows=8, scheme="SP", backend="pure")
+        kernel = Kernel(n_windows=8, scheme="SP")
         tracker = BehaviorTracker()
         kernel.tracker = tracker
         assert kernel.tracker is tracker
@@ -174,7 +174,7 @@ class TestLegacyAliases:
         assert tracker.granularity() > 0
 
     def test_timeline_alias_is_fed_without_the_bus(self):
-        kernel = Kernel(n_windows=8, scheme="SP", backend="pure")
+        kernel = Kernel(n_windows=8, scheme="SP")
         timeline = OccupancyTimeline()
         kernel.timeline = timeline
         assert kernel.timeline is timeline

@@ -1,9 +1,9 @@
 """The step-granular reference loop the differential suites pin the
 production kernel to.
 
-Production has one dispatch loop per backend:
-:meth:`repro.runtime.kernel.Kernel._run_batched` (and its compiled
-twin), which runs each quantum as a straight-line batch and carries
+Production has one dispatch loop:
+:meth:`repro.runtime.kernel.Kernel._run_batched`, which runs each
+quantum as a straight-line batch and carries
 every hook — fault injection, the invariant audit, the watchdog, step
 budgets, the quantum observers and event-bus tracing.
 :class:`ReferenceKernel` keeps the generator trampoline it replaced:
