@@ -25,45 +25,26 @@ Quickstart::
     print(result.result_of("main"), result.total_cycles)
 """
 
-from repro.errors import ReproError, TransientError
-from repro.core import (
-    CostModel,
-    FIFOPolicy,
-    FreeSearchAllocation,
-    LRUBottomAllocation,
-    NSScheme,
-    PAPER_TABLE2,
-    SCHEMES,
-    SimpleAllocation,
-    SNPScheme,
-    SPScheme,
-    WorkingSetPolicy,
-    make_scheme,
-)
-from repro.metrics.counters import Counters
-from repro.metrics.events import EventBus, TraceEvent, TraceRecorder
-from repro.metrics.perfetto import PerfettoExporter
-from repro.metrics.report import build_run_report
-from repro.runtime import (
-    Call,
-    CloseStream,
-    DeadlockError,
-    FlushHint,
-    Join,
-    Kernel,
-    LivelockError,
-    Read,
-    ReadLine,
-    RunResult,
-    Spawn,
-    Stream,
-    Tick,
-    Write,
-    YieldCPU,
-)
-from repro.windows import WindowCPU, WindowFile
+from repro.lazy import LazyExports
 
 __version__ = "1.0.0"
+
+_exports = LazyExports(__name__, {
+    "repro.core": ("CostModel", "FIFOPolicy", "FreeSearchAllocation",
+                   "LRUBottomAllocation", "NSScheme", "PAPER_TABLE2",
+                   "SCHEMES", "SimpleAllocation", "SNPScheme", "SPScheme",
+                   "WorkingSetPolicy", "make_scheme"),
+    "repro.metrics.counters": ("Counters",),
+    "repro.metrics.events": ("EventBus", "TraceEvent", "TraceRecorder"),
+    "repro.metrics.perfetto": ("PerfettoExporter",),
+    "repro.metrics.report": ("build_run_report",),
+    "repro.errors": ("ReproError", "TransientError"),
+    "repro.runtime": ("Call", "CloseStream", "DeadlockError", "FlushHint",
+                      "Join", "Kernel", "LivelockError", "Read", "ReadLine",
+                      "RunResult", "Spawn", "Stream", "Tick", "Write",
+                      "YieldCPU"),
+    "repro.windows": ("WindowCPU", "WindowFile"),
+})
 
 __all__ = [
     "CostModel",
@@ -103,3 +84,6 @@ __all__ = [
     "WindowFile",
     "__version__",
 ]
+
+__getattr__ = _exports.resolve
+__dir__ = _exports.names

@@ -12,19 +12,17 @@ Seven threads connected by six bounded streams::
   high-concurrency case, M >> N the low-concurrency case.
 """
 
-from repro.apps.spellcheck.corpus import (
-    CORPUS_SIZE,
-    DICT_SIZE,
-    generate_corpus,
-    generate_dictionaries,
-    generate_vocabulary,
-)
-from repro.apps.spellcheck.pipeline import (
-    BUFFER_CONFIGS,
-    SpellConfig,
-    build_spellchecker,
-    run_spellchecker,
-)
+from repro.lazy import LazyExports
+
+_exports = LazyExports(__name__, {
+    "repro.apps.spellcheck.corpus": ("CORPUS_SIZE", "DICT_SIZE",
+                                     "generate_corpus",
+                                     "generate_dictionaries",
+                                     "generate_vocabulary"),
+    "repro.apps.spellcheck.config": ("BUFFER_CONFIGS",),
+    "repro.apps.spellcheck.pipeline": ("SpellConfig", "build_spellchecker",
+                                       "run_spellchecker"),
+})
 
 __all__ = [
     "CORPUS_SIZE",
@@ -37,3 +35,6 @@ __all__ = [
     "build_spellchecker",
     "run_spellchecker",
 ]
+
+__getattr__ = _exports.resolve
+__dir__ = _exports.names

@@ -1,16 +1,7 @@
 """Wiring of the spell-checker pipeline (Figure 10) and run helpers.
 
-Buffer sizes reproduce the paper's six behaviours (§5.2, Table 1):
-
-* high concurrency: M = N, small (16 / 4 / 1 bytes for coarse /
-  medium / fine granularity);
-* low concurrency: M = 1024 (the I/O threads become coarse and rarely
-  switch), N = 16 / 4 / 1.
-
-With a cyclic buffer of ``b`` bytes a source thread blocks about once
-per ``b`` bytes, so e.g. T6 (a ~50 000-byte dictionary) context-
-switches ~50 001 / ~12 501 / ~3 126 / ~49 times at b = 1 / 4 / 16 /
-1024 — the exact column structure of Table 1.
+The thread names and the buffer sizes of the six configurations are
+defined in :mod:`repro.apps.spellcheck.config`.
 """
 
 from __future__ import annotations
@@ -18,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.apps.spellcheck.config import BUFFER_CONFIGS, THREAD_NAMES
 from repro.apps.spellcheck.corpus import (
     DEFAULT_SEED,
     DICT_SIZE,
@@ -28,21 +20,6 @@ from repro.apps.spellcheck.delatex import delatex_thread
 from repro.apps.spellcheck.io_threads import file_sink_thread, file_source_thread
 from repro.apps.spellcheck.spell import spell1_thread, spell2_thread
 from repro.runtime.kernel import Kernel, RunResult
-
-#: paper thread names, in spawn (and therefore initial FIFO) order
-THREAD_NAMES = ("T1.delatex", "T2.spell1", "T3.spell2",
-                "T4.input", "T5.output", "T6.dict1", "T7.dict2")
-
-#: (concurrency, granularity) -> (M, N)
-BUFFER_CONFIGS: Dict[Tuple[str, str], Tuple[int, int]] = {
-    ("high", "coarse"): (16, 16),
-    ("high", "medium"): (4, 4),
-    ("high", "fine"): (1, 1),
-    ("low", "coarse"): (1024, 16),
-    ("low", "medium"): (1024, 4),
-    ("low", "fine"): (1024, 1),
-}
-
 
 @dataclass(frozen=True)
 class SpellConfig:

@@ -16,36 +16,20 @@ Plus the working-set ready-queue policy of §4.6 and the allocation
 policy variations of §4.2.
 """
 
-from repro.core.allocation import (
-    AllocationPolicy,
-    FreeSearchAllocation,
-    LRUBottomAllocation,
-    SimpleAllocation,
-)
-from repro.core.costs import CostModel, PAPER_TABLE2, Table2Row
-from repro.core.ns import NSScheme
-from repro.core.scheme import Scheme
-from repro.core.snp import SNPScheme
-from repro.core.sp import SPScheme
-from repro.core.working_set import FIFOPolicy, QueuePolicy, WorkingSetPolicy
+from repro.lazy import LazyExports
 
-SCHEMES = {
-    "NS": NSScheme,
-    "SNP": SNPScheme,
-    "SP": SPScheme,
-}
-
-
-def make_scheme(name: str, cpu, **kwargs):
-    """Build a scheme by its paper name ("NS", "SNP" or "SP")."""
-    try:
-        cls = SCHEMES[name.upper()]
-    except KeyError:
-        raise ValueError(
-            "unknown scheme %r (expected one of %s)"
-            % (name, ", ".join(sorted(SCHEMES))))
-    return cls(cpu, **kwargs)
-
+_exports = LazyExports(__name__, {
+    "repro.core.allocation": ("AllocationPolicy", "FreeSearchAllocation",
+                              "LRUBottomAllocation", "SimpleAllocation"),
+    "repro.core.costs": ("CostModel", "PAPER_TABLE2", "Table2Row"),
+    "repro.core.ns": ("NSScheme",),
+    "repro.core.scheme": ("Scheme",),
+    "repro.core.snp": ("SNPScheme",),
+    "repro.core.sp": ("SPScheme",),
+    "repro.core.working_set": ("FIFOPolicy", "QueuePolicy",
+                               "WorkingSetPolicy"),
+    "repro.core.registry": ("SCHEMES", "make_scheme"),
+})
 
 __all__ = [
     "AllocationPolicy",
@@ -65,3 +49,6 @@ __all__ = [
     "SCHEMES",
     "make_scheme",
 ]
+
+__getattr__ = _exports.resolve
+__dir__ = _exports.names

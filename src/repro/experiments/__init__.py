@@ -17,31 +17,20 @@ Sweeps fan out over the parallel cached engine — see
 :mod:`repro.experiments.engine`.
 """
 
-from repro.experiments.engine import (
-    Engine,
-    EngineError,
-    EngineStats,
-    PointSpec,
-    ResultCache,
-    cache_key,
-    point_from_report,
-    sweep_specs,
-)
-from repro.experiments.harness import (
-    ExperimentPoint,
-    run_point,
-    run_report_point,
-    sweep_windows,
-)
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.figures import (
-    run_fig11,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_fig15,
-)
+from repro.lazy import LazyExports
+
+_exports = LazyExports(__name__, {
+    "repro.experiments.engine": ("Engine", "EngineError", "EngineStats",
+                                 "PointSpec", "ResultCache", "cache_key",
+                                 "point_from_report", "sweep_specs"),
+    "repro.experiments.points": ("ExperimentPoint",),
+    "repro.experiments.harness": ("run_point", "run_report_point",
+                                  "sweep_windows"),
+    "repro.experiments.table1": ("run_table1",),
+    "repro.experiments.table2": ("run_table2",),
+    "repro.experiments.figures": ("run_fig11", "run_fig12", "run_fig13",
+                                  "run_fig14", "run_fig15"),
+})
 
 __all__ = [
     "Engine",
@@ -64,3 +53,6 @@ __all__ = [
     "run_fig14",
     "run_fig15",
 ]
+
+__getattr__ = _exports.resolve
+__dir__ = _exports.names

@@ -32,7 +32,7 @@ from repro.experiments.figures import (
     run_fig14,
     run_fig15,
 )
-from repro.experiments.harness import GRANULARITIES
+from repro.experiments.points import GRANULARITIES
 from repro.experiments.table1 import render_table1, run_table1
 from repro.experiments.table2 import render_table2, run_table2
 

@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro import __version__
 from repro.core.costs import CostModel
 from repro.errors import ReproError, TransientError
-from repro.experiments.harness import ExperimentPoint, run_report_point
+from repro.experiments.points import ExperimentPoint
 from repro.ioutil import atomic_write_text  # noqa: F401  (re-export)
 from repro.metrics.report import SCHEMA_VERSION, from_json, to_json
 
@@ -318,11 +318,15 @@ def _execute_payload(task: Tuple[int, Dict[str, object]]):
     """Worker-side entry point: run one point, return its report.
 
     Module-level so it pickles under every multiprocessing start
-    method.  Returns ``(index, report, None, wall_ms)`` or ``(index,
-    None, error_dict, wall_ms)`` — exceptions never cross the pipe
-    raw.  A ``"_timeout"`` key in the payload (seconds) arms a SIGALRM
-    budget around the point where the platform supports it.
+    method.  The simulator is imported here, on the first executed
+    point, so a sweep of cache hits never loads it.  Returns
+    ``(index, report, None, wall_ms)`` or ``(index, None, error_dict,
+    wall_ms)`` — exceptions never cross the pipe raw.  A
+    ``"_timeout"`` key in the payload (seconds) arms a SIGALRM budget
+    around the point where the platform supports it.
     """
+    from repro.experiments.harness import run_report_point
+
     index, payload = task
     timeout = payload.get("_timeout")
     armed = False
@@ -576,6 +580,10 @@ class Engine:
             if self.jobs > 1 and len(tasks) > 1:
                 import multiprocessing
 
+                # load the simulator once, before the fork, rather
+                # than once in every worker
+                import repro.experiments.harness  # noqa: F401
+
                 methods = multiprocessing.get_all_start_methods()
                 ctx = multiprocessing.get_context(
                     "fork" if "fork" in methods else "spawn")
@@ -745,7 +753,7 @@ def engine_metrics_snapshot(stats: EngineStats, jobs: int,
 
 
 def point_from_report(report: Dict) -> ExperimentPoint:
-    """Project a RunReport back onto the harness's ExperimentPoint.
+    """Project a RunReport back onto an :class:`ExperimentPoint`.
 
     Field-for-field identical to what :func:`~repro.experiments.
     harness.run_point` computes from the live counters — the

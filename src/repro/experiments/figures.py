@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.harness import (
+from repro.experiments.points import (
     GRANULARITIES,
     SCHEMES,
-    sweep_windows,
+    env_scale,
+    env_windows,
 )
 from repro.metrics.reporting import ascii_chart
 
@@ -65,7 +66,6 @@ def _sweep_figure(figure: str, ylabel: str, concurrency: str,
     runs concurrently (and cached points are skipped), then regroup
     into the labelled series the paper plots."""
     from repro.experiments.engine import Engine, sweep_specs
-    from repro.experiments.harness import env_scale, env_windows
 
     if windows is None:
         windows = env_windows()

@@ -1,66 +1,30 @@
 """Shared experiment machinery: run one (scheme, windows, workload)
 point, sweep window counts, and collect the measures the figures plot.
+
+Importing this module loads the simulator.  The point model it
+re-exports (:class:`ExperimentPoint`, the grid's axes, the default
+sweep) lives in :mod:`repro.experiments.points`, which does not.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.core.working_set import FIFOPolicy, WorkingSetPolicy
+from repro.experiments.points import (  # noqa: F401  (re-export)
+    DEFAULT_SCALE,
+    DEFAULT_WINDOWS,
+    GRANULARITIES,
+    SCHEMES,
+    ExperimentPoint,
+    env_scale,
+    env_windows,
+)
 from repro.metrics.behavior import BehaviorTracker
 from repro.metrics.events import EventTally
 from repro.metrics.report import build_run_report
 from repro.metrics.tracing import OccupancyTimeline
-
-#: default sweep (a subset of the paper's 4..32 that keeps runtimes sane;
-#: override per call or with the REPRO_WINDOWS environment variable)
-DEFAULT_WINDOWS: Sequence[int] = (4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32)
-
-#: default corpus scale for experiments (1.0 = the paper's 40 500 bytes);
-#: override with REPRO_SCALE
-DEFAULT_SCALE = 0.25
-
-SCHEMES = ("NS", "SNP", "SP")
-GRANULARITIES = ("coarse", "medium", "fine")
-
-
-def env_scale(default: float = DEFAULT_SCALE) -> float:
-    return float(os.environ.get("REPRO_SCALE", default))
-
-
-def env_windows(default: Sequence[int] = DEFAULT_WINDOWS) -> List[int]:
-    raw = os.environ.get("REPRO_WINDOWS")
-    if not raw:
-        return list(default)
-    return [int(x) for x in raw.split(",") if x.strip()]
-
-
-@dataclass
-class ExperimentPoint:
-    """Summary of one simulation run."""
-
-    scheme: str
-    n_windows: int
-    concurrency: str
-    granularity: str
-    policy: str
-    total_cycles: int
-    switch_cycles: int
-    trap_cycles: int
-    compute_cycles: int
-    context_switches: int
-    avg_switch_cycles: float
-    saves: int
-    restores: int
-    overflow_traps: int
-    underflow_traps: int
-    trap_probability: float
-    per_thread_switches: Dict[str, int] = field(default_factory=dict)
-    per_thread_saves: Dict[str, int] = field(default_factory=dict)
-    output_bytes: int = 0
 
 
 def run_point(scheme: str, n_windows: int, concurrency: str,
@@ -117,9 +81,9 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
     ``benchmarks/`` emits for cross-PR perf trajectories).
 
     The observers (behaviour tracker, occupancy timeline, event tally)
-    are fed by the kernel once per quantum, not through the event bus,
-    so a point without faults, audit or watchdog runs on the batched
-    loop.
+    are fed by the kernel once per quantum, not through the event bus;
+    every point, with or without faults, audit or watchdog, runs on
+    the batched loop.
 
     ``faults`` (a :meth:`FaultPlan.parse` spec), ``audit`` and
     ``watchdog`` turn on the robustness machinery; register

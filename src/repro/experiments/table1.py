@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.apps.spellcheck.pipeline import THREAD_NAMES
-from repro.experiments.harness import env_scale, run_point
+from repro.apps.spellcheck.config import THREAD_NAMES
 from repro.experiments.paper_data import (
     PAPER_TABLE1_SAVES,
     PAPER_TABLE1_SWITCHES,
 )
+from repro.experiments.points import env_scale
 from repro.metrics.reporting import format_table
 
 CONFIGS: Tuple[Tuple[str, str], ...] = (
@@ -66,6 +66,8 @@ def run_table1(scale: Optional[float] = None,
                  for concurrency, granularity in CONFIGS]
         points = engine.run_points(specs)
     else:
+        from repro.experiments.harness import run_point
+
         points = [run_point(scheme, 12, concurrency, granularity,
                             scale=scale)
                   for concurrency, granularity in CONFIGS]

@@ -7,9 +7,11 @@ moving data — makes none of these, and after ``max_stall`` such steps
 the kernel raises :class:`~repro.runtime.errors.LivelockError` with
 per-thread diagnostics instead of spinning forever.
 
-The kernel increments a single progress counter at each progress site
-and calls :meth:`Watchdog.stalled_for` once per step, so the overhead
-is one integer compare when the watchdog is enabled and zero when not.
+The kernel increments a single progress counter at each progress site.
+Armed, every step makes three calls: ``Kernel._step_gate`` calls
+:meth:`Watchdog.expired`, which calls :meth:`Watchdog.stalled_for`.
+Unarmed (and with no step budget), a step pays one ``is None`` check
+on the kernel's hoisted gate.
 """
 
 from __future__ import annotations

@@ -2,29 +2,21 @@
 analysis, aggregate telemetry, Perfetto export, run reports and
 plain-text reporting."""
 
-from repro.metrics.counters import Counters, SwitchRecord, TrapRecord
-from repro.metrics.events import (
-    EventBus,
-    EventTally,
-    TraceEvent,
-    TraceRecorder,
-)
-from repro.metrics.perfetto import PerfettoExporter
-from repro.metrics.profiler import CycleProfiler
-from repro.metrics.report import (
-    SCHEMA_VERSION as RUN_REPORT_VERSION,
-    build_run_report,
-)
-from repro.metrics.telemetry import (
-    SNAPSHOT_VERSION as METRICS_SNAPSHOT_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    RunTelemetry,
-    to_prometheus,
-    validate_snapshot,
-)
+from repro.lazy import LazyExports
+
+_exports = LazyExports(__name__, {
+    "repro.metrics.counters": ("Counters", "SwitchRecord", "TrapRecord"),
+    "repro.metrics.events": ("EventBus", "EventTally", "TraceEvent",
+                             "TraceRecorder"),
+    "repro.metrics.perfetto": ("PerfettoExporter",),
+    "repro.metrics.profiler": ("CycleProfiler",),
+    "repro.metrics.report": ("SCHEMA_VERSION as RUN_REPORT_VERSION",
+                             "build_run_report"),
+    "repro.metrics.telemetry": (
+        "SNAPSHOT_VERSION as METRICS_SNAPSHOT_VERSION", "Counter", "Gauge",
+        "Histogram", "MetricsRegistry", "RunTelemetry", "to_prometheus",
+        "validate_snapshot"),
+})
 
 __all__ = [
     "Counters",
@@ -47,3 +39,6 @@ __all__ = [
     "to_prometheus",
     "validate_snapshot",
 ]
+
+__getattr__ = _exports.resolve
+__dir__ = _exports.names

@@ -1,7 +1,13 @@
 """The ``python -m repro.experiments`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments.__main__ import main
 
 
@@ -78,3 +84,41 @@ def test_injected_fault_without_keep_going_fails_loudly(capsys):
         main(["fig13", "--scale", "0.02", "--windows", "6",
               "--faults", "retval@5", "--retries", "1"])
     assert "WindowIntegrityError" in str(info.value)
+
+
+#: modules that only executing a point needs
+SIMULATOR_MODULES = (
+    "repro.runtime.kernel", "repro.windows.cpu", "repro.core.ns",
+    "repro.core.snp", "repro.core.sp", "repro.apps.spellcheck.pipeline",
+    "repro.metrics.telemetry",
+)
+
+
+def _run_cli_in_fresh_process(args, tmp_path):
+    """Run ``python -X importtime -m repro.experiments`` and return its
+    stdout and the names of the modules it imported."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro.experiments"]
+        + args, env=env, cwd=str(tmp_path), capture_output=True,
+        text=True, timeout=300, check=True)
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+    return proc.stdout, imported
+
+
+def test_warm_rerun_does_not_load_the_simulator(tmp_path):
+    args = ["fig12", "--windows", "4,6", "--scale", "0.02", "--jobs", "1",
+            "--cache-dir", str(tmp_path / "cache")]
+    first, imported = _run_cli_in_fresh_process(args, tmp_path)
+    assert "18 executed" in first
+    assert "repro.runtime.kernel" in imported
+    second, imported = _run_cli_in_fresh_process(args, tmp_path)
+    assert "100%), 0 executed" in second
+    assert sorted(imported.intersection(SIMULATOR_MODULES)) == []
+    assert (first.split("(fig12 computed")[0]
+            == second.split("(fig12 computed")[0])

@@ -1,6 +1,14 @@
 """The documented public API surface must exist and stay importable."""
 
+import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -80,3 +88,85 @@ class TestSubpackageImports:
     def test_diagrams(self):
         from repro.windows.diagrams import reenact_figure8
         assert reenact_figure8("SP").facts["cwp_did_not_move"]
+
+
+#: packages whose public names resolve on first access, each with a
+#: submodule that importing the package no longer loads but that stays
+#: reachable as an attribute, as when the package imported it eagerly
+LAZY_PACKAGES = {"repro": "runtime", "repro.core": "ns",
+                 "repro.metrics": "telemetry",
+                 "repro.experiments": "harness"}
+
+#: exported constants (they carry no ``__module__``), by defining module
+EXPORTED_CONSTANTS = {
+    "PAPER_TABLE2": ("repro.core.costs", "PAPER_TABLE2"),
+    "SCHEMES": ("repro.core.registry", "SCHEMES"),
+    "RUN_REPORT_VERSION": ("repro.metrics.report", "SCHEMA_VERSION"),
+    "METRICS_SNAPSHOT_VERSION": ("repro.metrics.telemetry",
+                                 "SNAPSHOT_VERSION"),
+}
+
+_FRESH_IMPORT = """
+import json, sys
+package, submodule = sys.argv[1:]
+module = __import__(package, fromlist=["__all__"])
+listed = dir(module)
+loaded = package + "." + submodule in sys.modules
+submodule = getattr(module, submodule).__name__
+namespace = {}
+exec("from %s import *" % package, namespace)
+print(json.dumps({"all": module.__all__, "dir": listed,
+                  "star": sorted(namespace), "loaded": loaded,
+                  "submodule": submodule}))
+"""
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_dir_and_star_import_in_a_fresh_process(self, package):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        submodule = LAZY_PACKAGES[package]
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_IMPORT, package, submodule],
+            env=env, capture_output=True, text=True, timeout=120,
+            check=True)
+        seen = json.loads(proc.stdout)
+        assert seen["all"]
+        assert sorted(set(seen["all"]) - set(seen["dir"])) == []
+        assert sorted(set(seen["all"]) - set(seen["star"])) == []
+        assert not seen["loaded"]
+        assert seen["submodule"] == package + "." + submodule
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_each_export_is_the_defining_modules_object(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            if name == "__version__":
+                continue
+            obj = getattr(module, name)
+            if name in EXPORTED_CONSTANTS:
+                where, attr = EXPORTED_CONSTANTS[name]
+            else:
+                where, attr = obj.__module__, obj.__name__
+                assert attr == name
+            assert obj is getattr(importlib.import_module(where), attr), name
+
+    def test_unknown_name_raises_attribute_error(self):
+        import repro.core
+
+        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+            getattr(repro.core, "Nope")
+
+    @pytest.mark.parametrize("package", ("repro", "repro.core"))
+    def test_make_scheme_rejects_unknown_names(self, package):
+        from repro.windows.cpu import WindowCPU
+
+        make_scheme = importlib.import_module(package).make_scheme
+        with pytest.raises(ValueError) as info:
+            make_scheme("XX", WindowCPU(8))
+        assert str(info.value) == (
+            "unknown scheme 'XX' (expected one of NS, SNP, SP)")
+        assert type(make_scheme("sp", WindowCPU(8))).__name__ == "SPScheme"
