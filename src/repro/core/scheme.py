@@ -125,7 +125,7 @@ class Scheme(ABC):
             raise WindowGeometryError(
                 "thread %d has no bottom window to spill" % victim.tid)
         depth = victim.depth - victim.resident + 1
-        # wf.capture, inlined (per-spill path)
+        # reuse a pooled frame buffer (the restore paths return them)
         regs = wf._regs
         base = wf._in_base[old_bottom]
         mid = base + 8
@@ -175,14 +175,11 @@ class Scheme(ABC):
         Returns the number of windows spilled.  Only frame occupants are
         legal here; hitting a reserved window means the caller broke the
         packing invariant.  A frame occupant is always its owner's
-        stack-bottom (checked below), so one spill frees the window and
-        the loop never runs twice; the spill itself is
-        :meth:`_spill_bottom` inlined — this is the once-per-switch
-        eviction path of the windowless dispatch.
+        stack-bottom (checked below), so one :meth:`_spill_bottom`
+        frees the window and the loop never runs twice.
         """
         wmap = self.map
         kinds = wmap._kind
-        wf = self.wf
         saves = 0
         while kinds[w] is not FREE:
             if kinds[w] is not FRAME:
@@ -194,45 +191,6 @@ class Scheme(ABC):
                 raise WindowGeometryError(
                     "window %d belongs to thread %d but is not its bottom"
                     % (w, victim.tid))
-            # -- _spill_bottom, inlined (old_bottom == w) --
-            tids = wmap._tid
-            depth = victim.depth - victim.resident + 1
-            regs = wf._regs
-            base = wf._in_base[w]
-            mid = base + 8
-            pool = wf._frame_pool
-            if pool:
-                frame = pool.pop()
-                frame.ins[:] = regs[base:mid]
-                frame.local_regs[:] = regs[mid:mid + 8]
-                frame.depth = depth
-            else:
-                frame = Frame(regs[base:mid], regs[mid:mid + 8], depth)
-            fault_store = self.cpu._fault_store
-            if fault_store is not None:
-                fault_store("spill", victim, frame, self.counters)
-            frames = victim.store.frames
-            if frames:
-                last_depth = frames[-1].depth
-                if last_depth >= 0 and depth >= 0 \
-                        and depth != last_depth + 1:
-                    raise WindowIntegrityError(
-                        "non-contiguous spill: depth %d pushed over "
-                        "depth %d" % (depth, last_depth))
-            frames.append(frame)
-            victim.resident -= 1
-            if victim.resident == 0:
-                victim.cwp = None
-                victim.bottom = None
-            else:
-                victim.bottom = wf._above[w]
-            kinds[w] = FREE
-            tids[w] = None
-            if victim.resident == 0 and victim.prw is not None:
-                prw_base = wf._in_base[victim.prw]
-                victim.saved_outs = regs[prw_base:prw_base + 8]
-                kinds[victim.prw] = FREE
-                tids[victim.prw] = None
-                victim.prw = None
+            self._spill_bottom(victim)
             saves += 1
         return saves

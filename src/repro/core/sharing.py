@@ -12,7 +12,9 @@ On a window *overflow*, the boundary (the global reserved window in
 SNP, the thread's private reserved window in SP) moves one window up;
 if the window above the boundary holds another thread's stack-bottom
 frame, that frame is spilled — always a stack-bottom, never a
-stack-top, exactly as the paper requires.
+stack-top, exactly as the paper requires.  The context switch is shared
+too; the concrete schemes supply the boundary hooks and their Table 2
+cost row.
 """
 
 from __future__ import annotations
@@ -21,19 +23,19 @@ from typing import Optional
 
 from repro.core.allocation import AllocationPolicy, SimpleAllocation
 from repro.core.scheme import Scheme
-from repro.metrics.counters import TrapRecord
+from repro.metrics.counters import SwitchRecord, TrapRecord
 from repro.windows.errors import WindowGeometryError, WindowIntegrityError
 from repro.windows.occupancy import FRAME, FREE, RESERVED
 from repro.windows.thread_windows import ThreadWindows
 
 
 class SharingScheme(Scheme):
-    """Common trap handling for the SNP and SP schemes."""
+    """Common trap handling and context switch for SNP and SP."""
 
     shares_windows = True
     #: True when the boundary is a per-thread PRW (SP); False when it is
-    #: the single global reserved window (SNP).  Lets the shared hot
-    #: paths read the boundary directly instead of a virtual call.
+    #: the single global reserved window (SNP).  The shared hot paths
+    #: branch on it instead of making a virtual call.
     _prw_boundary = False
 
     #: how many free windows are granted as growth headroom when the
@@ -67,6 +69,11 @@ class SharingScheme(Scheme):
     def simple_top(self, out_tw: Optional[ThreadWindows]) -> int:
         """Where the simple allocation policy (§4.2) puts a windowless
         thread's new stack-top window."""
+        raise NotImplementedError
+
+    def _switch_cost(self, saves: int, restores: int,
+                     allocated: bool) -> int:
+        """The scheme's Table 2 context-switch cost row."""
         raise NotImplementedError
 
     # -- traps ----------------------------------------------------------------
@@ -244,6 +251,211 @@ class SharingScheme(Scheme):
         if self._tracing:
             self.events.emit("underflow", tid=tw.tid, restored=1,
                              cycles=cycles, inplace=True)
+
+    # -- context switch ------------------------------------------------------
+
+    def context_switch(self, out_tw: Optional[ThreadWindows],
+                       in_tw: ThreadWindows,
+                       flush_out: bool = False) -> None:
+        """Suspend ``out_tw`` (if any) and dispatch ``in_tw``.
+
+        One body serves both schemes (a once-per-quantum path, so it
+        stays inline); where they differ it branches on
+        ``_prw_boundary``: at switch-out SNP saves the stack-top outs
+        while SP snugs the PRW, and the boundary written at the end is
+        the global reserved window (SNP) or the incoming thread's PRW
+        (SP).
+        """
+        wf = self.wf
+        regs = wf._regs
+        wmap = self.map
+        kinds = wmap._kind
+        tids = wmap._tid
+        prw_boundary = self._prw_boundary
+        saves = 0
+        restores = 0
+        allocated = False
+        flushed = (self._flush_out_windows(out_tw, flush_out)
+                   if flush_out else 0)
+        if out_tw is not None and out_tw.resident > 0:
+            if prw_boundary:
+                # Snug the PRW: move it down to immediately above the
+                # stack-top (§4.1) — bookkeeping only.
+                snug = wf._above[out_tw.cwp]
+                prw = out_tw.prw
+                if prw != snug:
+                    if kinds[snug] is not FREE:
+                        raise WindowGeometryError(
+                            "window %d above thread %d's top is %s, "
+                            "expected vacated"
+                            % (snug, out_tw.tid, wmap.kind(snug)))
+                    kinds[prw] = FREE
+                    tids[prw] = None
+                    kinds[snug] = RESERVED
+                    tids[snug] = out_tw.tid
+                    out_tw.prw = snug
+                self._anchor = out_tw.prw
+            else:
+                # The stack-top outs always travel through memory (§4.1).
+                ob = wf._out_base[out_tw.cwp]
+                out_tw.saved_outs = regs[ob:ob + 8]
+        if in_tw.resident > 0:
+            # SP transfers nothing here: windows, outs and PRW are all
+            # in place (the PRW may still drift upward over a free run
+            # below, as costless growth headroom).
+            if prw_boundary and (in_tw.prw is None
+                                 or in_tw.prw != wf._above[in_tw.cwp]):
+                raise WindowGeometryError(
+                    "thread %d resident without a snug PRW (%s)"
+                    % (in_tw.tid, in_tw.prw))
+        else:
+            allocated = True
+            if not self._simple_alloc:
+                top = self.allocation.choose_top(self, out_tw, in_tw, need=2)
+            elif prw_boundary:
+                # simple_top: above the suspended thread's PRW
+                anchor = self._anchor
+                if out_tw is not None and out_tw.prw is not None:
+                    anchor = out_tw.prw
+                top = wf._above[anchor]
+            else:
+                # simple_top: the old global reserved window
+                top = self.reserved
+            # SNP may take its own reserved window as the new top.
+            if kinds[top] is not FREE and (prw_boundary
+                                           or top != self.reserved):
+                saves += self._make_free(top)
+            # Install one frame at ``top``: the innermost stored frame,
+            # or a zeroed one for a fresh thread (every windowless
+            # re-entry runs this, straight against the flat file).
+            base = wf._in_base[top]
+            mid = base + 8
+            if in_tw.started:
+                frames = in_tw.store.frames
+                if not frames:
+                    raise WindowGeometryError(
+                        "started thread %d is windowless with an empty "
+                        "backing store" % in_tw.tid)
+                frame = frames.pop()
+                fault_store = self.cpu._fault_store
+                if fault_store is not None:
+                    fault_store("restore", in_tw, frame, self.counters)
+                expected = in_tw.depth - in_tw.resident
+                if frame.depth >= 0 and frame.depth != expected:
+                    raise WindowIntegrityError(
+                        "thread %d restored frame of depth %d at depth %d"
+                        % (in_tw.tid, frame.depth, expected),
+                        thread=in_tw.tid, frame_depth=frame.depth,
+                        expected=expected)
+                regs[base:mid] = frame.ins
+                regs[mid:mid + 8] = frame.local_regs
+                if len(frame.ins) == 8 and len(frame.local_regs) == 8:
+                    wf._frame_pool.append(frame)
+                restores = 1
+            else:
+                regs[base:base + 16] = [0] * 16
+                in_tw.depth = 1
+            in_tw.cwp = top
+            in_tw.bottom = top
+            in_tw.resident = 1
+            kinds[top] = FRAME
+            tids[top] = in_tw.tid
+        # Place the boundary above the incoming thread's top, granting
+        # any free run on the way (the WIM must be recomputed for the
+        # new thread regardless, §3); the spill this may need is SP's
+        # second one, the worst case of Table 2.  This is
+        # _position_boundary inlined and specialized: ``top`` is the
+        # thread's stack-top on both paths above, so the FREE-top case
+        # (the overflow path) vanishes and ``above_len`` is
+        # ``resident - 1``.
+        top = in_tw.cwp
+        n = wf.n_windows
+        above = wf._above
+        resident = in_tw.resident
+        relocatable = in_tw.prw if prw_boundary else self.reserved
+        limit = n - resident
+        headroom = self.grant_headroom + 1
+        if limit > headroom:
+            limit = headroom
+        count = 0
+        w = above[top]
+        while count < limit and (kinds[w] is FREE or w == relocatable):
+            count += 1
+            w = above[w]
+        if not count:
+            saves += self._make_free(above[top])
+            count = 1
+            # The eviction may have spilled ``in_tw``'s own bottom;
+            # the valid span must use the post-spill resident count.
+            resident = in_tw.resident
+        boundary = top - count
+        if boundary < 0:
+            boundary += n
+        if (relocatable is not None and relocatable != boundary
+                and kinds[relocatable] is RESERVED):
+            kinds[relocatable] = FREE
+            tids[relocatable] = None
+        kinds[boundary] = RESERVED
+        if prw_boundary:
+            tids[boundary] = in_tw.tid
+            in_tw.prw = boundary
+        else:
+            tids[boundary] = None
+            self.reserved = boundary
+        bitmap = wf._wim
+        bitmap[:] = wf._all_invalid
+        valid_t = wf._all_valid
+        start = boundary + 1
+        if start == n:
+            start = 0
+        end = start + count + resident - 1
+        if end <= n:
+            bitmap[start:end] = valid_t[start:end]
+        else:
+            bitmap[start:] = valid_t[start:]
+            end -= n
+            bitmap[:end] = valid_t[:end]
+        # SNP's outs come back on every switch-in; SP's only after the
+        # thread lost its PRW to a spill while suspended.
+        saved = in_tw.saved_outs
+        if saved is not None:
+            ob = wf._out_base[in_tw.cwp]
+            regs[ob:ob + 8] = saved
+            in_tw.saved_outs = None
+        # point the hardware at the incoming thread; stamp the dispatch
+        wf.cwp = in_tw.cwp
+        self.cpu.current = in_tw
+        in_tw.started = True
+        seq = self._dispatch_seq + 1
+        self._dispatch_seq = seq
+        self.last_dispatched[in_tw.tid] = seq
+        key = (saves, restores, allocated, flushed)
+        cache = self._switch_cost_cache
+        cycles = cache.get(key)
+        if cycles is None:
+            cycles = (self._switch_cost(saves, restores, allocated)
+                      + self.cost.flush_cost(flushed))
+            cache[key] = cycles
+        # count the switch (one per quantum)
+        saves += flushed
+        counters = self.counters
+        counters.context_switches += 1
+        counters.switch_transfer_hist[(saves, restores)] += 1
+        counters.windows_spilled += saves
+        counters.windows_restored += restores
+        counters.switch_cycles += cycles
+        in_tw.stat_switches += 1
+        if counters.keep_trace:
+            counters.switch_trace.append(SwitchRecord(
+                out_tw.tid if out_tw is not None else None,
+                in_tw.tid, saves, restores, cycles))
+        if self._tel_switch is not None:
+            self._tel_switch.append(cycles)
+        if self._tracing:
+            self.events.emit(
+                "switch", tid=in_tw.tid,
+                out_tid=out_tw.tid if out_tw is not None else None,
+                saves=saves, restores=restores, cycles=cycles)
 
     # -- flush-type context switch (§4.4) ------------------------------------
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.windows.errors import WindowIntegrityError
-
 
 @dataclass(slots=True)
 class Frame:
@@ -33,27 +31,6 @@ class BackingStore:
     """Memory stack of spilled frames for one thread (outermost first)."""
 
     frames: List[Frame] = field(default_factory=list)
-
-    def push(self, frame: Frame) -> None:
-        """Spill: the outermost *resident* frame becomes the innermost
-        *stored* frame."""
-        if self.frames and frame.depth >= 0 and self.frames[-1].depth >= 0:
-            if frame.depth != self.frames[-1].depth + 1:
-                raise WindowIntegrityError(
-                    "non-contiguous spill: depth %d pushed over depth %d"
-                    % (frame.depth, self.frames[-1].depth))
-        self.frames.append(frame)
-
-    def pop(self) -> Frame:
-        """Restore: hand back the innermost stored frame."""
-        if not self.frames:
-            raise WindowIntegrityError("underflow from an empty backing store")
-        return self.frames.pop()
-
-    def peek(self) -> Frame:
-        if not self.frames:
-            raise WindowIntegrityError("peek at an empty backing store")
-        return self.frames[-1]
 
     def __len__(self) -> int:
         return len(self.frames)

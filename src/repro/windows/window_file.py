@@ -15,11 +15,12 @@ the conditions.
 
 Storage layout (the simulator fast path): all in/local banks live in
 one flat Python list of ``n_windows * 16`` slots — window ``w``'s ins
-at ``[16w, 16w+8)``, its locals at ``[16w+8, 16w+16)`` — so window
-spills, restores and the underflow shuffle are single slice copies and
+at ``[16w, 16w+8)``, its locals at ``[16w+8, 16w+16)`` — so the
+schemes' window spills, restores and underflow shuffle are single slice
+copies (spilled frames reuse the buffers in ``_frame_pool``) and
 register access is one flat index instead of two list hops.  Cyclic
-geometry (``above``/``below``/``distance_above``) is served from tables
-precomputed at construction; the WIM is a bytearray bitmap with a
+geometry (``above``/``below``, the in/out bank offsets) is served from
+tables precomputed at construction; the WIM is a bytearray bitmap with a
 set-valued ``wim`` property kept for introspection (crash bundles,
 invariant checks, ``repr``).  Registers hold arbitrary Python objects,
 not just ints — the kernel stores signature tuples in them — which is
@@ -127,9 +128,9 @@ class WindowFile:
     """Cyclic register-window file with in/out/local overlap."""
 
     __slots__ = ("n_windows", "global_regs", "cwp", "_regs", "_wim",
-                 "_above", "_below", "_dist", "_in_base", "_out_base",
+                 "_above", "_below", "_in_base", "_out_base",
                  "_in_views", "_local_views", "_frame_pool",
-                 "_all_invalid", "_all_valid", "_ring2")
+                 "_all_invalid", "_all_valid")
 
     def __init__(self, n_windows: int):
         if n_windows < MIN_WINDOWS:
@@ -143,10 +144,8 @@ class WindowFile:
         # -- precomputed cyclic geometry --
         self._above = [(w - 1) % n for w in range(n)]
         self._below = [(w + 1) % n for w in range(n)]
-        self._dist = [[(s - e) % n for e in range(n)] for s in range(n)]
         self._in_base = [w * 2 * REGS_PER_BANK for w in range(n)]
         self._out_base = [self._in_base[self._above[w]] for w in range(n)]
-        self._ring2 = list(range(n)) * 2
         self._in_views = [RegisterBank(self._regs, self._in_base[w])
                           for w in range(n)]
         self._local_views = [
@@ -168,16 +167,6 @@ class WindowFile:
         """The window below ``w`` (the caller direction)."""
         return self._below[w]
 
-    def distance_above(self, start: int, end: int) -> int:
-        """How many steps *above* ``start`` window ``end`` lies (0..n-1)."""
-        return self._dist[start][end]
-
-    def windows_from(self, top: int, count: int) -> List[int]:
-        """``count`` windows starting at ``top`` going downward (below)."""
-        if 0 <= top < self.n_windows and count <= self.n_windows:
-            return self._ring2[top:top + count]
-        return [(top + i) % self.n_windows for i in range(count)]
-
     # -- WIM -------------------------------------------------------------
 
     @property
@@ -198,14 +187,6 @@ class WindowFile:
             bitmap[w] = 0
         for w in wim:
             bitmap[w] = 1
-
-    def set_wim_except(self, valid: Iterable[int]) -> None:
-        """Mark every window invalid except ``valid`` (scheme fast path:
-        the WIM rebuild after boundary placement, without set algebra)."""
-        bitmap = self._wim
-        bitmap[:] = self._all_invalid
-        for w in valid:
-            bitmap[w] = 0
 
     def set_wim_only(self, w: int) -> None:
         """Mark exactly window ``w`` invalid (the NS scheme's single
@@ -279,60 +260,6 @@ class WindowFile:
     def outs_of(self, w: int) -> RegisterBank:
         """Physical storage of window ``w``'s out registers."""
         return self._in_views[self._above[w]]
-
-    def capture(self, w: int, depth: int = -1) -> Frame:
-        """Copy window ``w``'s in+local registers into a memory frame.
-
-        Frames come from a free pool when one is available (see
-        :meth:`release_frame`); the register data is always copied."""
-        self._check_index(w)
-        regs = self._regs
-        base = self._in_base[w]
-        mid = base + REGS_PER_BANK
-        pool = self._frame_pool
-        if pool:
-            frame = pool.pop()
-            frame.ins[:] = regs[base:mid]
-            frame.local_regs[:] = regs[mid:mid + REGS_PER_BANK]
-            frame.depth = depth
-            return frame
-        return Frame(regs[base:mid], regs[mid:mid + REGS_PER_BANK], depth)
-
-    def release_frame(self, frame: Frame) -> None:
-        """Return a dead frame's buffers to the pool for the next
-        :meth:`capture`.  Only call once the frame can no longer be
-        reached (popped from a backing store and loaded back)."""
-        if len(frame.ins) == REGS_PER_BANK and \
-                len(frame.local_regs) == REGS_PER_BANK:
-            self._frame_pool.append(frame)
-
-    def load(self, w: int, frame: Frame) -> None:
-        """Write a memory frame back into window ``w``'s in+local registers."""
-        self._check_index(w)
-        regs = self._regs
-        base = self._in_base[w]
-        mid = base + REGS_PER_BANK
-        regs[base:mid] = frame.ins
-        regs[mid:mid + REGS_PER_BANK] = frame.local_regs
-
-    def copy_ins_to_outs(self, w: int) -> None:
-        """The in-place underflow-restore register shuffle (paper §3.2).
-
-        The callee's in registers (return values and frame linkage,
-        shared with the caller's outs) are copied into the callee's out
-        registers so they survive the caller's frame being restored on
-        top of the callee's window.
-        """
-        regs = self._regs
-        src = self._in_base[w]
-        dst = self._out_base[w]
-        regs[dst:dst + REGS_PER_BANK] = regs[src:src + REGS_PER_BANK]
-
-    def clear_window(self, w: int, fill: int = 0) -> None:
-        """Scrub a window (used when handing a window to a fresh frame)."""
-        base = self._in_base[w]
-        self._regs[base:base + 2 * REGS_PER_BANK] = [fill] * (
-            2 * REGS_PER_BANK)
 
     def _check_index(self, w: int) -> None:
         if not 0 <= w < self.n_windows:

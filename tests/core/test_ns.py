@@ -29,7 +29,7 @@ class TestBasicTraps:
         assert cpu.counters.overflow_traps == 1
         assert cpu.counters.windows_spilled == 1
         assert len(tw.store) == 1
-        assert tw.store.peek().depth == 1
+        assert tw.store.frames[-1].depth == 1
         assert scheme.reserved == old_bottom
         assert tw.resident == 3
         verify(cpu, scheme)

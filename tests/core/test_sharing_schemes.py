@@ -4,6 +4,7 @@ handling (§4.1) and windowless allocation (§4.2)."""
 
 import pytest
 
+from repro.windows.backing_store import Frame
 from tests.helpers import (
     call,
     call_to_depth,
@@ -84,6 +85,40 @@ class TestInPlaceUnderflow:
         assert tw.depth == 1
         verify(cpu, scheme)
 
+    @pytest.mark.parametrize("scheme_name", SHARING)
+    def test_frame_pool_reuses_restored_frames(self, scheme_name):
+        """A spill copies the bottom window into a pooled frame buffer
+        (never aliasing the registers); the in-place underflow moves
+        all eight ins to the outs, restores the frame and hands the
+        buffer back to the pool for the next spill."""
+        cpu, scheme = make_machine(5, scheme_name)
+        wf = cpu.wf
+        pooled = Frame([0] * 8, [0] * 8, -1)
+        wf._frame_pool.append(pooled)
+        tw = new_thread(scheme, 0)
+        dispatch(cpu, scheme, None, tw)
+        cpu.write_local(1, "outermost")
+        old_bottom = tw.bottom
+        while not tw.store:
+            call(cpu, tw)
+        assert len(tw.store) == 1 and tw.store.frames[0] is pooled
+        assert pooled.depth == 1 and pooled.local_regs[1] == "outermost"
+        wf.locals_of(old_bottom)[1] = "clobbered"
+        assert pooled.local_regs[1] == "outermost"   # copied, not aliased
+        ret_to_depth(cpu, tw, 2)
+        results = [("ret", i) for i in range(8)]
+        for i, value in enumerate(results):
+            cpu.write_in(i, value)
+        cpu.restore(tw)                              # in-place underflow
+        assert cpu.counters.underflow_traps == 1
+        assert [cpu.read_out(i) for i in range(8)] == results
+        assert cpu.read_local(1) == "outermost"
+        assert len(wf._frame_pool) == 1 and wf._frame_pool[0] is pooled
+        while not tw.store:
+            call(cpu, tw)
+        assert tw.store.frames[0] is pooled and not wf._frame_pool
+        verify(cpu, scheme)
+
 
 class TestOverflowSpillsBottoms:
     @pytest.mark.parametrize("scheme_name", SHARING)
@@ -101,7 +136,7 @@ class TestOverflowSpillsBottoms:
             call(cpu, t2)
         assert t1.resident == 2
         assert len(t1.store) == 1
-        assert t1.store.peek().depth == 1      # the OUTERMOST frame
+        assert t1.store.frames[-1].depth == 1  # the OUTERMOST frame
         assert t1.cwp == t1_top                # top untouched (§3.1 #2)
         assert t1.bottom == cpu.wf.above(t1_bottom)
         verify(cpu, scheme)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Set
 
-from repro.windows.backing_store import Frame
 from repro.windows.errors import WindowGeometryError
 from repro.windows.window_file import MIN_WINDOWS, REGS_PER_BANK
 
@@ -44,12 +43,6 @@ class ReferenceWindowFile:
     def below(self, w: int) -> int:
         return (w + 1) % self.n_windows
 
-    def distance_above(self, start: int, end: int) -> int:
-        return (start - end) % self.n_windows
-
-    def windows_from(self, top: int, count: int) -> List[int]:
-        return [(top + i) % self.n_windows for i in range(count)]
-
     # -- WIM -------------------------------------------------------------
 
     @property
@@ -61,9 +54,6 @@ class ReferenceWindowFile:
         for w in wim:
             self._check_index(w)
         self._wim = wim
-
-    def set_wim_except(self, valid: Iterable[int]) -> None:
-        self._wim = set(range(self.n_windows)) - set(valid)
 
     def set_wim_only(self, w: int) -> None:
         self._check_index(w)
@@ -120,25 +110,6 @@ class ReferenceWindowFile:
 
     def outs_of(self, w: int) -> List[int]:
         return self._ins[self.above(w)]
-
-    def capture(self, w: int, depth: int = -1) -> Frame:
-        self._check_index(w)
-        return Frame(list(self._ins[w]), list(self._locals[w]), depth)
-
-    def release_frame(self, frame: Frame) -> None:
-        pass  # no pooling in the reference model
-
-    def load(self, w: int, frame: Frame) -> None:
-        self._check_index(w)
-        self._ins[w][:] = frame.ins
-        self._locals[w][:] = frame.local_regs
-
-    def copy_ins_to_outs(self, w: int) -> None:
-        self._ins[self.above(w)][:] = self._ins[w]
-
-    def clear_window(self, w: int, fill: int = 0) -> None:
-        self._ins[w][:] = [fill] * REGS_PER_BANK
-        self._locals[w][:] = [fill] * REGS_PER_BANK
 
     def _check_index(self, w: int) -> None:
         if not 0 <= w < self.n_windows:

@@ -1,10 +1,11 @@
-"""Unit tests for the physical window file: geometry, overlap, WIM."""
+"""Unit tests for the physical window file: geometry, overlap, WIM and
+the frame traffic of the scheme spill and in-place restore steps."""
 
 import pytest
 
-from repro.windows.backing_store import Frame
 from repro.windows.errors import WindowGeometryError
 from repro.windows.window_file import MIN_WINDOWS, WindowFile
+from tests.helpers import call_to_depth, dispatch, make_machine, new_thread
 
 
 class TestGeometry:
@@ -23,16 +24,6 @@ class TestGeometry:
         for w in range(5):
             assert wf.below(wf.above(w)) == w
             assert wf.above(wf.below(w)) == w
-
-    def test_distance_above(self):
-        wf = WindowFile(8)
-        assert wf.distance_above(3, 1) == 2
-        assert wf.distance_above(1, 3) == 6
-        assert wf.distance_above(4, 4) == 0
-
-    def test_windows_from_goes_downward(self):
-        wf = WindowFile(6)
-        assert wf.windows_from(4, 3) == [4, 5, 0]
 
     def test_minimum_size_enforced(self):
         with pytest.raises(WindowGeometryError):
@@ -120,40 +111,59 @@ class TestWIM:
             wf.set_wim({9})
 
 
+def _two_frame_thread(n_windows):
+    """An SNP machine with one dispatched thread at depth 2: window
+    ``bottom`` holds frame 1 and the CWP holds frame 2."""
+    cpu, scheme = make_machine(n_windows, "SNP")
+    tw = new_thread(scheme, 0)
+    dispatch(cpu, scheme, None, tw)
+    call_to_depth(cpu, tw, 2)
+    assert tw.resident == 2
+    return cpu, scheme, tw
+
+
 class TestFrames:
+    """The window file's frame traffic: a spill copies a window's ins
+    and locals out (``Scheme._spill_bottom``) and the in-place underflow
+    loads them back (``handle_underflow``)."""
+
     def test_capture_and_load_roundtrip(self):
-        wf = WindowFile(6)
-        wf.cwp = 3
+        cpu, scheme, tw = _two_frame_thread(6)
+        wf = cpu.wf
+        bottom = tw.bottom
         for i in range(8):
-            wf.write_in(i, i * 2)
-            wf.write_local(i, i * 3)
-        frame = wf.capture(3, depth=7)
-        wf.clear_window(3)
-        assert wf.read_in(0) == 0
-        wf.load(3, frame)
+            wf.ins_of(bottom)[i] = i * 2
+            wf.locals_of(bottom)[i] = i * 3
+        scheme._spill_bottom(tw)
+        frame = tw.store.frames[-1]
+        assert frame.depth == 1
+        for i in range(8):
+            wf.ins_of(bottom)[i] = 0
+            wf.locals_of(bottom)[i] = 0
+        scheme.handle_underflow(tw)  # frame 1 comes back into the CWP
         for i in range(8):
             assert wf.read_in(i) == i * 2
             assert wf.read_local(i) == i * 3
-        assert frame.depth == 7
+        assert tw.depth == 1 and not tw.store
 
     def test_capture_copies_not_aliases(self):
-        wf = WindowFile(6)
-        wf.cwp = 1
-        wf.write_in(0, 10)
-        frame = wf.capture(1)
-        wf.write_in(0, 20)
+        cpu, scheme, tw = _two_frame_thread(6)
+        wf = cpu.wf
+        bottom = tw.bottom
+        wf.ins_of(bottom)[0] = 10
+        scheme._spill_bottom(tw)
+        frame = tw.store.frames[-1]
+        wf.ins_of(bottom)[0] = 20
         assert frame.ins[0] == 10
 
     def test_copy_ins_to_outs_is_the_inplace_shuffle(self):
         """§3.2: callee's ins (return values) must land in its outs."""
-        wf = WindowFile(8)
-        wf.cwp = 3
+        cpu, scheme, tw = _two_frame_thread(8)
+        wf = cpu.wf
+        scheme._spill_bottom(tw)
         for i in range(8):
             wf.write_in(i, 50 + i)
-        wf.copy_ins_to_outs(3)
-        for i in range(8):
-            assert wf.read_out(i) == 50 + i
-        # Loading a different frame over window 3 must not lose them.
-        wf.load(3, Frame([0] * 8, [0] * 8, 0))
+        # Loading the caller's frame over the CWP must not lose them.
+        scheme.handle_underflow(tw)
         for i in range(8):
             assert wf.read_out(i) == 50 + i

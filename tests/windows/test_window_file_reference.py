@@ -1,19 +1,19 @@
 """Differential property test: the flat fast-path ``WindowFile`` must
 match the retained nested-list :class:`ReferenceWindowFile` across
-randomized save/restore/spill sequences, including WIM and register
-traffic that wraps around window 0."""
+randomized save/restore, register and WIM sequences, including traffic
+that wraps around window 0."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.windows.backing_store import Frame
 from tests.support.reference import ReferenceWindowFile
 from repro.windows.window_file import REGS_PER_BANK, WindowFile
+from tests.helpers import call_to_depth, dispatch, make_machine, new_thread
 
 # ops: (kind, window-ish, reg, value) — window/reg are reduced mod the
 # actual geometry inside the interpreter so every op is always legal
-op_strategy = st.tuples(st.integers(0, 12), st.integers(0, 63),
+op_strategy = st.tuples(st.integers(0, 8), st.integers(0, 63),
                         st.integers(0, REGS_PER_BANK - 1),
                         st.integers(-(2 ** 40), 2 ** 40))
 
@@ -32,7 +32,7 @@ def _same_state(wf: WindowFile, ref: ReferenceWindowFile) -> None:
         assert wf.below(w) == ref.below(w)
 
 
-def _apply(wf, ref, op, counter: int, stacks) -> None:
+def _apply(wf, ref, op) -> None:
     kind, wsel, reg, value = op
     n = wf.n_windows
     w = wsel % n
@@ -56,30 +56,14 @@ def _apply(wf, ref, op, counter: int, stacks) -> None:
     elif kind == 5:
         wf.write_global(reg, value)
         ref.write_global(reg, value)
-    elif kind == 6:  # spill window w to the store
-        stacks.append((wf.capture(w, depth=counter),
-                       ref.capture(w, depth=counter)))
-    elif kind == 7:  # restore the innermost stored frame into window w
-        if stacks:
-            fast_frame, ref_frame = stacks.pop()
-            wf.load(w, fast_frame)
-            ref.load(w, ref_frame)
-            wf.release_frame(fast_frame)  # exercises the frame pool
-            assert fast_frame.depth == ref_frame.depth
-    elif kind == 8:  # the in-place underflow shuffle (§3.2)
-        wf.copy_ins_to_outs(w)
-        ref.copy_ins_to_outs(w)
-    elif kind == 9:
-        wf.clear_window(w, fill=value)
-        ref.clear_window(w, fill=value)
-    elif kind == 10:  # WIM rebuild from a valid set (wraps freely)
-        valid = {(w + i) % n for i in range(wsel % (n + 1))}
-        wf.set_wim_except(valid)
-        ref.set_wim_except(valid)
-    elif kind == 11:
+    elif kind == 6:  # WIM rebuild from an invalid set (wraps freely)
+        invalid = {(w + i) % n for i in range(wsel % (n + 1))}
+        wf.set_wim(invalid)
+        ref.set_wim(invalid)
+    elif kind == 7:
         wf.set_wim_only(w)
         ref.set_wim_only(w)
-    elif kind == 12:
+    elif kind == 8:
         if value % 2:
             wf.mark_invalid(w)
             ref.mark_invalid(w)
@@ -94,9 +78,8 @@ def _apply(wf, ref, op, counter: int, stacks) -> None:
 def test_flat_file_matches_reference(n, ops):
     wf = WindowFile(n)
     ref = ReferenceWindowFile(n)
-    stacks = []
-    for counter, op in enumerate(ops):
-        _apply(wf, ref, op, counter, stacks)
+    for op in ops:
+        _apply(wf, ref, op)
         _same_state(wf, ref)
 
 
@@ -131,25 +114,41 @@ def test_out_in_aliasing_is_physical():
     assert wf.ins_of(7)[3] == 99
 
 
+def _spilled_thread(n_windows, ins0, local1):
+    """An SNP machine with one thread at depth 2 whose outermost frame
+    (ins[0] = ``ins0``, locals[1] = ``local1``) was just spilled by
+    ``Scheme._spill_bottom``; returns the spilled frame too."""
+    cpu, scheme = make_machine(n_windows, "SNP")
+    tw = new_thread(scheme, 0)
+    dispatch(cpu, scheme, None, tw)
+    call_to_depth(cpu, tw, 2)
+    bottom = tw.bottom
+    cpu.wf.ins_of(bottom)[0] = ins0
+    cpu.wf.locals_of(bottom)[1] = local1
+    scheme._spill_bottom(tw)
+    return cpu, scheme, tw, bottom, tw.store.frames[-1]
+
+
 def test_frame_pool_reuses_released_frames():
-    wf = WindowFile(4)
-    wf.write_in(0, 11)
-    frame = wf.capture(0, depth=2)
-    assert frame.ins[0] == 11 and frame.depth == 2
-    wf.release_frame(frame)
-    wf.write_in(0, 22)
-    again = wf.capture(0, depth=5)
+    cpu, scheme, tw, __, frame = _spilled_thread(6, 11, 0)
+    wf = cpu.wf
+    assert frame.ins[0] == 11 and frame.depth == 1
+    scheme.handle_underflow(tw)  # the restore releases the buffer
+    assert wf._frame_pool == [frame]
+    call_to_depth(cpu, tw, 3)
+    wf.ins_of(tw.bottom)[0] = 22
+    scheme._spill_bottom(tw)
+    again = tw.store.frames[-1]
     assert again is frame  # pooled buffer, not a new allocation
-    assert again.ins[0] == 22 and again.depth == 5
-    # a foreign-sized frame is never pooled
-    wf.release_frame(Frame([0] * 3, [0] * 3, -1))
-    third = wf.capture(0)
-    assert len(third.ins) == REGS_PER_BANK
+    assert again.ins[0] == 22 and again.depth == 1
+    # with the pool empty, the next spill allocates a full-sized frame
+    scheme._spill_bottom(tw)
+    third = tw.store.frames[-1]
+    assert third is not frame and third.depth == 2
+    assert len(third.ins) == len(third.local_regs) == REGS_PER_BANK
 
 
 def test_capture_copies_rather_than_aliases():
-    wf = WindowFile(4)
-    wf.write_local(1, 7)
-    frame = wf.capture(0)
-    wf.write_local(1, 8)
+    cpu, __, __, bottom, frame = _spilled_thread(4, 0, 7)
+    cpu.wf.locals_of(bottom)[1] = 8
     assert frame.local_regs[1] == 7
