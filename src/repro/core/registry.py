@@ -15,9 +15,8 @@ SCHEMES = {
 
 def make_scheme(name: str, cpu, **kwargs):
     """Build a scheme by its paper name ("NS", "SNP" or "SP")."""
-    try:
-        cls = SCHEMES[name.upper()]
-    except KeyError:
+    cls = SCHEMES.get(name.upper()) if isinstance(name, str) else None
+    if cls is None:
         raise ValueError(
             "unknown scheme %r (expected one of %s)"
             % (name, ", ".join(sorted(SCHEMES))))

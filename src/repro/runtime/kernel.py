@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.core import make_scheme
 from repro.core.invariants import check_invariants
-from repro.core.scheme import Scheme
 from repro.errors import ReproError
 from repro.metrics.counters import Counters
 from repro.runtime.errors import DeadlockError, LivelockError, RuntimeFault
@@ -99,14 +98,9 @@ class Kernel:
         self.counters = counters if counters is not None else Counters()
         self.cpu = WindowCPU(n_windows, cost_model, self.counters)
         kwargs = dict(scheme_kwargs or {})
-        if isinstance(scheme, Scheme):
-            self.scheme = scheme
-        elif scheme.upper() == "NS":
-            self.scheme = make_scheme("NS", self.cpu, **kwargs)
-        else:
-            if allocation is not None:
-                kwargs.setdefault("allocation", allocation)
-            self.scheme = make_scheme(scheme, self.cpu, **kwargs)
+        if allocation is not None and str(scheme).upper() != "NS":
+            kwargs.setdefault("allocation", allocation)
+        self.scheme = make_scheme(scheme, self.cpu, **kwargs)
         self.ready = ReadyQueue(queue_policy)
         self.threads: List[SimThread] = []
         self.current: Optional[SimThread] = None
@@ -347,23 +341,13 @@ class Kernel:
     def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
         # Every hook rides the batched loop.
         self._max_steps = max_steps
-        while self._next_quantum():
-            self._run_batched()
-            if max_steps is not None and self._steps >= max_steps:
-                raise RuntimeFault("step budget of %d exceeded" % max_steps)
+        self._run_batched()
+        if max_steps is not None and self._steps >= max_steps:
+            raise RuntimeFault("step budget of %d exceeded" % max_steps)
+        blocked = [t for t in self.threads if t.state == BLOCKED]
+        if blocked:
+            raise self._deadlock_error(blocked)
         return self._finish("pure-batched")
-
-    def _next_quantum(self) -> bool:
-        """Dispatch the next ready thread unless one is running; False
-        when every thread is done, DeadlockError when all are blocked."""
-        if self.current is None:
-            if not self.ready:
-                blocked = [t for t in self.threads if t.state == BLOCKED]
-                if blocked:
-                    raise self._deadlock_error(blocked)
-                return False
-            self._dispatch(self.ready.pop())
-        return True
 
     def _finish(self, loop: str) -> RunResult:
         if self._tracing:
@@ -433,32 +417,7 @@ class Kernel:
 
             exc.bundle_path = write_crash_bundle(self.crash_dir, exc, self)
 
-    # -- dispatch ----------------------------------------------------------------
-
-    def _dispatch(self, thread: SimThread) -> None:
-        out = self.last_suspended
-        if out is not thread:
-            out_tw = out.windows if out is not None else None
-            flush = out.flush_on_switch if out is not None else False
-            self.scheme.context_switch(out_tw, thread.windows,
-                                       flush_out=flush)
-        # else: a ``sched`` fault shuffled the thread that just yielded
-        # back to the head of the queue; it resumes with no switch and
-        # no cost, like a YieldCPU with nobody else ready.
-        self.last_suspended = None
-        self.current = thread
-        thread.state = RUNNING
-        if not thread.gen_stack:
-            thread.start_root()
-            if self.verify_registers:
-                self.cpu.write_local(0, ("sig", thread.tid, 1))
-        if self._tracing:
-            self.events.emit("dispatch", tid=thread.tid,
-                             depth=thread.windows.depth)
-        if self._observed:
-            self._quantum_started(thread, out is not thread)
-        if self.audit:
-            self._audit()
+    # -- run hooks ------------------------------------------------------------
 
     def _audit(self, steps: int = 0, cycles: int = 0) -> None:
         """Continuous invariant audit: the full geometry check after
@@ -509,10 +468,17 @@ class Kernel:
         Each thread's quantum executes as a straight-line batch of
         steps, returning control only on a batch-exit event — block,
         yield, completion (:mod:`repro.runtime.batch`) — after which
-        the next thread is dispatched without leaving this frame, so
-        the simulator-invariant locals (register file geometry, WIM,
-        occupancy arrays, op classes) hoist once per *run* instead of
-        once per step or quantum.
+        the next thread is dispatched at the loop's top without
+        leaving this frame, so the simulator-invariant locals (register
+        file geometry, WIM, occupancy arrays, op classes) hoist once
+        per *run* instead of once per step or quantum.  The loop
+        returns when no thread is ready; the caller tells completion
+        from deadlock.
+
+        A blocked thread resumes by replaying the op it blocked in
+        (``thread.pending`` keeps it): the op runs through its own
+        branch again, whose attempt step is the quantum's entry step,
+        so every blocking op has one attempt, wake and block body.
 
         Bit-identical to a step-granular trampoline that executes one
         runtime op per step through ``WindowCPU.save``/``restore`` (the
@@ -595,7 +561,6 @@ class Kernel:
         handle_overflow = scheme.handle_overflow
         handle_underflow = scheme.handle_underflow
         context_switch = scheme.context_switch
-        block = self._block
         wake_readers = self._wake_readers
         wake_writers = self._wake_writers
         do_close = self._do_close
@@ -622,146 +587,77 @@ class Kernel:
         # the running quantum's depth excursion, for the observers;
         # reset at each observed dispatch (unobserved, the save/restore
         # compares run on stale bounds that nothing reads)
-        low = high = self.current.windows.depth
+        low = high = 0
+        # a blocked thread's op, replayed through its own branch below
+        # when the thread resumes, and a partial write's progress
+        replay = None
+        offset = 0
         try:
             while True:            # one iteration per quantum
                 thread = self.current
+                if thread is None:
+                    if not queue:
+                        return     # all done, or deadlock (caller decides)
+                    # Dispatch; tracing is read once per quantum, here,
+                    # and what an untraced quantum accumulated folds
+                    # before the switch is stamped.
+                    events_on = self._tracing
+                    if events_on:
+                        counters.compute_cycles += compute
+                        counters.call_cycles += call_cycles
+                        compute = call_cycles = 0
+                    if ready.sample_slackness:
+                        ready.slackness_samples.append(len(queue) - 1)
+                    thread = popleft()
+                    out = self.last_suspended
+                    if out is not thread:
+                        if out is not None:
+                            context_switch(out.windows, thread.windows,
+                                           flush_out=out.flush_on_switch)
+                        else:
+                            context_switch(None, thread.windows,
+                                           flush_out=False)
+                    # else: a ``sched`` fault shuffled the thread that
+                    # just yielded back to the head of the queue; it
+                    # resumes with no switch and no cost, like a
+                    # YieldCPU with nobody else ready.
+                    self.last_suspended = None
+                    self.current = thread
+                    thread.state = RUNNING
+                    if not thread.gen_stack:
+                        thread.start_root()
+                        if verify:
+                            cpu.write_local(0, ("sig", thread.tid, 1))
+                    if events_on:
+                        events.emit("dispatch", tid=thread.tid,
+                                    depth=thread.windows.depth)
+                    if observed:
+                        quantum_started(thread, out is not thread)
+                        low = high = thread.windows.depth
+                    if audit is not None:
+                        audit(steps, compute + call_cycles)
                 tw = thread.windows
                 gen_stack = thread.gen_stack
+                gen = gen_stack[-1]
                 # -- per-quantum accumulators (per-thread statistics) --
                 n_saves = 0        # -> tw.stat_saves (== thread.calls)
                 n_restores = 0     # -> tw.stat_restores (== thread.returns)
                 resume = thread.resume_value
-                steps += 1         # the entry iteration
+                pending = thread.pending
                 try:
-                    if gate is not None and gate(steps, progress):
-                        return     # EXIT_BUDGET
-                    # Entry with an in-flight op (_continue_pending,
-                    # inlined): completion shares the step with the
-                    # send that follows, as in the reference loop's
-                    # pending-resume iteration; a still-blocked op
-                    # re-blocks without entering the batch (falling
-                    # through to the dispatch below).
-                    pending = thread.pending
                     if pending is None:
-                        gen = gen_stack[-1]
+                        steps += 1     # the entry iteration
+                        if gate is not None and gate(steps, progress):
+                            return     # EXIT_BUDGET
                     else:
-                        gen = None
-                        kind = pending[0]
-                        stream = pending[1]
-                        if kind == "write":
-                            data, offset = pending[2], pending[3]
-                            # -- Stream.push, inlined (and without the
-                            # tail-slice allocation push would need) --
-                            if stream.closed:
-                                raise StreamClosedError(
-                                    "write to closed stream %r"
-                                    % (stream.name,))
-                            sdata = stream._data
-                            pushed = stream.capacity - len(sdata)
-                            want = len(data) - offset
-                            if pushed:
-                                if pushed >= want:
-                                    pushed = want
-                                    sdata.extend(data[offset:])
-                                else:
-                                    sdata.extend(
-                                        data[offset:offset + pushed])
-                                stream.bytes_written += pushed
-                                offset += pushed
-                                if stream.read_waiters:
-                                    if fifo_wake and not events_on:
-                                        for waiter in stream.read_waiters:
-                                            waiter.blocked_on = None
-                                            waiter.state = READY_
-                                        queue_extend(stream.read_waiters)
-                                        del stream.read_waiters[:]
-                                    else:
-                                        wake_readers(stream)
-                            if offset >= len(data):
-                                thread.pending = None
-                                resume = None
-                                progress += 1
-                                gen = gen_stack[-1]
-                            else:
-                                thread.pending = ("write", stream, data,
-                                                  offset)
-                        elif kind == "read":
-                            sdata = stream._data
-                            if sdata or stream.closed:
-                                # -- Stream.pull, inlined --
-                                take = pending[2]
-                                avail = len(sdata)
-                                if take >= avail:
-                                    take = avail
-                                    data = bytes(sdata)
-                                    del sdata[:]
-                                else:
-                                    data = bytes(sdata[:take])
-                                    del sdata[:take]
-                                if take:
-                                    stream.bytes_read += take
-                                if take and stream.write_waiters:
-                                    if fifo_wake and not events_on:
-                                        for waiter in stream.write_waiters:
-                                            waiter.blocked_on = None
-                                            waiter.state = READY_
-                                        queue_extend(stream.write_waiters)
-                                        del stream.write_waiters[:]
-                                    else:
-                                        wake_writers(stream)
-                                thread.pending = None
-                                resume = data
-                                progress += 1
-                                gen = gen_stack[-1]
-                        elif kind == "readline":
-                            # -- has_line/at_eof/pull_line, inlined --
-                            sdata = stream._data
-                            idx = sdata.find(b"\n")
-                            if idx >= 0:
-                                idx += 1
-                                line = bytes(sdata[:idx])
-                                del sdata[:idx]
-                                stream.bytes_read += idx
-                            elif stream.closed:
-                                line = bytes(sdata)
-                                if line:
-                                    del sdata[:]
-                                    stream.bytes_read += len(line)
-                            elif len(sdata) >= stream.capacity:
-                                raise RuntimeFault(
-                                    "readline on %r: line longer than "
-                                    "the stream capacity" % stream.name)
-                            else:
-                                line = None
-                            if line is not None:
-                                if line and stream.write_waiters:
-                                    if fifo_wake and not events_on:
-                                        for waiter in stream.write_waiters:
-                                            waiter.blocked_on = None
-                                            waiter.state = READY_
-                                        queue_extend(stream.write_waiters)
-                                        del stream.write_waiters[:]
-                                    else:
-                                        wake_writers(stream)
-                                thread.pending = None
-                                resume = line
-                                progress += 1
-                                gen = gen_stack[-1]
-                        elif kind == "join":
-                            if stream.state == DONE:
-                                thread.pending = None
-                                resume = stream.result
-                                progress += 1
-                                gen = gen_stack[-1]
-                        else:
-                            raise RuntimeFault(
-                                "unknown pending op %r" % kind)
-                        if gen is None:
-                            block(thread)
-                    while gen is not None:
+                        # Resume by replay: the op's own branch retries
+                        # it, and its attempt step is the entry step.
+                        thread.pending = None
+                        replay = pending[2]
+                        offset = pending[3]
+                    while True:
                         try:
-                            cmd = gen.send(resume)
+                            cmd = replay or gen.send(resume)
                         except StopIteration as stop:
                             value = stop.value
                             gen_stack.pop()
@@ -939,6 +835,7 @@ class Kernel:
                             steps += 1  # the attempt iteration
                             if gate is not None and gate(steps, progress):
                                 return  # EXIT_BUDGET
+                            replay = None
                             sdata = stream._data
                             if sdata or stream.closed:
                                 # -- Stream.pull, inlined --
@@ -969,8 +866,7 @@ class Kernel:
                                 # completion shares the next send's step
                                 continue
                             # -- _block, inlined --
-                            thread.pending = ("read", stream,
-                                              cmd.max_bytes)
+                            thread.pending = ("read", stream, cmd, 0)
                             stream.read_waiters.append(thread)
                             thread.blocked_on = stream.read_label
                             thread.state = BLOCKED_
@@ -988,19 +884,21 @@ class Kernel:
                             steps += 1
                             if gate is not None and gate(steps, progress):
                                 return  # EXIT_BUDGET
-                            # -- Stream.push, inlined --
+                            replay = None
+                            # -- Stream.push from ``offset``, inlined --
                             if stream.closed:
                                 raise StreamClosedError(
                                     "write to closed stream %r"
                                     % (stream.name,))
                             sdata = stream._data
                             pushed = stream.capacity - len(sdata)
-                            want = len(data)
+                            want = len(data) - offset
                             if pushed >= want:
                                 pushed = want
-                                sdata.extend(data)
+                                sdata.extend(data[offset:] if offset
+                                             else data)
                             elif pushed:
-                                sdata.extend(data[:pushed])
+                                sdata.extend(data[offset:offset + pushed])
                             if pushed:
                                 stream.bytes_written += pushed
                                 if stream.read_waiters:
@@ -1014,11 +912,13 @@ class Kernel:
                                     else:
                                         wake_readers(stream)
                             if pushed >= want:
+                                offset = 0
                                 progress += 1
                                 continue
                             # -- _block, inlined --
-                            thread.pending = ("write", stream, data,
-                                              pushed)
+                            thread.pending = ("write", stream, cmd,
+                                              offset + pushed)
+                            offset = 0
                             stream.write_waiters.append(thread)
                             thread.blocked_on = stream.write_label
                             thread.state = BLOCKED_
@@ -1036,6 +936,7 @@ class Kernel:
                             steps += 1
                             if gate is not None and gate(steps, progress):
                                 return  # EXIT_BUDGET
+                            replay = None
                             # -- has_line/at_eof/pull_line, inlined --
                             sdata = stream._data
                             idx = sdata.find(b"\n")
@@ -1056,7 +957,7 @@ class Kernel:
                                         "than the stream capacity"
                                         % stream.name)
                                 # -- _block, inlined --
-                                thread.pending = ("readline", stream)
+                                thread.pending = ("readline", stream, cmd, 0)
                                 stream.read_waiters.append(thread)
                                 thread.blocked_on = stream.read_label
                                 thread.state = BLOCKED_
@@ -1108,12 +1009,13 @@ class Kernel:
                             steps += 1
                             if gate is not None and gate(steps, progress):
                                 return  # EXIT_BUDGET
+                            replay = None
                             if target_t.state == DONE:
                                 progress += 1
                                 resume = target_t.result
                                 continue
                             # -- _block, inlined --
-                            thread.pending = ("join", target_t)
+                            thread.pending = ("join", target_t, cmd, 0)
                             target_t.join_waiters.append(thread)
                             thread.blocked_on = "join %s" % target_t.name
                             thread.state = BLOCKED_
@@ -1167,45 +1069,6 @@ class Kernel:
                                 call_cycles = 0
                             prof._check(thread, None, counters)
                             prof_cd = prof._cd
-                # Dispatch the next thread without leaving the frame.
-                if not queue:
-                    return  # all done, or deadlock (outer loop decides)
-                # _dispatch, inlined; tracing is read once per quantum,
-                # here, and what an untraced quantum accumulated folds
-                # before the switch is stamped
-                events_on = self._tracing
-                if events_on:
-                    counters.compute_cycles += compute
-                    counters.call_cycles += call_cycles
-                    compute = call_cycles = 0
-                if ready.sample_slackness:
-                    ready.slackness_samples.append(len(queue) - 1)
-                nxt = popleft()
-                out = self.last_suspended
-                if out is not nxt:
-                    if out is not None:
-                        context_switch(out.windows, nxt.windows,
-                                       flush_out=out.flush_on_switch)
-                    else:
-                        context_switch(None, nxt.windows, flush_out=False)
-                # else: a ``sched`` fault shuffled the thread that just
-                # yielded back to the head of the queue; it resumes with
-                # no switch and no cost (as in _dispatch)
-                self.last_suspended = None
-                self.current = nxt
-                nxt.state = RUNNING
-                if not nxt.gen_stack:
-                    nxt.start_root()
-                    if verify:
-                        cpu.write_local(0, ("sig", nxt.tid, 1))
-                if events_on:
-                    events.emit("dispatch", tid=nxt.tid,
-                                depth=nxt.windows.depth)
-                if observed:
-                    quantum_started(nxt, out is not nxt)
-                    low = high = nxt.windows.depth
-                if audit is not None:
-                    audit(steps, compute + call_cycles)
         finally:
             self._steps += steps
             self._progress += progress
@@ -1221,33 +1084,6 @@ class Kernel:
                 prof._cd = prof_cd
 
     # -- blocking stream operations ------------------------------------------------
-
-    def _block(self, thread: SimThread) -> None:
-        pending = thread.pending
-        kind = pending[0]
-        if kind == "join":
-            target: SimThread = pending[1]
-            target.join_waiters.append(thread)
-            thread.blocked_on = "join %s" % target.name
-        elif kind == "write":
-            stream: Stream = pending[1]
-            stream.write_waiters.append(thread)
-            thread.blocked_on = stream.write_label
-        else:
-            stream = pending[1]
-            stream.read_waiters.append(thread)
-            thread.blocked_on = stream.read_label
-        thread.state = BLOCKED
-        thread.blocks += 1
-        self.last_suspended = thread
-        self.current = None
-        if self._tracing:
-            if kind == "join":
-                op, on = "join", pending[1].name
-            else:
-                op = "write" if kind == "write" else "read"
-                on = pending[1].name or "stream"
-            self.events.emit("block", tid=thread.tid, on=on, op=op)
 
     def _do_close(self, stream: Stream) -> None:
         if self._tally is not None and not stream.closed:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.runtime.errors import RuntimeFault
 
-class StreamClosedError(Exception):
+
+class StreamClosedError(RuntimeFault):
     """Write attempted on a closed stream."""
 
 

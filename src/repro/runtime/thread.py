@@ -32,8 +32,9 @@ class SimThread:
         self.gen_stack: List[Any] = []
         #: value to send into the top generator at the next resume
         self.resume_value: Any = None
-        #: in-flight blocking operation, resumed before the generator is
-        #: (op kind, stream, payload...)
+        #: the blocking op the thread is blocked in, replayed when it
+        #: resumes: (kind, stream or joined thread, the Read/Write/
+        #: ReadLine/Join op, bytes of a partial write already pushed)
         self.pending: Optional[tuple] = None
         #: what the thread is blocked on, for diagnostics
         self.blocked_on: Optional[str] = None

@@ -14,6 +14,8 @@ the full counter state matches:
 * a stream blocking on the last possible step of a batch (a write
   that exactly fills the stream, then one byte more);
 * spawn and join inside one batch;
+* a blocked op that fails when it resumes (a readline onto a full
+  buffer with no newline, a write onto a closed stream);
 * the livelock watchdog firing mid-batch.
 """
 
@@ -24,6 +26,7 @@ from repro import (
     CloseStream,
     Join,
     Read,
+    ReadLine,
     Spawn,
     Tick,
     Write,
@@ -31,6 +34,7 @@ from repro import (
 )
 from repro.errors import ReproError
 from repro.isa import Machine, MachineFault, assemble
+from repro.runtime import RuntimeFault, StreamClosedError
 from tests.support.trampoline import make_kernel
 
 CORES = ("generator", "batched")
@@ -239,6 +243,97 @@ def test_join_already_done_never_blocks():
         assert kernel.threads[0].result == "done"
         assert kernel.threads[0].blocks == 0, (
             "%s core: a join on a finished thread must not block" % core)
+
+
+# -- a resumed op that fails on its retried attempt ---------------------
+
+
+def readline_overfull_workload(kernel):
+    """A ReadLine blocks on an empty 3-byte stream and resumes onto a
+    full buffer with no newline: the retried attempt raises."""
+    pipe = kernel.stream(3, "pipe")
+
+    def reader():
+        return (yield ReadLine(pipe))
+
+    def writer():
+        yield Write(pipe, b"abc")
+        yield Tick(1)
+        return None
+
+    kernel.spawn(reader, name="reader")
+    kernel.spawn(writer, name="writer")
+
+
+def write_after_close_workload(kernel):
+    """A Write blocks part-way on a 3-byte stream and resumes onto the
+    stream its reader closed: the retried attempt raises."""
+    pipe = kernel.stream(3, "pipe")
+
+    def writer():
+        yield Write(pipe, b"01234")
+        return None
+
+    def reader():
+        got = yield Read(pipe, 2)
+        yield CloseStream(pipe)
+        return got
+
+    kernel.spawn(writer, name="writer")
+    kernel.spawn(reader, name="reader")
+
+
+def run_catching(core, build, max_steps=None):
+    kernel = make_kernel(core=core, n_windows=6, scheme="SP")
+    kernel.counters.keep_trace = True
+    build(kernel)
+    try:
+        kernel.run(max_steps=max_steps)
+        error = None
+    except Exception as exc:
+        error = (type(exc).__name__, str(exc))
+    return {
+        "error": error,
+        "steps": kernel._steps,
+        "counters": counter_state(kernel),
+        "switch_trace": list(kernel.counters.switch_trace),
+        "per_thread": [(t.name, t.state, t.blocks, t.result)
+                       for t in kernel.threads],
+    }
+
+
+@pytest.mark.parametrize("build, message", [
+    (readline_overfull_workload, "line longer than the stream capacity"),
+    (write_after_close_workload, "write to closed stream 'pipe'"),
+], ids=["readline-overfull", "write-after-close"])
+def test_resumed_op_fails_on_retry_under_every_budget(build, message):
+    full = {core: run_catching(core, build) for core in CORES}
+    assert full["generator"] == full["batched"]
+    assert message in full["batched"]["error"][1]
+    for budget in range(1, full["batched"]["steps"] + 2):
+        outcomes = [run_catching(core, build, max_steps=budget)
+                    for core in CORES]
+        assert outcomes[0] == outcomes[1], budget
+
+
+def test_write_to_closed_stream_carries_crash_context(tmp_path):
+    bundles = {}
+    for core in CORES:
+        kernel = make_kernel(core=core, n_windows=6, scheme="SP",
+                             crash_dir=tmp_path / core)
+        write_after_close_workload(kernel)
+        with pytest.raises(StreamClosedError) as caught:
+            kernel.run()
+        exc = caught.value
+        assert isinstance(exc, RuntimeFault)
+        assert exc.context["thread"] == "writer"
+        assert exc.context["step"] == kernel._steps
+        assert exc.context["cycle"] == kernel.counters.total_cycles
+        assert "thread=writer" in str(exc)
+        assert exc.bundle_path is not None
+        bundles[core] = (exc.context, exc.bundle_path.name,
+                         exc.bundle_path.read_text())
+    assert bundles["generator"] == bundles["batched"]
 
 
 # -- watchdog firing mid-batch -------------------------------------------

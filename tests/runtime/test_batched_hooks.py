@@ -96,7 +96,46 @@ def fork_join(kernel):
     spawn_fork_join(kernel, n_children=2, items=6, flush_hint=True)
 
 
-WORKLOADS = {"every-op": every_op, "storm": storm, "fork-join": fork_join}
+def _drain(stream):
+    got = bytearray()
+    while True:
+        chunk = yield Read(stream, 2)
+        if not chunk:
+            return bytes(got)
+        got.extend(chunk)
+        yield Tick(1)
+
+
+def _line_reader(stream):
+    line = yield ReadLine(stream)
+    yield Tick(2)
+    return line
+
+
+def _resume_main(kernel):
+    pipe = kernel.stream(3, "pipe")
+    text = kernel.stream(8, "text")
+    drain = yield Spawn(_drain, pipe, name="drain")
+    # 10 bytes through a 3-byte stream drained 2 at a time: the write
+    # blocks and resumes at offsets 3, 6 and 9
+    yield Write(pipe, b"0123456789")
+    yield CloseStream(pipe)
+    liner = yield Spawn(_line_reader, text, name="liner")
+    yield Write(text, b"par")
+    yield YieldCPU()  # the liner's ReadLine blocks on a partial line
+    yield Write(text, b"tial\n")
+    line = yield Join(liner)  # blocks: the liner is ready, not done
+    drained = yield Join(drain)
+    yield CloseStream(text)
+    return line + drained
+
+
+def resume_edges(kernel):
+    kernel.spawn(_resume_main, kernel, name="main")
+
+
+WORKLOADS = {"every-op": every_op, "storm": storm, "fork-join": fork_join,
+             "resume-edges": resume_edges}
 
 
 def run(build, loop, scheme="SNP", n_windows=4, max_steps=None,

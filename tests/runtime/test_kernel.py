@@ -244,3 +244,22 @@ def test_thread_stats_recorded():
     assert p.calls == 2
     assert p.returns == 2
     assert p.blocks >= 1
+
+
+@pytest.mark.parametrize("allocation", [None, "policy"])
+def test_scheme_is_a_paper_name_not_an_instance(allocation):
+    # An instance would manage another register file than kernel.cpu.
+    from repro.core import SPScheme, make_scheme
+    from repro.core.allocation import SimpleAllocation
+    from repro.windows.cpu import WindowCPU
+
+    instance = SPScheme(WindowCPU(8))
+    policy = SimpleAllocation() if allocation else None
+    with pytest.raises(ValueError, match="unknown scheme"):
+        Kernel(n_windows=8, scheme=instance, allocation=policy)
+    for name in (instance, None, 4):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            make_scheme(name, WindowCPU(8))
+    kernel = Kernel(n_windows=8, scheme="sp", allocation=policy)
+    assert type(kernel.scheme) is SPScheme
+    assert kernel.scheme.cpu is kernel.cpu

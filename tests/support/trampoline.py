@@ -8,10 +8,14 @@ every hook — fault injection, the invariant audit, the watchdog, step
 budgets, the quantum observers and event-bus tracing.
 :class:`ReferenceKernel` keeps the generator trampoline it replaced:
 one runtime op per step, each ``save``/``restore`` through
-``WindowCPU``, every check re-made at every step.  Simple enough to
-read as the specification, it is what the batched loop must match
-exactly: counters, per-thread statistics, step counts, crash contexts
-and trace-event streams.
+``WindowCPU``, every check re-made at every step.  It owns the
+methods the batched loop inlines and ``Kernel`` no longer has: the
+dispatch (``_next_quantum``, ``_dispatch``), the block
+(``_block``) and the resume of a blocked op (``_continue_pending``,
+where the batched loop instead replays the op through its own
+branch).  Simple enough to read as the specification, it is what the
+batched loop must match exactly: counters, per-thread statistics,
+step counts, crash contexts and trace-event streams.
 
 * :class:`ReferenceKernel` — a ``Kernel`` whose runs take the
   reference loop (``RunResult.loop == "step"``);
@@ -48,7 +52,7 @@ from repro.runtime.ops import (
     YieldCPU,
 )
 from repro.runtime.streams import Stream
-from repro.runtime.thread import DONE, SimThread
+from repro.runtime.thread import BLOCKED, DONE, RUNNING, SimThread
 from repro.windows.errors import WindowIntegrityError
 
 #: the test-parameter name of the reference loop (the execution core
@@ -66,6 +70,43 @@ class ReferenceKernel(Kernel):
             if max_steps is not None and self._steps >= max_steps:
                 raise RuntimeFault("step budget of %d exceeded" % max_steps)
         return self._finish("step")
+
+    def _next_quantum(self) -> bool:
+        """Dispatch the next ready thread unless one is running; False
+        when every thread is done, DeadlockError when all are blocked."""
+        if self.current is None:
+            if not self.ready:
+                blocked = [t for t in self.threads if t.state == BLOCKED]
+                if blocked:
+                    raise self._deadlock_error(blocked)
+                return False
+            self._dispatch(self.ready.pop())
+        return True
+
+    def _dispatch(self, thread: SimThread) -> None:
+        out = self.last_suspended
+        if out is not thread:
+            out_tw = out.windows if out is not None else None
+            flush = out.flush_on_switch if out is not None else False
+            self.scheme.context_switch(out_tw, thread.windows,
+                                       flush_out=flush)
+        # else: a ``sched`` fault shuffled the thread that just yielded
+        # back to the head of the queue; it resumes with no switch and
+        # no cost, like a YieldCPU with nobody else ready.
+        self.last_suspended = None
+        self.current = thread
+        thread.state = RUNNING
+        if not thread.gen_stack:
+            thread.start_root()
+            if self.verify_registers:
+                self.cpu.write_local(0, ("sig", thread.tid, 1))
+        if self._tracing:
+            self.events.emit("dispatch", tid=thread.tid,
+                             depth=thread.windows.depth)
+        if self._observed:
+            self._quantum_started(thread, out is not thread)
+        if self.audit:
+            self._audit()
 
     def _run_quantum(self, max_steps: Optional[int]) -> int:
         """Step-granular quantum loop: one runtime op per step, with
@@ -114,11 +155,11 @@ class ReferenceKernel(Kernel):
                     if tw.depth > high:
                         high = tw.depth
                 elif t is Read:
-                    thread.pending = ("read", cmd.stream, cmd.max_bytes)
+                    thread.pending = ("read", cmd.stream, cmd, 0)
                 elif t is Write:
-                    thread.pending = ("write", cmd.stream, cmd.data, 0)
+                    thread.pending = ("write", cmd.stream, cmd, 0)
                 elif t is ReadLine:
-                    thread.pending = ("readline", cmd.stream)
+                    thread.pending = ("readline", cmd.stream, cmd, 0)
                 elif t is CloseStream:
                     self._do_close(cmd.stream)
                 elif t is YieldCPU:
@@ -140,7 +181,7 @@ class ReferenceKernel(Kernel):
                     if cmd.thread is thread:
                         raise RuntimeFault(
                             "%s tried to join itself" % thread.name)
-                    thread.pending = ("join", cmd.thread)
+                    thread.pending = ("join", cmd.thread, cmd, 0)
                 else:
                     raise RuntimeFault(
                         "thread %s yielded %r; expected a runtime op"
@@ -238,7 +279,7 @@ class ReferenceKernel(Kernel):
         kind = pending[0]
         stream: Stream = pending[1]
         if kind == "write":
-            data, offset = pending[2], pending[3]
+            data, offset = pending[2].data, pending[3]
             pushed = stream.push(data[offset:])
             if pushed:
                 offset += pushed
@@ -248,12 +289,12 @@ class ReferenceKernel(Kernel):
                 thread.pending = None
                 thread.resume_value = None
                 return True
-            thread.pending = ("write", stream, data, offset)
+            thread.pending = ("write", stream, pending[2], offset)
             return False
         if kind == "read":
             if stream.is_empty and not stream.closed:
                 return False
-            data = stream.pull(pending[2])
+            data = stream.pull(pending[2].max_bytes)
             if data and stream.write_waiters:
                 self._wake_writers(stream)
             thread.pending = None
@@ -283,10 +324,38 @@ class ReferenceKernel(Kernel):
             return True
         raise RuntimeFault("unknown pending op %r" % kind)
 
+    def _block(self, thread: SimThread) -> None:
+        pending = thread.pending
+        kind = pending[0]
+        if kind == "join":
+            target: SimThread = pending[1]
+            target.join_waiters.append(thread)
+            thread.blocked_on = "join %s" % target.name
+        elif kind == "write":
+            stream: Stream = pending[1]
+            stream.write_waiters.append(thread)
+            thread.blocked_on = stream.write_label
+        else:
+            stream = pending[1]
+            stream.read_waiters.append(thread)
+            thread.blocked_on = stream.read_label
+        thread.state = BLOCKED
+        thread.blocks += 1
+        self.last_suspended = thread
+        self.current = None
+        if self._tracing:
+            if kind == "join":
+                op, on = "join", pending[1].name
+            else:
+                op = "write" if kind == "write" else "read"
+                on = pending[1].name or "stream"
+            self.events.emit("block", tid=thread.tid, on=on, op=op)
+
 
 #: the loop's methods, for :func:`trampoline_everywhere`
-_REFERENCE_METHODS = ("_run_to_completion", "_run_quantum", "_do_call",
-                      "_handle_return", "_continue_pending")
+_REFERENCE_METHODS = ("_run_to_completion", "_next_quantum", "_dispatch",
+                      "_run_quantum", "_do_call", "_handle_return",
+                      "_continue_pending", "_block")
 
 
 def force_trampoline(kernel: Kernel) -> Kernel:

@@ -2,6 +2,7 @@
 no extension modules or extras, and package discovery finds every
 ``repro`` package under ``src/``."""
 
+import re
 import warnings
 from pathlib import Path
 
@@ -29,3 +30,15 @@ def test_pyproject_lists_every_repro_package():
         for init in (ROOT / "src" / "repro").rglob("__init__.py")}
     assert setuptools_config["package-dir"] == {"": "src"}
     assert set(setuptools_config["packages"]) == on_disk
+
+
+def test_python_floor_is_the_lowest_ci_tier1_version():
+    floor = re.search(r'requires-python\s*=\s*">=(\d+\.\d+)"',
+                      (ROOT / "pyproject.toml").read_text()).group(1)
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    tier1 = ci[ci.index("\n  tier1:"):ci.index("\n  static-analysis:")]
+    matrix = re.search(r"python-version:\s*\[([^\]]*)\]", tier1).group(1)
+    versions = [tuple(map(int, v.strip(' "\'').split(".")))
+                for v in matrix.split(",")]
+    assert tuple(map(int, floor.split("."))) == min(versions)
+    assert "(%s+)" % floor in (ROOT / "README.md").read_text()
