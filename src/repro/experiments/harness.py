@@ -81,7 +81,9 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
     ``benchmarks/`` emits for cross-PR perf trajectories).
 
     The observers (behaviour tracker, occupancy timeline, event tally)
-    are fed by the kernel once per quantum, not through the event bus;
+    are fed by the kernel, not through the event bus: the tracker and
+    the tally read its per-quantum record log after the run, and the
+    timeline snapshots the window map at each dispatch;
     every point, with or without faults, audit or watchdog, runs on
     the batched loop.
 

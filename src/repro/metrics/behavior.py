@@ -12,18 +12,20 @@
 * **Parallel slackness** — ready-queue length when a thread is picked
   (sampled by :class:`repro.runtime.scheduler.ReadyQueue`).
 
-Attach with ``kernel.tracker = BehaviorTracker()``: the kernel feeds it
-once per scheduling quantum (``on_dispatch``, then the quantum's lowest
-and highest call depth through ``on_depth``, and ``finish`` at run
-end) on every execution loop, without the event bus.  It records one
-row per quantum; the analysis functions then aggregate over
-configurable periods.
+Attach with ``kernel.tracker = BehaviorTracker()``.  The kernel
+records each scheduling quantum once in a per-run record log (see
+:meth:`repro.runtime.kernel.Kernel._run_batched`) and hands the log to
+:meth:`BehaviorTracker.read` after the run, failed runs included;
+nothing is called per quantum.  The tracker keeps one row per quantum;
+the analysis functions then aggregate over configurable periods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+from repro.metrics.events import STOP_KINDS
 
 
 @dataclass
@@ -49,35 +51,48 @@ class BehaviorTracker:
     """Records per-quantum depth excursions and run lengths."""
 
     def __init__(self):
-        self.quanta: List[Quantum] = []
-        self._tid: Optional[int] = None
-        self._start = 0
-        self._min = 0
-        self._max = 0
+        #: one ``(tid, start_cycle, end_cycle, min_depth, max_depth)``
+        #: row per closed quantum
+        self._rows: List[Tuple[int, int, int, int, int]] = []
+        #: ``(tid, start_cycle, min_depth, max_depth)`` of the quantum
+        #: the next dispatch (or the run end) closes
+        self._open: Optional[Tuple[int, int, int, int]] = None
 
-    # -- kernel hooks -------------------------------------------------------
+    def read(self, log, end: Optional[int] = None) -> None:
+        """Add the quanta of a kernel record log.
 
-    def on_dispatch(self, tid: int, depth: int, cycles: int) -> None:
-        self._close(cycles)
-        self._tid = tid
-        self._start = cycles
-        self._min = depth
-        self._max = depth
+        A quantum ends at the next dispatch's cycle, or at ``end``, the
+        finish cycle of a completed run; without ``end`` (a failed run)
+        the last quantum stays open.  A quantum that stopped (blocked,
+        yielded or retired) spans the depths its saves and restores
+        reached; one cut short keeps its dispatch depth as both.
+        """
+        rows = self._rows
+        current = self._open
+        for tid, depth, cycle, __, low, high, state, __ in log:
+            if current is not None:
+                rows.append((current[0], current[1], cycle, current[2],
+                             current[3]))
+            if state in STOP_KINDS:
+                current = (tid, cycle, low, high)
+            else:
+                current = (tid, cycle, depth, depth)
+        if end is not None and current is not None:
+            rows.append((current[0], current[1], end, current[2],
+                         current[3]))
+            current = None
+        self._open = current
 
-    def on_depth(self, depth: int) -> None:
-        if depth < self._min:
-            self._min = depth
-        elif depth > self._max:
-            self._max = depth
+    @property
+    def n_quanta(self) -> int:
+        """How many quanta are closed (without building them)."""
+        return len(self._rows)
 
-    def finish(self, cycles: int) -> None:
-        self._close(cycles)
-
-    def _close(self, cycles: int) -> None:
-        if self._tid is not None:
-            self.quanta.append(Quantum(
-                self._tid, self._start, cycles, self._min, self._max))
-            self._tid = None
+    @property
+    def quanta(self) -> List[Quantum]:
+        """Every closed quantum, in dispatch order (built anew on each
+        access; the measures below work on the rows)."""
+        return [Quantum(*row) for row in self._rows]
 
     # -- §5 measures ------------------------------------------------------------
 
@@ -85,38 +100,38 @@ class BehaviorTracker:
         """Mean windows used per quantum, per thread."""
         sums: Dict[int, int] = {}
         counts: Dict[int, int] = {}
-        for q in self.quanta:
-            sums[q.tid] = sums.get(q.tid, 0) + q.windows_used
-            counts[q.tid] = counts.get(q.tid, 0) + 1
+        for tid, __, __, low, high in self._rows:
+            sums[tid] = sums.get(tid, 0) + high - low + 1
+            counts[tid] = counts.get(tid, 0) + 1
         return {tid: sums[tid] / counts[tid] for tid in sums}
 
     def mean_window_activity(self) -> float:
-        if not self.quanta:
+        rows = self._rows
+        if not rows:
             return 0.0
-        return sum(q.windows_used for q in self.quanta) / len(self.quanta)
+        return (sum(high - low + 1 for __, __, __, low, high in rows)
+                / len(rows))
 
     def concurrency(self, period: int = 64) -> List[int]:
         """Distinct threads scheduled in each window of ``period``
         consecutive quanta."""
-        out = []
-        for i in range(0, len(self.quanta), period):
-            chunk = self.quanta[i:i + period]
-            out.append(len({q.tid for q in chunk}))
-        return out
+        rows = self._rows
+        return [len({row[0] for row in rows[i:i + period]})
+                for i in range(0, len(rows), period)]
 
     def total_window_activity(self, period: int = 64) -> List[int]:
         """Windows used per period by all threads together: the union
         of (thread, depth-slot) pairs touched (a repeatedly used window
         counts once) — the measure the sharing schemes' saturation
         point is proportional to (§6.3)."""
+        rows = self._rows
         out = []
-        for i in range(0, len(self.quanta), period):
-            chunk = self.quanta[i:i + period]
-            slots = set()
-            for q in chunk:
-                for d in range(q.min_depth, q.max_depth + 1):
-                    slots.add((q.tid, d))
-            out.append(len(slots))
+        for i in range(0, len(rows), period):
+            # a thread's quanta mostly repeat the same excursion
+            excursions = {(tid, low, high) for tid, __, __, low, high
+                          in rows[i:i + period]}
+            out.append(len({(tid, d) for tid, low, high in excursions
+                            for d in range(low, high + 1)}))
         return out
 
     def mean_total_window_activity(self, period: int = 64) -> float:
@@ -133,7 +148,8 @@ class BehaviorTracker:
 
     def granularity(self) -> float:
         """Mean run length (cycles) between context switches."""
-        if not self.quanta:
+        rows = self._rows
+        if not rows:
             return 0.0
-        return (sum(q.run_length for q in self.quanta)
-                / len(self.quanta))
+        return (sum(end - start for __, start, end, __, __ in rows)
+                / len(rows))

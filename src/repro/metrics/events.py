@@ -16,12 +16,13 @@ The bus is **disabled by default**: publishers guard every emit with a
 single ``if bus.active`` check (or a mirrored flag), so an
 uninstrumented run pays one no-op branch per event site and allocates
 nothing.  A traced run keeps the kernel's batched loop, whose emit
-sites read the flag once per quantum.  The RunReport observers still
-do not subscribe, because per-event fan-out is far dearer than a
-quantum hook: :class:`EventTally` (here) and the paper-§5 analyses
-(:class:`repro.metrics.behavior.BehaviorTracker`,
-:class:`repro.metrics.tracing.OccupancyTimeline`) are fed once per
-scheduling quantum by the kernel itself.
+sites read the flag once per quantum.  The RunReport observers do not
+subscribe, because per-event fan-out is far dearer than one record per
+quantum: the kernel records each scheduling quantum once in a per-run
+record log, which :class:`EventTally` (here) and
+:class:`repro.metrics.behavior.BehaviorTracker` read after the run,
+and :class:`repro.metrics.tracing.OccupancyTimeline` snapshots the
+window map at each dispatch.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ EVENT_KINDS = (
     "fault",        # injected fault fired           (tid, kind, at, site)
     "run_end",      # simulation finished            ()
 )
+
+
+#: the event a quantum's stop state stands for in a kernel record log;
+#: a quantum an error or the step budget cut short is still
+#: ``running`` and stops nothing.  The keys spell out the
+#: :mod:`repro.runtime.thread` states, because the kernel imports this
+#: module (``tests/metrics/test_events.py`` pins them to the constants)
+STOP_KINDS = {"blocked": "block", "ready": "yield", "done": "retire"}
 
 
 @dataclass
@@ -247,13 +256,13 @@ class EventTally:
     """The RunReport ``events`` statistics, tallied without the bus.
 
     Arm with ``kernel.tally = EventTally()`` before the first spawn.
-    The kernel reports every scheduling quantum to it — the dispatch
-    (cycle and the cost of the switch into it) and the block, yield or
-    retire that stopped it — at the points where it would emit those
-    events, on every loop, so the run keeps the batched loop.
-    :meth:`summary` rebuilds exactly what a :class:`TraceRecorder`
-    subscribed for the same run reports: ``total``, ``by_kind``,
-    ``switch_cost`` and ``per_thread_cycles``.
+    After the run (a failed one too) the kernel hands it the run's
+    record log (:meth:`read`): one record per scheduling quantum, with
+    its dispatch (cycle and the ``switch_cycles`` after the switch
+    into it) and the state it stopped in.  :meth:`summary` rebuilds
+    exactly what a :class:`TraceRecorder` subscribed for the same run
+    reports: ``total``, ``by_kind``, ``switch_cost`` and
+    ``per_thread_cycles``.
     """
 
     def __init__(self):
@@ -270,32 +279,31 @@ class EventTally:
         #: (set at run end)
         self.faults = 0
         self.finished = False
-        self._tid = 0
-        self._start = 0
 
-    # -- kernel hooks -------------------------------------------------------
+    def read(self, log, switch_cycles: int) -> int:
+        """Tally the quanta of a kernel record log.
 
-    def on_dispatch(self, tid: int, cycle: int,
-                    switch_cost: Optional[int]) -> None:
-        """A quantum starts; ``switch_cost`` is None when the thread
-        resumed with no context switch."""
-        self.dispatches += 1
-        if switch_cost is not None:
-            self.switch_costs.append(switch_cost)
-        self._tid = tid
-        self._start = cycle
-
-    def on_stop(self, kind: str, cycle: int) -> None:
-        """The running quantum ended in ``kind`` (block/yield/retire);
-        a completed run stops every quantum it dispatched."""
-        self.stops[kind] += 1
-        tid = self._tid
-        self.per_thread_cycles[tid] = (
-            self.per_thread_cycles.get(tid, 0) + cycle - self._start)
-
-    def finish(self, faults: int) -> None:
-        self.faults = faults
-        self.finished = True
+        Every record is a dispatch.  A switched one costs the growth of
+        ``switch_cycles`` since the previous switched dispatch, starting
+        from ``switch_cycles`` as given (its value when the tally was
+        armed, or at the last switch of an earlier log); the value at
+        this log's last switch is returned.  A quantum that stopped
+        counts its stop and the cycles from its dispatch to its stop.
+        """
+        stops = self.stops
+        costs = self.switch_costs
+        per_thread = self.per_thread_cycles
+        kinds = STOP_KINDS
+        for tid, __, cycle, switched, __, __, state, stop in log:
+            if switched is not None:
+                costs.append(switched - switch_cycles)
+                switch_cycles = switched
+            kind = kinds.get(state)
+            if kind is not None:
+                stops[kind] += 1
+                per_thread[tid] = per_thread.get(tid, 0) + stop - cycle
+        self.dispatches += len(log)
+        return switch_cycles
 
     # -- the report section ----------------------------------------------
 

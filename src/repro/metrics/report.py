@@ -3,8 +3,9 @@
 A *RunReport* merges everything the instrumentation layer knows about a
 run — the :class:`~repro.metrics.counters.Counters` snapshot, the §5
 behaviour measures from :class:`~repro.metrics.behavior.BehaviorTracker`,
-occupancy-timeline statistics, and event-stream statistics from the
-kernel-fed :class:`~repro.metrics.events.EventTally` — into a single
+occupancy-timeline statistics, and event-stream statistics from
+:class:`~repro.metrics.events.EventTally` (the tracker and the tally
+read the kernel's per-quantum record log) — into a single
 dict with a stable, versioned schema.  The experiment harness and the
 benchmark suite emit these so per-PR performance trajectories can be
 diffed mechanically.
@@ -90,9 +91,9 @@ def build_run_report(result, config: Optional[Dict[str, Any]] = None,
                      "mean": sum(samples) / len(samples)}
 
     behavior = None
-    if tracker is not None and tracker.quanta:
+    if tracker is not None and tracker.n_quanta:
         behavior = {
-            "quanta": len(tracker.quanta),
+            "quanta": tracker.n_quanta,
             "mean_window_activity": tracker.mean_window_activity(),
             "mean_total_window_activity":
                 tracker.mean_total_window_activity(),

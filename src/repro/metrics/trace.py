@@ -7,8 +7,9 @@
 
 Records one run of the spell-check pipeline (or a synthetic workload)
 with the full observability stack attached — event recorder and
-Perfetto exporter on the event bus, and the kernel-fed behaviour
-tracker, occupancy timeline and event tally — then prints or exports
+Perfetto exporter on the event bus, and the behaviour tracker,
+occupancy timeline and event tally, which the kernel's per-quantum
+record log and dispatch snapshots feed — then prints or exports
 what was captured:
 
 * ``--summary`` (default): per-thread cycle attribution, switch-cost

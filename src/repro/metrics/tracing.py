@@ -11,13 +11,18 @@ SP's columns barely change).
 Attach with ``kernel.timeline = OccupancyTimeline()``: the kernel takes
 one snapshot per dispatch, on every execution loop, without the event
 bus.  A snapshot copies the window map's raw kind and owner columns;
-the glyphs are only rendered when a sample's ``cells`` are read.
+the glyphs are only rendered when a sample's ``cells`` are read.  The
+analyses work per distinct window-map state (a run revisits few), so
+churn, occupancy, owners and the rendered rows are computed once per
+state or pair of consecutive states, not once per sample.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from operator import ne
+from typing import Dict, List, Optional, Tuple
 
 from repro.windows.occupancy import FRAME, FREE, RESERVED
 
@@ -71,6 +76,9 @@ class OccupancyTimeline:
         self._dropped = 0
         self._stride = 1
         self._since_kept = 0
+        #: ``_distinct``'s result, dropped when a snapshot is kept
+        self._states: Optional[Tuple[List[int], List[List[str]],
+                                     List[tuple]]] = None
 
     # -- kernel hook -----------------------------------------------------------
 
@@ -92,6 +100,7 @@ class OccupancyTimeline:
         self.n_windows = wmap.n_windows
         self.samples.append(TimelineSample(
             cycle, running_tid, tuple(wmap._kind), tuple(wmap._tid)))
+        self._states = None
 
     # -- analysis ----------------------------------------------------------------
 
@@ -100,36 +109,57 @@ class OccupancyTimeline:
         """Snapshots not retained (decimated or skipped mid-stride)."""
         return self._dropped
 
+    def _distinct(self) -> Tuple[List[int], List[List[str]], List[tuple]]:
+        """Each kept sample's state index, and per distinct state its
+        glyph row and its kind column."""
+        if self._states is None:
+            index: Dict[tuple, int] = {}
+            seq: List[int] = []
+            rows: List[List[str]] = []
+            kinds_of: List[tuple] = []
+            for sample in self.samples:
+                kinds = sample.kinds
+                key = (kinds, sample.tids)
+                i = index.get(key)
+                if i is None:
+                    i = index[key] = len(rows)
+                    rows.append(sample.cells)
+                    kinds_of.append(kinds)
+                seq.append(i)
+            self._states = (seq, rows, kinds_of)
+        return self._states
+
     def occupancy_ratio(self) -> float:
         """Mean fraction of windows holding live frames."""
-        if not self.samples or not self.n_windows:
+        n = len(self.samples)
+        if not n or not self.n_windows:
             return 0.0
-        frames = sum(s.kinds.count(FRAME) for s in self.samples)
-        return frames / (len(self.samples) * self.n_windows)
+        seq, __, kinds_of = self._distinct()
+        frames = sum(kinds_of[i].count(FRAME) * times
+                     for i, times in Counter(seq).items())
+        return frames / (n * self.n_windows)
 
     def churn(self) -> float:
         """Mean fraction of windows whose occupant changed between
         consecutive samples — low churn is the visual signature of the
         sharing schemes."""
-        if len(self.samples) < 2 or not self.n_windows:
+        n = len(self.samples)
+        if n < 2 or not self.n_windows:
             return 0.0
+        seq, rows, __ = self._distinct()
         changed = 0
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            if prev.kinds == cur.kinds and prev.tids == cur.tids:
-                continue
-            # distinct owners can share a glyph (tids 36 apart), and
-            # churn counts what the rendered timeline shows
-            changed += sum(
-                1 for k0, t0, k1, t1 in zip(prev.kinds, prev.tids,
-                                            cur.kinds, cur.tids)
-                if (k0 != k1 or t0 != t1)
-                and _glyph(k0, t0) != _glyph(k1, t1))
-        return changed / ((len(self.samples) - 1) * self.n_windows)
+        # distinct owners can share a glyph (tids 36 apart), and churn
+        # counts what the rendered timeline shows
+        for (a, b), times in Counter(zip(seq, seq[1:])).items():
+            if a != b:
+                changed += times * sum(map(ne, rows[a], rows[b]))
+        return changed / ((n - 1) * self.n_windows)
 
     def distinct_owners(self, window: int) -> int:
         """How many different threads' frames a window held."""
-        return len({_glyph(FRAME, s.tids[window]) for s in self.samples
-                    if s.kinds[window] == FRAME})
+        __, rows, kinds_of = self._distinct()
+        return len({row[window] for row, kinds in zip(rows, kinds_of)
+                    if kinds[window] == FRAME})
 
     # -- rendering ----------------------------------------------------------------
 
@@ -137,11 +167,11 @@ class OccupancyTimeline:
         """Rows = windows (W0 on top), columns = samples."""
         if not self.samples or not self.n_windows:
             return "(no samples)"
-        samples = self.samples
-        if len(samples) > max_columns:
-            step = len(samples) / max_columns
-            samples = [samples[int(i * step)] for i in range(max_columns)]
-        columns = [s.cells for s in samples]
+        seq, rows, __ = self._distinct()
+        if len(seq) > max_columns:
+            step = len(seq) / max_columns
+            seq = [seq[int(i * step)] for i in range(max_columns)]
+        columns = [rows[i] for i in seq]
         lines = []
         for w in range(self.n_windows):
             row = "".join(cells[w] for cells in columns)

@@ -120,7 +120,13 @@ class Kernel:
         self._timeline = None
         self._tally = None
         self._observed = False
-        #: counters.switch_cycles at the last observed dispatch
+        #: the record log: one tuple per observed quantum, ``(tid,
+        #: depth, cycle, switch, low, high, state, stop)`` (see
+        #: ``_run_batched``), read by the tracker and the tally after
+        #: the run
+        self._log: List[tuple] = []
+        #: counters.switch_cycles when an observer was armed, then at
+        #: the last switched dispatch the tally has read
         self._switch_cycles_seen = 0
         #: optional :class:`repro.metrics.telemetry.RunTelemetry`; the
         #: profiler is mirrored into ``_profiler`` so the batched loop's
@@ -171,7 +177,7 @@ class Kernel:
     @property
     def tracker(self):
         """Optional :class:`repro.metrics.behavior.BehaviorTracker`,
-        fed once per scheduling quantum by the kernel."""
+        which reads the run's record log after the run."""
         return self._tracker
 
     @tracker.setter
@@ -193,7 +199,7 @@ class Kernel:
     @property
     def tally(self):
         """Optional :class:`repro.metrics.events.EventTally`: the
-        RunReport ``events`` statistics, counted without the bus."""
+        RunReport ``events`` statistics, read from the record log."""
         return self._tally
 
     @tally.setter
@@ -202,60 +208,33 @@ class Kernel:
         self._arm_observers()
 
     def _arm_observers(self) -> None:
-        """Quantum observers are fed at the dispatch and quantum-exit
-        points of the batched loop, not through the event bus."""
+        """Observed runs record each quantum in the record log (and
+        snapshot the timeline at each dispatch), not through the event
+        bus."""
         self._observed = (self._tracker is not None
                           or self._timeline is not None
                           or self._tally is not None)
         self._switch_cycles_seen = self.counters.switch_cycles
 
-    def _quantum_started(self, thread: SimThread, switched: bool) -> None:
-        """Observer hook at a dispatch; ``switched`` is False when the
-        thread resumed without a context switch.  Only the switch into
-        a quantum moves ``switch_cycles``, so its cost is the growth
-        since the previous dispatch."""
-        counters = self.counters
-        cycle = counters.total_cycles
-        switch_cost = None
-        if switched:
-            switch_cost = counters.switch_cycles - self._switch_cycles_seen
-            self._switch_cycles_seen = counters.switch_cycles
-        tid = thread.tid
-        if self._timeline is not None:
-            self._timeline.snapshot(self.cpu, tid, cycle)
+    def _read_log(self, end: Optional[int]) -> None:
+        """Hand the record log to its readers and empty it.  ``end`` is
+        the finish cycle of a completed run, which closes the tracker's
+        last quantum; after a failure it is None and that quantum stays
+        open, as a quantum is closed only by the next dispatch."""
+        log = self._log
         if self._tracker is not None:
-            self._tracker.on_dispatch(tid, thread.windows.depth, cycle)
-        if self._tally is not None:
-            self._tally.on_dispatch(tid, cycle, switch_cost)
-
-    def _quantum_stopped(self, thread: SimThread, low: int,
-                         high: int) -> None:
-        """Observer hook at a quantum exit; ``low``/``high`` bound the
-        call depths the quantum's saves and restores reached (the
-        depths ``WindowCPU.save``/``restore`` emit)."""
-        state = thread.state
-        if state == BLOCKED:
-            kind = "block"
-        elif state == READY:
-            kind = "yield"
-        elif state == DONE:
-            kind = "retire"
-        else:
-            return  # an error or the step budget cut the quantum short
-        if self._tracker is not None:
-            self._tracker.on_depth(low)
-            self._tracker.on_depth(high)
-        if self._tally is not None:
-            self._tally.on_stop(kind, self.counters.total_cycles)
-
-    def _observers_finish(self) -> None:
-        if self._tracker is not None:
-            self._tracker.finish(self.counters.total_cycles)
-        if self._tally is not None:
-            faults = self.faults
-            self._tally.finish(
-                0 if faults is None
-                else len(faults.fired) + faults.trap_actions_applied)
+            self._tracker.read(log, end)
+        tally = self._tally
+        if tally is not None:
+            self._switch_cycles_seen = tally.read(log,
+                                                  self._switch_cycles_seen)
+            if end is not None:
+                faults = self.faults
+                tally.faults = (0 if faults is None else
+                                len(faults.fired)
+                                + faults.trap_actions_applied)
+                tally.finished = True
+        log.clear()
 
     def attach_telemetry(self, telemetry) -> None:
         """Arm aggregate metrics (:mod:`repro.metrics.telemetry`).
@@ -332,11 +311,18 @@ class Kernel:
 
             analyze_kernel(self).raise_if_errors("workload topology")
         self._running = True
+        end = None
         try:
-            return self._run_to_completion(max_steps)
+            result = self._run_to_completion(max_steps)
+            end = self.counters.total_cycles
+            return result
         except ReproError as exc:
             self._capture_crash(exc)
             raise
+        finally:
+            if self._observed:
+                # a failed run leaves ``end`` None
+                self._read_log(end)
 
     def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
         # Every hook rides the batched loop.
@@ -352,8 +338,6 @@ class Kernel:
     def _finish(self, loop: str) -> RunResult:
         if self._tracing:
             self.events.emit("run_end")
-        if self._observed:
-            self._observers_finish()
         self.counters.fold_thread_stats(t.windows for t in self.threads)
         return RunResult(self.counters, list(self.threads), self._steps,
                          list(self.ready.slackness_samples), loop=loop)
@@ -521,10 +505,21 @@ class Kernel:
           subscriber that attaches mid-quantum sees exact stamps from
           the next dispatch on.
 
-        The profiler, the telemetry buffers and the quantum observers
-        (tracker, timeline, tally) are quantum-granular and fed per
-        batch, the observers from two frame-local depth compares at
-        the save/restore sites.
+        The profiler and the telemetry buffers are quantum-granular and
+        fed per batch.  With observers armed (``observed``), each
+        quantum is recorded once in the record log ``self._log``: the
+        dispatch keeps its facts in frame locals — tid, call depth,
+        cycle, and the cumulative ``switch_cycles`` after the switch
+        into it (None when the thread resumed without one) — and the
+        quantum's exit appends them with its stop facts: the lowest
+        and highest call depth its saves and restores reached (two
+        frame-local compares at those sites), ``thread.state`` and the
+        stop cycle, for which the cycle accumulators fold.  A quantum
+        an error or the step budget cut short is still recorded, with
+        the state ``running``; so is a dispatch whose audit failed
+        before its quantum began.  The tracker and the tally read the
+        log after the run (``_read_log``); the timeline snapshots the
+        window map at the dispatch itself.
         """
         cpu = self.cpu
         wf = cpu.wf
@@ -554,8 +549,9 @@ class Kernel:
         gate = (self._step_gate if self._max_steps is not None
                 or self._watchdog is not None else None)
         observed = self._observed
-        quantum_started = self._quantum_started
-        quantum_stopped = self._quantum_stopped
+        log_append = self._log.append
+        snapshot = (self._timeline.snapshot
+                    if self._timeline is not None else None)
         events = self.events
         events_on = self._tracing
         handle_overflow = scheme.handle_overflow
@@ -588,6 +584,9 @@ class Kernel:
         # reset at each observed dispatch (unobserved, the save/restore
         # compares run on stale bounds that nothing reads)
         low = high = 0
+        # an observed quantum's dispatch facts, until its record is
+        # logged at the quantum's exit
+        dispatched = None
         # a blocked thread's op, replayed through its own branch below
         # when the thread resumes, and a partial write's progress
         replay = None
@@ -632,8 +631,13 @@ class Kernel:
                         events.emit("dispatch", tid=thread.tid,
                                     depth=thread.windows.depth)
                     if observed:
-                        quantum_started(thread, out is not thread)
                         low = high = thread.windows.depth
+                        cycle = counters.total_cycles
+                        dispatched = (thread.tid, low, cycle,
+                                      counters.switch_cycles
+                                      if out is not thread else None)
+                        if snapshot is not None:
+                            snapshot(cpu, thread.tid, cycle)
                     if audit is not None:
                         audit(steps, compute + call_cycles)
                 tw = thread.windows
@@ -1046,15 +1050,18 @@ class Kernel:
                         restores_total += n_restores
                         tw.stat_restores += n_restores
                         thread.returns += n_restores
-                    if observed:
-                        # the observers read counters.total_cycles
+                    if dispatched is not None:
+                        # the record's stop cycle is exact
                         if compute:
                             counters.compute_cycles += compute
                             compute = 0
                         if call_cycles:
                             counters.call_cycles += call_cycles
                             call_cycles = 0
-                        quantum_stopped(thread, low, high)
+                        log_append(dispatched + (
+                            low, high, thread.state,
+                            counters.total_cycles))
+                        dispatched = None
                     if prof is not None:
                         prof_cd -= 1
                         if prof_cd <= 0:
@@ -1082,6 +1089,11 @@ class Kernel:
                 counters.restores += restores_total
             if prof is not None:
                 prof._cd = prof_cd
+            if dispatched is not None:
+                # the audit failed at the dispatch, before the quantum
+                # began: record it as cut short
+                log_append(dispatched + (low, high, thread.state,
+                                         counters.total_cycles))
 
     # -- blocking stream operations ------------------------------------------------
 

@@ -11,16 +11,21 @@ class TestQuantum:
         assert q.run_length == 100
 
 
+def _quantum(tid, depth, cycle, low=None, high=None, state="ready"):
+    """One kernel record-log entry: a quantum dispatched at ``depth``
+    and ``cycle`` that stopped in ``state`` having reached the depths
+    ``low``..``high``."""
+    return (tid, depth, cycle, None,
+            depth if low is None else low,
+            depth if high is None else high,
+            state, cycle)
+
+
 class TestTrackerDirect:
     def test_quanta_recorded(self):
         t = BehaviorTracker()
-        t.on_dispatch(0, 1, 0)
-        t.on_depth(2)
-        t.on_depth(3)
-        t.on_depth(2)
-        t.on_dispatch(1, 1, 50)
-        t.on_depth(2)
-        t.finish(80)
+        t.read([_quantum(0, 1, 0, high=3), _quantum(1, 1, 50, high=2)],
+               end=80)
         assert len(t.quanta) == 2
         assert t.quanta[0].windows_used == 3
         assert t.quanta[0].run_length == 50
@@ -28,26 +33,32 @@ class TestTrackerDirect:
 
     def test_window_activity_per_thread(self):
         t = BehaviorTracker()
-        t.on_dispatch(7, 1, 0)
-        t.on_depth(4)
-        t.finish(10)
+        t.read([_quantum(7, 1, 0, high=4)], end=10)
         assert t.window_activity_per_thread() == {7: 4.0}
 
     def test_concurrency_periods(self):
         t = BehaviorTracker()
-        for i in range(6):
-            t.on_dispatch(i % 2, 1, i * 10)
-        t.finish(100)
+        t.read([_quantum(i % 2, 1, i * 10) for i in range(6)], end=100)
         assert t.concurrency(period=4) == [2, 2]
 
     def test_total_window_activity_counts_slots_once(self):
         t = BehaviorTracker()
-        t.on_dispatch(0, 1, 0)
-        t.on_depth(3)          # slots (0,1..3)
-        t.on_dispatch(0, 3, 10)
-        t.on_depth(1)          # same slots again
-        t.finish(20)
+        t.read([_quantum(0, 1, 0, high=3),      # slots (0,1..3)
+                _quantum(0, 3, 10, low=1)],     # same slots again
+               end=20)
         assert t.total_window_activity(period=10) == [3]
+
+    def test_cut_short_quantum_keeps_its_dispatch_depth(self):
+        """A quantum still running when the run failed spans only its
+        dispatch depth, and without a finish cycle it stays open."""
+        t = BehaviorTracker()
+        t.read([_quantum(0, 2, 0, low=1, high=5, state="running"),
+                _quantum(1, 1, 30, high=3, state="running")])
+        assert [(q.tid, q.start_cycle, q.end_cycle, q.min_depth,
+                 q.max_depth) for q in t.quanta] == [(0, 0, 30, 2, 2)]
+        t.read([], end=40)
+        assert t.quanta[-1].end_cycle == 40
+        assert len(t.quanta) == 2
 
     def test_empty_tracker_safe(self):
         t = BehaviorTracker()

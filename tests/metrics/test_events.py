@@ -2,8 +2,15 @@
 
 from repro import Call, CloseStream, Kernel, Read, Tick, Write, YieldCPU
 from repro.metrics.behavior import BehaviorTracker
-from repro.metrics.events import EventBus, TraceRecorder, percentile
+from repro.metrics.events import (
+    STOP_KINDS,
+    EventBus,
+    EventTally,
+    TraceRecorder,
+    percentile,
+)
 from repro.metrics.tracing import OccupancyTimeline
+from repro.runtime.thread import BLOCKED, DONE, READY
 
 
 def _leaf(n):
@@ -251,3 +258,25 @@ class TestRecorderStats:
         d = event.to_dict()
         assert d["kind"] == "switch" and "cycles" in d
         assert "switch" in str(event)
+
+
+class TestTallyReader:
+    def test_reads_switch_costs_stops_and_cycles_from_the_log(self):
+        """Costs grow from the armed baseline at switched dispatches
+        only; a quantum still running stops nothing."""
+        tally = EventTally()
+        log = [(0, 1, 100, 150, 1, 2, "blocked", 130),
+               (0, 1, 130, None, 1, 1, "ready", 140),
+               (1, 1, 190, 200, 1, 1, "running", 190)]
+        assert tally.read(log, 40) == 200
+        assert tally.switch_costs == [110, 50]
+        assert tally.dispatches == 3
+        assert tally.stops == {"block": 1, "yield": 1, "retire": 0}
+        assert tally.per_thread_cycles == {0: 40}
+        assert not tally.finished
+
+    def test_stop_kinds_are_keyed_by_the_thread_states(self):
+        """The readers recognise a stop by ``thread.state``: a renamed
+        state would make every quantum look cut short."""
+        assert STOP_KINDS == {BLOCKED: "block", READY: "yield",
+                              DONE: "retire"}

@@ -1,7 +1,8 @@
 """Kernel-fed RunReport observers: byte-identical to the bus-fed ones.
 
 ``run_report_point`` arms the behaviour tracker, the occupancy timeline
-and the event tally on the kernel, which feeds them once per quantum.
+and the event tally on the kernel, which records each quantum once in
+a record log the tracker and the tally read after the run.
 The reference is the old wiring (:mod:`tests.support.bus_oracle`): a
 ``TraceRecorder`` and bus-fed tracker and timeline.  Both run on the
 batched loop, and both must produce the same report, byte for byte.

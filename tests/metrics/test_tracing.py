@@ -4,6 +4,7 @@ import pytest
 
 from repro import Call, CloseStream, Kernel, Read, Tick, Write
 from repro.metrics.tracing import OccupancyTimeline
+from repro.windows.occupancy import FRAME
 
 
 def _run(scheme, n_windows=8, items=40, max_samples=4096):
@@ -94,6 +95,31 @@ class TestAnalysis:
         timeline = _run("SNP", n_windows=5)
         assert any(timeline.distinct_owners(w) >= 2
                    for w in range(5))
+
+    @pytest.mark.parametrize("max_samples", [8, 4096])
+    @pytest.mark.parametrize("scheme", ["NS", "SNP", "SP"])
+    def test_per_state_analyses_match_per_sample_definitions(
+            self, scheme, max_samples):
+        """Churn, occupancy, owners and the rendered rows are computed
+        once per distinct map state; they equal the definitions
+        evaluated sample by sample."""
+        timeline = _run(scheme, n_windows=5, max_samples=max_samples)
+        samples = timeline.samples
+        cells = [s.cells for s in samples]
+        changed = sum(g0 != g1 for prev, cur in zip(cells, cells[1:])
+                      for g0, g1 in zip(prev, cur))
+        assert timeline.churn() == changed / ((len(samples) - 1) * 5)
+        frames = sum(s.kinds.count(FRAME) for s in samples)
+        assert timeline.occupancy_ratio() == frames / (len(samples) * 5)
+        for w in range(5):
+            assert timeline.distinct_owners(w) == len(
+                {c[w] for s, c in zip(samples, cells)
+                 if s.kinds[w] == FRAME})
+        columns = ([cells[int(i * len(cells) / 4)] for i in range(4)]
+                   if len(cells) > 4 else cells)
+        assert timeline.render(max_columns=4, legend=False) == "\n".join(
+            "W%-2d %s" % (w, "".join(c[w] for c in columns))
+            for w in range(5))
 
     def test_empty_timeline_safe(self):
         timeline = OccupancyTimeline()

@@ -5,7 +5,7 @@ Production has one dispatch loop:
 :meth:`repro.runtime.kernel.Kernel._run_batched`, which runs each
 quantum as a straight-line batch and carries
 every hook — fault injection, the invariant audit, the watchdog, step
-budgets, the quantum observers and event-bus tracing.
+budgets, the quantum record log and event-bus tracing.
 :class:`ReferenceKernel` keeps the generator trampoline it replaced:
 one runtime op per step, each ``save``/``restore`` through
 ``WindowCPU``, every check re-made at every step.  It owns the
@@ -15,7 +15,12 @@ dispatch (``_next_quantum``, ``_dispatch``), the block
 where the batched loop instead replays the op through its own
 branch).  Simple enough to read as the specification, it is what the
 batched loop must match exactly: counters, per-thread statistics,
-step counts, crash contexts and trace-event streams.
+step counts, crash contexts and trace-event streams.  With observers
+armed it appends the same record-log entries as the batched loop: the
+dispatch keeps its facts in ``_dispatched`` and the quantum's exit
+(``_log_quantum``) appends them with the stop facts, so RunReports
+from both loops are byte-identical
+(``tests/metrics/test_reference_loop_observers.py``).
 
 * :class:`ReferenceKernel` — a ``Kernel`` whose runs take the
   reference loop (``RunResult.loop == "step"``);
@@ -65,10 +70,20 @@ class ReferenceKernel(Kernel):
 
     def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
         self._max_steps = max_steps
-        while self._next_quantum():
-            self._run_quantum(max_steps)
-            if max_steps is not None and self._steps >= max_steps:
-                raise RuntimeFault("step budget of %d exceeded" % max_steps)
+        #: an observed quantum's dispatch facts, until its exit logs them
+        self._dispatched = None
+        try:
+            while self._next_quantum():
+                self._run_quantum(max_steps)
+                if max_steps is not None and self._steps >= max_steps:
+                    raise RuntimeFault("step budget of %d exceeded"
+                                       % max_steps)
+        finally:
+            if self._dispatched is not None:
+                # the audit failed at the dispatch: the quantum never
+                # began, and is recorded as cut short
+                self._log_quantum(self.current, self.current.windows.depth,
+                                  self.current.windows.depth)
         return self._finish("step")
 
     def _next_quantum(self) -> bool:
@@ -104,7 +119,13 @@ class ReferenceKernel(Kernel):
             self.events.emit("dispatch", tid=thread.tid,
                              depth=thread.windows.depth)
         if self._observed:
-            self._quantum_started(thread, out is not thread)
+            counters = self.counters
+            cycle = counters.total_cycles
+            self._dispatched = (thread.tid, thread.windows.depth, cycle,
+                                counters.switch_cycles
+                                if out is not thread else None)
+            if self._timeline is not None:
+                self._timeline.snapshot(self.cpu, thread.tid, cycle)
         if self.audit:
             self._audit()
 
@@ -187,8 +208,8 @@ class ReferenceKernel(Kernel):
                         "thread %s yielded %r; expected a runtime op"
                         % (thread.name, cmd))
         finally:
-            if self._observed:
-                self._quantum_stopped(thread, low, high)
+            if self._dispatched is not None:
+                self._log_quantum(thread, low, high)
             # The profiler samples on quantum boundaries only — the
             # per-step path carries zero profiler code, and a quantum
             # (one thread's uninterrupted run) is the natural unit of
@@ -199,6 +220,13 @@ class ReferenceKernel(Kernel):
                 prof._cd -= 1
                 if prof._cd <= 0:
                     prof._check(thread, None, counters)
+
+    def _log_quantum(self, thread: SimThread, low: int, high: int) -> None:
+        """Append the quantum's record: its dispatch facts, then the
+        depth bounds, the state it stopped in and the stop cycle."""
+        self._log.append(self._dispatched + (
+            low, high, thread.state, self.counters.total_cycles))
+        self._dispatched = None
 
     def _do_call(self, thread: SimThread, cmd: Call) -> None:
         thread.calls += 1
@@ -354,8 +382,8 @@ class ReferenceKernel(Kernel):
 
 #: the loop's methods, for :func:`trampoline_everywhere`
 _REFERENCE_METHODS = ("_run_to_completion", "_next_quantum", "_dispatch",
-                      "_run_quantum", "_do_call", "_handle_return",
-                      "_continue_pending", "_block")
+                      "_run_quantum", "_log_quantum", "_do_call",
+                      "_handle_return", "_continue_pending", "_block")
 
 
 def force_trampoline(kernel: Kernel) -> Kernel:
