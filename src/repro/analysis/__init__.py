@@ -5,9 +5,10 @@ Two fronts share one report format (``repro.analysis-report`` v1):
 * the **guest-program verifier** (:mod:`repro.analysis.verifier`)
   checks assembled ISA programs — control flow, window-depth balance,
   stale-register hazards — and, via the counter-exact abstract
-  interpreter (:mod:`repro.analysis.absmachine`, which runs the
-  program on the real :mod:`repro.core` window schemes), *predicts*
-  the overflow/underflow trap counts and WIM wraparounds a launch
+  interpreter (:mod:`repro.analysis.absmachine`: the ISA ``Machine``
+  with its registers kept in logical frames, running the program on
+  the real :mod:`repro.core` window schemes), *predicts* the
+  overflow/underflow trap counts and WIM wraparounds a launch
   configuration will observe;
   :mod:`repro.analysis.topology` does the same job for stream
   workloads (producer/consumer graph, guaranteed and candidate

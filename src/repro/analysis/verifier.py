@@ -149,10 +149,8 @@ def _depth_findings(cfg: ProgramCFG, bounds, entries: List[int],
 
 def _predict(program: Program, threads: Sequence[ThreadSpec],
              pokes: Sequence[Tuple[int, int]], n_windows: int,
-             scheme: str, cost_model, max_steps: int,
-             scheme_kwargs: Dict[str, Any]) -> Dict[str, Any]:
-    machine = AbstractMachine(program, n_windows=n_windows, scheme=scheme,
-                              cost_model=cost_model, **scheme_kwargs)
+             scheme: str, max_steps: int) -> Dict[str, Any]:
+    machine = AbstractMachine(program, n_windows=n_windows, scheme=scheme)
     for addr, value in pokes:
         machine.poke(addr, value)
     handles = [machine.add_thread(spec.entry, args=spec.args,
@@ -197,9 +195,8 @@ def verify_program(program: Union[Program, str], name: str = "<program>",
                    thread_entries: Sequence[str] = ("start",),
                    pokes: Sequence[Tuple[int, int]] = (),
                    n_windows: int = 8, scheme: str = "SP",
-                   cost_model=None, predict: bool = True,
-                   max_steps: int = 3_000_000,
-                   **scheme_kwargs) -> AnalysisReport:
+                   predict: bool = True,
+                   max_steps: int = 3_000_000) -> AnalysisReport:
     """Verify one program; returns the full report.
 
     ``threads`` (launch configuration) enables predictions; without it
@@ -251,8 +248,7 @@ def verify_program(program: Union[Program, str], name: str = "<program>",
     if predict and threads is not None and report.ok:
         try:
             report.meta["prediction"] = _predict(
-                program, threads, pokes, n_windows, scheme, cost_model,
-                max_steps, scheme_kwargs)
+                program, threads, pokes, n_windows, scheme, max_steps)
             # recursion was resolved exactly, so the depth note (the
             # predictions-may-degrade caveat) no longer applies
             report.findings = [f for f in report.findings

@@ -19,17 +19,29 @@ the current thread's quantum: ``EXIT_DONE`` from ``halt``,
 reports ``EXIT_BUDGET`` when the caller's instruction budget runs dry
 mid-batch — the same exit protocol the runtime kernel's batched core
 uses, so the two interpreters can share tooling.
+
+This is the only interpreter of the guest ISA.  The verifier's
+:class:`repro.analysis.absmachine.AbstractMachine` is a subclass that
+keeps register values in logical frames instead of the physical file;
+it overrides only the seam below the handlers: register read and
+write (``_value``/``_read``/``_write``), the memory-address,
+return-link and condition-code reads (``_address``, ``_link``,
+``_cc``), the window motion of ``save``/``restore``
+(``_save``/``_restore``), the context switch, and the
+``thread_class``/``fault_class`` attributes.  Every opcode's cycle
+charge and pc update is written once, here.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.core import make_scheme
+from repro.errors import ReproError
 from repro.isa.assembler import Program
 from repro.isa.instructions import ALU_FUNCS, ALU_OPS, BRANCH_TESTS, Operand
-from repro.isa.registers import read_register, write_register
+from repro.isa.registers import GLOBAL, IN, LOCAL, OUT
 from repro.metrics.counters import Counters
 from repro.runtime.batch import EXIT_BUDGET, EXIT_DONE, EXIT_YIELDED
 from repro.windows.cpu import WindowCPU
@@ -37,9 +49,14 @@ from repro.windows.thread_windows import ThreadWindows
 
 WORD = 4
 
+#: the link register ``call`` writes
+_O7 = Operand.reg(OUT, 7)
 
-class MachineFault(Exception):
-    """Illegal execution (bad opcode state, budget exhaustion, ...)."""
+
+class MachineFault(ReproError):
+    """Illegal execution (an ALU fault, pc out of range, budget
+    exhaustion, ...); context such as the faulting ``pc`` renders as a
+    bracketed suffix."""
 
 
 class HWThread:
@@ -68,6 +85,11 @@ class HWThread:
 class Machine:
     """Interpreter for an assembled :class:`Program`."""
 
+    #: the per-thread context :meth:`add_thread` creates
+    thread_class: Type[HWThread] = HWThread
+    #: the exception :meth:`fault` builds for a guest failure
+    fault_class: Type[ReproError] = MachineFault
+
     def __init__(self, program: Program, n_windows: int = 8,
                  scheme: str = "SP", counters: Optional[Counters] = None,
                  analyze: bool = False,
@@ -85,6 +107,14 @@ class Machine:
         self.counters = counters if counters is not None else Counters()
         self.cpu = WindowCPU(n_windows, counters=self.counters)
         self.scheme = make_scheme(scheme, self.cpu)
+        wf = self.cpu.wf
+        #: bank -> the physical file's accessor (the register seam)
+        self._readers: Dict[str, Callable] = {
+            GLOBAL: wf.read_global, OUT: wf.read_out,
+            LOCAL: wf.read_local, IN: wf.read_in}
+        self._writers: Dict[str, Callable] = {
+            GLOBAL: wf.write_global, OUT: wf.write_out,
+            LOCAL: wf.write_local, IN: wf.write_in}
         self.memory: Dict[int, int] = {}
         self.threads: List[HWThread] = []
         self.ready: deque = deque()
@@ -99,7 +129,7 @@ class Machine:
         """Precompute the opcode -> bound-handler table."""
         dispatch: Dict[str, Callable] = {}
         for op in ALU_OPS:
-            dispatch[op] = self._make_alu(ALU_FUNCS[op])
+            dispatch[op] = self._make_alu(op, ALU_FUNCS[op])
         for op, test in BRANCH_TESTS.items():
             dispatch[op] = self._make_branch(test)
         dispatch.update({
@@ -120,13 +150,18 @@ class Machine:
         })
         return dispatch
 
+    def fault(self, message: str, *args: Any, **context: Any) -> ReproError:
+        """The guest-failure exception ``message % args``, ready to
+        raise, with ``context`` (the faulting ``pc``, ...)."""
+        return self.fault_class(message % args, **context)
+
     # -- setup -------------------------------------------------------------
 
     def add_thread(self, entry: str = "start", args=(),
                    name: str = "") -> HWThread:
-        thread = HWThread(len(self.threads), name or "hw%d"
-                          % len(self.threads), self.program.entry(entry),
-                          args)
+        thread = self.thread_class(
+            len(self.threads), name or "hw%d" % len(self.threads),
+            self.program.entry(entry), args)
         self.threads.append(thread)
         self.scheme.register(thread.windows)
         self.ready.append(thread)
@@ -167,10 +202,10 @@ class Machine:
                 # Checked on every batch boundary, not only on
                 # EXIT_BUDGET, so a batch that halts or yields exactly
                 # on the budget line reports the same way.
-                raise MachineFault(
-                    "step budget of %d exhausted (last batch: %s)"
-                    % (max_steps,
-                       "budget" if reason is EXIT_BUDGET else "event"))
+                raise self.fault(
+                    "step budget of %d exhausted (last batch: %s)",
+                    max_steps,
+                    "budget" if reason is EXIT_BUDGET else "event")
         self.counters.fold_thread_stats(t.windows for t in self.threads)
         return {t.name: t.exit_value for t in self.threads}
 
@@ -210,8 +245,8 @@ class Machine:
             while executed < budget:
                 pc = thread.pc
                 if not 0 <= pc < n_instrs:
-                    raise MachineFault(
-                        "%s: pc %d out of range" % (thread.name, pc))
+                    raise self.fault("%s: pc %d out of range",
+                                     thread.name, pc)
                 instr = instrs[pc]
                 executed += 1
                 thread.instructions += 1
@@ -222,7 +257,7 @@ class Machine:
                         prof.check_op(thread.name, instr.op, counters)
                 handler = dispatch_get(instr.op)
                 if handler is None:  # pragma: no cover - assembler rejects
-                    raise MachineFault("unknown op %r" % instr.op)
+                    raise self.fault("unknown op %r", instr.op)
                 reason = handler(thread, instr)
                 if reason:
                     return executed, reason
@@ -233,10 +268,17 @@ class Machine:
 
     # -- opcode handlers (one entry each in the dispatch table) --------------
 
-    def _make_alu(self, fn: Callable[[int, int], int]) -> Callable:
+    def _make_alu(self, op: str, fn: Callable[[int, int], int]) -> Callable:
         def run_alu(thread: HWThread, instr) -> bool:
             ops = instr.operands
-            self._write(ops[2], fn(self._value(ops[0]), self._value(ops[1])))
+            a = self._value(thread, ops[0])
+            b = self._value(thread, ops[1])
+            try:
+                value = fn(a, b)
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise self.fault("%s: %s faults: %s", thread.name, op, exc,
+                                 pc=thread.pc) from exc
+            self._write(thread, ops[2], value)
             self.counters.compute_cycles += 1
             thread.pc += 1
             return False
@@ -244,20 +286,22 @@ class Machine:
 
     def _make_branch(self, test: Callable[[int], bool]) -> Callable:
         def run_branch(thread: HWThread, instr) -> bool:
-            thread.pc = instr.label if test(thread.cc) else thread.pc + 1
+            thread.pc = (instr.label if test(self._cc(thread, instr))
+                         else thread.pc + 1)
             self.counters.compute_cycles += 1
             return False
         return run_branch
 
     def _op_mov(self, thread: HWThread, instr) -> bool:
-        self._write(instr.operands[1], self._value(instr.operands[0]))
+        self._write(thread, instr.operands[1],
+                    self._value(thread, instr.operands[0]))
         self.counters.compute_cycles += 1
         thread.pc += 1
         return False
 
     def _op_cmp(self, thread: HWThread, instr) -> bool:
-        thread.cc = (self._value(instr.operands[0])
-                     - self._value(instr.operands[1]))
+        thread.cc = (self._value(thread, instr.operands[0])
+                     - self._value(thread, instr.operands[1]))
         self.counters.compute_cycles += 1
         thread.pc += 1
         return False
@@ -268,31 +312,30 @@ class Machine:
         return False
 
     def _op_ld(self, thread: HWThread, instr) -> bool:
-        mem = instr.operands[0]
-        wf = self.cpu.wf
-        addr = read_register(wf, mem.bank, mem.index) + mem.offset
-        self._write(instr.operands[1], self.memory.get(addr, 0))
+        addr = self._address(thread, instr.operands[0])
+        self._write(thread, instr.operands[1], self.memory.get(addr, 0))
         self.counters.compute_cycles += 2
         thread.pc += 1
         return False
 
     def _op_st(self, thread: HWThread, instr) -> bool:
-        mem = instr.operands[1]
-        wf = self.cpu.wf
-        addr = read_register(wf, mem.bank, mem.index) + mem.offset
-        self.memory[addr] = self._value(instr.operands[0])
+        addr = self._address(thread, instr.operands[1])
+        self.memory[addr] = self._value(thread, instr.operands[0])
         self.counters.compute_cycles += 3
         thread.pc += 1
         return False
 
     def _op_save(self, thread: HWThread, instr) -> bool:
+        """A ``save``, optionally with the add function: the operands
+        are read in the caller's window, the result written in the
+        callee's."""
         ops = instr.operands
-        value = None
         if ops:
-            value = self._value(ops[0]) + self._value(ops[1])
-        self.cpu.save(thread.windows)
-        if ops:
-            self._write(ops[2], value)
+            value = self._value(thread, ops[0]) + self._value(thread, ops[1])
+            self._save(thread)
+            self._write(thread, ops[2], value)
+        else:
+            self._save(thread)
         thread.pc += 1
         return False
 
@@ -302,24 +345,24 @@ class Machine:
         return False
 
     def _op_call(self, thread: HWThread, instr) -> bool:
-        self.cpu.wf.write_out(7, thread.pc)
+        self._write(thread, _O7, thread.pc)
         self.counters.compute_cycles += 1
         thread.pc = instr.label
         return False
 
     def _op_retl(self, thread: HWThread, instr) -> bool:
-        thread.pc = self.cpu.wf.read_out(7) + 1
+        thread.pc = self._link(thread, OUT)
         self.counters.compute_cycles += 1
         return False
 
     def _op_ret(self, thread: HWThread, instr) -> bool:
-        target = self.cpu.wf.read_in(7) + 1
+        target = self._link(thread, IN)
         self._do_restore(thread, ())
         thread.pc = target
         return False
 
     def _op_retadd(self, thread: HWThread, instr) -> bool:
-        target = self.cpu.wf.read_in(7) + 1
+        target = self._link(thread, IN)
         self._do_restore(thread, instr.operands)
         thread.pc = target
         return False
@@ -330,7 +373,7 @@ class Machine:
         return False
 
     def _op_halt(self, thread: HWThread, instr) -> int:
-        thread.exit_value = self.cpu.wf.read_out(0)
+        thread.exit_value = self._read(thread, OUT, 0)
         thread.done = True
         self.scheme.retire(thread.windows)
         self.current = None
@@ -353,20 +396,40 @@ class Machine:
         trap, which is exactly the case the paper's trap handler must
         emulate.
         """
-        value = None
         if operands:
-            value = (self._value(operands[0]) + self._value(operands[1]))
-        self.cpu.restore(thread.windows)
-        if operands:
-            self._write(operands[2], value)
+            value = (self._value(thread, operands[0])
+                     + self._value(thread, operands[1]))
+            self._restore(thread)
+            self._write(thread, operands[2], value)
+        else:
+            self._restore(thread)
 
-    # -- operand helpers ------------------------------------------------------
+    # -- the register seam (AbstractMachine overrides these) -----------------
 
-    def _value(self, operand: Operand) -> int:
+    def _value(self, thread: HWThread, operand: Operand) -> int:
+        """A register or immediate source operand."""
         if operand.kind == Operand.IMM:
             return operand.value
-        return read_register(self.cpu.wf, operand.bank, operand.index)
+        return self._readers[operand.bank](operand.index)
 
-    def _write(self, operand: Operand, value: int) -> None:
-        write_register(self.cpu.wf, operand.bank, operand.index, value)
+    def _read(self, thread: HWThread, bank: str, index: int) -> int:
+        return self._readers[bank](index)
 
+    def _write(self, thread: HWThread, operand: Operand, value: int) -> None:
+        self._writers[operand.bank](operand.index, value)
+
+    def _address(self, thread: HWThread, mem: Operand) -> int:
+        return self._read(thread, mem.bank, mem.index) + mem.offset
+
+    def _link(self, thread: HWThread, bank: str) -> int:
+        """The return target through ``%o7`` (retl) or ``%i7``."""
+        return self._read(thread, bank, 7) + 1
+
+    def _cc(self, thread: HWThread, instr) -> int:
+        return thread.cc
+
+    def _save(self, thread: HWThread) -> None:
+        self.cpu.save(thread.windows)
+
+    def _restore(self, thread: HWThread) -> None:
+        self.cpu.restore(thread.windows)

@@ -1,4 +1,4 @@
-"""SPARC register names and their mapping onto the windowed file.
+"""SPARC register names and the four banks of a register window.
 
 ``%g0``–``%g7`` are globals (``%g0`` hardwired to zero), ``%o`` are the
 current window's outs, ``%l`` its locals, ``%i`` its ins.  Synonyms:
@@ -36,29 +36,3 @@ def parse_register(name: str) -> Tuple[str, int]:
     if index > 7:
         raise RegisterError("bad register index %r" % name)
     return bank, index
-
-
-def read_register(wf, bank: str, index: int) -> int:
-    """Read through the current window (the hardware view)."""
-    if bank == GLOBAL:
-        return wf.read_global(index)
-    if bank == OUT:
-        return wf.read_out(index)
-    if bank == LOCAL:
-        return wf.read_local(index)
-    if bank == IN:
-        return wf.read_in(index)
-    raise RegisterError("bad bank %r" % bank)
-
-
-def write_register(wf, bank: str, index: int, value: int) -> None:
-    if bank == GLOBAL:
-        wf.write_global(index, value)
-    elif bank == OUT:
-        wf.write_out(index, value)
-    elif bank == LOCAL:
-        wf.write_local(index, value)
-    elif bank == IN:
-        wf.write_in(index, value)
-    else:
-        raise RegisterError("bad bank %r" % bank)

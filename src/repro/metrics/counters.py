@@ -93,45 +93,6 @@ class Counters:
             return 0.0
         return self.switch_cycles / self.context_switches
 
-    def record_save(self, tid: int) -> None:
-        self.saves += 1
-        self.per_thread_saves[tid] = self.per_thread_saves.get(tid, 0) + 1
-
-    def record_restore(self, tid: int) -> None:
-        self.restores += 1
-        self.per_thread_restores[tid] = (
-            self.per_thread_restores.get(tid, 0) + 1)
-
-    def record_trap(self, kind: str, tid: int, cycles: int,
-                    spilled: bool = False, restored: bool = False) -> None:
-        if kind == "overflow":
-            self.overflow_traps += 1
-        elif kind == "underflow":
-            self.underflow_traps += 1
-        else:
-            raise ValueError("unknown trap kind: %r" % kind)
-        if spilled:
-            self.windows_spilled += 1
-        if restored:
-            self.windows_restored += 1
-        self.trap_cycles += cycles
-        if self.keep_trace:
-            self.trap_trace.append(
-                TrapRecord(kind, tid, spilled, restored, cycles))
-
-    def record_switch(self, out_tid: Optional[int], in_tid: int,
-                      saves: int, restores: int, cycles: int) -> None:
-        self.context_switches += 1
-        self.switch_transfer_hist[(saves, restores)] += 1
-        self.windows_spilled += saves
-        self.windows_restored += restores
-        self.switch_cycles += cycles
-        self.per_thread_switches[in_tid] = (
-            self.per_thread_switches.get(in_tid, 0) + 1)
-        if self.keep_trace:
-            self.switch_trace.append(
-                SwitchRecord(out_tid, in_tid, saves, restores, cycles))
-
     def fold_thread_stats(self, thread_windows) -> None:
         """Fold the batched per-thread tallies each
         :class:`~repro.windows.thread_windows.ThreadWindows` accumulated
@@ -162,9 +123,6 @@ class Counters:
 
     def record_compute(self, cycles: int) -> None:
         self.compute_cycles += cycles
-
-    def record_call_cycles(self, cycles: int) -> None:
-        self.call_cycles += cycles
 
     def transfer_histogram(self) -> Dict[Tuple[int, int], int]:
         """Histogram of (windows saved, windows restored) per switch."""

@@ -1,10 +1,13 @@
 """The exactness contract: static predictions == dynamic counters.
 
-The abstract interpreter runs the real window schemes but keeps its own
-register values, fetch loop and scheduler; this suite pins it against
-:class:`repro.isa.Machine`.  For every committed program under its
-canonical launch, across all three schemes and several window-file
-sizes, the abstract interpreter's counters must match the real
+The abstract interpreter is :class:`repro.isa.Machine` with one layer
+swapped: register values live in logical frames rather than the
+physical file, and unknown residue stops exact execution.  This suite
+pins that layer against plain ``Machine`` runs (and
+``test_random_programs.py`` does so on generated programs).  For every
+committed program under its canonical launch, across all three schemes
+and several window-file sizes, the abstract interpreter's counters
+must match the real
 machine's ``Counters`` attribute-for-attribute (including the
 switch-transfer histogram and every cycle category), its WIM
 wraparounds must match the dynamic count of saves landing in window
@@ -162,6 +165,18 @@ def test_verifier_prediction_matches_dynamic_run(scheme):
     assert prediction["threads"] == expected_threads
     # two threads that both call: the attribution must be non-trivial
     assert all(t["saves"] and t["restores"] for t in expected_threads)
+
+
+def test_abstract_machine_is_machine_with_a_register_layer():
+    """One interpreter: the abstract machine inherits the fetch loop,
+    the scheduler, thread launch and every opcode handler (only halt's
+    exit value is mapped), so no cycle charge is written twice."""
+    assert issubclass(AbstractMachine, Machine)
+    handlers = {name for name in vars(Machine) if name.startswith("_op_")}
+    shared = handlers - {"_op_halt"} | {
+        "run", "_run_batch", "add_thread", "poke", "peek",
+        "_build_dispatch", "_make_alu", "_make_branch", "_do_restore"}
+    assert not shared & set(vars(AbstractMachine))
 
 
 # -- stream-topology verdicts against both loops --------------------------

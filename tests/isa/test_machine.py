@@ -163,3 +163,19 @@ class TestFaults:
         machine.add_thread("start")
         with pytest.raises(MachineFault):
             machine.run()
+
+    def test_negative_shift_is_a_machine_fault(self):
+        """An ALU fault names the thread and pc, in the verifier's
+        words, instead of escaping as a bare ValueError."""
+        machine = Machine(assemble("""
+        start:
+            mov  1, %o0
+            sll  %o0, -1, %o0
+            halt
+        """))
+        machine.add_thread("start")
+        with pytest.raises(MachineFault) as info:
+            machine.run()
+        assert str(info.value) == (
+            "hw0: sll faults: negative shift count [pc=1]")
+        assert info.value.context == {"pc": 1}
