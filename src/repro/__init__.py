@@ -35,7 +35,7 @@ _exports = LazyExports(__name__, {
                    "SCHEMES", "SimpleAllocation", "SNPScheme", "SPScheme",
                    "WorkingSetPolicy", "make_scheme"),
     "repro.metrics.counters": ("Counters",),
-    "repro.metrics.events": ("EventBus", "TraceEvent", "TraceRecorder"),
+    "repro.metrics.events": ("TraceEvent", "TraceRecorder"),
     "repro.metrics.perfetto": ("PerfettoExporter",),
     "repro.metrics.report": ("build_run_report",),
     "repro.errors": ("ReproError", "TransientError"),
@@ -60,7 +60,6 @@ __all__ = [
     "WorkingSetPolicy",
     "make_scheme",
     "Counters",
-    "EventBus",
     "TraceEvent",
     "TraceRecorder",
     "PerfettoExporter",

@@ -37,7 +37,6 @@ from repro.isa.assembler import Program
 from repro.isa.instructions import Operand
 from repro.isa.machine import HWThread, Machine
 from repro.isa.registers import GLOBAL, IN, LOCAL, OUT
-from repro.windows.errors import WindowError
 
 
 class _Unknown:
@@ -171,8 +170,5 @@ class AbstractMachine(Machine):
                               LOCAL: [UNKNOWN] * 8, OUT: [UNKNOWN] * 8})
 
     def _restore(self, thread: Any) -> None:
-        try:
-            self.cpu.restore(thread.windows)
-        except WindowError as exc:
-            raise ProgramError(str(exc), pc=thread.pc) from exc
+        super()._restore(thread)
         thread.frames.pop()

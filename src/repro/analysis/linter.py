@@ -225,7 +225,8 @@ class _Linter(ast.NodeVisitor):
     @staticmethod
     def _is_event_receiver(value: ast.expr) -> bool:
         """True for ``self.events`` / ``events`` / ``x.events`` — the
-        EventBus attribute spelled the way the codebase spells it."""
+        trace recorder attribute spelled the way the codebase spells
+        it."""
         if isinstance(value, ast.Attribute):
             return value.attr == "events"
         if isinstance(value, ast.Name):

@@ -35,8 +35,8 @@ def check_document(document: bytes, dict1: bytes, dict2: bytes,
     """Run the pipeline over arbitrary document bytes.
 
     ``instrument`` (optional) receives the kernel before spawning, so
-    observability consumers can subscribe to ``kernel.events`` or arm
-    the kernel's quantum observers.
+    observability consumers can enable tracing (``kernel.events``) or
+    arm the kernel's quantum observers.
     ``faults``/``audit``/``watchdog``/``crash_dir`` are the robustness
     knobs (see :mod:`repro.faults`); register verification is forced on
     under injection so a corrupting fault is detected, not absorbed.
@@ -126,20 +126,19 @@ def main(argv=None) -> int:
         dict_size = max(200, int(round(DICT_SIZE * args.scale)))
     dict1, dict2, __ = generate_dictionaries(size=dict_size)
 
-    # --trace puts the Perfetto exporter on the event bus; --report arms
-    # the kernel's quantum observers.  Both keep the batched loop.
+    # --trace records the run's events for the Perfetto exporter, which
+    # reads them after the run; --report arms the kernel's quantum
+    # observers.  Both keep the batched loop.
     observers = {}
     instrument = None
     if args.trace or args.report:
         from repro.metrics.behavior import BehaviorTracker
         from repro.metrics.events import EventTally
-        from repro.metrics.perfetto import PerfettoExporter
         from repro.metrics.tracing import OccupancyTimeline
 
         def instrument(kernel):
             if args.trace:
-                observers["exporter"] = PerfettoExporter()
-                kernel.events.subscribe(observers["exporter"])
+                observers["recorder"] = kernel.enable_tracing()
             if args.report:
                 observers.update(tracker=BehaviorTracker(),
                                  timeline=OccupancyTimeline(),
@@ -207,9 +206,13 @@ def main(argv=None) -> int:
             {"workload": "spellcheck", "scheme": args.scheme,
              "n_windows": args.windows, "m": args.m, "n": args.n})
     if args.trace:
+        from repro.metrics.perfetto import PerfettoExporter
+
+        exporter = PerfettoExporter()
+        exporter.read(observers["recorder"])
         if telemetry is not None:
-            observers["exporter"].add_telemetry(telemetry)
-        observers["exporter"].write(args.trace)
+            exporter.add_telemetry(telemetry)
+        exporter.write(args.trace)
         print("wrote Perfetto trace: %s" % args.trace)
     if args.report:
         from repro.metrics.report import build_run_report, write_report

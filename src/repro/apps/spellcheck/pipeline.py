@@ -87,7 +87,7 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
 
     ``instrument``, when given, is called with the kernel before any
     thread is spawned — the hook observability consumers use to
-    subscribe to ``kernel.events`` or attach tracker/timeline.
+    enable tracing (``kernel.events``) or attach tracker/timeline.
 
     ``faults``/``audit``/``watchdog``/``crash_dir`` are the robustness
     knobs, forwarded to the kernel (see :mod:`repro.faults`).  When

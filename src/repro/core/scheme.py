@@ -42,11 +42,10 @@ class Scheme(ABC):
         self.map = cpu.map
         self.cost = cpu.cost
         self.counters = cpu.counters
-        #: the CPU's trace-event bus (shared with the kernel)
+        #: the CPU's trace recorder (shared with the kernel)
         self.events = cpu.events
-        #: mirror of ``events.active`` (see EventBus.watch_activity)
-        self._tracing = False
-        self.events.watch_activity(self._set_tracing)
+        #: guards this scheme's emit sites (``cpu.enable_tracing``)
+        self._tracing = cpu._tracing
         cpu.bind_scheme(self)
         self.threads: Dict[int, ThreadWindows] = {}
         #: memo of switch-cost calls — the cost model is a frozen
@@ -59,9 +58,6 @@ class Scheme(ABC):
         #: event; RunTelemetry bulk-folds them into its histograms
         self._tel_switch = None
         self._tel_trap = None
-
-    def _set_tracing(self, active: bool) -> None:
-        self._tracing = active
 
     # -- registration ------------------------------------------------------
 

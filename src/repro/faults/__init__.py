@@ -6,8 +6,8 @@ The paper's §3.1 argues window sharing can never corrupt another
 thread's resident windows; this subsystem is how the repo *earns* that
 claim instead of asserting it.  A :class:`FaultPlan` (seed + specs)
 compiles into a :class:`FaultInjector` the kernel threads through the
-CPU, the schemes and the ready queue; every injection lands on the
-trace-event bus, and every escaping :class:`~repro.errors.ReproError`
+CPU, the schemes and the ready queue; every injection lands in a
+traced run's events, and every escaping :class:`~repro.errors.ReproError`
 can be dumped as a replayable crash bundle.
 
 The contract the chaos suite enforces: every fault class is either

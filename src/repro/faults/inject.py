@@ -3,7 +3,7 @@ into hook callbacks the CPU, the schemes and the ready queue invoke.
 
 Each hook site keeps an occurrence counter; a spec fires when its
 site's counter reaches ``spec.at``.  Every firing is recorded on
-:attr:`fired` and published as a ``fault`` event on the trace bus, so
+:attr:`fired` and, in a traced run, recorded as a ``fault`` event, so
 a Perfetto trace shows exactly where the fault landed relative to the
 saves, traps and switches around it.
 
@@ -47,7 +47,7 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self.rng = random.Random(plan.seed)
-        #: the trace-event bus; bound by the kernel
+        #: the kernel's trace recorder; bound by ``attach``
         self.events = None
         #: every spec that fired, with its site and concrete detail
         self.fired: List[Dict[str, Any]] = []
@@ -61,9 +61,6 @@ class FaultInjector:
         #: ``fault`` event on top of ``fired``
         self.trap_actions_applied = 0
 
-    def bind(self, events) -> None:
-        self.events = events
-
     def attach(self, kernel) -> None:
         """Wire this injector into ``kernel``, hooking **only** the
         sites the plan actually targets.
@@ -73,7 +70,7 @@ class FaultInjector:
         of a faulted run) keep their single ``is None`` check and never
         pay a callable indirection or a site-counter lookup.
         """
-        self.bind(kernel.events)
+        self.events = kernel.events
         # always visible for trap-action consumption and crash bundles
         kernel.cpu.faults = self
         pending = self._pending

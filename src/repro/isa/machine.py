@@ -45,6 +45,7 @@ from repro.isa.registers import GLOBAL, IN, LOCAL, OUT
 from repro.metrics.counters import Counters
 from repro.runtime.batch import EXIT_BUDGET, EXIT_DONE, EXIT_YIELDED
 from repro.windows.cpu import WindowCPU
+from repro.windows.errors import WindowError
 from repro.windows.thread_windows import ThreadWindows
 
 WORD = 4
@@ -432,4 +433,7 @@ class Machine:
         self.cpu.save(thread.windows)
 
     def _restore(self, thread: HWThread) -> None:
-        self.cpu.restore(thread.windows)
+        try:
+            self.cpu.restore(thread.windows)
+        except WindowError as exc:  # e.g. a restore at the entry window
+            raise self.fault("%s", exc, pc=thread.pc) from exc

@@ -1,4 +1,4 @@
-"""Instrumentation: counters, the structured event bus, behaviour
+"""Instrumentation: counters, the structured event trace, behaviour
 analysis, aggregate telemetry, Perfetto export, run reports and
 plain-text reporting."""
 
@@ -6,8 +6,7 @@ from repro.lazy import LazyExports
 
 _exports = LazyExports(__name__, {
     "repro.metrics.counters": ("Counters", "SwitchRecord", "TrapRecord"),
-    "repro.metrics.events": ("EventBus", "EventTally", "TraceEvent",
-                             "TraceRecorder"),
+    "repro.metrics.events": ("EventTally", "TraceEvent", "TraceRecorder"),
     "repro.metrics.perfetto": ("PerfettoExporter",),
     "repro.metrics.profiler": ("CycleProfiler",),
     "repro.metrics.report": ("SCHEMA_VERSION as RUN_REPORT_VERSION",
@@ -22,7 +21,6 @@ __all__ = [
     "Counters",
     "SwitchRecord",
     "TrapRecord",
-    "EventBus",
     "EventTally",
     "TraceEvent",
     "TraceRecorder",

@@ -100,8 +100,8 @@ class Counters:
         per-thread dicts, and zero them.
 
         The CPU and schemes keep the scalar totals (``saves``,
-        ``restores``, cycle counters) up to date immediately — the event
-        bus clock reads ``total_cycles`` mid-run — but only touch the
+        ``restores``, cycle counters) up to date immediately — the trace
+        clock reads ``total_cycles`` mid-run — but only touch the
         dicts here, at run end and at crash capture.  Idempotent across
         repeated folds because the fields are reset.
         """

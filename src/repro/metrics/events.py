@@ -1,23 +1,22 @@
-"""The structured trace-event bus: one stream of timestamped events for
-everything the kernel, CPU, schemes, ready queue and streams do.
+"""The structured trace: one list of timestamped events for everything
+the kernel, CPU, schemes and ready queue do.
 
-Every observable action of a run — a ``save``/``restore`` instruction, a
-window trap, a context switch, a dispatch, a block/wake, a spawn/retire —
-is published as one :class:`TraceEvent` stamped with the simulated cycle
-clock.  Consumers subscribe to the bus instead of being hand-wired into
-the kernel; the stock ones are:
+Every observable action of a traced run — a ``save``/``restore``
+instruction, a window trap, a context switch, a dispatch, a block/wake,
+a spawn/retire, a stream close — is recorded as one :class:`TraceEvent`
+stamped with the simulated cycle clock, in the order it happened.  The
+kernel is cooperative, so a run's event sequence is fixed by the run,
+and every consumer reads the list after the run:
 
-* :class:`TraceRecorder` (here) — keeps the raw event list and computes
-  per-thread cycle attribution and switch-cost percentiles;
+* the trace CLI (:mod:`repro.metrics.trace`) — the raw event listing;
 * :class:`repro.metrics.perfetto.PerfettoExporter` — Chrome trace-event
   JSON for ``chrome://tracing`` / Perfetto.
 
-The bus is **disabled by default**: publishers guard every emit with a
-single ``if bus.active`` check (or a mirrored flag), so an
-uninstrumented run pays one no-op branch per event site and allocates
-nothing.  A traced run keeps the kernel's batched loop, whose emit
-sites read the flag once per quantum.  The RunReport observers do not
-subscribe, because per-event fan-out is far dearer than one record per
+Tracing is **off by default**: publishers guard every emit with one
+load of their own ``_tracing`` flag, so an untraced run pays one no-op
+branch per event site and allocates nothing; ``Kernel.enable_tracing``
+sets the flags before the run.  The RunReport observers do not read
+events, because one event per site is far dearer than one record per
 quantum: the kernel records each scheduling quantum once in a per-run
 record log, which :class:`EventTally` (here) and
 :class:`repro.metrics.behavior.BehaviorTracker` read after the run,
@@ -87,63 +86,6 @@ class TraceEvent:
                                             attrs)
 
 
-class EventBus:
-    """Publish/subscribe fan-out for :class:`TraceEvent`.
-
-    ``active`` is maintained as a plain attribute so the hot path in the
-    kernel and CPU is a single attribute check when nobody listens.
-    Publishers that emit on every simulated step go one cheaper: they
-    register an *activity watcher* (:meth:`watch_activity`) and mirror
-    ``active`` into a ``_tracing`` boolean of their own, turning the
-    per-emit-site guard into one load on ``self`` with no cross-object
-    hop.  ``clock`` supplies the simulated cycle stamp (the kernel binds
-    it to ``counters.total_cycles``).
-    """
-
-    def __init__(self, clock: Optional[Callable[[], int]] = None):
-        self._subscribers: List[tuple] = []
-        self._watchers: List[Callable[[bool], None]] = []
-        self.active = False
-        self.clock = clock if clock is not None else (lambda: 0)
-
-    def watch_activity(self, watcher: Callable[[bool], None]):
-        """Register ``watcher(active)``; called immediately with the
-        current state and again on every subscribe/unsubscribe edge."""
-        self._watchers.append(watcher)
-        watcher(self.active)
-        return watcher
-
-    def _set_active(self, active: bool) -> None:
-        if active == self.active:
-            return
-        self.active = active
-        for watcher in self._watchers:
-            watcher(active)
-
-    def subscribe(self, consumer) -> Any:
-        """Attach ``consumer`` (a callable, or an object with an
-        ``on_event(event)`` method); returns it for later unsubscribe."""
-        fn = getattr(consumer, "on_event", None)
-        if fn is None:
-            fn = consumer
-        self._subscribers.append((consumer, fn))
-        self._set_active(True)
-        return consumer
-
-    def unsubscribe(self, consumer) -> None:
-        self._subscribers = [(c, f) for c, f in self._subscribers
-                             if c is not consumer]
-        self._set_active(bool(self._subscribers))
-
-    def emit(self, kind: str, tid: Optional[int] = None,
-             **attrs) -> TraceEvent:
-        """Build an event stamped with the current clock and fan it out."""
-        event = TraceEvent(kind, self.clock(), tid, attrs)
-        for __, fn in self._subscribers:
-            fn(event)
-        return event
-
-
 def percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile (q in [0, 100]) of a non-empty list."""
     ordered = sorted(values)
@@ -169,21 +111,34 @@ def switch_cost_stats(costs: List[int]) -> Dict[str, float]:
 
 
 class TraceRecorder:
-    """Bus subscriber that keeps every event and derives run statistics."""
+    """The event list of a traced run.
 
-    def __init__(self):
+    Every kernel, CPU, scheme and ready queue shares one recorder
+    (``kernel.events``).  It records nothing until tracing is enabled
+    before the run (``Kernel.enable_tracing``), which sets ``active``
+    and each publisher's ``_tracing`` flag; from then on every guarded
+    emit site appends one event, stamped by ``clock`` (the kernel binds
+    it to ``counters.total_cycles``).  Consumers read :attr:`events`
+    after the run.
+    """
+
+    def __init__(self, clock: Optional[Callable[[], int]] = None):
         self.events: List[TraceEvent] = []
+        self.active = False
+        self.clock = clock if clock is not None else (lambda: 0)
 
-    def on_event(self, event: TraceEvent) -> None:
+    def emit(self, kind: str, tid: Optional[int] = None,
+             **attrs) -> TraceEvent:
+        """Record an event stamped with the current clock."""
+        event = TraceEvent(kind, self.clock(), tid, attrs)
         self.events.append(event)
+        return event
 
     def __len__(self) -> int:
         return len(self.events)
 
     def __iter__(self):
         return iter(self.events)
-
-    # -- filtering ---------------------------------------------------------
 
     def filter(self, kinds: Optional[Iterable[str]] = None,
                tid: Optional[int] = None,
@@ -204,64 +159,21 @@ class TraceRecorder:
             out.append(e)
         return out
 
-    def by_kind(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for e in self.events:
-            counts[e.kind] = counts.get(e.kind, 0) + 1
-        return counts
-
-    # -- derived statistics ------------------------------------------------
-
-    def per_thread_cycles(self) -> Dict[int, int]:
-        """Cycles attributed to each thread: the time between its
-        ``dispatch`` and the moment it stops running (the next
-        ``block``/``yield``/``retire``/``switch``-out or the run end)."""
-        totals: Dict[int, int] = {}
-        current: Optional[int] = None
-        started = 0
-        last_cycle = 0
-        for e in self.events:
-            last_cycle = e.cycle
-            if e.kind == "dispatch":
-                if current is not None:
-                    totals[current] = (totals.get(current, 0)
-                                       + e.cycle - started)
-                current = e.tid
-                started = e.cycle
-            elif e.kind in ("block", "yield", "retire", "run_end"):
-                if current is not None and (e.tid == current
-                                            or e.kind == "run_end"):
-                    totals[current] = (totals.get(current, 0)
-                                       + e.cycle - started)
-                    current = None
-        if current is not None:
-            totals[current] = totals.get(current, 0) + last_cycle - started
-        return totals
-
-    def switch_costs(self) -> List[int]:
-        """Cycle cost of every recorded context switch."""
-        return [e.attrs.get("cycles", 0) for e in self.events
-                if e.kind == "switch"]
-
-    def switch_cost_stats(self) -> Dict[str, float]:
-        """Mean / p50 / p95 / p99 / max of the switch-cost distribution."""
-        return switch_cost_stats(self.switch_costs())
-
     def trap_timeline(self) -> List[TraceEvent]:
         """Every overflow/underflow trap, in cycle order."""
         return self.filter(kinds=("overflow", "underflow"))
 
 
 class EventTally:
-    """The RunReport ``events`` statistics, tallied without the bus.
+    """The RunReport ``events`` statistics, tallied without tracing.
 
     Arm with ``kernel.tally = EventTally()`` before the first spawn.
     After the run (a failed one too) the kernel hands it the run's
     record log (:meth:`read`): one record per scheduling quantum, with
     its dispatch (cycle and the ``switch_cycles`` after the switch
     into it) and the state it stopped in.  :meth:`summary` rebuilds
-    exactly what a :class:`TraceRecorder` subscribed for the same run
-    reports: ``total``, ``by_kind``, ``switch_cost`` and
+    exactly what the events of a traced run of the same workload
+    count: ``total``, ``by_kind``, ``switch_cost`` and
     ``per_thread_cycles``.
     """
 

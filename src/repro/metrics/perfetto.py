@@ -1,8 +1,8 @@
-"""Chrome trace-event / Perfetto export of the structured event stream.
+"""Chrome trace-event / Perfetto export of a traced run's events.
 
-Subscribes to the kernel's :class:`repro.metrics.events.EventBus` and
-builds a JSON object in the Chrome trace-event format, loadable in
-``chrome://tracing`` or https://ui.perfetto.dev:
+Reads the events the kernel's :class:`repro.metrics.events.TraceRecorder`
+recorded, in order, and builds a JSON object in the Chrome trace-event
+format, loadable in ``chrome://tracing`` or https://ui.perfetto.dev:
 
 * **pid 1 — "threads"**: one track per simulated thread, with a
   duration ("X") slice per scheduling quantum, instant ("i") events for
@@ -19,16 +19,17 @@ format's native unit), so 1 µs in the viewer = 1 simulated cycle.
 Usage::
 
     kernel = Kernel(n_windows=8, scheme="SP")
-    exporter = PerfettoExporter()
-    kernel.events.subscribe(exporter)
+    recorder = kernel.enable_tracing()
     ...spawn and run...
+    exporter = PerfettoExporter()
+    exporter.read(recorder)
     exporter.write("trace.json")
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.events import TraceEvent
 
@@ -40,10 +41,9 @@ _INSTANT_KINDS = ("overflow", "underflow", "switch", "block", "wake")
 
 
 class PerfettoExporter:
-    """Event-bus subscriber producing Chrome trace-event JSON."""
+    """Chrome trace-event JSON built from a run's recorded events."""
 
-    def __init__(self, include_queue_counter: bool = True):
-        self.include_queue_counter = include_queue_counter
+    def __init__(self):
         self._slices: List[dict] = []
         self._instants: List[dict] = []
         self._counters: List[dict] = []
@@ -54,47 +54,49 @@ class PerfettoExporter:
         self._last_cycle = 0
         self._finished = False
 
-    # -- bus subscriber ------------------------------------------------------
+    # -- reading the trace ---------------------------------------------------
 
-    def on_event(self, event: TraceEvent) -> None:
-        kind = event.kind
-        cycle = event.cycle
-        self._last_cycle = max(self._last_cycle, cycle)
-        if kind == "spawn":
-            self._thread_names[event.tid] = event.attrs.get(
-                "name", "T%d" % event.tid)
-        elif kind == "dispatch":
-            self._close_quantum(cycle)
-            self._open_quantum = (event.tid, cycle)
-        elif kind in ("block", "yield", "retire"):
-            if (self._open_quantum is not None
-                    and self._open_quantum[0] == event.tid):
+    def read(self, events: Iterable[TraceEvent]) -> None:
+        """Render ``events`` (a recorder, or any event sequence) in
+        order; a ``run_end`` event closes every open slice."""
+        for event in events:
+            kind = event.kind
+            cycle = event.cycle
+            self._last_cycle = max(self._last_cycle, cycle)
+            if kind == "spawn":
+                self._thread_names[event.tid] = event.attrs.get(
+                    "name", "T%d" % event.tid)
+            elif kind == "dispatch":
                 self._close_quantum(cycle)
-        elif kind == "save":
-            window = event.attrs["window"]
-            self._close_window(window, cycle)
-            self._open_windows[window] = (event.tid, cycle)
-        elif kind == "restore":
-            freed = event.attrs.get("freed")
-            if freed is not None:
-                self._close_window(freed, cycle)
-        elif kind == "enqueue":
-            if self.include_queue_counter:
+                self._open_quantum = (event.tid, cycle)
+            elif kind in ("block", "yield", "retire"):
+                if (self._open_quantum is not None
+                        and self._open_quantum[0] == event.tid):
+                    self._close_quantum(cycle)
+            elif kind == "save":
+                window = event.attrs["window"]
+                self._close_window(window, cycle)
+                self._open_windows[window] = (event.tid, cycle)
+            elif kind == "restore":
+                freed = event.attrs.get("freed")
+                if freed is not None:
+                    self._close_window(freed, cycle)
+            elif kind == "enqueue":
                 self._counters.append({
                     "name": "ready_queue", "ph": "C", "ts": cycle,
                     "pid": THREADS_PID, "tid": 0,
                     "args": {"depth": event.attrs.get("depth", 0)},
                 })
-        elif kind == "run_end":
-            self.finish(cycle)
-        if kind in _INSTANT_KINDS and event.tid is not None:
-            self._instants.append({
-                "name": kind, "ph": "i", "s": "t", "ts": cycle,
-                "pid": THREADS_PID, "tid": event.tid,
-                "cat": "trap" if kind in ("overflow", "underflow")
-                       else "sched",
-                "args": dict(event.attrs),
-            })
+            elif kind == "run_end":
+                self.finish(cycle)
+            if kind in _INSTANT_KINDS and event.tid is not None:
+                self._instants.append({
+                    "name": kind, "ph": "i", "s": "t", "ts": cycle,
+                    "pid": THREADS_PID, "tid": event.tid,
+                    "cat": "trap" if kind in ("overflow", "underflow")
+                           else "sched",
+                    "args": dict(event.attrs),
+                })
 
     # -- slice bookkeeping ---------------------------------------------------
 

@@ -1,8 +1,9 @@
 """The aggregate telemetry layer: always-cheap metrics, separate from
 the raw-event tracing path.
 
-PR 1's :class:`~repro.metrics.events.EventBus` answers "*what happened,
-in order*" — every save, trap and switch as a timestamped event.  That
+The trace (:class:`~repro.metrics.events.TraceRecorder`) answers "*what
+happened, in order*" — every save, trap and switch as a timestamped
+event.  That
 is the right tool for debugging one run and the wrong tool for watching
 a thousand: a full trace of a paper-scale sweep is hundreds of
 megabytes.  This module is the other half of the observability story:
@@ -12,8 +13,8 @@ PRs.
 
 Design rules, in priority order:
 
-* **Zero cost when off.**  Instrumented sites follow PR 4's
-  ``watch_activity`` pattern: a single attribute that is ``None`` until
+* **Zero cost when off.**  Instrumented sites follow the tracing
+  guard's pattern: a single attribute that is ``None`` until
   telemetry is attached, so the hot path pays one ``is None`` branch
   and performs no dict lookup, no allocation, no call.
 * **Deterministic when on.**  Histograms use *exact integer bucket

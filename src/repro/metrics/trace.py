@@ -5,15 +5,16 @@
     python -m repro.metrics.trace --app pingpong --scheme SNP --windows 5
     python -m repro.metrics.trace --perfetto trace.json --report report.json
 
-Records one run of the spell-check pipeline (or a synthetic workload)
-with the full observability stack attached — event recorder and
-Perfetto exporter on the event bus, and the behaviour tracker,
-occupancy timeline and event tally, which the kernel's per-quantum
-record log and dispatch snapshots feed — then prints or exports
-what was captured:
+Records one traced run of the spell-check pipeline (or a synthetic
+workload) with the full observability stack attached — the kernel's
+trace recorder, and the behaviour tracker, occupancy timeline and
+event tally, which the kernel's per-quantum record log and dispatch
+snapshots feed — then prints or exports what was captured, reading
+the recorded events after the run:
 
 * ``--summary`` (default): per-thread cycle attribution, switch-cost
-  percentiles (p50/p95/p99), trap counts and event totals;
+  percentiles (p50/p95/p99), trap counts and event totals (from the
+  event tally);
 * ``--list``: the raw event log, filterable by ``--kind``/``--tid``/
   ``--start``/``--end`` and capped with ``--limit``;
 * ``--perfetto PATH``: Chrome trace-event JSON for chrome://tracing;
@@ -26,7 +27,7 @@ import argparse
 import sys
 
 from repro.metrics.behavior import BehaviorTracker
-from repro.metrics.events import EventTally, TraceRecorder
+from repro.metrics.events import EventTally, TraceRecorder, switch_cost_stats
 from repro.metrics.perfetto import PerfettoExporter
 from repro.metrics.report import build_run_report, write_report
 from repro.metrics.reporting import format_table
@@ -48,8 +49,6 @@ def record_run(args):
                     faults=injector, audit=args.audit,
                     watchdog=args.watchdog, crash_dir=args.crash_dir)
     recorder = kernel.enable_tracing()
-    exporter = PerfettoExporter()
-    kernel.events.subscribe(exporter)
     tracker = BehaviorTracker()
     kernel.tracker = tracker
     timeline = OccupancyTimeline()
@@ -96,8 +95,7 @@ def record_run(args):
         print(injector.summary())
     if telemetry is not None:
         telemetry.finalize(result)
-    return (result, config, recorder, exporter, tracker, timeline, tally,
-            telemetry)
+    return result, config, recorder, tracker, timeline, tally, telemetry
 
 
 def print_events(recorder: TraceRecorder, args) -> None:
@@ -113,8 +111,8 @@ def print_events(recorder: TraceRecorder, args) -> None:
         print("... %d more (raise --limit)" % (len(events) - len(shown)))
 
 
-def print_summary(result, recorder: TraceRecorder, tracker,
-                  timeline) -> None:
+def print_summary(result, recorder: TraceRecorder, tracker, timeline,
+                  tally: EventTally) -> None:
     counters = result.counters
     names = {t.tid: t.name for t in result.threads}
 
@@ -122,7 +120,7 @@ def print_summary(result, recorder: TraceRecorder, tracker,
         counters.total_cycles, result.steps, len(recorder), result.loop))
     print()
 
-    per_cycles = recorder.per_thread_cycles()
+    per_cycles = tally.per_thread_cycles
     rows = []
     total = counters.total_cycles or 1
     for t in sorted(result.threads, key=lambda t: t.tid):
@@ -137,7 +135,7 @@ def print_summary(result, recorder: TraceRecorder, tracker,
          "blocks"], rows, title="per-thread cycle attribution"))
     print()
 
-    stats = recorder.switch_cost_stats()
+    stats = switch_cost_stats(tally.switch_costs)
     print(format_table(
         ["count", "mean", "p50", "p95", "p99", "max"],
         [[stats["count"], stats["mean"], stats["p50"], stats["p95"],
@@ -171,7 +169,7 @@ def print_summary(result, recorder: TraceRecorder, tracker,
     print()
 
     rows = [[kind, count]
-            for kind, count in sorted(recorder.by_kind().items())]
+            for kind, count in tally.by_kind(result).items()]
     print(format_table(["event", "count"], rows, title="events by kind"))
 
 
@@ -234,7 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        (result, config, recorder, exporter, tracker, timeline, tally,
+        (result, config, recorder, tracker, timeline, tally,
          telemetry) = record_run(args)
     except Exception as exc:
         from repro.errors import ReproError
@@ -255,6 +253,8 @@ def main(argv=None) -> int:
         metrics_snapshot = telemetry.snapshot(dict(config))
     wrote = False
     if args.perfetto:
+        exporter = PerfettoExporter()
+        exporter.read(recorder)
         if telemetry is not None:
             exporter.add_telemetry(telemetry)
         exporter.write(args.perfetto)
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     if args.list:
         print_events(recorder, args)
     if args.summary or not (args.list or wrote):
-        print_summary(result, recorder, tracker, timeline)
+        print_summary(result, recorder, tracker, timeline, tally)
     return 0
 
 

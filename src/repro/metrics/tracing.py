@@ -9,9 +9,9 @@ between the schemes directly visible (NS wipes the file every column;
 SP's columns barely change).
 
 Attach with ``kernel.timeline = OccupancyTimeline()``: the kernel takes
-one snapshot per dispatch, on every execution loop, without the event
-bus.  A snapshot copies the window map's raw kind and owner columns;
-the glyphs are only rendered when a sample's ``cells`` are read.  The
+one snapshot per dispatch, on every execution loop, without tracing.
+A snapshot copies the window map's raw kind and owner columns; the
+glyphs are only rendered when a sample's ``cells`` are read.  The
 analyses work per distinct window-map state (a run revisits few), so
 churn, occupancy, owners and the rendered rows are computed once per
 state or pair of consecutive states, not once per sample.

@@ -12,8 +12,8 @@ The batched loop carries every run hook: fault injection, the
 invariant audit after each dispatch, call and return, the watchdog
 and a step budget (checked at the start of every step, so
 :data:`EXIT_BUDGET` fires at the step it always did), the quantum
-observers, and event-bus tracing, whose emit sites are guarded by one
-flag read per quantum.  There is no other production loop and no knob
+observers, and tracing, whose emit sites are guarded by one flag fixed
+for the whole run.  There is no other production loop and no knob
 to pick one.  The step-granular generator trampoline it replaced lives
 on only in the test suite (``tests/support/trampoline.py``), as the
 reference the differential suites pin it to: same counters, same

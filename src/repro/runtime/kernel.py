@@ -106,14 +106,13 @@ class Kernel:
         self.current: Optional[SimThread] = None
         self.last_suspended: Optional[SimThread] = None
         self.verify_registers = verify_registers
-        #: the structured trace-event bus (shared with the CPU, the
-        #: scheme, the ready queue and every stream); disabled until a
-        #: consumer subscribes
+        #: the run's trace recorder (shared with the CPU, the scheme
+        #: and the ready queue); records nothing until
+        #: ``enable_tracing``
         self.events = self.cpu.events
-        self.ready.bind_events(self.events)
-        #: mirror of ``events.active`` (see EventBus.watch_activity)
+        self.ready.events = self.events
+        #: guards the kernel's emit sites (see ``enable_tracing``)
         self._tracing = False
-        self.events.watch_activity(self._set_tracing)
         #: quantum observers (see the ``tracker``/``timeline``/``tally``
         #: properties); ``_observed`` is True while any is armed
         self._tracker = None
@@ -161,16 +160,13 @@ class Kernel:
         if crash_dir is not None and not self.counters.keep_trace:
             # The flight recorder: one ring shared by the scheme's
             # switch and trap record sites (already guarded by
-            # keep_trace), so records land in order and the event bus
-            # stays off — the run keeps the batched loop.  A caller
-            # that armed keep_trace keeps its own lists.
+            # keep_trace), so records land in order and tracing
+            # stays off.  A caller that armed keep_trace keeps its own
+            # lists.
             ring = deque(maxlen=FLIGHT_CAPACITY)
             self.counters.switch_trace = ring
             self.counters.trap_trace = ring
             self.counters.keep_trace = True
-
-    def _set_tracing(self, active: bool) -> None:
-        self._tracing = active
 
     # -- observability ------------------------------------------------------
 
@@ -209,8 +205,8 @@ class Kernel:
 
     def _arm_observers(self) -> None:
         """Observed runs record each quantum in the record log (and
-        snapshot the timeline at each dispatch), not through the event
-        bus."""
+        snapshot the timeline at each dispatch), not as trace
+        events."""
         self._observed = (self._tracker is not None
                           or self._timeline is not None
                           or self._tally is not None)
@@ -254,14 +250,15 @@ class Kernel:
             profiler.bind(self.cpu)
         self._profiler = profiler
 
-    def enable_tracing(self, recorder=None):
-        """Subscribe (and return) a TraceRecorder capturing every event."""
-        from repro.metrics.events import TraceRecorder
-
-        if recorder is None:
-            recorder = TraceRecorder()
-        self.events.subscribe(recorder)
-        return recorder
+    def enable_tracing(self):
+        """Record every event of the run in ``events`` (the returned
+        :class:`~repro.metrics.events.TraceRecorder`), which consumers
+        read after the run.  Before ``run()`` only: tracing is fixed
+        for the whole run."""
+        if self._running:
+            raise RuntimeFault("enable_tracing() after run() started")
+        self._tracing = self.ready._tracing = True
+        return self.cpu.enable_tracing()
 
     # -- setup ------------------------------------------------------------
 
@@ -287,10 +284,8 @@ class Kernel:
         return thread
 
     def stream(self, capacity: int, name: str = "") -> Stream:
-        """Convenience stream constructor (wired to the event bus)."""
-        stream = Stream(capacity, name)
-        stream.events = self.events
-        return stream
+        """Convenience stream constructor."""
+        return Stream(capacity, name)
 
     # -- main loop -----------------------------------------------------------
 
@@ -493,17 +488,16 @@ class Kernel:
         * the step budget and the watchdog at the start of every step
           (``_step_gate``): a spent budget returns with the thread
           still current (EXIT_BUDGET);
-        * event-bus tracing: ``events_on``, read once per quantum at
-          its dispatch, guards the kernel's and the CPU's emit sites
-          (dispatch, save, restore, block, wake, yield, retire).  While
-          it is on, the compute and call-cycle accumulators fold into
-          ``counters`` at each Tick and before each save/restore emit
-          or window trap, so every stamp on the bus — the scheme's,
-          the ready queue's, the streams' and the injector's too —
+        * tracing: ``events_on``, fixed for the whole run by
+          ``enable_tracing``, guards the kernel's and the CPU's emit
+          sites (dispatch, save, restore, block, wake, yield, retire).
+          While it is on, the compute and call-cycle accumulators fold
+          into ``counters`` at each Tick and before each save/restore
+          emit or window trap, so every recorded stamp — the scheme's,
+          the ready queue's, the kernel's and the injector's too —
           reads the exact cycle (an untrapped save or restore pays
-          one ``events_on`` check).  A
-          subscriber that attaches mid-quantum sees exact stamps from
-          the next dispatch on.
+          one ``events_on`` check), and nothing is left to fold at a
+          dispatch.
 
         The profiler and the telemetry buffers are quantum-granular and
         fed per batch.  With observers armed (``observed``), each
@@ -563,11 +557,11 @@ class Kernel:
         queue = ready._queue
         popleft = queue.popleft
         queue_extend = queue.extend
-        # Plain FIFO with no fault injector attached: a wake is exactly
-        # "state = READY, append to the deque" (the push_woken fast
-        # path); neither condition can change during a run.  Tracing
-        # can, so the wake sites check ``events_on`` and fall back.
-        fifo_wake = ready._fifo and ready.faults is None
+        # Plain FIFO with no fault injector attached and no tracing: a
+        # wake is exactly "state = READY, append to the deque" (the
+        # push_woken fast path); none of these can change during a run.
+        fifo_wake = (ready._fifo and ready.faults is None
+                     and not events_on)
         READY_, BLOCKED_ = READY, BLOCKED
         # op classes as frame locals (one global load each, not per step)
         Tick_, Call_, Read_, Write_ = Tick, Call, Read, Write
@@ -597,14 +591,6 @@ class Kernel:
                 if thread is None:
                     if not queue:
                         return     # all done, or deadlock (caller decides)
-                    # Dispatch; tracing is read once per quantum, here,
-                    # and what an untraced quantum accumulated folds
-                    # before the switch is stamped.
-                    events_on = self._tracing
-                    if events_on:
-                        counters.compute_cycles += compute
-                        counters.call_cycles += call_cycles
-                        compute = call_cycles = 0
                     if ready.sample_slackness:
                         ready.slackness_samples.append(len(queue) - 1)
                     thread = popleft()
@@ -855,7 +841,7 @@ class Kernel:
                                 if take:
                                     stream.bytes_read += take
                                     if stream.write_waiters:
-                                        if fifo_wake and not events_on:
+                                        if fifo_wake:
                                             for waiter in \
                                                     stream.write_waiters:
                                                 waiter.blocked_on = None
@@ -906,7 +892,7 @@ class Kernel:
                             if pushed:
                                 stream.bytes_written += pushed
                                 if stream.read_waiters:
-                                    if fifo_wake and not events_on:
+                                    if fifo_wake:
                                         for waiter in \
                                                 stream.read_waiters:
                                             waiter.blocked_on = None
@@ -975,7 +961,7 @@ class Kernel:
                                         op="read")
                                 break  # EXIT_BLOCKED
                             if line and stream.write_waiters:
-                                if fifo_wake and not events_on:
+                                if fifo_wake:
                                     for waiter in stream.write_waiters:
                                         waiter.blocked_on = None
                                         waiter.state = READY_
@@ -1098,8 +1084,13 @@ class Kernel:
     # -- blocking stream operations ------------------------------------------------
 
     def _do_close(self, stream: Stream) -> None:
-        if self._tally is not None and not stream.closed:
-            self._tally.stream_closes += 1
+        if not stream.closed:
+            if self._tally is not None:
+                self._tally.stream_closes += 1
+            if self._tracing:
+                self.events.emit("stream_close", stream=stream.name,
+                                 written=stream.bytes_written,
+                                 read=stream.bytes_read)
         stream.close()
         if stream.read_waiters:
             self._wake_readers(stream)

@@ -31,21 +31,13 @@ class ReadyQueue:
         #: parallel-slackness samples (§5): queue length at each pop
         self.slackness_samples = []
         self.sample_slackness = False
-        #: trace-event bus (wired by the kernel; None when standalone)
+        #: the kernel's trace recorder (None when standalone)
         self.events = None
-        #: mirror of ``events.active`` (see EventBus.watch_activity)
+        #: guards the enqueue emit (set by ``Kernel.enable_tracing``)
         self._tracing = False
         #: optional fault injector with enqueue specs pending; attached
         #: by FaultInjector.attach only when the plan targets this site
         self.faults = None
-
-    def bind_events(self, events) -> None:
-        """Wire the trace bus (and keep ``_tracing`` mirrored)."""
-        self.events = events
-        events.watch_activity(self._set_tracing)
-
-    def _set_tracing(self, active: bool) -> None:
-        self._tracing = active
 
     def __len__(self) -> int:
         return len(self._queue)

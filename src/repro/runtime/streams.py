@@ -23,7 +23,7 @@ class Stream:
     """A bounded cyclic FIFO byte buffer with blocking semantics."""
 
     __slots__ = ("capacity", "name", "_data", "closed", "read_waiters",
-                 "write_waiters", "bytes_written", "bytes_read", "events",
+                 "write_waiters", "bytes_written", "bytes_read",
                  "read_label", "write_label")
 
     def __init__(self, capacity: int, name: str = ""):
@@ -43,8 +43,6 @@ class Stream:
         #: lifetime statistics
         self.bytes_written = 0
         self.bytes_read = 0
-        #: trace-event bus (wired by ``kernel.stream``; None standalone)
-        self.events = None
 
     # -- capacity queries -----------------------------------------------------
 
@@ -111,12 +109,7 @@ class Stream:
                                                and bool(self._data))
 
     def close(self) -> None:
-        was_open = not self.closed
         self.closed = True
-        events = self.events
-        if was_open and events is not None and events.active:
-            events.emit("stream_close", stream=self.name,
-                        written=self.bytes_written, read=self.bytes_read)
 
     def __repr__(self) -> str:
         return "Stream(%r, %d/%d%s)" % (

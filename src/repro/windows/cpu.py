@@ -13,8 +13,9 @@ written against the flat register file directly: geometry comes from
 the precomputed ``_above``/``_below`` tables, the trap check reads the
 WIM bitmap, counter updates are inline scalar bumps plus a batched
 per-thread tally (folded at run end), trace emits hide behind the
-cached ``_tracing`` boolean, and fault hooks are per-site attributes
-that stay ``None`` unless a fault plan actually targets the site
+``_tracing`` flag (:meth:`WindowCPU.enable_tracing`), and fault hooks
+are per-site attributes that stay ``None`` unless a fault plan
+actually targets the site
 (:meth:`repro.faults.inject.FaultInjector.attach`).
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.metrics.counters import Counters
-from repro.metrics.events import EventBus
+from repro.metrics.events import TraceRecorder
 from repro.windows.errors import WindowGeometryError
 from repro.windows.occupancy import FRAME, FREE, WindowMap
 from repro.windows.thread_windows import ThreadWindows
@@ -41,13 +42,12 @@ class WindowCPU:
         self.map = WindowMap(n_windows)
         self.counters = counters if counters is not None else Counters()
         self.cost = cost_model if cost_model is not None else CostModel()
-        #: structured trace-event bus, stamped with this CPU's cycle
-        #: clock; disabled (no subscribers) by default
+        #: the run's trace, stamped with this CPU's cycle clock; it
+        #: records nothing until ``enable_tracing``
         counters = self.counters
-        self.events = EventBus(clock=lambda: counters.total_cycles)
-        #: mirror of ``events.active`` (see EventBus.watch_activity)
+        self.events = TraceRecorder(clock=lambda: counters.total_cycles)
+        #: guards this CPU's emit sites (see ``enable_tracing``)
         self._tracing = False
-        self.events.watch_activity(self._set_tracing)
         self.scheme = None
         #: the thread currently executing on this CPU
         self.current: Optional[ThreadWindows] = None
@@ -64,8 +64,13 @@ class WindowCPU:
         self._save_instr_cost = self.cost.save_instr
         self._restore_instr_cost = self.cost.restore_instr
 
-    def _set_tracing(self, active: bool) -> None:
-        self._tracing = active
+    def enable_tracing(self) -> TraceRecorder:
+        """Record this CPU's and its scheme's events in ``events`` from
+        now on; returns the recorder."""
+        self.events.active = self._tracing = True
+        if self.scheme is not None:
+            self.scheme._tracing = True
+        return self.events
 
     @property
     def n_windows(self) -> int:

@@ -25,6 +25,7 @@ from repro.analysis.verifier import corpus_cases
 from repro.isa import Machine, assemble
 from repro.runtime.errors import DeadlockError
 from repro.runtime.ops import Read, Write
+from tests.helpers import save_stats
 from tests.support.trampoline import (REFERENCE_CORE, make_kernel,
                                       trampoline_everywhere)
 
@@ -54,25 +55,14 @@ def _dynamic_comparable(counters):
 def _run_dynamic(case, scheme, n_windows):
     machine = Machine(assemble(case.source), n_windows=n_windows,
                       scheme=scheme)
-    wraparounds = 0
-    max_depth = {}
-
-    def watch(event):
-        nonlocal wraparounds
-        if event.kind == "save":
-            if event.get("window") == n_windows - 1:
-                wraparounds += 1
-            depth = event.get("depth", 0)
-            if depth > max_depth.get(event.tid, 0):
-                max_depth[event.tid] = depth
-
-    machine.cpu.events.subscribe(watch)
+    recorder = machine.cpu.enable_tracing()
     for addr, value in case.pokes:
         machine.poke(addr, value)
     threads = [machine.add_thread(spec.entry, args=spec.args,
                                   name=spec.name)
                for spec in case.threads]
     exits = machine.run(max_steps=case.max_steps)
+    wraparounds, max_depth = save_stats(recorder, n_windows)
     # initial depth-1 frames never pass through a save event
     for thread in threads:
         max_depth.setdefault(thread.tid, 1)

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.analysis import AbstractMachine
 from repro.isa import Machine, assemble
 from repro.metrics.counters import Counters
+from tests.helpers import save_stats
 
 SCHEMES = ("NS", "SNP", "SP")
 WINDOW_COUNTS = (4, 8)
@@ -239,20 +240,9 @@ def test_random_programs_match_machine(case):
         for n_windows in WINDOW_COUNTS:
             label = "%s/w%d\n%s" % (scheme, n_windows, source)
             machine = Machine(program, n_windows=n_windows, scheme=scheme)
-            wraparounds = 0
-            max_depth = {}
-
-            def watch(event, n_windows=n_windows):
-                nonlocal wraparounds
-                if event.kind == "save":
-                    if event.get("window") == n_windows - 1:
-                        wraparounds += 1
-                    depth = event.get("depth", 0)
-                    if depth > max_depth.get(event.tid, 0):
-                        max_depth[event.tid] = depth
-
-            machine.cpu.events.subscribe(watch)
+            recorder = machine.cpu.enable_tracing()
             handles, exits = _launch(machine, threads, pokes)
+            wraparounds, max_depth = save_stats(recorder, n_windows)
             abstract = AbstractMachine(program, n_windows=n_windows,
                                        scheme=scheme)
             abstract_handles, abstract_exits = _launch(abstract, threads,

@@ -65,7 +65,8 @@ def test_check_document_scheme_independent():
 
 
 def _bus_report(scale, scheme, n_windows):
-    """The ``--report`` document as the bus-fed observers build it."""
+    """The ``--report`` document as the trace-fed observers build
+    it."""
     from repro.apps.spellcheck.corpus import DICT_SIZE, generate_corpus
     from tests.support.bus_oracle import BusObservers
 
@@ -97,7 +98,7 @@ def test_cli_report_is_unchanged_and_keeps_the_batched_loop(
     monkeypatch.setattr(cli, "check_document", spy)
     assert main(args + ["--report", str(tmp_path / "r.json")]) == 0
     assert (tmp_path / "r.json").read_text() == expected
-    # --trace puts the Perfetto exporter on the bus; same report
+    # --trace records the events for the Perfetto exporter; same report
     assert main(args + ["--report", str(tmp_path / "rt.json"),
                         "--trace", str(tmp_path / "t.json")]) == 0
     assert (tmp_path / "rt.json").read_text() == expected

@@ -6,7 +6,7 @@ be *bit-identical* to the step-granular reference trampoline
 (:class:`tests.support.trampoline.ReferenceKernel`, parameterized here
 under its old core name, "generator"): same step counts, same counters
 (including the switch/trap cycle sums and transfer histograms), same
-per-thread statistics, same trace record sequences, same event-bus
+per-thread statistics, same trace record sequences, same recorded
 streams, same thread results — across every scheme and window-file
 size.  This suite drives both loops over the same workloads and
 compares full run snapshots:
@@ -40,7 +40,6 @@ from repro import (
     YieldCPU,
 )
 from repro.faults import FaultInjector, FaultPlan
-from repro.metrics.events import TraceRecorder
 from repro.runtime.kernel import Kernel
 from tests.support.trampoline import (
     ReferenceKernel,
@@ -279,39 +278,6 @@ def test_event_bus_traces_identical(scheme):
         assert type(kernel) is Kernel
         assert run_traced(kernel, build) == ("pure-batched",
                                              reference), name
-
-
-def test_subscriber_attached_mid_run_sees_exact_stamps():
-    """A subscriber that attaches inside a quantum sees the batched
-    loop's exact stream from the next dispatch on."""
-
-    def run_attached(kernel):
-        recorder = TraceRecorder()
-        raw = kernel.stream(8, "raw")
-
-        def producer():
-            for i in range(30):
-                if i == 12:
-                    kernel.events.subscribe(recorder)
-                yield Tick(3)
-                yield Call(depth_calls, 5)
-                yield Write(raw, b"x" * 5)
-            yield CloseStream(raw)
-
-        def consumer():
-            while (yield Read(raw, 3)):
-                yield Tick(2)
-
-        kernel.spawn(producer, name="producer")
-        kernel.spawn(consumer, name="consumer")
-        kernel.run()
-        events = events_of(recorder)
-        first = next(i for i, e in enumerate(events) if e[0] == "dispatch")
-        return events[first:]
-
-    reference = run_attached(ReferenceKernel(n_windows=6, scheme="SP"))
-    assert len(reference) > 100
-    assert run_attached(Kernel(n_windows=6, scheme="SP")) == reference
 
 
 # -- hypothesis-driven random programs -----------------------------------

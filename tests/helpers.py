@@ -66,3 +66,18 @@ def ret_to_depth(cpu, tw, depth: int):
 
 def verify(cpu, scheme):
     check_invariants(cpu, scheme, scheme.threads.values())
+
+
+def save_stats(recorder, n_windows: int):
+    """From a traced run's ``save`` events: how often a save landed in
+    the top window (a CWP wraparound), and each thread's deepest call
+    depth (a thread that never saved is absent)."""
+    wraparounds = 0
+    max_depth = {}
+    for event in recorder.filter(kinds=("save",)):
+        if event.get("window") == n_windows - 1:
+            wraparounds += 1
+        depth = event.get("depth", 0)
+        if depth > max_depth.get(event.tid, 0):
+            max_depth[event.tid] = depth
+    return wraparounds, max_depth

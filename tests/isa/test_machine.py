@@ -179,3 +179,14 @@ class TestFaults:
         assert str(info.value) == (
             "hw0: sll faults: negative shift count [pc=1]")
         assert info.value.context == {"pc": 1}
+
+    def test_restore_at_entry_window_is_a_machine_fault(self):
+        """A restore past a thread's root frame names the pc instead of
+        escaping as a bare WindowGeometryError."""
+        machine = Machine(assemble("start: restore\n       halt"))
+        machine.add_thread("start")
+        with pytest.raises(MachineFault) as info:
+            machine.run()
+        assert str(info.value) == (
+            "thread 0 executed restore at depth 1 [pc=0]")
+        assert info.value.context == {"pc": 0}

@@ -1,16 +1,19 @@
-"""The structured trace-event bus and its recorder."""
+"""The structured trace: the kernel's recorder and its events."""
+
+from collections import Counter
 
 from repro import Call, CloseStream, Kernel, Read, Tick, Write, YieldCPU
 from repro.metrics.behavior import BehaviorTracker
 from repro.metrics.events import (
     STOP_KINDS,
-    EventBus,
     EventTally,
     TraceRecorder,
     percentile,
+    switch_cost_stats,
 )
 from repro.metrics.tracing import OccupancyTimeline
 from repro.runtime.thread import BLOCKED, DONE, READY
+from tests.support.bus_oracle import per_thread_cycles
 
 
 def _leaf(n):
@@ -45,60 +48,39 @@ def _run_traced(scheme="SP", n_windows=8, items=30):
     return kernel, result, recorder
 
 
-class TestEventBus:
+class TestTraceRecorder:
     def test_disabled_by_default(self):
         kernel = Kernel(n_windows=8, scheme="SP")
+        assert isinstance(kernel.events, TraceRecorder)
         assert kernel.events.active is False
-        # The same bus instance is shared by every publisher.
+        # The same recorder is shared by every publisher.
         assert kernel.cpu.events is kernel.events
         assert kernel.scheme.events is kernel.events
         assert kernel.ready.events is kernel.events
-        assert kernel.stream(4).events is kernel.events
 
-    def test_subscribe_unsubscribe_toggles_active(self):
-        bus = EventBus()
-        seen = []
-
-        def consume(event):
-            seen.append(event)
-
-        handle = bus.subscribe(consume)
-        assert handle is consume
-        assert bus.active
-        bus.emit("save", tid=1, depth=2)
-        assert len(seen) == 1 and seen[0].kind == "save"
-        assert seen[0].tid == 1 and seen[0].get("depth") == 2
-        bus.unsubscribe(consume)
-        assert bus.active is False
-        bus.emit("save", tid=1, depth=3)
-        assert len(seen) == 1  # no longer delivered
+    def test_emit_records_in_order(self):
+        recorder = TraceRecorder()
+        event = recorder.emit("save", tid=1, depth=2)
+        recorder.emit("restore", tid=1, depth=1)
+        assert recorder.events[0] is event
+        assert event.kind == "save" and event.tid == 1
+        assert event.get("depth") == 2
+        assert [e.kind for e in recorder] == ["save", "restore"]
+        assert len(recorder) == 2
 
     def test_clock_stamps_events(self):
         ticks = [0]
-        bus = EventBus(clock=lambda: ticks[0])
-        seen = []
-        bus.subscribe(seen.append)
-        bus.emit("a")
+        recorder = TraceRecorder(clock=lambda: ticks[0])
+        recorder.emit("a")
         ticks[0] = 42
-        bus.emit("b")
-        assert [e.cycle for e in seen] == [0, 42]
-
-    def test_consumer_object_with_on_event(self):
-        bus = EventBus()
-        recorder = TraceRecorder()
-        bus.subscribe(recorder)
-        bus.emit("spawn", tid=0, name="x")
-        assert len(recorder) == 1
-        bus.unsubscribe(recorder)
-        bus.emit("spawn", tid=1, name="y")
-        assert len(recorder) == 1
-        assert bus.active is False
+        recorder.emit("b")
+        assert [e.cycle for e in recorder] == [0, 42]
 
 
 class TestKernelPublishing:
     def test_event_counts_match_counters(self):
         __, result, recorder = _run_traced()
-        by_kind = recorder.by_kind()
+        by_kind = Counter(e.kind for e in recorder)
         c = result.counters
         assert by_kind["save"] == c.saves
         assert by_kind["restore"] == c.restores
@@ -162,7 +144,8 @@ class TestKernelPublishing:
         kernel.spawn(_producer, stream, 10, name="p")
         kernel.spawn(_consumer, stream, name="c")
         result = kernel.run()
-        assert result.counters.saves > 0  # ran fine, no bus activity
+        assert result.counters.saves > 0  # ran fine, nothing recorded
+        assert not kernel.events.events
 
 
 class TestLegacyAliases:
@@ -204,7 +187,7 @@ class TestLegacyAliases:
         assert kernel.events.active is False
 
     def test_tracker_matches_hand_wired_semantics(self):
-        """Bus-fed quanta must equal what the old direct hooks
+        """Log-fed quanta must equal what the old direct hooks
         produced: one quantum per dispatch, closed at run end."""
         kernel = Kernel(n_windows=8, scheme="SP")
         tracker = BehaviorTracker()
@@ -231,7 +214,8 @@ class TestRecorderStats:
 
     def test_switch_cost_stats(self):
         __, result, recorder = _run_traced()
-        stats = recorder.switch_cost_stats()
+        stats = switch_cost_stats([e.attrs["cycles"] for e in
+                                   recorder.filter(kinds=("switch",))])
         assert stats["count"] == result.counters.context_switches
         assert stats["p50"] <= stats["p95"] <= stats["p99"] <= stats["max"]
         assert stats["mean"] * stats["count"] == \
@@ -239,7 +223,7 @@ class TestRecorderStats:
 
     def test_per_thread_cycles_bounded_by_total(self):
         __, result, recorder = _run_traced()
-        per = recorder.per_thread_cycles()
+        per = per_thread_cycles(recorder)
         assert per
         assert sum(per.values()) <= result.counters.total_cycles
 

@@ -1,6 +1,7 @@
 """Chrome trace-event export: valid JSON with the expected tracks."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -38,12 +39,12 @@ def _consumer(stream):
 def traced():
     kernel = Kernel(n_windows=6, scheme="SP")
     recorder = kernel.enable_tracing()
-    exporter = PerfettoExporter()
-    kernel.events.subscribe(exporter)
     stream = kernel.stream(3, "pipe")
     kernel.spawn(_producer, stream, 40, name="p")
     kernel.spawn(_consumer, stream, name="c")
     result = kernel.run()
+    exporter = PerfettoExporter()
+    exporter.read(recorder)
     return exporter, recorder, result
 
 
@@ -77,7 +78,7 @@ class TestTraceJson:
 
     def test_instant_count_matches_recorder(self, traced):
         exporter, recorder, __ = traced
-        by_kind = recorder.by_kind()
+        by_kind = Counter(e.kind for e in recorder)
         instants = exporter.instant_events()
         for kind in ("overflow", "underflow", "switch", "block", "wake"):
             got = sum(1 for e in instants if e["name"] == kind)
@@ -129,23 +130,27 @@ class TestTraceJson:
 
 class TestExporterUnits:
     def test_quantum_closed_at_finish(self):
-        from repro.metrics.events import EventBus
-
-        bus = EventBus(clock=lambda: 0)
         exporter = PerfettoExporter()
-        bus.subscribe(exporter)
-        bus.emit("spawn", tid=0, name="solo")
-        bus.emit("dispatch", tid=0, depth=1)
+        exporter.read([_event("spawn", 0, tid=0, name="solo"),
+                       _event("dispatch", 0, tid=0, depth=1)])
         exporter.finish(100)
         quanta = exporter.duration_events()
         assert len(quanta) == 1
         assert quanta[0]["tid"] == 0 and quanta[0]["dur"] == 100
 
-    def test_counter_track_optional(self):
-        exporter = PerfettoExporter(include_queue_counter=False)
-        exporter.on_event(_event("enqueue", 5, tid=1, depth=3))
-        assert exporter.to_dict()["traceEvents"] == \
-            exporter._metadata()
+    def test_events_are_read_in_order(self):
+        """A ``run_end`` closes the open slices at its own cycle; an
+        event read after it changes no slice."""
+        exporter = PerfettoExporter()
+        exporter.read([_event("dispatch", 0, tid=0, depth=1),
+                       _event("enqueue", 5, tid=1, depth=3),
+                       _event("run_end", 40),
+                       _event("dispatch", 50, tid=1, depth=1)])
+        assert [(e["tid"], e["ts"], e["dur"])
+                for e in exporter.duration_events()] == [(0, 0, 40)]
+        counters = [e for e in exporter.to_dict()["traceEvents"]
+                    if e["ph"] == "C"]
+        assert [e["args"] for e in counters] == [{"depth": 3}]
 
 
 def _event(kind, cycle, tid=None, **attrs):

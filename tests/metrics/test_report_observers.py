@@ -1,11 +1,12 @@
-"""Kernel-fed RunReport observers: byte-identical to the bus-fed ones.
+"""Kernel-fed RunReport observers: byte-identical to trace-fed ones.
 
 ``run_report_point`` arms the behaviour tracker, the occupancy timeline
 and the event tally on the kernel, which records each quantum once in
 a record log the tracker and the tally read after the run.
-The reference is the old wiring (:mod:`tests.support.bus_oracle`): a
-``TraceRecorder`` and bus-fed tracker and timeline.  Both run on the
-batched loop, and both must produce the same report, byte for byte.
+The reference is the old wiring (:mod:`tests.support.bus_oracle`): the
+recorded trace, a tracker fed from its events and a timeline
+snapshotted at each recorded dispatch.  Both run on the batched loop,
+and both must produce the same report, byte for byte.
 """
 
 import pytest
@@ -86,8 +87,8 @@ def test_report_point_keeps_the_batched_loop(monkeypatch):
 
 
 def test_kernel_observers_agree_with_the_bus_on_the_batched_loop():
-    """Armed next to a bus subscriber (the trace CLI's setup), the
-    kernel hooks see what the bus sees, on the same batched loop."""
+    """Armed next to tracing (the trace CLI's setup), the kernel hooks
+    see what the trace records, on the same batched loop."""
     bus = BusObservers()
     tracker, timeline, tally = (BehaviorTracker(), OccupancyTimeline(),
                                 EventTally())
@@ -122,7 +123,7 @@ def test_fault_events_count_applied_trap_actions():
                          SpellConfig.named("high", "fine", scale=SCALE),
                          instrument=instrument, faults=injector,
                          verify_registers=True)
-    faults = bus.recorder.by_kind()["fault"]
+    faults = len(bus.recorder.filter(kinds=("fault",)))
     assert faults == 2
     assert len(injector.fired) + injector.trap_actions_applied == faults
 

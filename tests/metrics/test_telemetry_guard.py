@@ -12,7 +12,7 @@ import pytest
 from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.isa import Machine, assemble
 from repro.metrics import telemetry as telemetry_mod
-from repro.metrics.events import EventBus
+from repro.metrics.events import TraceRecorder
 from repro.metrics.telemetry import (
     Counter,
     Gauge,
@@ -41,8 +41,9 @@ class TestDisabledPathIsInert:
     def test_uninstrumented_run_never_touches_registry_or_bus(
             self, monkeypatch):
         """The strong form of the zero-overhead guard: every mutation
-        entry point of the metrics layer (and the event bus) is booby-
-        trapped; an uninstrumented run must not trip any of them."""
+        entry point of the metrics layer (and the trace recorder) is
+        booby-trapped; an uninstrumented run must not trip any of
+        them."""
         def boom(*args, **kwargs):
             raise AssertionError("hot path touched telemetry while off")
 
@@ -50,7 +51,7 @@ class TestDisabledPathIsInert:
         monkeypatch.setattr(Gauge, "set", boom)
         monkeypatch.setattr(Histogram, "observe", boom)
         monkeypatch.setattr(Histogram, "observe_bulk", boom)
-        monkeypatch.setattr(EventBus, "emit", boom)
+        monkeypatch.setattr(TraceRecorder, "emit", boom)
         result, __ = _run()
         assert result.counters.context_switches > 0
 

@@ -1,27 +1,68 @@
-"""The RunReport observers fed off the event bus: the reference the
+"""The RunReport observers fed off the trace: the reference the
 kernel's record log and its readers are held to.
 
 Before the kernel recorded quanta for them, the behaviour tracker and
-the occupancy timeline subscribed to the event bus and the report's
-``events`` section came from a :class:`TraceRecorder`.  This module
-keeps that wiring for tests, independent of the record log and its
-readers: :meth:`BusObservers.attach` (usable as an ``instrument=``
-hook) subscribes a recorder plus one adapter that feeds a
-:class:`BusTracker` — the event-by-event tracker the kernel once fed —
-and the timeline from the recorded event stream (the run keeps the
-batched loop, whose emit sites feed the bus), and
-:meth:`BusObservers.report` builds the RunReport from the recorder's
-own statistics methods.  The ``behavior`` and ``timeline`` sections go
-through the same §5 measures and timeline analyses as production
-reports; the committed section goldens
-(``tests/metrics/test_report_sections.py``) pin those.
+the occupancy timeline were fed event by event and the report's
+``events`` section came from the recorded trace.  This module keeps
+that wiring for tests, independent of the record log and its readers:
+:meth:`BusObservers.attach` (usable as an ``instrument=`` hook)
+enables tracing and wraps the recorder's ``emit`` on the instance so
+the timeline snapshots the live window map at each ``dispatch``;
+after the run, :attr:`BusObservers.tracker` is a :class:`BusTracker` —
+the event-by-event tracker the kernel once fed — fed from the recorded
+events, and :meth:`BusObservers.report` builds the RunReport from it
+and from this module's own statistics over those events.  The
+``behavior`` and ``timeline`` sections go through the same §5 measures
+and timeline analyses as production reports; the committed section
+goldens (``tests/metrics/test_report_sections.py``) pin those.
 """
 
 from __future__ import annotations
 
+from typing import Dict, List, Optional
+
 from repro.metrics.behavior import BehaviorTracker
+from repro.metrics.events import switch_cost_stats
 from repro.metrics.report import build_run_report
 from repro.metrics.tracing import OccupancyTimeline
+
+
+def by_kind(events) -> Dict[str, int]:
+    """Event counts per kind, sorted by kind."""
+    counts: Dict[str, int] = {}
+    for e in events:
+        counts[e.kind] = counts.get(e.kind, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def switch_costs(events) -> List[int]:
+    """Cycle cost of every recorded context switch."""
+    return [e.attrs.get("cycles", 0) for e in events if e.kind == "switch"]
+
+
+def per_thread_cycles(events) -> Dict[int, int]:
+    """Cycles attributed to each thread: the time between its
+    ``dispatch`` and the moment it stops running (the next
+    ``block``/``yield``/``retire`` of it, or the run end)."""
+    totals: Dict[int, int] = {}
+    current: Optional[int] = None
+    started = 0
+    last_cycle = 0
+    for e in events:
+        last_cycle = e.cycle
+        if e.kind == "dispatch":
+            if current is not None:
+                totals[current] = totals.get(current, 0) + e.cycle - started
+            current = e.tid
+            started = e.cycle
+        elif e.kind in ("block", "yield", "retire", "run_end"):
+            if current is not None and (e.tid == current
+                                        or e.kind == "run_end"):
+                totals[current] = totals.get(current, 0) + e.cycle - started
+                current = None
+    if current is not None:
+        totals[current] = totals.get(current, 0) + last_cycle - started
+    return totals
 
 
 class BusTracker(BehaviorTracker):
@@ -35,6 +76,17 @@ class BusTracker(BehaviorTracker):
         self._start = 0
         self._min = 0
         self._max = 0
+
+    def read_events(self, events) -> None:
+        for event in events:
+            kind = event.kind
+            if kind == "dispatch":
+                self.on_dispatch(event.tid, event.attrs["depth"],
+                                 event.cycle)
+            elif kind == "save" or kind == "restore":
+                self.on_depth(event.attrs["depth"])
+            elif kind == "run_end":
+                self.finish(event.cycle)
 
     def on_dispatch(self, tid: int, depth: int, cycles: int) -> None:
         self._close(cycles)
@@ -60,41 +112,46 @@ class BusTracker(BehaviorTracker):
 
 
 class BusObservers:
-    """TraceRecorder + BusTracker + OccupancyTimeline on the bus."""
+    """The recorded trace + BusTracker + an OccupancyTimeline that
+    snapshots at each recorded ``dispatch``."""
 
     def __init__(self):
-        self.tracker = BusTracker()
         self.timeline = OccupancyTimeline()
         self.recorder = None
+        self._tracker = None
+
+    @property
+    def tracker(self) -> BusTracker:
+        """The tracker fed from the recorded events (after the run)."""
+        if self._tracker is None:
+            self._tracker = BusTracker()
+            self._tracker.read_events(self.recorder.events)
+        return self._tracker
 
     def attach(self, kernel) -> None:
-        self.recorder = kernel.enable_tracing()
-        tracker, timeline, cpu = self.tracker, self.timeline, kernel.cpu
+        recorder = self.recorder = kernel.enable_tracing()
+        timeline, cpu = self.timeline, kernel.cpu
+        emit = recorder.emit
 
-        def feed(event):
-            kind = event.kind
+        def emit_and_snapshot(kind, tid=None, **attrs):
+            event = emit(kind, tid, **attrs)
             if kind == "dispatch":
-                tracker.on_dispatch(event.tid, event.attrs["depth"],
-                                    event.cycle)
-                timeline.snapshot(cpu, event.tid, event.cycle)
-            elif kind == "save" or kind == "restore":
-                tracker.on_depth(event.attrs["depth"])
-            elif kind == "run_end":
-                tracker.finish(event.cycle)
+                timeline.snapshot(cpu, tid, event.cycle)
+            return event
 
-        kernel.events.subscribe(feed)
+        recorder.emit = emit_and_snapshot
 
     def events_section(self):
-        recorder = self.recorder
-        if not len(recorder):
+        events = self.recorder.events
+        if not events:
             return None
         return {
-            "total": len(recorder),
-            "by_kind": dict(sorted(recorder.by_kind().items())),
-            "switch_cost": recorder.switch_cost_stats(),
+            "total": len(events),
+            "by_kind": by_kind(events),
+            "switch_cost": switch_cost_stats(switch_costs(events)),
             "per_thread_cycles": {
                 str(tid): cycles
-                for tid, cycles in recorder.per_thread_cycles().items()},
+                for tid, cycles in per_thread_cycles(events).items()},
         }
 
     def report(self, result, config):
