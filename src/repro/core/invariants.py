@@ -4,9 +4,13 @@ These verify the geometric claims DESIGN.md (and the paper's §3) rely
 on: contiguous per-thread regions, exactly one reserved window per
 boundary, WIM matching the running thread, and occupancy/thread-state
 agreement.  Property tests call :func:`check_invariants` after every
-step, and the kernel calls it after every dispatch, call and return
-when the audit is on (``Kernel(audit=True)``, which every fuzz trial
-arms).
+step.  With the audit on (``Kernel(audit=True)``, which every fuzz
+trial arms) the kernel audits after every dispatch, call and return:
+it calls :func:`_consistent` directly and :func:`check_invariants`
+only to diagnose a failure, and after a plain ``save`` or ``restore``
+on a state a full audit passed it settles for an O(1) check that gives
+the same verdict (``Kernel._run_batched``; the proof is in DESIGN.md
+§10.1).
 
 The check runs in one pass: it builds the occupancy map the threads'
 state implies (each thread's resident run from ``cwp``, its private

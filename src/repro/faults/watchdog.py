@@ -8,10 +8,13 @@ the kernel raises :class:`~repro.runtime.errors.LivelockError` with
 per-thread diagnostics instead of spinning forever.
 
 The kernel increments a single progress counter at each progress site.
-Armed, every step makes three calls: ``Kernel._step_gate`` calls
-:meth:`Watchdog.expired`, which calls :meth:`Watchdog.stalled_for`.
-Unarmed (and with no step budget), a step pays one ``is None`` check
-on the kernel's hoisted gate.
+The batched loop makes no call per step: it copies the watchdog's
+marks (the progress count last seen and the step it was seen at) into
+frame locals, updates them inline at every step while the watchdog is
+armed, and writes them back here on every exit, a LivelockError
+included, so :meth:`Watchdog.stalled_for` reads what the step-granular
+reference loop's :meth:`Watchdog.expired` calls leave.  Unarmed, and
+with no step budget, a step pays one integer compare.
 """
 
 from __future__ import annotations

@@ -13,12 +13,13 @@ application results instead of passing silently.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core import make_scheme
-from repro.core.invariants import check_invariants
+from repro.core.invariants import _consistent, check_invariants
 from repro.errors import ReproError
 from repro.metrics.counters import Counters
 from repro.runtime.errors import DeadlockError, LivelockError, RuntimeFault
@@ -50,10 +51,14 @@ from repro.windows.errors import (
     WindowIntegrityError,
 )
 from repro.windows.occupancy import FRAME, FREE
+from repro.windows.thread_windows import ThreadWindows
 
 
 #: records the crash-bundle flight recorder keeps (switches and traps)
 FLIGHT_CAPACITY = 256
+
+#: the batched loop's step limit when a run has no step budget
+_UNBOUNDED = sys.maxsize
 
 
 @dataclass
@@ -103,6 +108,9 @@ class Kernel:
         self.scheme = make_scheme(scheme, self.cpu, **kwargs)
         self.ready = ReadyQueue(queue_policy)
         self.threads: List[SimThread] = []
+        #: every thread's ThreadWindows, in spawn order (what the audit
+        #: and the statistics fold read)
+        self._windows: List[ThreadWindows] = []
         self.current: Optional[SimThread] = None
         self.last_suspended: Optional[SimThread] = None
         self.verify_registers = verify_registers
@@ -146,7 +154,8 @@ class Kernel:
         self.faults = faults
         if faults is not None:
             faults.attach(self)
-        #: run check_invariants after every dispatch, call and return
+        #: audit the window geometry after every dispatch, call and
+        #: return (see ``_audit`` and ``_run_batched``)
         self.audit = audit
         self._watchdog = None
         if watchdog:
@@ -275,6 +284,7 @@ class Kernel:
     def _spawn(self, factory, args, name: str) -> SimThread:
         thread = SimThread(len(self.threads), name, factory, args)
         self.threads.append(thread)
+        self._windows.append(thread.windows)
         self.scheme.register(thread.windows)
         if self._tracing:
             parent = self.current.tid if self.current is not None else None
@@ -333,7 +343,7 @@ class Kernel:
     def _finish(self, loop: str) -> RunResult:
         if self._tracing:
             self.events.emit("run_end")
-        self.counters.fold_thread_stats(t.windows for t in self.threads)
+        self.counters.fold_thread_stats(self._windows)
         return RunResult(self.counters, list(self.threads), self._steps,
                          list(self.ready.slackness_samples), loop=loop)
 
@@ -382,7 +392,7 @@ class Kernel:
 
     def _capture_crash(self, exc: ReproError) -> None:
         """Enrich an escaping error and (optionally) write its bundle."""
-        self.counters.fold_thread_stats(t.windows for t in self.threads)
+        self.counters.fold_thread_stats(self._windows)
         running = self.current
         exc.with_context(step=self._steps,
                          cycle=self.counters.total_cycles)
@@ -399,33 +409,40 @@ class Kernel:
     # -- run hooks ------------------------------------------------------------
 
     def _audit(self, steps: int = 0, cycles: int = 0) -> None:
-        """Continuous invariant audit: the full geometry check after
-        every dispatch, call and return (opt-in).  The batched loop
-        passes the steps and cycles its accumulators have not folded
-        yet, so the crash context is exact."""
+        """The full invariant audit (opt-in): the one-pass geometry
+        check, and only when it fails ``check_invariants``, which walks
+        the state to raise the first violation with its diagnosis.  The
+        batched loop runs it after every dispatch, overflow trap, NS
+        underflow and fired fault hook, and wherever its O(1) check
+        after a plain save or restore cannot vouch for the state (see
+        ``_run_batched``); the reference loop runs it after every
+        dispatch, call and return.  The batched loop passes the steps
+        and cycles its accumulators have not folded yet, so the crash
+        context is exact."""
+        windows = self._windows
         try:
-            check_invariants(self.cpu, self.scheme,
-                             [t.windows for t in self.threads])
+            if _consistent(self.cpu, self.scheme, windows):
+                return
+        except (TypeError, IndexError):
+            pass  # malformed state: check_invariants diagnoses it
+        try:
+            check_invariants(self.cpu, self.scheme, windows)
         except WindowError as exc:
             raise exc.with_context(
                 audit=True, step=self._steps + steps,
                 cycle=self.counters.total_cycles + cycles)
 
-    def _step_gate(self, steps: int, progress: int) -> bool:
-        """The per-step hooks at the start of a batched step, given the
-        batch's unfolded step and progress counts: True when the step
-        budget is spent; raises LivelockError when the watchdog
-        expires.  Called at the start of every step."""
-        step = self._steps + steps
-        max_steps = self._max_steps
-        if max_steps is not None and step >= max_steps:
-            return True
+    def _stall_error(self, progress: int, steps: int,
+                     mark_step: int) -> LivelockError:
+        """The batched loop's LivelockError, given its unfolded progress
+        and step counts and the step its watchdog last saw progress
+        at: the watchdog's marks are written back first, so the error
+        reads them as the reference loop's does."""
         watchdog = self._watchdog
-        if watchdog is not None:
-            progress += self._progress
-            if watchdog.expired(progress, step):
-                raise self._livelock_error(watchdog, progress, step)
-        return False
+        progress += self._progress
+        watchdog._last_marks = progress
+        watchdog._last_step = self._steps + mark_step
+        return self._livelock_error(watchdog, progress, self._steps + steps)
 
     def _livelock_error(self, watchdog, progress: int,
                         step: int) -> LivelockError:
@@ -484,10 +501,26 @@ class Kernel:
           path, and the ready queue's enqueue hook (the FIFO wake fast
           path is off while it is armed);
         * the invariant audit after every dispatch, call and return,
-          given the unfolded step and cycle counts (``_audit``);
-        * the step budget and the watchdog at the start of every step
-          (``_step_gate``): a spent budget returns with the thread
-          still current (EXIT_BUDGET);
+          given the unfolded step and cycle counts.  The full audit
+          (``_audit``) runs after every dispatch, overflow trap, NS
+          underflow and fired fault hook; ``clean`` records that it
+          passed and that only plain saves and restores (and SNP/SP's
+          in-place underflow, which changes only the depth and the
+          store) have run since.  While
+          it holds, a plain save needs only the saved-into window to
+          have been free, and a plain restore only the thread to hold a
+          window after it; when that check fails the full audit runs,
+          so every violation raises at the event and with the message
+          the full audit gives (DESIGN §10.1 has the proof).  A
+          ``Spawn`` clears ``clean`` too;
+        * the step budget and the watchdog at the start of every step,
+          inline: one compare of the batch's step count against
+          ``limit`` (the budget, or 0 while the watchdog is armed,
+          whose marks ``marks``/``mark_step`` then update in frame
+          locals and are written back to the ``Watchdog`` on every
+          exit).  A spent budget returns with the thread still current
+          (EXIT_BUDGET), and on a blocking op's attempt step leaves the
+          op pending, so a later ``run()`` replays it;
         * tracing: ``events_on``, fixed for the whole run by
           ``enable_tracing``, guards the kernel's and the CPU's emit
           sites (dispatch, save, restore, block, wake, yield, retire).
@@ -540,8 +573,30 @@ class Kernel:
         fault_save = cpu._fault_save
         fault_restore = cpu._fault_restore
         audit = self._audit if self.audit else None
-        gate = (self._step_gate if self._max_steps is not None
-                or self._watchdog is not None else None)
+        # the audit's fast path: ``clean`` holds while the state is one
+        # a full audit passed plus plain saves and restores the O(1)
+        # checks vouched for (never set in an unaudited run); a fired
+        # fault hook grows ``fired`` past ``n_fired`` and clears it
+        clean = False
+        fired = faults.fired if faults is not None else []
+        n_fired = len(fired)
+        # the step gate: one compare per step against ``limit``, which
+        # is the step budget in batch-local steps (unbounded without
+        # one), or 0 while the watchdog is armed, whose marks then
+        # update at every step in frame locals
+        max_steps = self._max_steps
+        budget = (max_steps - self._steps if max_steps is not None
+                  else _UNBOUNDED)
+        watchdog = self._watchdog
+        if watchdog is not None:
+            limit = 0
+            max_stall = watchdog.max_stall
+            marks = watchdog._last_marks - self._progress
+            mark_step = watchdog._last_step - self._steps
+        else:
+            limit = budget
+            max_stall = marks = mark_step = 0
+        stall = self._stall_error
         observed = self._observed
         log_append = self._log.append
         snapshot = (self._timeline.snapshot
@@ -550,6 +605,7 @@ class Kernel:
         events_on = self._tracing
         handle_overflow = scheme.handle_overflow
         handle_underflow = scheme.handle_underflow
+        in_place = scheme.shares_windows
         context_switch = scheme.context_switch
         wake_readers = self._wake_readers
         wake_writers = self._wake_writers
@@ -626,6 +682,7 @@ class Kernel:
                             snapshot(cpu, thread.tid, cycle)
                     if audit is not None:
                         audit(steps, compute + call_cycles)
+                        clean = True
                 tw = thread.windows
                 gen_stack = thread.gen_stack
                 gen = gen_stack[-1]
@@ -637,8 +694,14 @@ class Kernel:
                 try:
                     if pending is None:
                         steps += 1     # the entry iteration
-                        if gate is not None and gate(steps, progress):
-                            return     # EXIT_BUDGET
+                        if steps >= limit:
+                            if steps >= budget:
+                                return  # EXIT_BUDGET
+                            if progress != marks:
+                                marks = progress
+                                mark_step = steps
+                            elif steps - mark_step >= max_stall:
+                                raise stall(progress, steps, mark_step)
                     else:
                         # Resume by replay: the op's own branch retries
                         # it, and its attempt step is the entry step.
@@ -700,16 +763,22 @@ class Kernel:
                             if fault_restore is not None:
                                 fault_restore(cpu, tw)
                                 cwp = wf.cwp
+                                if len(fired) != n_fired:
+                                    n_fired = len(fired)
+                                    clean = False
                             n_restores += 1
                             call_cycles += restore_cost
                             target = below[cwp]
                             if wim[target]:
-                                # Underflow: the in-place restore
-                                # (§3.2); the CWP does not move.
+                                # Underflow: SNP/SP restore in place
+                                # (§3.2), changing only the depth and
+                                # the store; NS refills windows below.
                                 if events_on:
                                     counters.call_cycles += call_cycles
                                     call_cycles = 0
                                 handle_underflow(tw)
+                                if not in_place:
+                                    clean = False
                                 if events_on:
                                     events.emit(
                                         "restore", tid=tw.tid,
@@ -739,13 +808,21 @@ class Kernel:
                                     "across restore: %r != %r"
                                     % (thread.name, got, value),
                                     thread=thread.name, depth=tw.depth)
-                            if audit is not None:
+                            if audit is not None and not (
+                                    clean and tw.resident >= 1):
                                 audit(steps, compute + call_cycles)
+                                clean = True
                             resume = got
                             gen = gen_stack[-1]
                             steps += 1
-                            if gate is not None and gate(steps, progress):
-                                return  # EXIT_BUDGET
+                            if steps >= limit:
+                                if steps >= budget:
+                                    return  # EXIT_BUDGET
+                                if progress != marks:
+                                    marks = progress
+                                    mark_step = steps
+                                elif steps - mark_step >= max_stall:
+                                    raise stall(progress, steps, mark_step)
                             continue
                         resume = None
                         t = type(cmd)
@@ -767,10 +844,14 @@ class Kernel:
                             if fault_save is not None:
                                 fault_save(cpu, tw)
                                 cwp = wf.cwp
+                                if len(fired) != n_fired:
+                                    n_fired = len(fired)
+                                    clean = False
                             n_saves += 1
                             call_cycles += save_cost
                             target = above[cwp]
                             if wim[target]:
+                                clean = False
                                 if events_on:
                                     counters.call_cycles += call_cycles
                                     call_cycles = 0
@@ -795,6 +876,8 @@ class Kernel:
                             tw.depth += 1
                             if tw.depth > high:
                                 high = tw.depth
+                            if clean and kinds[target] is not FREE:
+                                clean = False  # a claimed window
                             kinds[target] = FRAME
                             tids[target] = tw.tid
                             if events_on:
@@ -816,15 +899,25 @@ class Kernel:
                                             argument=i, depth=tw.depth)
                                 regs[ib + 8] = ("sig", thread.tid,
                                                 tw.depth)
-                            if audit is not None:
+                            if audit is not None and not clean:
                                 audit(steps, compute + call_cycles)
+                                clean = True
                             gen = cmd.factory(*args)
                             gen_stack.append(gen)
                         elif t is Read_:
                             stream = cmd.stream
                             steps += 1  # the attempt iteration
-                            if gate is not None and gate(steps, progress):
-                                return  # EXIT_BUDGET
+                            if steps >= limit:
+                                if steps >= budget:
+                                    # resume replays the op
+                                    thread.pending = ("read", stream,
+                                                      cmd, 0)
+                                    return  # EXIT_BUDGET
+                                if progress != marks:
+                                    marks = progress
+                                    mark_step = steps
+                                elif steps - mark_step >= max_stall:
+                                    raise stall(progress, steps, mark_step)
                             replay = None
                             sdata = stream._data
                             if sdata or stream.closed:
@@ -872,8 +965,17 @@ class Kernel:
                             stream = cmd.stream
                             data = cmd.data
                             steps += 1
-                            if gate is not None and gate(steps, progress):
-                                return  # EXIT_BUDGET
+                            if steps >= limit:
+                                if steps >= budget:
+                                    # resume replays the op
+                                    thread.pending = ("write", stream,
+                                                      cmd, offset)
+                                    return  # EXIT_BUDGET
+                                if progress != marks:
+                                    marks = progress
+                                    mark_step = steps
+                                elif steps - mark_step >= max_stall:
+                                    raise stall(progress, steps, mark_step)
                             replay = None
                             # -- Stream.push from ``offset``, inlined --
                             if stream.closed:
@@ -924,8 +1026,17 @@ class Kernel:
                         elif t is ReadLine_:
                             stream = cmd.stream
                             steps += 1
-                            if gate is not None and gate(steps, progress):
-                                return  # EXIT_BUDGET
+                            if steps >= limit:
+                                if steps >= budget:
+                                    # resume replays the op
+                                    thread.pending = ("readline", stream,
+                                                      cmd, 0)
+                                    return  # EXIT_BUDGET
+                                if progress != marks:
+                                    marks = progress
+                                    mark_step = steps
+                                elif steps - mark_step >= max_stall:
+                                    raise stall(progress, steps, mark_step)
                             replay = None
                             # -- has_line/at_eof/pull_line, inlined --
                             sdata = stream._data
@@ -990,6 +1101,7 @@ class Kernel:
                             resume = self._spawn(cmd.factory, cmd.args,
                                                  cmd.name)
                             progress += 1
+                            clean = False
                         elif t is Join_:
                             target_t = cmd.thread
                             if target_t is thread:
@@ -997,8 +1109,17 @@ class Kernel:
                                     "%s tried to join itself"
                                     % thread.name)
                             steps += 1
-                            if gate is not None and gate(steps, progress):
-                                return  # EXIT_BUDGET
+                            if steps >= limit:
+                                if steps >= budget:
+                                    # resume replays the op
+                                    thread.pending = ("join", target_t,
+                                                      cmd, 0)
+                                    return  # EXIT_BUDGET
+                                if progress != marks:
+                                    marks = progress
+                                    mark_step = steps
+                                elif steps - mark_step >= max_stall:
+                                    raise stall(progress, steps, mark_step)
                             replay = None
                             if target_t.state == DONE:
                                 progress += 1
@@ -1022,8 +1143,14 @@ class Kernel:
                                 "thread %s yielded %r; expected a "
                                 "runtime op" % (thread.name, cmd))
                         steps += 1
-                        if gate is not None and gate(steps, progress):
-                            return  # EXIT_BUDGET
+                        if steps >= limit:
+                            if steps >= budget:
+                                return  # EXIT_BUDGET
+                            if progress != marks:
+                                marks = progress
+                                mark_step = steps
+                            elif steps - mark_step >= max_stall:
+                                raise stall(progress, steps, mark_step)
                 finally:
                     # Quantum boundary: fold the per-thread statistics
                     # (the run-global accumulators keep accumulating).
@@ -1063,6 +1190,9 @@ class Kernel:
                             prof._check(thread, None, counters)
                             prof_cd = prof._cd
         finally:
+            if watchdog is not None:
+                watchdog._last_marks = self._progress + marks
+                watchdog._last_step = self._steps + mark_step
             self._steps += steps
             self._progress += progress
             if compute:

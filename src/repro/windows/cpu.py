@@ -21,6 +21,7 @@ actually targets the site
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from repro.metrics.counters import Counters
@@ -48,7 +49,8 @@ class WindowCPU:
         self.events = TraceRecorder(clock=lambda: counters.total_cycles)
         #: guards this CPU's emit sites (see ``enable_tracing``)
         self._tracing = False
-        self.scheme = None
+        #: a weak reference to the bound scheme (see ``scheme``)
+        self._scheme = None
         #: the thread currently executing on this CPU
         self.current: Optional[ThreadWindows] = None
         #: optional :class:`repro.faults.inject.FaultInjector`; kept for
@@ -76,10 +78,18 @@ class WindowCPU:
     def n_windows(self) -> int:
         return self.wf.n_windows
 
+    @property
+    def scheme(self):
+        """The bound scheme, or None.  The scheme holds this CPU, so the
+        CPU holds it weakly: with no reference cycle between them, both
+        are freed by reference counting when their owner (a kernel, a
+        machine) is."""
+        return self._scheme() if self._scheme is not None else None
+
     def bind_scheme(self, scheme) -> None:
-        if self.scheme is not None and self.scheme is not scheme:
+        if self._scheme is not None and self._scheme() is not scheme:
             raise WindowGeometryError("a scheme is already bound to this CPU")
-        self.scheme = scheme
+        self._scheme = weakref.ref(scheme)
 
     # -- the two window instructions --------------------------------------
 
@@ -105,9 +115,10 @@ class WindowCPU:
             action = (faults.take_trap_action(tw)
                       if faults is not None else None)
             if action != "drop":
-                self.scheme.handle_overflow(tw)
+                handle_overflow = self._scheme().handle_overflow
+                handle_overflow(tw)
                 if action == "dup":
-                    self.scheme.handle_overflow(tw)
+                    handle_overflow(tw)
                 target = wf._above[wf.cwp]
                 if wf._wim[target]:
                     raise WindowGeometryError(
@@ -147,7 +158,7 @@ class WindowCPU:
         tw.stat_restores += 1
         target = wf._below[wf.cwp]
         if wf._wim[target]:
-            self.scheme.handle_underflow(tw)
+            self._scheme().handle_underflow(tw)
             if self._tracing:
                 self.events.emit("restore", tid=tw.tid, window=wf.cwp,
                                  depth=tw.depth, inplace=True)

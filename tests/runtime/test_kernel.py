@@ -263,3 +263,30 @@ def test_scheme_is_a_paper_name_not_an_instance(allocation):
     kernel = Kernel(n_windows=8, scheme="sp", allocation=policy)
     assert type(kernel.scheme) is SPScheme
     assert kernel.scheme.cpu is kernel.cpu
+
+
+@pytest.mark.parametrize("scheme", ["NS", "SNP", "SP"])
+def test_finished_run_is_freed_without_the_cyclic_gc(scheme):
+    """The scheme holds its CPU and the CPU holds the scheme weakly, so
+    once a run's kernel and result are dropped, reference counting
+    frees the kernel, the CPU and the scheme at once."""
+    import gc
+    import weakref
+
+    from repro.apps.synthetic import spawn_call_depth_workers
+
+    gc.collect()
+    gc.disable()
+    try:
+        kernel = Kernel(n_windows=4, scheme=scheme, audit=True,
+                        watchdog=1000)
+        spawn_call_depth_workers(kernel, n_workers=2, iterations=3,
+                                 depth=4)
+        result = kernel.run()
+        assert kernel.cpu.scheme is kernel.scheme
+        refs = [weakref.ref(obj) for obj in
+                (kernel, kernel.cpu, kernel.scheme)]
+        del kernel, result
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
