@@ -17,7 +17,7 @@ used as a thread entry (``Machine.add_thread``'s ``entry``, by default
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.isa.assembler import Program
 from repro.isa.instructions import BRANCH_OPS, Instruction
@@ -73,12 +73,6 @@ class ProgramCFG:
     call_graph: Dict[int, Set[int]] = field(default_factory=dict)
     #: indices never reached from any entry
     unreachable: List[int] = field(default_factory=list)
-
-    def function_named(self, name: str) -> Optional[FunctionCFG]:
-        for fn in self.functions.values():
-            if fn.name == name:
-                return fn
-        return None
 
     def recursive_entries(self) -> Set[int]:
         """Entries on a call-graph cycle (directly or mutually recursive)."""

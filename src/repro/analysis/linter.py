@@ -3,7 +3,8 @@
 The simulator keeps its inner loops fast by convention, not by
 construction: trace emission must be gated behind a cached ``_tracing``
 boolean so the untraced run pays one attribute load, telemetry buffers
-are ``None`` unless sampling is on, per-step objects carry
+and the schemes' record list are ``None`` unless armed, per-step
+objects carry
 ``__slots__``, and the cycle-domain modules never read the wall clock
 or the process-global RNG (determinism is what makes every run — and
 every crash bundle — replayable).  Each of those conventions is an AST
@@ -13,8 +14,9 @@ pattern, so this linter enforces them:
   recognized tracing guard (``if self._tracing:``, a cached
   ``events_on`` local, or an ``events is not None and events.active``
   test);
-* ``unguarded-telemetry`` — a ``*_tel_*.append(...)`` site not
-  dominated by an ``... is not None`` test naming the buffer;
+* ``unguarded-telemetry`` — a ``*_tel_*.append(...)`` or
+  ``records.append(...)`` site not dominated by an ``... is not None``
+  test naming the buffer;
 * ``missing-slots`` — a class in one of the hot per-step modules with
   neither ``__slots__`` nor ``@dataclass(slots=True)`` (error classes
   are exempt: they are built on the cold path);
@@ -212,14 +214,15 @@ class _Linter(ast.NodeVisitor):
                         "wrap in `if self._tracing:` (or cache "
                         "`events_on = self._tracing`); the untraced hot "
                         "path must not build TraceEvent kwargs")
-            elif func.attr == "append" and self._mentions_tel(func.value):
-                if not any(self._is_tel_guard(g) for g in self.guards):
+            elif func.attr == "append" and self._mentions_sink(func.value):
+                if not any(self._is_sink_guard(g) for g in self.guards):
                     self._add(
                         "unguarded-telemetry", ERROR,
-                        "telemetry buffer append not guarded by an "
-                        "`is not None` check", node.lineno,
-                        "telemetry buffers are None unless sampling is "
-                        "on; guard with `if self._tel_x is not None:`")
+                        "telemetry buffer or record list append not "
+                        "guarded by an `is not None` check", node.lineno,
+                        "both are None unless armed; guard with `if "
+                        "self._tel_x is not None:` or `if self.records "
+                        "is not None:`")
         self.generic_visit(node)
 
     @staticmethod
@@ -256,17 +259,20 @@ class _Linter(ast.NodeVisitor):
         return saw_events and saw_not_none
 
     @staticmethod
-    def _mentions_tel(value: ast.expr) -> bool:
+    def _mentions_sink(value: ast.expr) -> bool:
+        """True when ``value`` names a sink that is None unless armed:
+        a telemetry buffer (``*_tel_*``) or the record list
+        (``records``)."""
         for sub in ast.walk(value):
-            if isinstance(sub, ast.Attribute) and "_tel_" in sub.attr:
-                return True
-            if isinstance(sub, ast.Name) and "_tel_" in sub.id:
+            name = (sub.attr if isinstance(sub, ast.Attribute)
+                    else sub.id if isinstance(sub, ast.Name) else "")
+            if "_tel_" in name or name == "records":
                 return True
         return False
 
     @classmethod
-    def _is_tel_guard(cls, test: ast.expr) -> bool:
-        if not cls._mentions_tel(test):
+    def _is_sink_guard(cls, test: ast.expr) -> bool:
+        if not cls._mentions_sink(test):
             return False
         for sub in ast.walk(test):
             if isinstance(sub, ast.Compare):

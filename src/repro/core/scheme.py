@@ -51,13 +51,15 @@ class Scheme(ABC):
         #: memo of switch-cost calls — the cost model is a frozen
         #: dataclass, so (args) -> cycles never changes per instance
         self._switch_cost_cache: Dict[tuple, int] = {}
-        #: telemetry buffers (see Kernel.attach_telemetry); per-site
-        #: attributes that stay None unless metrics are armed, so the
-        #: uninstrumented paths pay one ``is None`` check per event.
-        #: When armed they are plain lists — one C-speed append per
-        #: event; RunTelemetry bulk-folds them into its histograms
+        # The switch and trap sites' sinks besides the trace: each is
+        # None until armed, so an unarmed site pays one check.
+        #: telemetry's int buffers of switch and trap cycles
+        #: (``RunTelemetry.attach``)
         self._tel_switch = None
         self._tel_trap = None
+        #: the ordered SwitchRecord/TrapRecord list: a plain list, or
+        #: the kernel's bounded flight ring when it writes crash bundles
+        self.records = None
 
     # -- registration ------------------------------------------------------
 

@@ -110,8 +110,8 @@ class SharingScheme(Scheme):
         if spilled:
             counters.windows_spilled += 1
         counters.trap_cycles += cycles
-        if counters.keep_trace:
-            counters.trap_trace.append(
+        if self.records is not None:
+            self.records.append(
                 TrapRecord("overflow", tw.tid, spilled > 0, False, cycles))
         if self._tel_trap is not None:
             self._tel_trap.append(cycles)
@@ -243,8 +243,8 @@ class SharingScheme(Scheme):
         counters.underflow_traps += 1
         counters.windows_restored += 1
         counters.trap_cycles += cycles
-        if counters.keep_trace:
-            counters.trap_trace.append(
+        if self.records is not None:
+            self.records.append(
                 TrapRecord("underflow", tw.tid, False, True, cycles))
         if self._tel_trap is not None:
             self._tel_trap.append(cycles)
@@ -445,8 +445,8 @@ class SharingScheme(Scheme):
         counters.windows_restored += restores
         counters.switch_cycles += cycles
         in_tw.stat_switches += 1
-        if counters.keep_trace:
-            counters.switch_trace.append(SwitchRecord(
+        if self.records is not None:
+            self.records.append(SwitchRecord(
                 out_tw.tid if out_tw is not None else None,
                 in_tw.tid, saves, restores, cycles))
         if self._tel_switch is not None:

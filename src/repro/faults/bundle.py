@@ -166,29 +166,17 @@ def build_crash_bundle(error: BaseException, kernel,
         "threads": threads,
         "counters": _jsonable(snap),
         "steps": kernel._steps,
-        "flight": _flight_records(kernel.counters),
+        "flight": _flight_records(kernel.scheme.records),
         "faults_fired": fired,
     }
 
 
-def _flight_records(counters) -> List[Dict[str, Any]]:
-    """The flight recorder's records as bundle dicts, oldest first.
-
-    The kernel's recorder is one ring shared by ``switch_trace`` and
-    ``trap_trace``, so its order is the run's order.  A caller that
-    armed ``keep_trace`` with separate lists keeps them; the bundle
-    then holds the last :data:`FLIGHT_CAPACITY` records of each.
-    """
-    if not counters.keep_trace:
-        return []
-    switches, traps = counters.switch_trace, counters.trap_trace
-    if switches is traps:
-        records = list(switches)
-    else:
-        records = (list(switches)[-FLIGHT_CAPACITY:]
-                   + list(traps)[-FLIGHT_CAPACITY:])
+def _flight_records(records) -> List[Dict[str, Any]]:
+    """The last :data:`FLIGHT_CAPACITY` of the scheme's switch and trap
+    records (the kernel's flight ring, or a list a caller armed), as
+    bundle dicts in run order."""
     out = []
-    for rec in records:
+    for rec in list(records or ())[-FLIGHT_CAPACITY:]:
         doc = asdict(rec)
         if isinstance(rec, SwitchRecord):
             doc = {"kind": "switch", **doc}

@@ -121,10 +121,9 @@ class Machine:
         self.ready: deque = deque()
         self.current: Optional[HWThread] = None
         self._dispatch = self._build_dispatch()
-        #: optional cycle-domain sampling profiler; None keeps the
-        #: fetch loop's guard a single hoisted-local check
+        #: the cycle profiler ``RunTelemetry.attach`` arms (None: off;
+        #: the fetch loop's guard is a single hoisted-local check)
         self._profiler = None
-        self.telemetry = None
 
     def _build_dispatch(self) -> Dict[str, Callable]:
         """Precompute the opcode -> bound-handler table."""
@@ -167,20 +166,6 @@ class Machine:
         self.scheme.register(thread.windows)
         self.ready.append(thread)
         return thread
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Arm aggregate metrics, mirroring ``Kernel.attach_telemetry``:
-        the scheme gets its switch/trap/occupancy histograms and the
-        fetch loop gets per-opcode cycle attribution."""
-        from repro.metrics.telemetry import arm_scheme_histograms
-
-        self.telemetry = telemetry
-        arm_scheme_histograms(telemetry, self.scheme,
-                              self.cpu.n_windows)
-        profiler = telemetry.profiler
-        if profiler is not None:
-            profiler.bind(self.cpu)
-        self._profiler = profiler
 
     # -- memory helpers ------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter as _Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 
 @dataclass
@@ -59,10 +59,6 @@ class Counters:
     per_thread_switches: Dict[int, int] = field(default_factory=dict)
     per_thread_saves: Dict[int, int] = field(default_factory=dict)
     per_thread_restores: Dict[int, int] = field(default_factory=dict)
-
-    keep_trace: bool = False
-    switch_trace: List[SwitchRecord] = field(default_factory=list)
-    trap_trace: List[TrapRecord] = field(default_factory=list)
 
     @property
     def total_cycles(self) -> int:

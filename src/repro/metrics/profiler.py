@@ -160,17 +160,6 @@ class CycleProfiler:
             "occupancy": [list(s) for s in self.occupancy],
         }
 
-    def flamegraph(self) -> Dict[str, Any]:
-        """Nested ``{name, value, children}`` tree (d3-flame-graph style)
-        built from the sampled stacks."""
-        return flamegraph_from_stacks(self.stack_cycles)
-
-    def collapsed(self) -> str:
-        """``stack;frames count`` lines — Brendan Gregg's collapsed
-        format, pipeable into ``flamegraph.pl``."""
-        return "".join("%s %d\n" % (stack, cycles)
-                       for stack, cycles in sorted(self.stack_cycles.items()))
-
 
 def flamegraph_from_stacks(stack_cycles: Dict[str, int]) -> Dict[str, Any]:
     """Fold ``{";"-joined stack: cycles}`` into a nested tree.

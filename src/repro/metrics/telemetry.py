@@ -187,20 +187,9 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
     def percentile(self, q: float):
-        """Deterministic bucket-resolution percentile: the upper bound
-        of the first bucket whose cumulative count reaches rank ``q``
-        (the recorded maximum for the overflow bucket)."""
-        if not self.count:
-            return 0
-        rank = max(1, int(round(q / 100.0 * self.count)))
-        seen = 0
-        for i, n in enumerate(self.bucket_counts):
-            seen += n
-            if seen >= rank:
-                if i < len(self.bounds):
-                    return self.bounds[i]
-                return self.max
-        return self.max
+        """Deterministic bucket-resolution percentile (see
+        :func:`histogram_percentile`)."""
+        return histogram_percentile(self.to_payload(), q)
 
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -252,20 +241,12 @@ class MetricsRegistry:
 
     def histogram(self, name: str, bounds: Iterable, help: str = "",
                   labels: Optional[Dict[str, str]] = None) -> Histogram:
-        key = _label_key(name, labels)
-        existing = self._instruments.get(key)
-        if existing is not None:
-            if not isinstance(existing, Histogram):
-                raise ValueError(
-                    "instrument %r already registered as a %s"
-                    % (key, existing.kind))
-            if existing.bounds != tuple(bounds):
-                raise ValueError(
-                    "histogram %r re-registered with different bounds"
-                    % key)
-            return existing
-        instrument = Histogram(name, bounds, help=help, labels=labels)
-        self._instruments[key] = instrument
+        bounds = tuple(bounds)
+        instrument = self._get(Histogram, name, help, labels, bounds=bounds)
+        if instrument.bounds != bounds:
+            raise ValueError(
+                "histogram %r re-registered with different bounds"
+                % _label_key(name, labels))
         return instrument
 
     def __contains__(self, key: str) -> bool:
@@ -358,20 +339,20 @@ def snapshot_from_json(text: str) -> Dict[str, Any]:
 
 
 def histogram_percentile(payload: Dict[str, Any], q: float):
-    """:meth:`Histogram.percentile` computed from a serialized payload
-    (what exporters and the dashboard have in hand)."""
+    """Deterministic bucket-resolution percentile of a serialized
+    histogram (what exporters and the dashboard have in hand, and what
+    :meth:`Histogram.percentile` renders): the upper bound of the first
+    bucket whose cumulative count reaches rank ``q`` (the recorded
+    maximum for the overflow bucket)."""
     total = payload.get("count", 0)
     if not total:
         return 0
-    bounds = payload["bounds"]
     rank = max(1, int(round(q / 100.0 * total)))
     seen = 0
-    for i, n in enumerate(payload["bucket_counts"]):
+    for bound, n in zip(payload["bounds"], payload["bucket_counts"]):
         seen += n
         if seen >= rank:
-            if i < len(bounds):
-                return bounds[i]
-            return payload["max"]
+            return bound
     return payload["max"]
 
 
@@ -479,37 +460,6 @@ def to_prometheus(snapshot: Dict[str, Any],
     return "\n".join(lines) + "\n"
 
 
-def arm_scheme_histograms(telemetry: "RunTelemetry", scheme,
-                          n_windows: int) -> None:
-    """Hand a window-management scheme its telemetry buffers.
-
-    Shared by ``Kernel.attach_telemetry`` and ``Machine.attach_telemetry``
-    — the scheme-side hooks are identical in both runtimes.
-
-    The scheme's hot sites get plain lists (``_tel_switch``,
-    ``_tel_trap``): recording one event is a single C-speed
-    ``list.append``, not a Python-level ``Histogram.observe`` (which
-    would cost ~1µs x tens of thousands of switches per run).  The
-    real histograms are registered here and bulk-folded from the
-    buffers by :meth:`RunTelemetry.finalize` / ``snapshot``.
-    """
-    registry = telemetry.registry
-    labels = {"scheme": scheme.kind}
-    switch_hist = registry.histogram(
-        "sim_switch_cycles_hist", CYCLE_BUCKETS,
-        help="context-switch cost distribution (cycles)", labels=labels)
-    trap_hist = registry.histogram(
-        "sim_trap_cycles_hist", CYCLE_BUCKETS,
-        help="window trap latency distribution (cycles)", labels=labels)
-    occ_hist = registry.histogram(
-        "sim_window_occupancy", occupancy_buckets(n_windows),
-        help="occupied windows sampled on the profiler's cycle grid",
-        labels=labels)
-    scheme._tel_switch = []
-    scheme._tel_trap = []
-    telemetry._armed.append((scheme, switch_hist, trap_hist, occ_hist))
-
-
 # ---------------------------------------------------------------------------
 # the per-run bundle the kernel attaches
 
@@ -526,10 +476,9 @@ class RunTelemetry:
         telemetry.finalize(result)
         snapshot = telemetry.snapshot({"scheme": "SP", "n_windows": 8})
 
-    ``attach`` hands the scheme its switch/trap/occupancy histograms and
-    arms the kernel's sampling profiler; everything stays ``None`` /
-    detached until then, which is what keeps the uninstrumented hot
-    path free.
+    ``attach`` takes a ``Kernel`` or an ISA ``Machine``.  Every hook
+    stays ``None`` until it is called, which is what keeps the
+    uninstrumented hot path free.
     """
 
     def __init__(self, every: Optional[int] = None, profile: bool = True,
@@ -538,14 +487,47 @@ class RunTelemetry:
 
         self.registry = registry if registry is not None else MetricsRegistry()
         self.profiler = (CycleProfiler(every) if profile else None)
-        #: (scheme, switch_hist, trap_hist, occ_hist) armed via
-        #: :func:`arm_scheme_histograms`; their buffers are drained by
-        #: :meth:`_fold`
+        #: (scheme, switch_hist, trap_hist, occ_hist) armed by
+        #: :meth:`attach`; their buffers are drained by :meth:`_fold`
         self._armed = []
         self._occ_folded = 0
 
-    def attach(self, kernel) -> "RunTelemetry":
-        kernel.attach_telemetry(self)
+    def attach(self, runtime) -> "RunTelemetry":
+        """Arm a :class:`~repro.runtime.kernel.Kernel` or an ISA
+        :class:`~repro.isa.machine.Machine` (before its run): register
+        the scheme's switch, trap and occupancy histograms, hand the
+        scheme its int buffers and the runtime the profiler.
+
+        The scheme's hot sites get plain lists (``_tel_switch``,
+        ``_tel_trap``): recording one event is a single C-speed
+        ``list.append``, not a Python-level ``Histogram.observe`` per
+        switch.  :meth:`_fold` bulk-folds the buffers into the
+        histograms.
+        """
+        scheme = runtime.scheme
+        registry = self.registry
+        labels = {"scheme": scheme.kind}
+        self._armed.append((
+            scheme,
+            registry.histogram(
+                "sim_switch_cycles_hist", CYCLE_BUCKETS,
+                help="context-switch cost distribution (cycles)",
+                labels=labels),
+            registry.histogram(
+                "sim_trap_cycles_hist", CYCLE_BUCKETS,
+                help="window trap latency distribution (cycles)",
+                labels=labels),
+            registry.histogram(
+                "sim_window_occupancy",
+                occupancy_buckets(runtime.cpu.n_windows),
+                help="occupied windows sampled on the profiler's cycle "
+                     "grid", labels=labels)))
+        scheme._tel_switch = []
+        scheme._tel_trap = []
+        profiler = self.profiler
+        if profiler is not None:
+            profiler.bind(runtime.cpu)
+        runtime._profiler = profiler
         return self
 
     def _fold(self) -> None:
@@ -570,11 +552,6 @@ class RunTelemetry:
                 scheme._tel_trap = []
             if occ_samples:
                 occ_hist.observe_bulk([occ for __, occ in occ_samples])
-
-    def instrument(self, kernel) -> None:
-        """Alias matching the ``instrument=`` callback convention of
-        :func:`repro.apps.spellcheck.pipeline.run_spellchecker`."""
-        self.attach(kernel)
 
     def finalize(self, result) -> None:
         """Fold the run's exact counters into the registry (cheap: once

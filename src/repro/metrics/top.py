@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Tuple
 from repro.metrics.reporting import ascii_chart, format_table
 from repro.metrics.telemetry import (
     histogram_percentile,
-    validate_snapshot,
+    snapshot_from_json,
 )
 
 CLEAR = "\x1b[2J\x1b[H"
@@ -42,10 +42,6 @@ def _labels(payload: Dict[str, Any]) -> str:
 
 # gauges charted over snapshot generations in watch mode (0..1 range)
 TRACKED_RATIOS = ("engine_worker_utilization", "engine_cache_hit_ratio")
-
-
-def read_snapshot(path) -> Dict[str, Any]:
-    return validate_snapshot(json.loads(Path(path).read_text()))
 
 
 def render(snapshot: Dict[str, Any],
@@ -126,7 +122,8 @@ def main(argv=None) -> int:
     try:
         while True:
             try:
-                snapshot = read_snapshot(args.snapshot)
+                snapshot = snapshot_from_json(
+                    Path(args.snapshot).read_text())
             except FileNotFoundError:
                 if args.once:
                     print("error: %s: no such file" % args.snapshot,

@@ -135,15 +135,17 @@ class Kernel:
         #: counters.switch_cycles when an observer was armed, then at
         #: the last switched dispatch the tally has read
         self._switch_cycles_seen = 0
-        #: optional :class:`repro.metrics.telemetry.RunTelemetry`; the
-        #: profiler is mirrored into ``_profiler`` so the batched loop's
-        #: guard is a hoisted-local None check (attach_telemetry)
-        self.telemetry = None
+        #: the cycle profiler ``RunTelemetry.attach`` arms (None: off;
+        #: the batched loop's guard is a hoisted-local None check)
         self._profiler = None
         self._running = False
         #: run the static topology check before the first step (run())
         self._analyze = analyze
         self._steps = 0
+        #: 1 after a step-budget exit: ``_steps`` counts the step the
+        #: budget cut, which the next ``run()`` runs without counting
+        #: it again
+        self._cut = 0
         #: the running call's step budget (run(max_steps=...))
         self._max_steps: Optional[int] = None
         #: progress clock: ticks, calls, returns, spawns and completed
@@ -166,16 +168,11 @@ class Kernel:
         #: embedded in the bundle so a replay can rebuild the workload
         self.crash_dir = crash_dir
         self.crash_config = dict(crash_config or {})
-        if crash_dir is not None and not self.counters.keep_trace:
-            # The flight recorder: one ring shared by the scheme's
-            # switch and trap record sites (already guarded by
-            # keep_trace), so records land in order and tracing
-            # stays off.  A caller that armed keep_trace keeps its own
-            # lists.
-            ring = deque(maxlen=FLIGHT_CAPACITY)
-            self.counters.switch_trace = ring
-            self.counters.trap_trace = ring
-            self.counters.keep_trace = True
+        if crash_dir is not None:
+            # The flight recorder: the scheme's switch and trap sites
+            # append their records, in run order, to a bounded ring;
+            # tracing stays off.
+            self.scheme.records = deque(maxlen=FLIGHT_CAPACITY)
 
     # -- observability ------------------------------------------------------
 
@@ -240,24 +237,6 @@ class Kernel:
                                 + faults.trap_actions_applied)
                 tally.finished = True
         log.clear()
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Arm aggregate metrics (:mod:`repro.metrics.telemetry`).
-
-        Hands the scheme its per-scheme switch/trap/occupancy
-        histograms and arms the cycle-domain sampling profiler; until
-        this is called every instrumented site holds ``None`` and the
-        hot paths pay a single ``is None`` branch.
-        """
-        from repro.metrics.telemetry import arm_scheme_histograms
-
-        self.telemetry = telemetry
-        arm_scheme_histograms(telemetry, self.scheme,
-                              self.cpu.n_windows)
-        profiler = telemetry.profiler
-        if profiler is not None:
-            profiler.bind(self.cpu)
-        self._profiler = profiler
 
     def enable_tracing(self):
         """Record every event of the run in ``events`` (the returned
@@ -334,6 +313,7 @@ class Kernel:
         self._max_steps = max_steps
         self._run_batched()
         if max_steps is not None and self._steps >= max_steps:
+            self._cut = 1
             raise RuntimeFault("step budget of %d exceeded" % max_steps)
         blocked = [t for t in self.threads if t.state == BLOCKED]
         if blocked:
@@ -624,7 +604,8 @@ class Kernel:
         ReadLine_, CloseStream_, YieldCPU_ = ReadLine, CloseStream, YieldCPU
         FlushHint_, Spawn_, Join_ = FlushHint, Spawn, Join
         # -- run-global accumulators, folded once in the outer finally --
-        steps = 0                  # -> self._steps
+        steps = -self._cut         # -> self._steps (a cut step counts once)
+        self._cut = 0
         progress = 0               # -> self._progress
         compute = 0                # -> counters.compute_cycles
         call_cycles = 0            # -> counters.call_cycles

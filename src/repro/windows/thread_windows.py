@@ -58,9 +58,6 @@ class ThreadWindows:
         assert self.cwp is not None
         return [(self.cwp + i) % n_windows for i in range(self.resident)]
 
-    def stored_frames(self) -> int:
-        return len(self.store)
-
     def drop_windows(self) -> None:
         """Forget all residency (after a flush or full spill)."""
         self.cwp = None

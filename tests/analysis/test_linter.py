@@ -80,6 +80,24 @@ class Probe:
 """
         assert _lint(tmp_path, "runtime/probe.py", source).clean
 
+    def test_unguarded_record_append(self, tmp_path):
+        source = """\
+class Scheme:
+    def trap(self, record):
+        self.records.append(record)
+"""
+        report = _lint(tmp_path, "core/probe.py", source)
+        assert [f.rule for f in report.errors] == ["unguarded-telemetry"]
+
+    def test_none_guarded_record_append_passes(self, tmp_path):
+        source = """\
+class Scheme:
+    def trap(self, record):
+        if self.records is not None:
+            self.records.append(record)
+"""
+        assert _lint(tmp_path, "core/probe.py", source).clean
+
 
 class TestSlots:
     def test_missing_slots_in_hot_module(self, tmp_path):

@@ -69,8 +69,7 @@ def snapshot(kernel, result, error):
         "steps": kernel._steps,
         "counters": {f: getattr(c, f) for f in COUNTER_FIELDS},
         "transfer_hist": dict(c.switch_transfer_hist),
-        "switch_trace": list(c.switch_trace),
-        "trap_trace": list(c.trap_trace),
+        "records": list(kernel.scheme.records),
         "per_thread": [
             (t.name, t.state, t.calls, t.returns, t.blocks,
              t.windows.stat_saves, t.windows.stat_restores,
@@ -88,12 +87,11 @@ def events_of(recorder):
     return [(e.kind, e.cycle, e.tid, e.attrs) for e in recorder]
 
 
-def run_core(core, build, scheme, n_windows, keep_trace=True,
-             traced=False, **kw):
+def run_core(core, build, scheme, n_windows, traced=False, **kw):
     """Build a workload on a fresh kernel and run it to the end."""
     kernel = make_kernel(core=core, n_windows=n_windows, scheme=scheme,
                          **kw)
-    kernel.counters.keep_trace = keep_trace
+    kernel.scheme.records = []
     recorder = kernel.enable_tracing() if traced else None
     build(kernel)
     result = error = None

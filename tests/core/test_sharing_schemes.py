@@ -4,6 +4,7 @@ handling (§4.1) and windowless allocation (§4.2)."""
 
 import pytest
 
+from repro.metrics.counters import TrapRecord
 from repro.windows.backing_store import Frame
 from tests.helpers import (
     call,
@@ -42,7 +43,7 @@ class TestInPlaceUnderflow:
         """The whole point of the algorithm: no spillage at underflow,
         so other threads' windows are never disturbed (§3.1)."""
         cpu, scheme = make_machine(6, scheme_name)
-        cpu.counters.keep_trace = True
+        scheme.records = []
         t1 = new_thread(scheme, 0)
         t2 = new_thread(scheme, 1)
         dispatch(cpu, scheme, None, t1)
@@ -51,8 +52,9 @@ class TestInPlaceUnderflow:
         call_to_depth(cpu, t2, 10)
         ret_to_depth(cpu, t2, 1)
         spilled_by_underflow = [
-            rec for rec in cpu.counters.trap_trace
-            if rec.kind == "underflow" and rec.spilled]
+            rec for rec in scheme.records
+            if isinstance(rec, TrapRecord) and rec.kind == "underflow"
+            and rec.spilled]
         assert spilled_by_underflow == []
         # t1's store gained nothing from t2's underflows (only from
         # t2's growth overflows, which spill from the bottom).

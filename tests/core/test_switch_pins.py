@@ -24,6 +24,7 @@ import pytest
 from repro.apps.spellcheck.pipeline import SpellConfig, run_spellchecker
 from repro.apps.synthetic import expected_fork_join_total, spawn_fork_join
 from repro.core.allocation import FreeSearchAllocation, LRUBottomAllocation
+from repro.metrics.counters import SwitchRecord
 from repro.runtime.kernel import Kernel
 
 ALLOCATIONS = {"free-search": FreeSearchAllocation,
@@ -34,8 +35,8 @@ SPELL_CASES = [(scheme, policy, n_windows)
                for n_windows in (5, 8)]
 FORK_JOIN_ITEMS = 40
 
-#: case id -> (len(switch_trace), switch_trace sha256[:16],
-#:             len(trap_trace), trap_trace sha256[:16],
+#: case id -> (switch records, their sha256[:16],
+#:             trap records, their sha256[:16],
 #:             sorted switch_transfer_hist items, total_cycles)
 PINS = {
     "spell/SNP/free-search/w5": (
@@ -92,35 +93,34 @@ def _digest(records) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _observed(counters) -> tuple:
-    return (len(counters.switch_trace), _digest(counters.switch_trace),
-            len(counters.trap_trace), _digest(counters.trap_trace),
+def _observed(records, counters) -> tuple:
+    switches = [r for r in records if isinstance(r, SwitchRecord)]
+    traps = [r for r in records if not isinstance(r, SwitchRecord)]
+    return (len(switches), _digest(switches), len(traps), _digest(traps),
             sorted(counters.switch_transfer_hist.items()),
             counters.total_cycles)
 
 
-def _keep_trace(kernel) -> None:
-    kernel.counters.keep_trace = True
-
-
 def run_spell_case(scheme, policy, n_windows) -> tuple:
     config = SpellConfig.named("high", "fine", scale=0.02)
+    records = []
     result, output = run_spellchecker(
         n_windows, scheme, config, allocation=ALLOCATIONS[policy](),
-        instrument=_keep_trace)
+        instrument=lambda kernel: setattr(kernel.scheme, "records",
+                                          records))
     assert output
-    return _observed(result.counters)
+    return _observed(records, result.counters)
 
 
 def run_fork_join_case(scheme) -> tuple:
     kernel = Kernel(n_windows=6, scheme=scheme)
-    _keep_trace(kernel)
+    records = kernel.scheme.records = []
     spawn_fork_join(kernel, n_children=3, items=FORK_JOIN_ITEMS,
                     flush_hint=True)
     result = kernel.run(max_steps=1_000_000)
     assert result.result_of("parent") == expected_fork_join_total(
         FORK_JOIN_ITEMS)
-    return _observed(result.counters)
+    return _observed(records, result.counters)
 
 
 def all_cases():

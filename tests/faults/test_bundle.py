@@ -16,7 +16,7 @@ from repro.faults import (
     load_bundle,
     replay_bundle,
 )
-from repro.metrics.counters import Counters
+from repro.metrics.counters import SwitchRecord
 from repro.runtime import Call, DeadlockError, Read, Tick, YieldCPU
 from repro.runtime.kernel import FLIGHT_CAPACITY, Kernel
 from repro.windows.errors import WindowIntegrityError
@@ -167,30 +167,32 @@ def churn_bundle(kernel):
 
 class TestFlightRecorder:
     def test_ring_is_shared_and_bounded(self, tmp_path):
+        """Switch and trap sites append to one bounded ring."""
         kernel = Kernel(n_windows=4, scheme="SP", crash_dir=tmp_path)
-        counters = kernel.counters
-        assert counters.keep_trace
-        assert counters.switch_trace is counters.trap_trace
+        assert kernel.scheme.records.maxlen == FLIGHT_CAPACITY
         bundle = churn_bundle(kernel)
-        assert counters.context_switches > FLIGHT_CAPACITY
+        assert kernel.counters.context_switches > FLIGHT_CAPACITY
         assert len(bundle["flight"]) == FLIGHT_CAPACITY
         kinds = {e["kind"] for e in bundle["flight"]}
         assert kinds == {"switch", "overflow", "underflow"}
         assert bundle["faults_fired"] == []
 
-    def test_caller_armed_trace_lists_are_kept(self, tmp_path):
-        counters = Counters(keep_trace=True)
-        switches, traps = counters.switch_trace, counters.trap_trace
-        kernel = Kernel(n_windows=4, scheme="SP", crash_dir=tmp_path,
-                        counters=counters)
+    def test_caller_armed_record_list_is_kept(self, tmp_path):
+        """A list armed in place of the ring keeps every record; the
+        bundle still holds the last FLIGHT_CAPACITY, in run order, as
+        the ring would."""
+        kernel = Kernel(n_windows=4, scheme="SP", crash_dir=tmp_path)
+        records = kernel.scheme.records = []
         bundle = churn_bundle(kernel)
-        assert counters.switch_trace is switches
-        assert counters.trap_trace is traps
-        assert len(switches) > FLIGHT_CAPACITY and traps
-        assert bundle["flight"] == (
-            [dict(kind="switch", **asdict(r))
-             for r in switches[-FLIGHT_CAPACITY:]]
-            + [asdict(r) for r in traps[-FLIGHT_CAPACITY:]])
+        assert kernel.scheme.records is records
+        assert len(records) > FLIGHT_CAPACITY
+        assert bundle["flight"] == [
+            dict(kind="switch", **asdict(r))
+            if isinstance(r, SwitchRecord) else asdict(r)
+            for r in records[-FLIGHT_CAPACITY:]]
+        ring = churn_bundle(Kernel(n_windows=4, scheme="SP",
+                                   crash_dir=tmp_path / "ring"))
+        assert bundle["flight"] == ring["flight"]
 
     def test_same_bundle_on_every_loop(self, tmp_path):
         """The record sites sit in the schemes, which every loop calls,

@@ -7,22 +7,20 @@ on every exit.  Here a run is cut by ``run(max_steps=k)`` at every
 step ``k`` of a yield storm and of a workload that uses every runtime
 op, and then resumed with ``run()``: after each exit the marks, the
 step count and the progress clock must equal the reference loop's,
-and the resumed run must end the same way, a LivelockError at the same
-step with the same "no progress for N steps" text.  (The resumed run
-counts the step the budget cut once more, as the reference loop does,
-so N can exceed the stall limit by the steps the cut repeated.)
+and the resumed run must end as the uncut run does: a LivelockError at
+the same step with the same "no progress for N steps" text, N the
+stall limit.  The budget exit counts the step it cuts, and the resumed
+run runs that step without counting it again.
 
 A cut on the attempt step of a read, write, readline or join leaves
 that op pending, as the reference loop's does, so the resumed run
 replays it: every thread returns what it returns in an uncut run.
 """
 
-import re
-
 import pytest
 
 from repro.errors import ReproError
-from repro.runtime.errors import LivelockError, RuntimeFault
+from repro.runtime.errors import RuntimeFault
 from tests.runtime.test_batched_hooks import WORKLOADS, every_op, storm
 from tests.support.trampoline import make_kernel
 
@@ -66,20 +64,19 @@ def test_budget_exit_then_resume_matches_the_reference(build, max_stall,
     kernel = make_kernel("generator", n_windows=5, scheme=scheme,
                          audit=True, watchdog=max_stall)
     build(kernel)
-    with pytest.raises(LivelockError) as info:
-        kernel.run()
-    livelock_step = info.value.context["step"]
-    for budget in range(1, livelock_step + 1):
+    uncut = run_once(kernel)
+    error = uncut[0]
+    assert error[0] == "LivelockError", error
+    assert error[1].startswith("no progress for %d steps" % max_stall)
+    for budget in range(1, error[2] + 1):
         reference = roundtrip("generator", build, scheme, max_stall,
                               budget)
         assert roundtrip("batched", build, scheme, max_stall,
                          budget) == reference, budget
-        (first, *__), (second, *__) = reference
-        assert first[0] == "RuntimeFault", first
-        assert second[0] == "LivelockError", second
-        stalled = int(re.match(r"no progress for (\d+) steps",
-                               second[1]).group(1))
-        assert stalled >= max_stall
+        first, second = reference
+        assert first[0][0] == "RuntimeFault", first
+        assert first[0][2] == first[1] == budget, first
+        assert second == uncut, budget
 
 
 def resumed(loop, build, scheme, budget):
@@ -106,4 +103,5 @@ def test_budget_exit_then_resume_computes_the_same_results(name, scheme):
         reference = resumed("generator", build, scheme, budget)
         assert resumed("batched", build, scheme, budget) == reference, \
             budget
+        assert reference[0] == steps, budget
         assert reference[2] == results, budget

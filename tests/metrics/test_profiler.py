@@ -4,6 +4,7 @@ folding, and the flamegraph/collapsed outputs."""
 import pytest
 
 from repro.metrics.counters import Counters
+from repro.metrics.export import collapsed_stacks
 from repro.metrics.profiler import CycleProfiler, flamegraph_from_stacks
 
 
@@ -117,7 +118,7 @@ class TestFlamegraph:
         assert "children" not in leaf
 
     def test_collapsed_output(self):
-        prof = CycleProfiler(every=10)
-        prof.stack_cycles = {"main;f": 7, "main;g": 3}
-        assert prof.collapsed() == "main;f 7\nmain;g 3\n"
-        assert prof.flamegraph()["value"] == 10
+        stacks = {"main;f": 7, "main;g": 3}
+        snapshot = {"profile": {"stacks": stacks}}
+        assert collapsed_stacks(snapshot) == "main;f 7\nmain;g 3\n"
+        assert flamegraph_from_stacks(stacks)["value"] == 10

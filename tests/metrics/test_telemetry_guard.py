@@ -33,7 +33,6 @@ def _run(instrument=None):
 class TestDisabledPathIsInert:
     def test_sites_stay_detached_without_telemetry(self):
         kernel = Kernel(n_windows=8, scheme="SP")
-        assert kernel.telemetry is None
         assert kernel._profiler is None
         assert kernel.scheme._tel_switch is None
         assert kernel.scheme._tel_trap is None
@@ -57,7 +56,6 @@ class TestDisabledPathIsInert:
 
     def test_machine_sites_stay_detached_without_telemetry(self):
         machine = Machine(assemble("start:\n    halt\n"))
-        assert machine.telemetry is None
         assert machine._profiler is None
         assert machine.scheme._tel_switch is None
 
@@ -160,7 +158,7 @@ class TestMachineTelemetry:
     def test_isa_profiler_attributes_opcodes(self):
         machine = Machine(assemble(self.SOURCE), n_windows=8, scheme="SP")
         telemetry = RunTelemetry(every=64)
-        machine.attach_telemetry(telemetry)
+        telemetry.attach(machine)
         machine.add_thread("start", name="t")
         machine.run()
         prof = telemetry.profiler
@@ -176,7 +174,7 @@ class TestMachineTelemetry:
             machine = Machine(assemble(self.SOURCE), n_windows=8,
                               scheme="SP")
             if attach:
-                machine.attach_telemetry(RunTelemetry(every=64))
+                RunTelemetry(every=64).attach(machine)
             thread = machine.add_thread("start", name="t")
             machine.run()
             return thread.exit_value, machine.counters.snapshot()

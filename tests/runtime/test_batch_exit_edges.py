@@ -55,7 +55,7 @@ def run_core(core, build, max_steps=None, watchdog=None,
              scheme="SP", n_windows=6):
     kernel = make_kernel(core=core, n_windows=n_windows, scheme=scheme,
                          watchdog=watchdog)
-    kernel.counters.keep_trace = True
+    kernel.scheme.records = []
     build(kernel)
     error = None
     try:
@@ -73,8 +73,7 @@ def assert_cores_agree(build, **kw):
             "error": (type(error).__name__, str(error)) if error else None,
             "steps": kernel._steps,
             "counters": counter_state(kernel),
-            "switch_trace": list(kernel.counters.switch_trace),
-            "trap_trace": list(kernel.counters.trap_trace),
+            "records": list(kernel.scheme.records),
         }
     assert results["generator"] == results["batched"]
     return results["generator"]
@@ -285,7 +284,7 @@ def write_after_close_workload(kernel):
 
 def run_catching(core, build, max_steps=None):
     kernel = make_kernel(core=core, n_windows=6, scheme="SP")
-    kernel.counters.keep_trace = True
+    kernel.scheme.records = []
     build(kernel)
     try:
         kernel.run(max_steps=max_steps)
@@ -296,7 +295,7 @@ def run_catching(core, build, max_steps=None):
         "error": error,
         "steps": kernel._steps,
         "counters": counter_state(kernel),
-        "switch_trace": list(kernel.counters.switch_trace),
+        "records": list(kernel.scheme.records),
         "per_thread": [(t.name, t.state, t.blocks, t.result)
                        for t in kernel.threads],
     }

@@ -76,6 +76,7 @@ class ReferenceKernel(Kernel):
             while self._next_quantum():
                 self._run_quantum(max_steps)
                 if max_steps is not None and self._steps >= max_steps:
+                    self._cut = 1
                     raise RuntimeFault("step budget of %d exceeded"
                                        % max_steps)
         finally:
@@ -143,6 +144,9 @@ class ReferenceKernel(Kernel):
         prof = self._profiler
         gen_stack = thread.gen_stack
         low = high = tw.depth  # the quantum's depth excursion
+        # the step a budget cut is counted already: it runs uncounted
+        self._steps -= self._cut
+        self._cut = 0
         try:
             while True:
                 self._steps += 1

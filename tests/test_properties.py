@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro import Call, CloseStream, Kernel, Read, Tick, Write
 from repro.core.invariants import check_invariants
+from repro.metrics.counters import TrapRecord
 from tests.helpers import (
     call,
     call_to_depth,
@@ -141,11 +142,12 @@ def test_stream_transfer_is_lossless(chunks, capacity, n_windows):
     assert len(set(saves_by_scheme.values())) == 1
 
 
-def _assert_no_spill_on_underflow(counters):
+def _assert_no_spill_on_underflow(records):
     """§4's point: the in-place restore services every underflow
     without moving any *other* window out — an underflow trap must
     never spill."""
-    underflows = [t for t in counters.trap_trace if t.kind == "underflow"]
+    underflows = [t for t in records
+                  if isinstance(t, TrapRecord) and t.kind == "underflow"]
     spilled = [t for t in underflows if t.spilled]
     assert not spilled, (
         "%d underflow trap(s) spilled a window: %r"
@@ -169,7 +171,7 @@ def test_underflow_inplace_restore_never_spills(ops, n_windows,
     exactly what produces underflows on the way back down."""
     scheme_name = ("SNP", "SP")[scheme_idx]
     cpu, scheme = make_machine(n_windows, scheme_name)
-    cpu.counters.keep_trace = True
+    scheme.records = []
     threads = [new_thread(scheme, i) for i in range(3)]
     current = threads[0]
     scheme.context_switch(None, current)
@@ -182,7 +184,7 @@ def test_underflow_inplace_restore_never_spills(ops, n_windows,
             call(cpu, current)
         elif action == 1 and current.depth > 1:
             ret(cpu, current)
-        _assert_no_spill_on_underflow(cpu.counters)
+        _assert_no_spill_on_underflow(scheme.records)
         check_invariants(cpu, scheme, threads)
     for thread in threads:
         if thread is not current and thread.started:
@@ -190,7 +192,7 @@ def test_underflow_inplace_restore_never_spills(ops, n_windows,
             current = thread
         while current.depth > 1:
             ret(cpu, current)
-            _assert_no_spill_on_underflow(cpu.counters)
+            _assert_no_spill_on_underflow(scheme.records)
         check_invariants(cpu, scheme, threads)
 
 
@@ -202,7 +204,7 @@ def test_forced_underflows_restore_in_place(scheme_name):
     none of them spilled."""
     n_windows = 5
     cpu, scheme = make_machine(n_windows, scheme_name)
-    cpu.counters.keep_trace = True
+    scheme.records = []
     threads = [new_thread(scheme, i) for i in range(2)]
     current = threads[0]
     scheme.context_switch(None, current)
@@ -221,7 +223,7 @@ def test_forced_underflows_restore_in_place(scheme_name):
         check_invariants(cpu, scheme, threads)
     assert cpu.counters.underflow_traps > 0, (
         "scenario failed to underflow — deepen the call stacks")
-    _assert_no_spill_on_underflow(cpu.counters)
+    _assert_no_spill_on_underflow(scheme.records)
 
 
 @settings(max_examples=40, deadline=None)
