@@ -38,9 +38,15 @@ class SpellConfig:
         return cls(m=m, n=n, scale=scale, seed=seed)
 
 
-def build_spellchecker(kernel: Kernel, config: SpellConfig) -> Dict[str, object]:
-    """Spawn T1–T7 and S1–S6 into the kernel; returns the parts."""
-    corpus = generate_corpus(config.seed, config.scale)
+def build_spellchecker(kernel: Kernel, config: SpellConfig,
+                       corpus: Optional[bytes] = None) -> Dict[str, object]:
+    """Spawn T1–T7 and S1–S6 into the kernel; returns the parts.
+
+    ``corpus`` (a document's bytes) replaces the generated document;
+    the dictionaries are still generated at ``config.scale``.
+    """
+    if corpus is None:
+        corpus = generate_corpus(config.seed, config.scale)
     dict1, dict2, _ = generate_dictionaries(
         config.seed, size=max(200, int(round(DICT_SIZE * config.scale))))
 
@@ -76,8 +82,7 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
                      max_steps: Optional[int] = None,
                      instrument=None, faults=None, audit: bool = False,
                      watchdog: Optional[int] = None, crash_dir=None,
-                     crash_config=None,
-                     analyze: bool = False,
+                     analyze: bool = False, corpus: Optional[bytes] = None,
                      ) -> Tuple[RunResult, bytes]:
     """Build and run the pipeline; returns (result, misspelling report).
 
@@ -91,17 +96,23 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
 
     ``faults``/``audit``/``watchdog``/``crash_dir`` are the robustness
     knobs, forwarded to the kernel (see :mod:`repro.faults`).  When
-    ``crash_dir`` is set and no explicit ``crash_config`` is given, a
-    replayable workload description is embedded in any crash bundle.
+    ``crash_dir`` is set, any crash bundle embeds the run's config:
+    workload ``spellcheck``, which replay rebuilds, or
+    ``spellcheck-file`` when ``corpus`` (see :func:`build_spellchecker`)
+    replaced the generated document, which replay refuses: a bundle
+    does not carry the document.
 
     ``analyze`` runs the static stream-topology check
     (:mod:`repro.analysis.topology`) before the first step; a
     guaranteed deadlock raises ``AnalysisError`` instead of running.
     """
-    if crash_dir is not None and crash_config is None:
+    crash_config = None
+    if crash_dir is not None:
         crash_config = {
-            "workload": "spellcheck", "scheme": scheme,
-            "n_windows": n_windows, "m": config.m, "n": config.n,
+            "workload": ("spellcheck" if corpus is None
+                         else "spellcheck-file"),
+            "scheme": scheme, "n_windows": n_windows,
+            "m": config.m, "n": config.n,
             "scale": config.scale, "seed": config.seed,
             "verify_registers": verify_registers, "audit": audit,
             "watchdog": watchdog or 0,
@@ -114,6 +125,6 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
                     analyze=analyze)
     if instrument is not None:
         instrument(kernel)
-    build_spellchecker(kernel, config)
+    build_spellchecker(kernel, config, corpus)
     result = kernel.run(max_steps=max_steps)
     return result, result.result_of("T5.output")

@@ -86,7 +86,7 @@ class NSScheme(Scheme):
         cycles = self._overflow_costs[spills]
         counters = self.counters
         counters.overflow_traps += 1
-        counters.windows_spilled += 1
+        counters.windows_spilled += spills
         counters.trap_cycles += cycles
         if self.records is not None:
             self.records.append(
@@ -163,7 +163,7 @@ class NSScheme(Scheme):
         cycles = self._underflow_costs[restores]
         counters = self.counters
         counters.underflow_traps += 1
-        counters.windows_restored += 1
+        counters.windows_restored += restores
         counters.trap_cycles += cycles
         if self.records is not None:
             self.records.append(

@@ -30,7 +30,7 @@ from repro.metrics.tracing import OccupancyTimeline
 def run_point(scheme: str, n_windows: int, concurrency: str,
               granularity: str, scale: Optional[float] = None,
               working_set: bool = False, seed: int = 1993,
-              allocation=None, analyze: bool = False) -> ExperimentPoint:
+              analyze: bool = False) -> ExperimentPoint:
     """Run the spell checker once and summarise the counters.
 
     ``analyze`` arms the pre-run static topology gate (see
@@ -41,8 +41,7 @@ def run_point(scheme: str, n_windows: int, concurrency: str,
                                scale=scale, seed=seed)
     policy = WorkingSetPolicy() if working_set else FIFOPolicy()
     result, output = run_spellchecker(
-        n_windows, scheme, config, queue_policy=policy,
-        allocation=allocation, analyze=analyze)
+        n_windows, scheme, config, queue_policy=policy, analyze=analyze)
     c = result.counters
     names = {t.tid: t.name for t in result.threads}
     return ExperimentPoint(
@@ -73,9 +72,8 @@ def run_point(scheme: str, n_windows: int, concurrency: str,
 def run_report_point(scheme: str, n_windows: int, concurrency: str,
                      granularity: str, scale: Optional[float] = None,
                      working_set: bool = False, seed: int = 1993,
-                     allocation=None, faults: str = "",
-                     fault_seed: int = 1993, audit: bool = False,
-                     watchdog: int = 0) -> Dict:
+                     faults: str = "", fault_seed: int = 1993,
+                     audit: bool = False, watchdog: int = 0) -> Dict:
     """Run one spell-checker point with the full observability stack
     attached and return its versioned RunReport dict (the document
     ``benchmarks/`` emits for cross-PR perf trajectories).
@@ -114,8 +112,7 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
 
         injector = FaultInjector(FaultPlan.parse(faults, seed=fault_seed))
     result, output = run_spellchecker(
-        n_windows, scheme, config, queue_policy=policy,
-        allocation=allocation, instrument=instrument,
+        n_windows, scheme, config, queue_policy=policy, instrument=instrument,
         verify_registers=bool(faults), faults=injector,
         audit=audit, watchdog=watchdog or None)
     report_config = {"scheme": scheme, "n_windows": n_windows,

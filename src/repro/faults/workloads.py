@@ -3,10 +3,15 @@ embed, keyed by the ``workload`` field of its config.
 
 A bundle's ``config`` dict is the *complete* description of the run
 that crashed — workload name, workload parameters, and the kernel
-knobs (scheme, windows, verification, audit, watchdog, step budget).  :func:`run_workload` turns such a config back into a
-live run, which is what replay, delta-debugging minimization
-(:mod:`repro.faults.minimize`) and the fuzzer
-(:mod:`repro.faults.fuzz`) all build on.
+knobs (scheme, windows, verification, audit, watchdog, step budget).
+:func:`run_workload` turns such a config back into a live run, which
+is what replay, delta-debugging minimization
+(:mod:`repro.faults.minimize`), the fuzzer (:mod:`repro.faults.fuzz`)
+and the trace CLI (:mod:`repro.metrics.trace`) all build on; the
+spell-checker CLI builds through
+:func:`repro.apps.spellcheck.pipeline.run_spellchecker`, the one
+writer of a spell-check config.  Either way the config a bundle
+records is the input the run was built from.
 
 Each :class:`WorkloadDef` also declares its *shrinkable* parameters —
 the workload-schedule axis of minimization (thread counts, stream
@@ -204,7 +209,7 @@ def get_workload(name: str) -> WorkloadDef:
 
 
 def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
-                 trial_budget: Optional[int] = None):
+                 trial_budget: Optional[int] = None, instrument=None):
     """Run the workload a bundle config describes; returns RunResult.
 
     ``config`` supplies both the workload parameters and the kernel
@@ -218,6 +223,8 @@ def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
     ``trial_budget`` caps steps *without* entering the config (the
     minimizer's runaway guard for candidate runs); a ``max_steps`` in
     the config itself is part of the replayed run and is recorded.
+    ``instrument``, when given, is called with the kernel before the
+    workload spawns (the hook the trace CLI arms its observers with).
     Raises whatever the run raises.
     """
     from repro.runtime.kernel import Kernel
@@ -236,5 +243,7 @@ def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
         watchdog=int(config.get("watchdog", 0)) or None,
         crash_dir=crash_dir,
         crash_config=config)
+    if instrument is not None:
+        instrument(kernel)
     workload.build(kernel, config)
     return kernel.run(max_steps=max_steps)

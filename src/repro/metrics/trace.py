@@ -19,6 +19,12 @@ the recorded events after the run:
   ``--start``/``--end`` and capped with ``--limit``;
 * ``--perfetto PATH``: Chrome trace-event JSON for chrome://tracing;
 * ``--report PATH``: the versioned RunReport JSON document.
+
+Every ``--app`` runs through the replayable-workload registry
+(:func:`repro.faults.workloads.run_workload`), so the config a crash
+bundle records is the very input the run was built from.
+:class:`CliRun` and :func:`add_run_flags` are the plumbing this CLI
+shares with ``python -m repro.apps.spellcheck``.
 """
 
 from __future__ import annotations
@@ -26,76 +32,171 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import ReproError
 from repro.metrics.behavior import BehaviorTracker
 from repro.metrics.events import EventTally, TraceRecorder, switch_cost_stats
-from repro.metrics.perfetto import PerfettoExporter
-from repro.metrics.report import build_run_report, write_report
 from repro.metrics.reporting import format_table
 from repro.metrics.tracing import OccupancyTimeline
-from repro.runtime.kernel import Kernel
 
 APPS = ("spellcheck", "pingpong", "forkjoin")
 
 
-def record_run(args):
-    """Build the requested workload fully instrumented and run it."""
-    injector = None
-    if args.faults:
-        from repro.faults import FaultInjector, plan_from_arg
-        injector = FaultInjector(plan_from_arg(args.faults,
-                                               seed=args.seed))
-    kernel = Kernel(n_windows=args.windows, scheme=args.scheme,
-                    verify_registers=injector is not None,
-                    faults=injector, audit=args.audit,
-                    watchdog=args.watchdog, crash_dir=args.crash_dir)
-    recorder = kernel.enable_tracing()
-    tracker = BehaviorTracker()
-    kernel.tracker = tracker
-    timeline = OccupancyTimeline()
-    kernel.timeline = timeline
-    tally = EventTally()
-    kernel.tally = tally
-    telemetry = None
-    if args.metrics or args.metrics_out:
-        from repro.metrics.telemetry import RunTelemetry
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The robustness and telemetry flags of the single-run CLIs."""
+    parser.add_argument("--faults", metavar="PLAN", default=None,
+                        help="fault-injection plan, e.g. "
+                             "'register@3,wim@2' or 'random:4' "
+                             "(see repro.faults)")
+    parser.add_argument("--audit", action="store_true",
+                        help="run the full invariant check after every "
+                             "dispatch/call/return")
+    parser.add_argument("--watchdog", type=int, metavar="STEPS",
+                        default=None,
+                        help="raise LivelockError after this many steps "
+                             "without progress")
+    parser.add_argument("--crash-dir", metavar="DIR", default=None,
+                        help="write a replayable crash bundle here on "
+                             "any simulator error")
+    parser.add_argument("--metrics", action="store_true",
+                        help="collect aggregate telemetry (histograms + "
+                             "cycle-domain profiler)")
+    parser.add_argument("--metrics-out", metavar="PATH", default=None,
+                        help="write the repro.metrics-snapshot JSON here "
+                             "(implies --metrics)")
 
-        telemetry = RunTelemetry()
-        telemetry.attach(kernel)
+
+class CliRun:
+    """One single-run CLI invocation: the ``--faults`` injector, the
+    kernel instruments its flags ask for, the stderr report of a
+    simulator fault, and the files written after the run.
+
+    ``perfetto`` is the Chrome trace-event output path (it implies
+    ``trace``, which records the run's events); ``observe`` arms the
+    three RunReport observers.  ``args`` carries the flags
+    :func:`add_run_flags` defines, plus ``seed`` and ``report``.
+    """
+
+    def __init__(self, args, perfetto=None, trace: bool = False,
+                 observe: bool = False) -> None:
+        self.injector = None
+        if args.faults:
+            from repro.faults import FaultInjector, plan_from_arg
+
+            self.injector = FaultInjector(plan_from_arg(args.faults,
+                                                        seed=args.seed))
+        self.crash_dir = args.crash_dir
+        self.perfetto = perfetto
+        self.report = args.report
+        self.metrics_out = args.metrics_out
+        self.trace = trace or perfetto is not None
+        self.recorder = None
+        self.tracker = self.timeline = self.tally = None
+        if observe:
+            self.tracker = BehaviorTracker()
+            self.timeline = OccupancyTimeline()
+            self.tally = EventTally()
+        self.telemetry = None
+        if args.metrics or args.metrics_out:
+            from repro.metrics.telemetry import RunTelemetry
+
+            self.telemetry = RunTelemetry()
+
+    def instrument(self, kernel) -> None:
+        """The ``instrument=`` hook: arm the kernel before any spawn."""
+        if self.trace:
+            self.recorder = kernel.enable_tracing()
+        if self.tracker is not None:
+            kernel.tracker = self.tracker
+            kernel.timeline = self.timeline
+            kernel.tally = self.tally
+        if self.telemetry is not None:
+            self.telemetry.attach(kernel)
+
+    def run(self, runner, *args, **kwargs):
+        """Return ``runner(*args, **kwargs)`` with the ``faults``,
+        ``crash_dir`` and ``instrument`` keywords added, or None after
+        a simulator error, which goes to stderr with the crash
+        bundle's replay command."""
+        try:
+            return runner(*args, faults=self.injector,
+                          crash_dir=self.crash_dir,
+                          instrument=self.instrument, **kwargs)
+        except ReproError as exc:
+            print("simulator fault: %s: %s" % (type(exc).__name__, exc),
+                  file=sys.stderr)
+            bundle = getattr(exc, "bundle_path", None)
+            if bundle is not None:
+                print("crash bundle: %s" % bundle, file=sys.stderr)
+                print("replay with: python -m repro.faults replay %s"
+                      % bundle, file=sys.stderr)
+            if self.injector is not None:
+                print(self.injector.summary(), file=sys.stderr)
+            return None
+
+    def finish(self, result, config) -> bool:
+        """Print the fired faults and write the Perfetto trace, the
+        RunReport and the metrics snapshot the flags ask for; returns
+        whether any file was written."""
+        if self.injector is not None:
+            print(self.injector.summary())
+        metrics_snapshot = None
+        if self.telemetry is not None:
+            self.telemetry.finalize(result)
+            metrics_snapshot = self.telemetry.snapshot(dict(config))
+        if self.perfetto:
+            from repro.metrics.perfetto import PerfettoExporter
+
+            exporter = PerfettoExporter()
+            exporter.read(self.recorder)
+            if self.telemetry is not None:
+                exporter.add_telemetry(self.telemetry)
+            exporter.write(self.perfetto)
+            print("wrote Perfetto trace: %s" % self.perfetto)
+        if self.report:
+            from repro.metrics.report import build_run_report, write_report
+
+            report = build_run_report(
+                result, config=config, tracker=self.tracker,
+                timeline=self.timeline, tally=self.tally,
+                metrics=metrics_snapshot)
+            write_report(report, self.report)
+            print("wrote RunReport: %s" % self.report)
+        if self.metrics_out:
+            from repro.metrics.telemetry import write_snapshot
+
+            write_snapshot(metrics_snapshot, self.metrics_out)
+            print("wrote metrics snapshot: %s" % self.metrics_out)
+        return bool(self.perfetto or self.report or self.metrics_out)
+
+
+def record_run(args, cli: CliRun):
+    """Map the ``--app`` to a registry config (the config any crash
+    bundle of the run records) and run it fully instrumented; returns
+    ``(result, report config)``, or None after a simulator error."""
+    from repro.faults.workloads import run_workload
 
     if args.app == "spellcheck":
-        from repro.apps.spellcheck.pipeline import (
-            SpellConfig,
-            build_spellchecker,
-        )
-        config = SpellConfig.named(args.concurrency, args.granularity,
-                                   scale=args.scale, seed=args.seed)
-        build_spellchecker(kernel, config)
-        workload = {"app": "spellcheck", "concurrency": args.concurrency,
-                    "granularity": args.granularity, "scale": args.scale,
-                    "m": config.m, "n": config.n}
-    elif args.app == "pingpong":
-        from repro.apps.synthetic import spawn_ping_pong
-        spawn_ping_pong(kernel, rounds=args.rounds)
-        workload = {"app": "pingpong", "rounds": args.rounds}
-    else:
-        from repro.apps.synthetic import spawn_fork_join
-        spawn_fork_join(kernel, n_children=3, items=args.rounds)
-        workload = {"app": "forkjoin", "children": 3,
-                    "items": args.rounds}
+        from repro.apps.spellcheck.config import BUFFER_CONFIGS
 
-    config = dict(workload, scheme=args.scheme, n_windows=args.windows,
-                  seed=args.seed)
-    if args.crash_dir is not None and args.app == "spellcheck":
-        kernel.crash_config = dict(config, workload="spellcheck",
-                                   verify_registers=injector is not None,
-                                   audit=args.audit,
-                                   watchdog=args.watchdog)
-    result = kernel.run()
-    if injector is not None:
-        print(injector.summary())
-    if telemetry is not None:
-        telemetry.finalize(result)
-    return result, config, recorder, tracker, timeline, tally, telemetry
+        m, n = BUFFER_CONFIGS[(args.concurrency, args.granularity)]
+        app = {"app": "spellcheck", "concurrency": args.concurrency,
+               "granularity": args.granularity, "scale": args.scale,
+               "m": m, "n": n}
+        workload = dict(app, workload="spellcheck")
+    elif args.app == "pingpong":
+        app = {"app": "pingpong", "rounds": args.rounds}
+        workload = {"workload": "synthetic-ping-pong",
+                    "rounds": args.rounds}
+    else:
+        app = {"app": "forkjoin", "children": 3, "items": args.rounds}
+        workload = {"workload": "synthetic-fork-join", "n_children": 3,
+                    "items": args.rounds}
+    knobs = {"scheme": args.scheme, "n_windows": args.windows,
+             "seed": args.seed}
+    result = cli.run(run_workload, dict(
+        workload, **knobs, verify_registers=bool(args.faults),
+        audit=args.audit, watchdog=args.watchdog or 0))
+    return None if result is None else (result, dict(app, **knobs))
 
 
 def print_events(recorder: TraceRecorder, args) -> None:
@@ -209,74 +310,20 @@ def main(argv=None) -> int:
                         help="write Chrome trace-event JSON here")
     parser.add_argument("--report", metavar="PATH", default=None,
                         help="write the RunReport JSON here")
-    parser.add_argument("--faults", metavar="PLAN", default=None,
-                        help="fault-injection plan, e.g. "
-                             "'register@3,wim@2' or 'random:4' "
-                             "(fault events land in --list output)")
-    parser.add_argument("--audit", action="store_true",
-                        help="run the full invariant check after every "
-                             "dispatch/call/return")
-    parser.add_argument("--watchdog", type=int, metavar="STEPS",
-                        default=None,
-                        help="raise LivelockError after this many steps "
-                             "without progress")
-    parser.add_argument("--crash-dir", metavar="DIR", default=None,
-                        help="write a replayable crash bundle here on "
-                             "any simulator error")
-    parser.add_argument("--metrics", action="store_true",
-                        help="collect aggregate telemetry (histograms + "
-                             "cycle-domain profiler)")
-    parser.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="write the repro.metrics-snapshot JSON here "
-                             "(implies --metrics)")
+    add_run_flags(parser)
     args = parser.parse_args(argv)
 
-    try:
-        (result, config, recorder, tracker, timeline, tally,
-         telemetry) = record_run(args)
-    except Exception as exc:
-        from repro.errors import ReproError
-
-        if not isinstance(exc, ReproError):
-            raise
-        print("simulator fault: %s: %s" % (type(exc).__name__, exc),
-              file=sys.stderr)
-        bundle = getattr(exc, "bundle_path", None)
-        if bundle is not None:
-            print("crash bundle: %s" % bundle, file=sys.stderr)
-            print("replay with: python -m repro.faults replay %s"
-                  % bundle, file=sys.stderr)
+    cli = CliRun(args, perfetto=args.perfetto, trace=True, observe=True)
+    recorded = record_run(args, cli)
+    if recorded is None:
         return 1
-
-    metrics_snapshot = None
-    if telemetry is not None:
-        metrics_snapshot = telemetry.snapshot(dict(config))
-    wrote = False
-    if args.perfetto:
-        exporter = PerfettoExporter()
-        exporter.read(recorder)
-        if telemetry is not None:
-            exporter.add_telemetry(telemetry)
-        exporter.write(args.perfetto)
-        print("wrote Perfetto trace: %s" % args.perfetto)
-        wrote = True
-    if args.report:
-        report = build_run_report(result, config=config, tracker=tracker,
-                                  timeline=timeline, tally=tally,
-                                  metrics=metrics_snapshot)
-        write_report(report, args.report)
-        print("wrote RunReport: %s" % args.report)
-        wrote = True
-    if args.metrics_out:
-        from repro.metrics.telemetry import write_snapshot
-
-        write_snapshot(metrics_snapshot, args.metrics_out)
-        print("wrote metrics snapshot: %s" % args.metrics_out)
-        wrote = True
+    result, config = recorded
+    wrote = cli.finish(result, config)
     if args.list:
-        print_events(recorder, args)
+        print_events(cli.recorder, args)
     if args.summary or not (args.list or wrote):
-        print_summary(result, recorder, tracker, timeline, tally)
+        print_summary(result, cli.recorder, cli.tracker, cli.timeline,
+                      cli.tally)
     return 0
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.apps.spellcheck.__main__ import check_document, main
-from repro.apps.spellcheck.corpus import generate_dictionaries
+from repro.apps.spellcheck import SpellConfig, run_spellchecker
+from repro.apps.spellcheck.__main__ import main
 
 
 def test_cli_builtin_corpus(capsys):
@@ -50,15 +50,34 @@ def test_cli_detected_fault_writes_bundle(tmp_path, capsys):
     assert matched, detail
 
 
-def test_check_document_scheme_independent():
-    dict1, dict2, __ = generate_dictionaries(size=1500)
+def test_cli_file_bundle_is_marked_unreplayable(tmp_path, capsys):
+    """A file-fed run's bundle cannot carry the document, so it names
+    the ``spellcheck-file`` workload, which replay refuses."""
+    from repro.faults import load_bundle, replay_bundle
+    from repro.faults.workloads import WorkloadError
+
+    tex = tmp_path / "doc.tex"
+    tex.write_bytes(b"the window regsterq is \\emph{fast}\n")
+    crash_dir = tmp_path / "crashes"
+    assert main([str(tex), "--windows", "6", "--faults", "retval@1",
+                 "--audit", "--crash-dir", str(crash_dir)]) == 1
+    assert "crash bundle: " in capsys.readouterr().err
+    (bundle,) = crash_dir.glob("crash-*.json")
+    assert load_bundle(bundle)["config"]["workload"] == "spellcheck-file"
+    with pytest.raises(WorkloadError):
+        replay_bundle(bundle, workdir=tmp_path / "rp")
+
+
+def test_corpus_run_scheme_independent():
+    """A given document (``corpus=``) checks the same under every
+    scheme; scale 0.03 gives 1,500-byte dictionaries."""
     document = (b"the window thread xqzzk processor \\cite{foo} "
                 b"schedule fast\n" * 5)
     reports = set()
     for scheme in ("NS", "SNP", "SP"):
-        __, report = check_document(document, dict1, dict2,
-                                    m=4, n=4, scheme=scheme,
-                                    n_windows=6)
+        __, report = run_spellchecker(6, scheme,
+                                      SpellConfig(m=4, n=4, scale=0.03),
+                                      corpus=document)
         reports.add(report)
     assert len(reports) == 1
     assert b"xqzzk" in reports.pop()
@@ -67,16 +86,12 @@ def test_check_document_scheme_independent():
 def _bus_report(scale, scheme, n_windows):
     """The ``--report`` document as the trace-fed observers build
     it."""
-    from repro.apps.spellcheck.corpus import DICT_SIZE, generate_corpus
     from tests.support.bus_oracle import BusObservers
 
-    document = generate_corpus(scale=scale)
-    dict1, dict2, __ = generate_dictionaries(
-        size=max(200, int(round(DICT_SIZE * scale))))
     bus = BusObservers()
-    result, __ = check_document(document, dict1, dict2, m=16, n=16,
-                                scheme=scheme, n_windows=n_windows,
-                                instrument=bus.attach)
+    result, __ = run_spellchecker(n_windows, scheme,
+                                  SpellConfig(m=16, n=16, scale=scale),
+                                  instrument=bus.attach)
     return bus.report(result, {"scheme": scheme, "n_windows": n_windows,
                                "m": 16, "n": 16, "workload": "spellcheck"})
 
@@ -91,11 +106,11 @@ def test_cli_report_is_unchanged_and_keeps_the_batched_loop(
     loops = []
 
     def spy(*args, **kwargs):
-        result, report = check_document(*args, **kwargs)
+        result, report = run_spellchecker(*args, **kwargs)
         loops.append(result.loop)
         return result, report
 
-    monkeypatch.setattr(cli, "check_document", spy)
+    monkeypatch.setattr(cli, "run_spellchecker", spy)
     assert main(args + ["--report", str(tmp_path / "r.json")]) == 0
     assert (tmp_path / "r.json").read_text() == expected
     # --trace records the events for the Perfetto exporter; same report

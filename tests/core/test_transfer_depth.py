@@ -34,6 +34,7 @@ class TestTransferDepthTraps:
         call_to_depth(cpu, tw, 8)  # one overflow
         assert cpu.counters.overflow_traps == 1
         assert len(tw.store) == depth
+        assert cpu.counters.windows_spilled == depth
         verify(cpu, scheme)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -44,9 +45,11 @@ class TestTransferDepthTraps:
         call_to_depth(cpu, tw, 12)
         ret_to_depth(cpu, tw, tw.depth - tw.resident + 1)
         traps_before = cpu.counters.underflow_traps
+        restored_before = cpu.counters.windows_restored
         ret(cpu, tw)  # underflow
         assert cpu.counters.underflow_traps == traps_before + 1
         assert tw.resident == depth
+        assert cpu.counters.windows_restored == restored_before + depth
         verify(cpu, scheme)
 
     def test_depth_reduces_trap_count_for_deep_unwinds(self):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.metrics.report import from_json
 from repro.metrics.trace import main
 
@@ -84,3 +86,34 @@ class TestTraceCliFaults:
         assert "simulator fault: WindowIntegrityError" in err
         assert "python -m repro.faults replay" in err
         assert list(tmp_path.glob("crash-*.json"))
+
+
+#: --app -> (a detected fault's arguments, the registry workload)
+DETECTED = {
+    "spellcheck": (["--scale", "0.02", "--windows", "6",
+                    "--faults", "retval@5", "--audit"], "spellcheck"),
+    "pingpong": (["--rounds", "20", "--scheme", "NS", "--windows", "4",
+                  "--faults", "store_fail@1"], "synthetic-ping-pong"),
+    "forkjoin": (["--scheme", "NS", "--windows", "4",
+                  "--faults", "wim@1", "--audit"], "synthetic-fork-join"),
+}
+
+
+@pytest.mark.parametrize("app", sorted(DETECTED))
+def test_every_app_bundle_replays_bit_for_bit(app, capsys, tmp_path):
+    """The bundle records the registry config the run was built from,
+    so the printed replay command reproduces it for every ``--app``."""
+    from repro.faults import load_bundle, replay_bundle
+
+    argv, workload = DETECTED[app]
+    crash_dir = tmp_path / "crashes"
+    assert main(["--app", app, "--crash-dir", str(crash_dir)]
+                + argv) == 1
+    assert "replay with: python -m repro.faults replay" in (
+        capsys.readouterr().err)
+    (bundle,) = crash_dir.glob("crash-*.json")
+    config = load_bundle(bundle)["config"]
+    assert config["workload"] == workload
+    assert config["watchdog"] == 0
+    matched, __, detail = replay_bundle(bundle, workdir=tmp_path / "rp")
+    assert matched, detail
