@@ -31,9 +31,10 @@ SEVERITIES = tuple(_SEVERITY_RANK)
 class AnalysisError(ReproError):
     """A pre-run gate refused the program/workload/tree.
 
-    Raised by ``Machine(analyze=True)``, ``Kernel(analyze=True)`` and
-    the fuzzer's pre-validation when static analysis finds an
-    error-severity defect.  Carries the offending report so callers can
+    Raised by :meth:`AnalysisReport.raise_if_errors` (which
+    ``check_program``, a caller's pre-run gate and the fuzzer's
+    pre-validation call) when static analysis finds an error-severity
+    defect.  Carries the offending report so callers can
     render or serialise the findings.
     """
 

@@ -42,11 +42,13 @@ def main(argv=None) -> int:
                              "chrome://tracing or ui.perfetto.dev)")
     parser.add_argument("--report", metavar="PATH", default=None,
                         help="write a RunReport JSON document")
-    parser.add_argument("--seed", type=int, default=1993,
-                        help="seed for the fault plan's RNG")
     add_run_flags(parser)
     args = parser.parse_args(argv)
 
+    # --trace records the run's events for the Perfetto exporter, which
+    # reads them after the run; --report arms the kernel's quantum
+    # observers.  Both keep the batched loop.
+    cli = CliRun(args, perfetto=args.trace, observe=bool(args.report))
     corpus = None
     scale = args.scale
     if args.file:
@@ -54,12 +56,9 @@ def main(argv=None) -> int:
             corpus = handle.read()
         scale = 1.0  # a real document is checked against full dictionaries
 
-    # --trace records the run's events for the Perfetto exporter, which
-    # reads them after the run; --report arms the kernel's quantum
-    # observers.  Both keep the batched loop.
-    cli = CliRun(args, perfetto=args.trace, observe=bool(args.report))
     done = cli.run(run_spellchecker, args.windows, args.scheme,
-                   SpellConfig(m=args.m, n=args.n, scale=scale),
+                   SpellConfig(m=args.m, n=args.n, scale=scale,
+                               seed=args.seed),
                    corpus=corpus, verify_registers=cli.injector is not None,
                    audit=args.audit, watchdog=args.watchdog)
     if done is None:

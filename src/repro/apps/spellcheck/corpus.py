@@ -38,6 +38,12 @@ SUFFIXES = ("ing", "ed", "es", "er", "est", "ly", "s")
 #: base words per full-size dictionary (~50 kB at ~9.6 bytes per line)
 BASES_PER_FULL_DICT = 5200
 
+#: per-word odds in the generated document: a misspelling, an unknown
+#: word, and (for a suffixed word) the naive, often wrong derivative
+MISSPELLING_RATE = 0.004
+UNKNOWN_RATE = 0.002
+NAIVE_DERIVATIVE_RATE = 0.05
+
 _CORE_WORDS = """
 article document class begin end
 the of and to in is that it for on with as are this be by from at or an
@@ -198,10 +204,7 @@ def parse_dictionary(data: bytes) -> frozenset:
         if line and not line.startswith(b"#"))
 
 
-def generate_corpus(seed: int = DEFAULT_SEED, scale: float = 1.0,
-                    misspelling_rate: float = 0.004,
-                    unknown_rate: float = 0.002,
-                    naive_derivative_rate: float = 0.05) -> bytes:
+def generate_corpus(seed: int = DEFAULT_SEED, scale: float = 1.0) -> bytes:
     """A LaTeX document of exactly ``round(CORPUS_SIZE * scale)`` bytes.
 
     Word frequencies are Zipf-ish over the vocabulary; a seeded
@@ -213,14 +216,11 @@ def generate_corpus(seed: int = DEFAULT_SEED, scale: float = 1.0,
     bytes, so documents are memoized — benchmark repeats and sweep
     grids rebuild the same corpus many times.
     """
-    return _corpus_cached(seed, scale, misspelling_rate, unknown_rate,
-                          naive_derivative_rate)
+    return _corpus_cached(seed, scale)
 
 
 @lru_cache(maxsize=64)
-def _corpus_cached(seed: int, scale: float, misspelling_rate: float,
-                   unknown_rate: float,
-                   naive_derivative_rate: float) -> bytes:
+def _corpus_cached(seed: int, scale: float) -> bytes:
     target = max(200, int(round(CORPUS_SIZE * scale)))
     vocab = generate_vocabulary(seed, bases_for_scale(scale))
     rng = random.Random(seed + 2)
@@ -263,13 +263,13 @@ def _corpus_cached(seed: int, scale: float, misspelling_rate: float,
         else:
             word = pick_word()
             style = rng.random()
-            if style < misspelling_rate:
+            if style < MISSPELLING_RATE:
                 word = misspell(word, rng)
-            elif style < misspelling_rate + unknown_rate:
+            elif style < MISSPELLING_RATE + UNKNOWN_RATE:
                 word = _syllable_word(rng) + "yx"
             elif style < 0.25:
                 suffix = rng.choice(SUFFIXES)
-                if rng.random() < naive_derivative_rate:
+                if rng.random() < NAIVE_DERIVATIVE_RATE:
                     word = word + suffix          # naive, often incorrect
                 else:
                     word = derive(word, suffix)   # correct derivative

@@ -7,7 +7,7 @@ defined in :mod:`repro.apps.spellcheck.config`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.apps.spellcheck.config import BUFFER_CONFIGS, THREAD_NAMES
 from repro.apps.spellcheck.corpus import (
@@ -29,7 +29,8 @@ class SpellConfig:
     n: int
     scale: float = 1.0
     seed: int = DEFAULT_SEED
-    read_chunk: int = 64
+    #: bytes per stream read of T1, T2, T3 and T5 (a constant)
+    read_chunk: ClassVar[int] = 64
 
     @classmethod
     def named(cls, concurrency: str, granularity: str,
@@ -82,7 +83,7 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
                      max_steps: Optional[int] = None,
                      instrument=None, faults=None, audit: bool = False,
                      watchdog: Optional[int] = None, crash_dir=None,
-                     analyze: bool = False, corpus: Optional[bytes] = None,
+                     corpus: Optional[bytes] = None,
                      ) -> Tuple[RunResult, bytes]:
     """Build and run the pipeline; returns (result, misspelling report).
 
@@ -101,10 +102,6 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
     ``spellcheck-file`` when ``corpus`` (see :func:`build_spellchecker`)
     replaced the generated document, which replay refuses: a bundle
     does not carry the document.
-
-    ``analyze`` runs the static stream-topology check
-    (:mod:`repro.analysis.topology`) before the first step; a
-    guaranteed deadlock raises ``AnalysisError`` instead of running.
     """
     crash_config = None
     if crash_dir is not None:
@@ -121,8 +118,7 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
                     queue_policy=queue_policy, allocation=allocation,
                     verify_registers=verify_registers,
                     faults=faults, audit=audit, watchdog=watchdog,
-                    crash_dir=crash_dir, crash_config=crash_config,
-                    analyze=analyze)
+                    crash_dir=crash_dir, crash_config=crash_config)
     if instrument is not None:
         instrument(kernel)
     build_spellchecker(kernel, config, corpus)

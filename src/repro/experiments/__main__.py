@@ -110,6 +110,12 @@ def main(argv=None) -> int:
                              "engine-metrics.json); tail it with "
                              "python -m repro.metrics.top")
     args = parser.parse_args(argv)
+    if args.faults:
+        from repro.faults.plan import plan_from_arg
+
+        # parsed once here, so a malformed plan exits 2 before any
+        # point runs, instead of failing (and retrying) every point
+        plan_from_arg(args.faults, seed=args.seed)
 
     windows = ([int(x) for x in args.windows.split(",")]
                if args.windows else None)

@@ -288,16 +288,6 @@ def _failure_payload(exc: BaseException) -> Dict[str, object]:
     }
 
 
-def _normalize_error(err) -> Optional[Dict[str, object]]:
-    """Accept both the structured dict and the legacy traceback string
-    (custom runners in tests still use the latter: retryable)."""
-    if err is None:
-        return None
-    if isinstance(err, str):
-        return {"type": "", "transient": True, "traceback": err}
-    return err
-
-
 def _unpack(result):
     """Validate a runner result as ``(index, report, err, wall_ms)``.
 
@@ -456,8 +446,6 @@ class Engine:
                      before the point is declared failed.  Fatal
                      failures (a non-transient :class:`ReproError`)
                      are never retried.
-    ``progress``     optional callback ``(phase, done, total, spec)``
-                     with phase in {"hit", "done", "retry", "fail"}.
     ``timeout``      per-point wall-clock budget in seconds (worker-
                      side SIGALRM; times out as a transient failure).
     ``backoff``      base seconds slept before retry k (k * backoff).
@@ -465,8 +453,6 @@ class Engine:
                      quarantined into the failure manifest and their
                      slots returned as ``None`` instead of raising
                      :class:`EngineError`.
-    ``manifest_path``  where the failure manifest lands; defaults to
-                     ``<cache_dir>/failures.json`` when caching.
     ``spec_defaults``  field overrides (``faults``, ``audit``, ...)
                      applied to every spec via ``dataclasses.replace``.
     ``metrics_out``  path for the engine's ``repro.metrics-snapshot``
@@ -477,23 +463,19 @@ class Engine:
 
     def __init__(self, jobs: Optional[int] = None, cache_dir=None,
                  retries: int = 1,
-                 progress: Optional[Callable] = None,
                  runner: Optional[Callable] = None,
                  timeout: Optional[float] = None,
                  backoff: float = 0.0,
                  keep_going: bool = False,
-                 manifest_path=None,
                  spec_defaults: Optional[Dict[str, Any]] = None,
                  metrics_out=None) -> None:
         self.jobs = default_jobs() if jobs is None else max(1, jobs)
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.retries = max(0, retries)
-        self.progress = progress
         self._runner = runner or _execute_payload
         self.timeout = timeout
         self.backoff = max(0.0, backoff)
         self.keep_going = keep_going
-        self.manifest_path = Path(manifest_path) if manifest_path else None
         self.spec_defaults = dict(spec_defaults or {})
         self.metrics_out = Path(metrics_out) if metrics_out else None
         self.last_stats = EngineStats()
@@ -540,7 +522,6 @@ class Engine:
                 reports[i] = cached
                 stats.hits += 1
                 stats.hit_latency_ms.append(lookup_ms)
-                self._notify("hit", stats, specs[i])
             else:
                 pending.append(i)
 
@@ -565,7 +546,6 @@ class Engine:
                 # sweep resumes from here instead of from scratch
                 self.cache.put(keys[i], report)
                 new_entries[keys[i]] = specs[i].to_payload()
-            self._notify("done", stats, specs[i])
             self._write_metrics(stats, queue_depth[0])
 
         def payload_of(i: int) -> Dict[str, object]:
@@ -594,7 +574,7 @@ class Engine:
                         if err is None:
                             commit(i, report)
                         else:
-                            failed.append((i, _normalize_error(err)))
+                            failed.append((i, err))
             else:
                 for task in tasks:
                     i, report, err, wall_ms = _unpack(self._runner(task))
@@ -602,33 +582,28 @@ class Engine:
                     if err is None:
                         commit(i, report)
                     else:
-                        failed.append((i, _normalize_error(err)))
+                        failed.append((i, err))
 
         failures: List[PointFailure] = []
         for i, err in failed:
             attempts = 1
             report = None
-            while (report is None and err.get("transient", True)
+            while (report is None and err["transient"]
                    and attempts <= self.retries):
                 stats.retried += 1
-                self._notify("retry", stats, specs[i])
                 if self.backoff:
                     time.sleep(self.backoff * attempts)
                 attempts += 1
-                __, report, raw, wall_ms = _unpack(
+                __, report, err, wall_ms = _unpack(
                     self._runner((i, payload_of(i))))
                 note_wall(wall_ms)
-                if raw is not None:
-                    err = _normalize_error(raw)
             if report is not None:
                 commit(i, report)
             else:
                 queue_depth[0] -= 1
                 failures.append(PointFailure(
-                    specs[i], attempts, err.get("traceback", ""),
-                    error_type=err.get("type", ""),
-                    transient=err.get("transient", True)))
-                self._notify("fail", stats, specs[i])
+                    specs[i], attempts, err["traceback"],
+                    error_type=err["type"], transient=err["transient"]))
 
         if self.cache and new_entries:
             self.cache.update_manifest(new_entries, fingerprint)
@@ -651,12 +626,6 @@ class Engine:
 
     # -- helpers ------------------------------------------------------------
 
-    def _notify(self, phase: str, stats: EngineStats,
-                spec: PointSpec) -> None:
-        if self.progress is not None:
-            self.progress(phase, stats.hits + stats.executed,
-                          stats.total, spec)
-
     def _write_metrics(self, stats: EngineStats, queue_depth: int,
                        final: bool = False) -> None:
         """Rewrite the live metrics snapshot (no-op without
@@ -673,9 +642,8 @@ class Engine:
         stats.metrics_path = write_snapshot(snapshot, self.metrics_out)
 
     def failure_manifest_path(self) -> Optional[Path]:
-        """Where quarantined failures are recorded (None: nowhere)."""
-        if self.manifest_path is not None:
-            return self.manifest_path
+        """Where quarantined failures are recorded: the cache root's
+        ``failures.json`` (None without a cache)."""
         if self.cache is not None:
             return self.cache.root / "failures.json"
         return None

@@ -29,19 +29,15 @@ from repro.metrics.tracing import OccupancyTimeline
 
 def run_point(scheme: str, n_windows: int, concurrency: str,
               granularity: str, scale: Optional[float] = None,
-              working_set: bool = False, seed: int = 1993,
-              analyze: bool = False) -> ExperimentPoint:
-    """Run the spell checker once and summarise the counters.
-
-    ``analyze`` arms the pre-run static topology gate (see
-    :func:`repro.apps.spellcheck.pipeline.run_spellchecker`)."""
+              working_set: bool = False, seed: int = 1993) -> ExperimentPoint:
+    """Run the spell checker once and summarise the counters."""
     if scale is None:
         scale = env_scale()
     config = SpellConfig.named(concurrency, granularity,
                                scale=scale, seed=seed)
     policy = WorkingSetPolicy() if working_set else FIFOPolicy()
     result, output = run_spellchecker(
-        n_windows, scheme, config, queue_policy=policy, analyze=analyze)
+        n_windows, scheme, config, queue_policy=policy)
     c = result.counters
     names = {t.tid: t.name for t in result.threads}
     return ExperimentPoint(

@@ -33,6 +33,7 @@ kind              site     effect
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -180,7 +181,15 @@ class FaultPlan:
 
 def plan_from_arg(text: Optional[str],
                   seed: int = DEFAULT_SEED) -> Optional[FaultPlan]:
-    """CLI helper: None/empty ``--faults`` value means no plan."""
+    """A CLI's ``--faults`` value as a plan; None/empty means no plan.
+
+    A malformed plan is a usage error: one ``error:`` line on stderr
+    and exit status 2, raised before anything runs.
+    """
     if not text:
         return None
-    return FaultPlan.parse(text, seed=seed)
+    try:
+        return FaultPlan.parse(text, seed=seed)
+    except ValueError as exc:
+        print("error: --faults %s: %s" % (text, exc), file=sys.stderr)
+        raise SystemExit(2) from None

@@ -92,20 +92,9 @@ class Machine:
     fault_class: Type[ReproError] = MachineFault
 
     def __init__(self, program: Program, n_windows: int = 8,
-                 scheme: str = "SP", counters: Optional[Counters] = None,
-                 analyze: bool = False,
-                 thread_entries=("start",)):
-        if analyze:
-            # opt-in pre-run gate: structural verification (control
-            # flow, depth balance, stale reads) before any execution;
-            # raises AnalysisError carrying the report on any error
-            from repro.analysis.verifier import verify_program
-            verify_program(
-                program, name="<machine>", thread_entries=thread_entries,
-                n_windows=n_windows, scheme=scheme, predict=False,
-            ).raise_if_errors("program")
+                 scheme: str = "SP"):
         self.program = program
-        self.counters = counters if counters is not None else Counters()
+        self.counters = Counters()
         self.cpu = WindowCPU(n_windows, counters=self.counters)
         self.scheme = make_scheme(scheme, self.cpu)
         wf = self.cpu.wf

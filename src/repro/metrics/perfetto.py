@@ -126,8 +126,7 @@ class PerfettoExporter:
 
     # -- telemetry overlays --------------------------------------------------
 
-    def add_counter_track(self, name: str, samples,
-                          pid: int = THREADS_PID, tid: int = 0) -> int:
+    def add_counter_track(self, name: str, samples) -> int:
         """Append a counter ("C") track from ``(cycle, value)`` samples.
 
         Overlays telemetry series — window occupancy from the
@@ -139,7 +138,7 @@ class PerfettoExporter:
         for cycle, value in samples:
             self._counters.append({
                 "name": name, "ph": "C", "ts": cycle,
-                "pid": pid, "tid": tid,
+                "pid": THREADS_PID, "tid": 0,
                 "args": {"value": value},
             })
             count += 1
@@ -149,11 +148,8 @@ class PerfettoExporter:
         """Add the standard counter tracks from a
         :class:`repro.metrics.telemetry.RunTelemetry` bundle (currently
         the profiler's window-occupancy series)."""
-        profiler = telemetry.profiler
-        if profiler is None or not profiler.occupancy:
-            return 0
         return self.add_counter_track("window_occupancy",
-                                      profiler.occupancy)
+                                      telemetry.profiler.occupancy)
 
     def finish(self, cycle: Optional[int] = None) -> None:
         """Close every open slice (idempotent; run automatically on the

@@ -36,7 +36,7 @@ def _fmt(value: object) -> str:
 
 def ascii_chart(series: Dict[str, List[Tuple[float, float]]],
                 width: int = 64, height: int = 18,
-                title: str = "", xlabel: str = "", ylabel: str = "",
+                title: str = "", xlabel: str = "",
                 y_min: float = 0.0) -> str:
     """Scatter chart of several named series on a shared grid.
 
@@ -75,6 +75,4 @@ def ascii_chart(series: Dict[str, List[Tuple[float, float]]],
     legend = "  ".join("%s=%s" % (m, n)
                        for (n, __), m in zip(series.items(), markers))
     lines.append("  " + legend)
-    if ylabel:
-        lines.insert(1 if title else 0, "  y: %s" % ylabel)
     return "\n".join(lines)

@@ -481,12 +481,11 @@ class RunTelemetry:
     uninstrumented hot path free.
     """
 
-    def __init__(self, every: Optional[int] = None, profile: bool = True,
-                 registry: Optional[MetricsRegistry] = None):
+    def __init__(self, every: Optional[int] = None):
         from repro.metrics.profiler import CycleProfiler
 
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.profiler = (CycleProfiler(every) if profile else None)
+        self.registry = MetricsRegistry()
+        self.profiler = CycleProfiler(every)
         #: (scheme, switch_hist, trap_hist, occ_hist) armed by
         #: :meth:`attach`; their buffers are drained by :meth:`_fold`
         self._armed = []
@@ -524,10 +523,8 @@ class RunTelemetry:
                      "grid", labels=labels)))
         scheme._tel_switch = []
         scheme._tel_trap = []
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.bind(runtime.cpu)
-        runtime._profiler = profiler
+        self.profiler.bind(runtime.cpu)
+        runtime._profiler = self.profiler
         return self
 
     def _fold(self) -> None:
@@ -538,11 +535,9 @@ class RunTelemetry:
         mark, so calling ``finalize`` and then ``snapshot`` (or
         ``snapshot`` twice) never double-counts.
         """
-        profiler = self.profiler
-        occ_samples = ()
-        if profiler is not None:
-            occ_samples = profiler.occupancy[self._occ_folded:]
-            self._occ_folded = len(profiler.occupancy)
+        occupancy = self.profiler.occupancy
+        occ_samples = occupancy[self._occ_folded:]
+        self._occ_folded = len(occupancy)
         for scheme, switch_hist, trap_hist, occ_hist in self._armed:
             if scheme._tel_switch:
                 switch_hist.observe_bulk(scheme._tel_switch)
@@ -570,22 +565,21 @@ class RunTelemetry:
             counter.value = snap[name]
         reg.gauge("sim_steps").set(result.steps)
         reg.gauge("sim_threads").set(len(result.threads))
-        if self.profiler is not None:
-            reg.gauge("sim_profile_samples").set(self.profiler.samples)
-            if not self.profiler.op_cycles:
-                # Kernel runs sample stacks only; the per-class cycle
-                # attribution is exact from the counters — better than
-                # anything sampling could reconstruct.
-                self.profiler.op_cycles = {
-                    "Tick": snap["compute_cycles"],
-                    "Call": snap["call_cycles"],
-                    "Trap": snap["trap_cycles"],
-                    "Switch": snap["switch_cycles"],
-                }
+        profiler = self.profiler
+        reg.gauge("sim_profile_samples").set(profiler.samples)
+        if not profiler.op_cycles:
+            # Kernel runs sample stacks only; the per-class cycle
+            # attribution is exact from the counters — better than
+            # anything sampling could reconstruct.
+            profiler.op_cycles = {
+                "Tick": snap["compute_cycles"],
+                "Call": snap["call_cycles"],
+                "Trap": snap["trap_cycles"],
+                "Switch": snap["switch_cycles"],
+            }
 
     def snapshot(self, meta: Optional[Dict[str, Any]] = None
                  ) -> Dict[str, Any]:
         self._fold()
-        profile = (self.profiler.profile_section()
-                   if self.profiler is not None else None)
-        return self.registry.snapshot(meta=meta, profile=profile)
+        return self.registry.snapshot(
+            meta=meta, profile=self.profiler.profile_section())

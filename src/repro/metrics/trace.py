@@ -42,7 +42,12 @@ APPS = ("spellcheck", "pingpong", "forkjoin")
 
 
 def add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """The robustness and telemetry flags of the single-run CLIs."""
+    """The seed, robustness and telemetry flags of the single-run
+    CLIs."""
+    parser.add_argument("--seed", type=int, default=1993,
+                        help="seed of the workload (the spell checker's "
+                             "corpus and dictionaries) and of the fault "
+                             "plan's RNG")
     parser.add_argument("--faults", metavar="PLAN", default=None,
                         help="fault-injection plan, e.g. "
                              "'register@3,wim@2' or 'random:4' "
@@ -73,7 +78,9 @@ class CliRun:
     ``perfetto`` is the Chrome trace-event output path (it implies
     ``trace``, which records the run's events); ``observe`` arms the
     three RunReport observers.  ``args`` carries the flags
-    :func:`add_run_flags` defines, plus ``seed`` and ``report``.
+    :func:`add_run_flags` defines, plus ``report``.  A malformed
+    ``--faults`` plan exits 2 here (see
+    :func:`repro.faults.plan.plan_from_arg`), before anything runs.
     """
 
     def __init__(self, args, perfetto=None, trace: bool = False,
@@ -289,7 +296,6 @@ def main(argv=None) -> int:
                         choices=["coarse", "medium", "fine"])
     parser.add_argument("--scale", type=float, default=0.05,
                         help="spellcheck corpus scale (1.0 = paper size)")
-    parser.add_argument("--seed", type=int, default=1993)
     parser.add_argument("--rounds", type=int, default=100,
                         help="iterations for the synthetic workloads")
     parser.add_argument("--list", action="store_true",

@@ -67,10 +67,10 @@ class OccupancyTimeline:
     progressively coarser resolution) instead of only its beginning.
     """
 
-    def __init__(self, max_samples: int = 4096):
-        if max_samples < 2:
-            raise ValueError("max_samples must be >= 2")
-        self.max_samples = max_samples
+    #: samples kept before the list is decimated
+    MAX_SAMPLES = 4096
+
+    def __init__(self):
         self.samples: List[TimelineSample] = []
         self.n_windows: Optional[int] = None
         self._dropped = 0
@@ -89,7 +89,7 @@ class OccupancyTimeline:
             self._dropped += 1
             return
         self._since_kept = (self._since_kept + 1) % self._stride
-        if len(self.samples) >= self.max_samples:
+        if len(self.samples) >= self.MAX_SAMPLES:
             # Decimate in place: keep every other sample, double the
             # stride.  Dropped samples stay counted.
             self._dropped += len(self.samples) - len(self.samples[::2])

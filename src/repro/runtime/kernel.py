@@ -92,15 +92,13 @@ class Kernel:
 
     def __init__(self, n_windows: int = 8, scheme: str = "SP",
                  queue_policy=None, cost_model=None,
-                 counters: Optional[Counters] = None,
                  allocation=None, verify_registers: bool = True,
                  scheme_kwargs: Optional[dict] = None,
                  faults=None, audit: bool = False,
                  watchdog: Optional[int] = None,
                  crash_dir=None,
-                 crash_config: Optional[dict] = None,
-                 analyze: bool = False):
-        self.counters = counters if counters is not None else Counters()
+                 crash_config: Optional[dict] = None):
+        self.counters = Counters()
         self.cpu = WindowCPU(n_windows, cost_model, self.counters)
         kwargs = dict(scheme_kwargs or {})
         if allocation is not None and str(scheme).upper() != "NS":
@@ -139,8 +137,6 @@ class Kernel:
         #: the batched loop's guard is a hoisted-local None check)
         self._profiler = None
         self._running = False
-        #: run the static topology check before the first step (run())
-        self._analyze = analyze
         self._steps = 0
         #: 1 after a step-budget exit: ``_steps`` counts the step the
         #: budget cut, which the next ``run()`` runs without counting
@@ -286,14 +282,6 @@ class Kernel:
         ``crash_dir`` is set — dumped as a replayable crash bundle whose
         path lands on the exception as ``bundle_path``.
         """
-        if self._analyze:
-            # opt-in pre-run gate: static stream-topology check over
-            # everything spawned so far; a guaranteed deadlock (a
-            # stream read but never written or closed) aborts before
-            # the first instruction runs
-            from repro.analysis.topology import analyze_kernel
-
-            analyze_kernel(self).raise_if_errors("workload topology")
         self._running = True
         end = None
         try:

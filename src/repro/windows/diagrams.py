@@ -18,7 +18,7 @@ from repro.windows.occupancy import FREE, RESERVED
 from repro.windows.thread_windows import ThreadWindows
 
 
-def render_window_file(cpu, label_threads: bool = True) -> str:
+def render_window_file(cpu) -> str:
     """One-line-per-window snapshot of the file, CWP marked."""
     wf = cpu.wf
     wmap = cpu.map
@@ -31,8 +31,7 @@ def render_window_file(cpu, label_threads: bool = True) -> str:
             cell = ("reserved" if tid is None
                     else "PRW of thread %d" % tid)
         else:
-            cell = ("frame" if not label_threads
-                    else "frame of thread %d" % tid)
+            cell = "frame of thread %d" % tid
         marks = []
         if w == wf.cwp:
             marks.append("CWP")

@@ -1,10 +1,11 @@
-"""The opt-in pre-run gates: ``Machine(analyze=True)``,
-``Kernel(analyze=True)``, the harness pass-through, and the fuzzer's
-static pre-validation of drawn plans."""
+"""The pre-run gates: a caller that wants one runs the analyzer before
+``run()`` — ``check_program`` before building a ``Machine``,
+``analyze_kernel(...).raise_if_errors`` on a spawned ``Kernel`` — and
+the fuzzer statically pre-validates every drawn plan."""
 
 import pytest
 
-from repro.analysis import AnalysisError
+from repro.analysis import AnalysisError, analyze_kernel, check_program
 from repro.faults.fuzz import run_fuzz
 from repro.faults.workloads import (
     WORKLOADS,
@@ -35,16 +36,18 @@ start:
 class TestMachineGate:
     def test_rejects_bad_program_before_running(self):
         with pytest.raises(AnalysisError) as info:
-            Machine(assemble(FALLS_OFF), analyze=True)
+            check_program(assemble(FALLS_OFF), predict=False)
         assert "fall-off-end" in [f.rule for f in info.value.report.errors]
 
     def test_passes_clean_program(self):
-        machine = Machine(assemble(FACTORIAL_LIKE), analyze=True)
+        program = assemble(FACTORIAL_LIKE)
+        check_program(program, predict=False)
+        machine = Machine(program)
         machine.add_thread("start")
         assert list(machine.run().values()) == [0]
 
     def test_off_by_default(self):
-        Machine(assemble(FALLS_OFF))  # no gate, no raise
+        Machine(assemble(FALLS_OFF))  # the Machine itself never gates
 
 
 def _lonely_reader(stream):
@@ -62,27 +65,22 @@ def _reader(stream):
 
 class TestKernelGate:
     def test_rejects_guaranteed_deadlock(self):
-        kernel = Kernel(n_windows=8, scheme="SP", analyze=True)
+        kernel = Kernel(n_windows=8, scheme="SP")
         stream = kernel.stream(16, name="orphan")
         kernel.spawn(_lonely_reader, stream, name="r")
         with pytest.raises(AnalysisError) as info:
-            kernel.run()
+            analyze_kernel(kernel).raise_if_errors("workload topology")
         assert [f.rule for f in info.value.report.errors] == [
             "stream-never-written"]
+        assert kernel.counters.total_cycles == 0  # nothing ran
 
     def test_passes_clean_topology(self):
-        kernel = Kernel(n_windows=8, scheme="SP", analyze=True)
+        kernel = Kernel(n_windows=8, scheme="SP")
         stream = kernel.stream(8, name="pipe")
         kernel.spawn(_writer, stream, name="w")
         kernel.spawn(_reader, stream, name="r")
+        analyze_kernel(kernel).raise_if_errors("workload topology")
         kernel.run()  # completes
-
-    def test_harness_pass_through(self):
-        from repro.experiments.harness import run_point
-
-        point = run_point("SP", 8, "high", "coarse", scale=0.02,
-                          analyze=True)
-        assert point.total_cycles > 0
 
 
 def _build_doomed(kernel, config):

@@ -14,7 +14,7 @@ across ``yield``.
 For every scheme on 4 and 8 windows, :class:`AbstractMachine` must
 return :class:`Machine`'s exit values and memory and equal it on every
 ``Counters`` field, on WIM wraparounds and on each thread's maximum
-depth (the dynamic side counted from the event bus, as
+depth (the dynamic side read from the CPU's trace recorder, as
 ``test_differential._run_dynamic`` does).
 """
 

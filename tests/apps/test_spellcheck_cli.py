@@ -31,6 +31,40 @@ def test_cli_survivable_fault_reports_summary(capsys):
     assert "possibly-misspelled words" in out
 
 
+def test_cli_malformed_plan_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--scale", "0.02", "--faults", "stream@1"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --faults stream@1: unknown fault kind "
+                            "'stream' (want one of register, retval, wim, "
+                            "cwp, trap_drop, trap_dup, store_corrupt, "
+                            "store_fail, store_delay, sched)\n")
+
+
+def test_cli_seed_seeds_the_workload(tmp_path, capsys):
+    """``--seed`` seeds the corpus and dictionaries, as in the trace
+    CLI, and a crash bundle records it."""
+    assert main(["--scale", "0.02"]) == 0
+    default = capsys.readouterr().out
+    assert main(["--scale", "0.02", "--seed", "1993"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["--scale", "0.02", "--seed", "7"]) == 0
+    assert capsys.readouterr().out != default
+
+    from repro.faults import load_bundle, replay_bundle
+
+    crash_dir = tmp_path / "crashes"
+    assert main(["--scale", "0.05", "--windows", "6", "--seed", "7",
+                 "--faults", "retval@5", "--audit",
+                 "--crash-dir", str(crash_dir)]) == 1
+    (bundle,) = crash_dir.glob("crash-*.json")
+    assert load_bundle(bundle)["config"]["seed"] == 7
+    matched, __, detail = replay_bundle(bundle, workdir=tmp_path / "rp")
+    assert matched, detail
+
+
 def test_cli_detected_fault_writes_bundle(tmp_path, capsys):
     code = main(["--scale", "0.05", "--windows", "6",
                  "--faults", "retval@5", "--audit",

@@ -86,6 +86,20 @@ def test_injected_fault_without_keep_going_fails_loudly(capsys):
     assert "WindowIntegrityError" in str(info.value)
 
 
+def test_malformed_plan_is_a_usage_error(capsys, tmp_path):
+    """Checked once, before any point runs: no retries, no
+    ``EngineError``, nothing cached."""
+    with pytest.raises(SystemExit) as info:
+        main(["fig13", "--scale", "0.02", "--windows", "6",
+              "--faults", "stream@1", "--retries", "3"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --faults stream@1: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "cache").exists()
+
+
 #: modules that only executing a point needs
 SIMULATOR_MODULES = (
     "repro.runtime.kernel", "repro.windows.cpu", "repro.core.ns",

@@ -37,10 +37,15 @@ def fake_runner(task):
     return index, fake_report(PointSpec.from_payload(payload)), None, 1.0
 
 
+def error(type_name: str, transient: bool = True) -> dict:
+    """The structured error document a runner reports a failure with."""
+    return {"type": type_name, "transient": transient,
+            "traceback": "Traceback ...\n%s: point exploded\n" % type_name}
+
+
 def failing_runner(task):
     index, __ = task
-    return (index, None,
-            "Traceback ...\nRuntimeError: point exploded\n", 1.0)
+    return index, None, error("RuntimeError"), 1.0
 
 
 class TestCacheKey:
@@ -179,7 +184,7 @@ class TestEngine:
         def flaky(task):
             attempts.append(task[0])
             if len(attempts) == 1:
-                return task[0], None, "Traceback ...\nOSError: flake\n", 1.0
+                return task[0], None, error("OSError"), 1.0
             return fake_runner(task)
 
         engine = Engine(jobs=1, cache_dir=tmp_path, retries=1,
@@ -206,18 +211,6 @@ class TestEngine:
         assert [r["config"] for r in reports] == [
             s.to_payload() for s in specs]
 
-    def test_progress_callback_phases(self, tmp_path):
-        events = []
-
-        def progress(phase, done, total, spec):
-            events.append((phase, done, total))
-
-        engine = Engine(jobs=1, cache_dir=tmp_path, runner=fake_runner,
-                        progress=progress)
-        engine.run_reports([SPEC])
-        engine.run_reports([SPEC])
-        assert events == [("done", 1, 1), ("hit", 1, 1)]
-
     def test_stats_summary_is_greppable(self, tmp_path):
         engine = Engine(jobs=3, cache_dir=tmp_path, runner=fake_runner)
         specs = self.grid()
@@ -233,9 +226,8 @@ class TestFailurePolicy:
 
     def fatal_runner(self, task):
         index, __ = task
-        return index, None, {
-            "type": "WindowIntegrityError", "transient": False,
-            "traceback": "Traceback ...\nWindowIntegrityError: boom\n"}, 1.0
+        return index, None, error("WindowIntegrityError",
+                                  transient=False), 1.0
 
     def test_fatal_failure_is_never_retried(self):
         calls = []
@@ -258,9 +250,7 @@ class TestFailurePolicy:
 
         def runner(task):
             calls.append(task[0])
-            return task[0], None, {
-                "type": "InjectedStoreError", "transient": True,
-                "traceback": "Traceback ...\nInjectedStoreError: io\n"}, 1.0
+            return task[0], None, error("InjectedStoreError"), 1.0
 
         engine = Engine(jobs=1, cache_dir=None, retries=2, runner=runner)
         with pytest.raises(EngineError):
@@ -268,18 +258,6 @@ class TestFailurePolicy:
         assert calls == [0, 0, 0]  # initial attempt + both retries
         assert engine.last_stats.failures[0].attempts == 3
         assert engine.last_stats.failures[0].transient is True
-
-    def test_legacy_string_errors_stay_retryable(self):
-        calls = []
-
-        def runner(task):
-            calls.append(task[0])
-            return task[0], None, "Traceback ...\nOSError: flake\n", 1.0
-
-        engine = Engine(jobs=1, cache_dir=None, retries=1, runner=runner)
-        with pytest.raises(EngineError):
-            engine.run_reports([SPEC])
-        assert calls == [0, 0]
 
     def test_keep_going_quarantines_and_returns_holes(self, tmp_path):
         specs = sweep_specs("high", "fine", [4, 6], ("NS", "SP"), 0.02)
@@ -309,9 +287,8 @@ class TestFailurePolicy:
         assert manifest["failures"][0]["attempts"] == 1
 
     def test_keep_going_run_points_maps_holes(self, tmp_path):
-        engine = Engine(jobs=1, cache_dir=None, runner=self.fatal_runner,
-                        keep_going=True,
-                        manifest_path=tmp_path / "failures.json")
+        engine = Engine(jobs=1, cache_dir=tmp_path,
+                        runner=self.fatal_runner, keep_going=True)
         points = engine.run_points([SPEC])
         assert points == [None]
         assert (tmp_path / "failures.json").is_file()

@@ -14,6 +14,7 @@ from repro.errors import ReproError, TransientError
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.inject import InjectedStoreError
 from repro.faults.plan import FAULT_KINDS, SURVIVABLE_KINDS
+from repro.runtime.ops import Read
 
 N_WINDOWS = 6
 SCHEME = "SP"
@@ -55,6 +56,10 @@ def run_with(plan: FaultPlan):
     except ReproError as exc:
         return "detected", exc, injector
     return "survived", output, injector
+
+
+def _lonely_reader(stream):
+    yield Read(stream, 8)  # never written: the run deadlocks
 
 
 class TestContract:
@@ -148,6 +153,28 @@ class TestInjectorMechanics:
         assert len(faults) == 2
         assert {e.attrs["fault"] for e in faults} == {"store_delay",
                                                       "sched"}
+
+    @pytest.mark.parametrize("spec, fired", [("sched@1000", False),
+                                             ("sched@1", True)])
+    def test_faults_fired_only_when_a_fault_fired(self, spec, fired):
+        """A crash's context names ``faults_fired`` only when a fault
+        fired: an armed plan that never fires leaves the key out, so a
+        fault-free run can never carry it."""
+        from repro.runtime.errors import DeadlockError
+        from repro.runtime.kernel import Kernel
+
+        injector = FaultInjector(FaultPlan.parse(spec))
+        kernel = Kernel(n_windows=N_WINDOWS, scheme=SCHEME,
+                        faults=injector)
+        orphan = kernel.stream(4, "orphan")
+        kernel.spawn(_lonely_reader, orphan, name="a")
+        kernel.spawn(_lonely_reader, orphan, name="b")
+        with pytest.raises(DeadlockError) as info:
+            kernel.run()
+        assert bool(injector.fired) is fired
+        assert ("faults_fired" in info.value.context) is fired
+        if fired:
+            assert info.value.context["faults_fired"] == 1
 
     def test_summary_names_fired_and_armed(self):
         injector = FaultInjector(FaultPlan.parse("sched@3"))

@@ -76,6 +76,16 @@ class TestTraceCliFaults:
         assert "fault=sched" in out
         assert "fault=store_delay" in out
 
+    @pytest.mark.parametrize("plan", ["stream@1", "wim@x", "random:y"])
+    def test_malformed_plan_is_a_usage_error(self, capsys, plan):
+        with pytest.raises(SystemExit) as info:
+            main(["--app", "pingpong", "--faults", plan])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --faults %s: " % plan)
+        assert captured.err.count("\n") == 1
+
     def test_detected_fault_exits_nonzero_with_bundle(self, capsys,
                                                       tmp_path):
         code = main(["--scale", "0.05", "--windows", "6",

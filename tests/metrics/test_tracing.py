@@ -8,8 +8,12 @@ from repro.windows.occupancy import FRAME
 
 
 def _run(scheme, n_windows=8, items=40, max_samples=4096):
+    """A producer/consumer run's timeline, decimated past
+    ``max_samples`` (the production cap, or a smaller one)."""
+    timeline = OccupancyTimeline()
+    timeline.MAX_SAMPLES = max_samples
     kernel = Kernel(n_windows=n_windows, scheme=scheme)
-    kernel.timeline = OccupancyTimeline(max_samples=max_samples)
+    kernel.timeline = timeline
     stream = kernel.stream(2, "s")
 
     def producer(s):

@@ -1,7 +1,7 @@
 """Execution provenance: ``RunResult.loop`` names the dispatch loop a
 run took.  Production has one loop, and every hook keeps it — crash
 bundles, fault injection, the audit, the watchdog, a step budget and
-event-bus tracing all report the pure batched loop."""
+tracing (the trace recorder) all report the pure batched loop."""
 
 import pytest
 

@@ -5,7 +5,7 @@ Production has one dispatch loop:
 :meth:`repro.runtime.kernel.Kernel._run_batched`, which runs each
 quantum as a straight-line batch and carries
 every hook — fault injection, the invariant audit, the watchdog, step
-budgets, the quantum record log and event-bus tracing.
+budgets, the quantum record log and tracing into the trace recorder.
 :class:`ReferenceKernel` keeps the generator trampoline it replaced:
 one runtime op per step, each ``save``/``restore`` through
 ``WindowCPU``, every check re-made at every step.  It owns the
