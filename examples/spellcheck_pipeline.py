@@ -10,7 +10,7 @@ import sys
 
 from repro import Kernel
 from repro.apps.spellcheck import SpellConfig, build_spellchecker
-from repro.metrics.behavior import BehaviorTracker
+from repro.metrics import RunObserver
 from repro.metrics.reporting import format_table
 
 
@@ -20,7 +20,7 @@ def main():
     # High concurrency, medium granularity: M = N = 4 bytes.
     config = SpellConfig.named("high", "medium", scale=scale)
     kernel = Kernel(n_windows=12, scheme="SP")
-    kernel.tracker = BehaviorTracker()
+    observer = RunObserver().attach(kernel)
     parts = build_spellchecker(kernel, config)
 
     result = kernel.run()
@@ -34,8 +34,8 @@ def main():
     print("first few:", b" ".join(report.split(b"\n")[:6]).decode())
     print()
 
-    names = {t.tid: t.name for t in result.threads}
-    activity = kernel.tracker.window_activity_per_thread()
+    behavior = observer.behavior()
+    activity = behavior.window_activity_per_thread()
     rows = []
     for thread in result.threads:
         rows.append([
@@ -49,13 +49,12 @@ def main():
         title="Per-thread behaviour (cf. paper Table 1 / section 5)"))
     print()
     print("mean concurrency       : %.2f"
-          % kernel.tracker.mean_concurrency())
+          % behavior.mean_concurrency())
     print("total window activity  : %.1f windows/period"
-          % kernel.tracker.mean_total_window_activity())
+          % behavior.mean_total_window_activity())
     print("mean run length        : %.0f cycles"
-          % kernel.tracker.granularity())
+          % behavior.granularity())
     print("total simulated cycles : %d" % result.counters.total_cycles)
-    del names
 
 
 if __name__ == "__main__":

@@ -9,16 +9,16 @@ Run:  python examples/timeline_demo.py
 
 from repro import Kernel
 from repro.apps.spellcheck import SpellConfig, build_spellchecker
-from repro.metrics.tracing import OccupancyTimeline
+from repro.metrics import RunObserver
 
 
 def run(scheme):
     kernel = Kernel(n_windows=12, scheme=scheme, verify_registers=False)
-    kernel.timeline = OccupancyTimeline()
+    observer = RunObserver().attach(kernel)
     build_spellchecker(kernel, SpellConfig.named("high", "coarse",
                                                  scale=0.02))
     kernel.run()
-    return kernel.timeline
+    return observer.timeline
 
 
 def main():

@@ -46,14 +46,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # --trace records the run's events for the Perfetto exporter, which
-    # reads them after the run; --report arms the kernel's quantum
-    # observers.  Both keep the batched loop.
+    # reads them after the run; --report arms a RunObserver.  Both keep
+    # the batched loop.
     cli = CliRun(args, perfetto=args.trace, observe=bool(args.report))
     corpus = None
     scale = args.scale
     if args.file:
-        with open(args.file, "rb") as handle:
-            corpus = handle.read()
+        try:
+            with open(args.file, "rb") as handle:
+                corpus = handle.read()
+        except OSError as exc:
+            print("error: cannot read %s: %s"
+                  % (args.file, exc.strerror or exc), file=sys.stderr)
+            return 2
         scale = 1.0  # a real document is checked against full dictionaries
 
     done = cli.run(run_spellchecker, args.windows, args.scheme,

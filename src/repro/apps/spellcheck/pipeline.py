@@ -93,7 +93,7 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
 
     ``instrument``, when given, is called with the kernel before any
     thread is spawned — the hook observability consumers use to
-    enable tracing (``kernel.events``) or attach tracker/timeline.
+    enable tracing (``kernel.events``) or attach a ``RunObserver``.
 
     ``faults``/``audit``/``watchdog``/``crash_dir`` are the robustness
     knobs, forwarded to the kernel (see :mod:`repro.faults`).  When

@@ -40,7 +40,7 @@ class WorkloadStats:
     saves: int
     restores: int
     compute_cycles: int
-    #: mean windows used per scheduling quantum (§5, tracker-measured)
+    #: mean windows used per scheduling quantum (§5, measured)
     window_activity_per_thread: float
     #: threads concurrently scheduled (§5)
     concurrency: float
@@ -122,13 +122,14 @@ class AnalyticModel:
         return self.sharing_floor_cycles(scheme) < self.ns_cycles()
 
 
-def stats_from_run(counters, tracker) -> WorkloadStats:
-    """Build workload statistics from a finished instrumented run."""
+def stats_from_run(counters, behavior) -> WorkloadStats:
+    """Build workload statistics from a finished observed run's
+    counters and :class:`~repro.metrics.behavior.Behavior`."""
     return WorkloadStats(
         context_switches=counters.context_switches,
         saves=counters.saves,
         restores=counters.restores,
         compute_cycles=counters.compute_cycles,
-        window_activity_per_thread=tracker.mean_window_activity(),
-        concurrency=tracker.mean_concurrency(),
+        window_activity_per_thread=behavior.mean_window_activity(),
+        concurrency=behavior.mean_concurrency(),
     )

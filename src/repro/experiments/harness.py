@@ -21,10 +21,8 @@ from repro.experiments.points import (  # noqa: F401  (re-export)
     env_scale,
     env_windows,
 )
-from repro.metrics.behavior import BehaviorTracker
-from repro.metrics.events import EventTally
+from repro.metrics.observer import RunObserver
 from repro.metrics.report import build_run_report
-from repro.metrics.tracing import OccupancyTimeline
 
 
 def run_point(scheme: str, n_windows: int, concurrency: str,
@@ -70,16 +68,17 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
                      working_set: bool = False, seed: int = 1993,
                      faults: str = "", fault_seed: int = 1993,
                      audit: bool = False, watchdog: int = 0) -> Dict:
-    """Run one spell-checker point with the full observability stack
-    attached and return its versioned RunReport dict (the document
-    ``benchmarks/`` emits for cross-PR perf trajectories).
+    """Run one spell-checker point with a
+    :class:`~repro.metrics.observer.RunObserver` attached and return its
+    versioned RunReport dict (the document ``benchmarks/`` emits for
+    cross-PR perf trajectories).
 
-    The observers (behaviour tracker, occupancy timeline, event tally)
-    are fed by the kernel, not by tracing: the tracker and
-    the tally read its per-quantum record log after the run, and the
-    timeline snapshots the window map at each dispatch;
-    every point, with or without faults, audit or watchdog, runs on
-    the batched loop.
+    The observer is fed by the kernel, not by tracing: the kernel
+    appends one record per quantum to its log, from which the report's
+    ``behavior`` and ``events`` sections are computed, and snapshots
+    the window map into its timeline at each dispatch; every point,
+    with or without faults, audit or watchdog, runs on the batched
+    loop.
 
     ``faults`` (a :meth:`FaultPlan.parse` spec), ``audit`` and
     ``watchdog`` turn on the robustness machinery; register
@@ -93,22 +92,15 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
     config = SpellConfig.named(concurrency, granularity,
                                scale=scale, seed=seed)
     policy = WorkingSetPolicy() if working_set else FIFOPolicy()
-    tracker = BehaviorTracker()
-    timeline = OccupancyTimeline()
-    tally = EventTally()
-
-    def instrument(kernel):
-        kernel.tracker = tracker
-        kernel.timeline = timeline
-        kernel.tally = tally
-
+    observer = RunObserver()
     injector = None
     if faults:
         from repro.faults import FaultInjector, FaultPlan
 
         injector = FaultInjector(FaultPlan.parse(faults, seed=fault_seed))
     result, output = run_spellchecker(
-        n_windows, scheme, config, queue_policy=policy, instrument=instrument,
+        n_windows, scheme, config, queue_policy=policy,
+        instrument=observer.attach,
         verify_registers=bool(faults), faults=injector,
         audit=audit, watchdog=watchdog or None)
     report_config = {"scheme": scheme, "n_windows": n_windows,
@@ -124,8 +116,8 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
         report_config["audit"] = True
     if watchdog:
         report_config["watchdog"] = watchdog
-    return build_run_report(result, config=report_config, tracker=tracker,
-                            timeline=timeline, tally=tally)
+    return build_run_report(result, config=report_config,
+                            observer=observer)
 
 
 def sweep_windows(concurrency: str, granularity: str,

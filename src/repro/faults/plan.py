@@ -122,7 +122,10 @@ class FaultPlan:
         if not text:
             return cls(seed=seed)
         if text.startswith("random:"):
-            return cls.random(seed, count=int(text.split(":", 1)[1]))
+            count = int(text.split(":", 1)[1])
+            if count < 1:
+                raise ValueError("random:N needs N >= 1, got %d" % count)
+            return cls.random(seed, count=count)
         specs = []
         for part in text.split(","):
             part = part.strip()

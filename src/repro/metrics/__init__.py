@@ -6,7 +6,8 @@ from repro.lazy import LazyExports
 
 _exports = LazyExports(__name__, {
     "repro.metrics.counters": ("Counters", "SwitchRecord", "TrapRecord"),
-    "repro.metrics.events": ("EventTally", "TraceEvent", "TraceRecorder"),
+    "repro.metrics.events": ("TraceEvent", "TraceRecorder"),
+    "repro.metrics.observer": ("RunObserver",),
     "repro.metrics.perfetto": ("PerfettoExporter",),
     "repro.metrics.profiler": ("CycleProfiler",),
     "repro.metrics.report": ("SCHEMA_VERSION as RUN_REPORT_VERSION",
@@ -21,9 +22,9 @@ __all__ = [
     "Counters",
     "SwitchRecord",
     "TrapRecord",
-    "EventTally",
     "TraceEvent",
     "TraceRecorder",
+    "RunObserver",
     "PerfettoExporter",
     "CycleProfiler",
     "RUN_REPORT_VERSION",

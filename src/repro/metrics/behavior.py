@@ -10,14 +10,14 @@
   period.
 * **Granularity** — execution run length between switches (cycles).
 * **Parallel slackness** — ready-queue length when a thread is picked
-  (sampled by :class:`repro.runtime.scheduler.ReadyQueue`).
+  (not sampled: a RunReport's ``slackness`` section is always null).
 
-Attach with ``kernel.tracker = BehaviorTracker()``.  The kernel
-records each scheduling quantum once in a per-run record log (see
-:meth:`repro.runtime.kernel.Kernel._run_batched`) and hands the log to
-:meth:`BehaviorTracker.read` after the run, failed runs included;
-nothing is called per quantum.  The tracker keeps one row per quantum;
-the analysis functions then aggregate over configurable periods.
+A :class:`repro.metrics.observer.RunObserver` keeps the kernel's
+per-run record log, one record per scheduling quantum (see
+:meth:`repro.runtime.kernel.Kernel._run_batched`);
+:meth:`Behavior.from_log` turns it into one row per quantum when a
+report is built, and the measures aggregate the rows over
+configurable periods.
 """
 
 from __future__ import annotations
@@ -47,28 +47,28 @@ class Quantum:
         return self.end_cycle - self.start_cycle
 
 
-class BehaviorTracker:
-    """Records per-quantum depth excursions and run lengths."""
+class Behavior:
+    """The §5 measures over a run's quanta, one
+    ``(tid, start_cycle, end_cycle, min_depth, max_depth)`` row each."""
 
-    def __init__(self):
-        #: one ``(tid, start_cycle, end_cycle, min_depth, max_depth)``
-        #: row per closed quantum
-        self._rows: List[Tuple[int, int, int, int, int]] = []
-        #: ``(tid, start_cycle, min_depth, max_depth)`` of the quantum
-        #: the next dispatch (or the run end) closes
-        self._open: Optional[Tuple[int, int, int, int]] = None
+    def __init__(self, rows: List[Tuple[int, int, int, int, int]]):
+        self._rows = rows
 
-    def read(self, log, end: Optional[int] = None) -> None:
-        """Add the quanta of a kernel record log.
+    @classmethod
+    def from_log(cls, log, end: Optional[int]) -> "Behavior":
+        """The quanta of a kernel record log.
 
         A quantum ends at the next dispatch's cycle, or at ``end``, the
         finish cycle of a completed run; without ``end`` (a failed run)
-        the last quantum stays open.  A quantum that stopped (blocked,
-        yielded or retired) spans the depths its saves and restores
-        reached; one cut short keeps its dispatch depth as both.
+        the last quantum stays open and is left out.  A quantum that
+        stopped (blocked, yielded or retired) spans the depths its saves
+        and restores reached; one cut short keeps its dispatch depth as
+        both.
         """
-        rows = self._rows
-        current = self._open
+        rows = []
+        # ``(tid, start_cycle, min_depth, max_depth)`` of the quantum
+        # the next dispatch (or the run end) closes
+        current = None
         for tid, depth, cycle, __, low, high, state, __ in log:
             if current is not None:
                 rows.append((current[0], current[1], cycle, current[2],
@@ -80,17 +80,16 @@ class BehaviorTracker:
         if end is not None and current is not None:
             rows.append((current[0], current[1], end, current[2],
                          current[3]))
-            current = None
-        self._open = current
+        return cls(rows)
 
     @property
     def n_quanta(self) -> int:
-        """How many quanta are closed (without building them)."""
+        """How many quanta there are (without building them)."""
         return len(self._rows)
 
     @property
     def quanta(self) -> List[Quantum]:
-        """Every closed quantum, in dispatch order (built anew on each
+        """Every quantum, in dispatch order (built anew on each
         access; the measures below work on the rows)."""
         return [Quantum(*row) for row in self._rows]
 

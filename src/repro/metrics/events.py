@@ -15,13 +15,11 @@ and every consumer reads the list after the run:
 Tracing is **off by default**: publishers guard every emit with one
 load of their own ``_tracing`` flag, so an untraced run pays one no-op
 branch per event site and allocates nothing; ``Kernel.enable_tracing``
-sets the flags before the run.  The RunReport observers do not read
-events, because one event per site is far dearer than one record per
-quantum: the kernel records each scheduling quantum once in a per-run
-record log, which :class:`EventTally` (here) and
-:class:`repro.metrics.behavior.BehaviorTracker` read after the run,
-and :class:`repro.metrics.tracing.OccupancyTimeline` snapshots the
-window map at each dispatch.
+sets the flags before the run.  The RunReport observer
+(:class:`repro.metrics.observer.RunObserver`) does not read events,
+because one event per site is far dearer than one record per quantum:
+the kernel records each scheduling quantum once in the observer's
+record log, from which the report's ``events`` section is computed.
 """
 
 from __future__ import annotations
@@ -162,104 +160,3 @@ class TraceRecorder:
     def trap_timeline(self) -> List[TraceEvent]:
         """Every overflow/underflow trap, in cycle order."""
         return self.filter(kinds=("overflow", "underflow"))
-
-
-class EventTally:
-    """The RunReport ``events`` statistics, tallied without tracing.
-
-    Arm with ``kernel.tally = EventTally()`` before the first spawn.
-    After the run (a failed one too) the kernel hands it the run's
-    record log (:meth:`read`): one record per scheduling quantum, with
-    its dispatch (cycle and the ``switch_cycles`` after the switch
-    into it) and the state it stopped in.  :meth:`summary` rebuilds
-    exactly what the events of a traced run of the same workload
-    count: ``total``, ``by_kind``, ``switch_cost`` and
-    ``per_thread_cycles``.
-    """
-
-    def __init__(self):
-        self.dispatches = 0
-        #: quanta stopped by each event kind
-        self.stops: Dict[str, int] = {"block": 0, "yield": 0, "retire": 0}
-        #: cycle cost of every context switch, in order
-        self.switch_costs: List[int] = []
-        #: tid -> cycles between its dispatches and its stops
-        self.per_thread_cycles: Dict[int, int] = {}
-        #: streams closed (set by the kernel)
-        self.stream_closes = 0
-        #: ``fault`` events: injector firings plus applied trap actions
-        #: (set at run end)
-        self.faults = 0
-        self.finished = False
-
-    def read(self, log, switch_cycles: int) -> int:
-        """Tally the quanta of a kernel record log.
-
-        Every record is a dispatch.  A switched one costs the growth of
-        ``switch_cycles`` since the previous switched dispatch, starting
-        from ``switch_cycles`` as given (its value when the tally was
-        armed, or at the last switch of an earlier log); the value at
-        this log's last switch is returned.  A quantum that stopped
-        counts its stop and the cycles from its dispatch to its stop.
-        """
-        stops = self.stops
-        costs = self.switch_costs
-        per_thread = self.per_thread_cycles
-        kinds = STOP_KINDS
-        for tid, __, cycle, switched, __, __, state, stop in log:
-            if switched is not None:
-                costs.append(switched - switch_cycles)
-                switch_cycles = switched
-            kind = kinds.get(state)
-            if kind is not None:
-                stops[kind] += 1
-                per_thread[tid] = per_thread.get(tid, 0) + stop - cycle
-        self.dispatches += len(log)
-        return switch_cycles
-
-    # -- the report section ----------------------------------------------
-
-    def by_kind(self, result) -> Dict[str, int]:
-        """Event counts per kind for the finished run ``result``.
-
-        Window instructions and traps come from its counters.  The rest
-        follow from the quanta and two invariants of a completed run:
-        every block parks its thread on exactly one waiter list and
-        every wake takes one off, with no thread left blocked at the
-        end (so wakes equal blocks); and a thread enters the ready
-        queue exactly when it is spawned, woken or yields.
-        """
-        counters = result.counters
-        spawns = len(result.threads)
-        blocks = self.stops["block"]
-        counts = {
-            "spawn": spawns,
-            "enqueue": spawns + blocks + self.stops["yield"],
-            "switch": len(self.switch_costs),
-            "dispatch": self.dispatches,
-            "save": counters.saves,
-            "restore": counters.restores,
-            "overflow": counters.overflow_traps,
-            "underflow": counters.underflow_traps,
-            "block": blocks,
-            "wake": blocks,
-            "yield": self.stops["yield"],
-            "retire": self.stops["retire"],
-            "stream_close": self.stream_closes,
-            "fault": self.faults,
-            "run_end": int(self.finished),
-        }
-        return {kind: n for kind, n in sorted(counts.items()) if n}
-
-    def summary(self, result) -> Optional[Dict[str, Any]]:
-        """The RunReport ``events`` section (None when nothing ran)."""
-        by_kind = self.by_kind(result)
-        if not by_kind:
-            return None
-        return {
-            "total": sum(by_kind.values()),
-            "by_kind": by_kind,
-            "switch_cost": switch_cost_stats(self.switch_costs),
-            "per_thread_cycles": {str(tid): n for tid, n
-                                  in self.per_thread_cycles.items()},
-        }

@@ -1,14 +1,13 @@
 """Versioned JSON run reports: one document per simulation run.
 
 A *RunReport* merges everything the instrumentation layer knows about a
-run — the :class:`~repro.metrics.counters.Counters` snapshot, the §5
-behaviour measures from :class:`~repro.metrics.behavior.BehaviorTracker`,
-occupancy-timeline statistics, and event-stream statistics from
-:class:`~repro.metrics.events.EventTally` (the tracker and the tally
-read the kernel's per-quantum record log) — into a single
-dict with a stable, versioned schema.  The experiment harness and the
-benchmark suite emit these so per-PR performance trajectories can be
-diffed mechanically.
+run — the :class:`~repro.metrics.counters.Counters` snapshot, and from
+a :class:`~repro.metrics.observer.RunObserver` the §5 behaviour
+measures and the event-stream statistics (both computed from the
+kernel's per-quantum record log) and the occupancy-timeline
+statistics — into a single dict with a stable, versioned schema.  The
+experiment harness and the benchmark suite emit these so per-PR
+performance trajectories can be diffed mechanically.
 
 Schema (``repro.run-report`` version 1)::
 
@@ -21,8 +20,8 @@ Schema (``repro.run-report`` version 1)::
       "threads":  [{"tid", "name", "state", "calls", "returns",
                     "blocks", "result_bytes"}],
       "steps":    <kernel steps>,
-      "slackness": {"samples": n, "mean": x} | null,
-      "behavior": {...BehaviorTracker measures...} | null,
+      "slackness": null,
+      "behavior": {...repro.metrics.behavior measures...} | null,
       "timeline": {"samples", "dropped", "occupancy_ratio", "churn"}
                   | null,
       "events":   {"total", "by_kind", "switch_cost",
@@ -40,6 +39,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
+from repro.ioutil import atomic_write_text
+
 SCHEMA_NAME = "repro.run-report"
 SCHEMA_VERSION = 1
 
@@ -49,13 +50,14 @@ def _str_keys(mapping: Dict[Any, Any]) -> Dict[str, Any]:
 
 
 def build_run_report(result, config: Optional[Dict[str, Any]] = None,
-                     tracker=None, timeline=None,
-                     tally=None, metrics=None) -> Dict[str, Any]:
+                     observer=None, metrics=None) -> Dict[str, Any]:
     """Assemble the report dict for one finished run.
 
     ``result`` is the :class:`repro.runtime.kernel.RunResult`; the
-    optional observers contribute their sections when given.  The
-    ``counters`` section reproduces ``Counters.snapshot()`` exactly
+    run's :class:`~repro.metrics.observer.RunObserver`, when given,
+    contributes the ``behavior``, ``timeline`` and ``events``
+    sections, computed here from its record log.  The ``counters``
+    section reproduces ``Counters.snapshot()`` exactly
     (with per-thread keys stringified for JSON).
 
     ``metrics`` is an optional ``repro.metrics-snapshot`` document (see
@@ -84,35 +86,29 @@ def build_run_report(result, config: Optional[Dict[str, Any]] = None,
                          if isinstance(t.result, (bytes, str)) else None),
     } for t in result.threads]
 
-    slackness = None
-    if result.slackness_samples:
-        samples = result.slackness_samples
-        slackness = {"samples": len(samples),
-                     "mean": sum(samples) / len(samples)}
-
-    behavior = None
-    if tracker is not None and tracker.n_quanta:
-        behavior = {
-            "quanta": tracker.n_quanta,
-            "mean_window_activity": tracker.mean_window_activity(),
-            "mean_total_window_activity":
-                tracker.mean_total_window_activity(),
-            "mean_concurrency": tracker.mean_concurrency(),
-            "granularity": tracker.granularity(),
-            "window_activity_per_thread":
-                _str_keys(tracker.window_activity_per_thread()),
-        }
-
-    timeline_stats = None
-    if timeline is not None and timeline.samples:
-        timeline_stats = {
-            "samples": len(timeline.samples),
-            "dropped": timeline.dropped,
-            "occupancy_ratio": timeline.occupancy_ratio(),
-            "churn": timeline.churn(),
-        }
-
-    events = tally.summary(result) if tally is not None else None
+    behavior = timeline_stats = events = None
+    if observer is not None:
+        measures = observer.behavior()
+        if measures.n_quanta:
+            behavior = {
+                "quanta": measures.n_quanta,
+                "mean_window_activity": measures.mean_window_activity(),
+                "mean_total_window_activity":
+                    measures.mean_total_window_activity(),
+                "mean_concurrency": measures.mean_concurrency(),
+                "granularity": measures.granularity(),
+                "window_activity_per_thread":
+                    _str_keys(measures.window_activity_per_thread()),
+            }
+        timeline = observer.timeline
+        if timeline.samples:
+            timeline_stats = {
+                "samples": len(timeline.samples),
+                "dropped": timeline.dropped,
+                "occupancy_ratio": timeline.occupancy_ratio(),
+                "churn": timeline.churn(),
+            }
+        events = observer.events(result)
 
     report = {
         "schema": SCHEMA_NAME,
@@ -121,7 +117,9 @@ def build_run_report(result, config: Optional[Dict[str, Any]] = None,
         "counters": snap,
         "threads": threads,
         "steps": result.steps,
-        "slackness": slackness,
+        # nothing samples the ready queue; kept for schema-v1 byte
+        # identity
+        "slackness": None,
         "behavior": behavior,
         "timeline": timeline_stats,
         "events": events,
@@ -161,21 +159,5 @@ def write_report(report: Dict[str, Any], path: str) -> str:
     """Write a report to ``path`` as JSON, atomically (temp file +
     rename), so parallel or interrupted writers can never leave a
     truncated document behind; returns the path."""
-    import os
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(path) + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(to_json(report))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    atomic_write_text(path, to_json(report))
+    return str(path)

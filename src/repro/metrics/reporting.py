@@ -36,12 +36,12 @@ def _fmt(value: object) -> str:
 
 def ascii_chart(series: Dict[str, List[Tuple[float, float]]],
                 width: int = 64, height: int = 18,
-                title: str = "", xlabel: str = "",
-                y_min: float = 0.0) -> str:
+                title: str = "", xlabel: str = "") -> str:
     """Scatter chart of several named series on a shared grid.
 
     Good enough to eyeball the shape of the paper's figures in a
-    terminal; each series is drawn with its own marker.
+    terminal; each series is drawn with its own marker, and the y axis
+    always reaches 0.
     """
     markers = "ox+*#@%&"
     points = [(x, y) for pts in series.values() for x, y in pts]
@@ -50,7 +50,7 @@ def ascii_chart(series: Dict[str, List[Tuple[float, float]]],
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(y_min, min(ys)), max(ys)
+    y_lo, y_hi = min(0.0, min(ys)), max(ys)
     if x_hi == x_lo:
         x_hi = x_lo + 1
     if y_hi == y_lo:

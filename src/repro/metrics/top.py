@@ -90,7 +90,7 @@ def render(snapshot: Dict[str, Any],
             {name.replace("engine_", ""): pts
              for name, pts in history.items() if pts},
             width=60, height=8, title="trend (per snapshot generation)",
-            xlabel="snapshot generation", y_min=0.0))
+            xlabel="snapshot generation"))
     return "\n\n".join(blocks) + "\n"
 
 

@@ -7,14 +7,13 @@
 
 Records one traced run of the spell-check pipeline (or a synthetic
 workload) with the full observability stack attached — the kernel's
-trace recorder, and the behaviour tracker, occupancy timeline and
-event tally, which the kernel's per-quantum record log and dispatch
-snapshots feed — then prints or exports what was captured, reading
-the recorded events after the run:
+trace recorder, and the RunReport observer, which the kernel's
+per-quantum record log and dispatch snapshots feed — then prints or
+exports what was captured, reading the recorded events after the run:
 
 * ``--summary`` (default): per-thread cycle attribution, switch-cost
   percentiles (p50/p95/p99), trap counts and event totals (from the
-  event tally);
+  observer's record log);
 * ``--list``: the raw event log, filterable by ``--kind``/``--tid``/
   ``--start``/``--end`` and capped with ``--limit``;
 * ``--perfetto PATH``: Chrome trace-event JSON for chrome://tracing;
@@ -33,10 +32,9 @@ import argparse
 import sys
 
 from repro.errors import ReproError
-from repro.metrics.behavior import BehaviorTracker
-from repro.metrics.events import EventTally, TraceRecorder, switch_cost_stats
+from repro.metrics.events import TraceRecorder, switch_cost_stats
+from repro.metrics.observer import RunObserver
 from repro.metrics.reporting import format_table
-from repro.metrics.tracing import OccupancyTimeline
 
 APPS = ("spellcheck", "pingpong", "forkjoin")
 
@@ -76,9 +74,9 @@ class CliRun:
     simulator fault, and the files written after the run.
 
     ``perfetto`` is the Chrome trace-event output path (it implies
-    ``trace``, which records the run's events); ``observe`` arms the
-    three RunReport observers.  ``args`` carries the flags
-    :func:`add_run_flags` defines, plus ``report``.  A malformed
+    ``trace``, which records the run's events); ``observe`` arms a
+    :class:`~repro.metrics.observer.RunObserver`.  ``args`` carries
+    the flags :func:`add_run_flags` defines, plus ``report``.  A malformed
     ``--faults`` plan exits 2 here (see
     :func:`repro.faults.plan.plan_from_arg`), before anything runs.
     """
@@ -97,11 +95,7 @@ class CliRun:
         self.metrics_out = args.metrics_out
         self.trace = trace or perfetto is not None
         self.recorder = None
-        self.tracker = self.timeline = self.tally = None
-        if observe:
-            self.tracker = BehaviorTracker()
-            self.timeline = OccupancyTimeline()
-            self.tally = EventTally()
+        self.observer = RunObserver() if observe else None
         self.telemetry = None
         if args.metrics or args.metrics_out:
             from repro.metrics.telemetry import RunTelemetry
@@ -112,10 +106,8 @@ class CliRun:
         """The ``instrument=`` hook: arm the kernel before any spawn."""
         if self.trace:
             self.recorder = kernel.enable_tracing()
-        if self.tracker is not None:
-            kernel.tracker = self.tracker
-            kernel.timeline = self.timeline
-            kernel.tally = self.tally
+        if self.observer is not None:
+            self.observer.attach(kernel)
         if self.telemetry is not None:
             self.telemetry.attach(kernel)
 
@@ -163,8 +155,7 @@ class CliRun:
             from repro.metrics.report import build_run_report, write_report
 
             report = build_run_report(
-                result, config=config, tracker=self.tracker,
-                timeline=self.timeline, tally=self.tally,
+                result, config=config, observer=self.observer,
                 metrics=metrics_snapshot)
             write_report(report, self.report)
             print("wrote RunReport: %s" % self.report)
@@ -219,10 +210,11 @@ def print_events(recorder: TraceRecorder, args) -> None:
         print("... %d more (raise --limit)" % (len(events) - len(shown)))
 
 
-def print_summary(result, recorder: TraceRecorder, tracker, timeline,
-                  tally: EventTally) -> None:
+def print_summary(result, recorder: TraceRecorder,
+                  observer: RunObserver) -> None:
     counters = result.counters
     names = {t.tid: t.name for t in result.threads}
+    tally = observer.tally()
 
     print("run: %d cycles, %d steps, %d events, loop=%s" % (
         counters.total_cycles, result.steps, len(recorder), result.loop))
@@ -264,11 +256,13 @@ def print_summary(result, recorder: TraceRecorder, tracker, timeline,
               % (len(traps) - 10))
     print()
 
-    if tracker.quanta:
+    behavior = observer.behavior()
+    if behavior.n_quanta:
         print("behavior: %.2f windows/quantum, %.1f-cycle granularity, "
               "%.2f mean concurrency" % (
-                  tracker.mean_window_activity(), tracker.granularity(),
-                  tracker.mean_concurrency()))
+                  behavior.mean_window_activity(), behavior.granularity(),
+                  behavior.mean_concurrency()))
+    timeline = observer.timeline
     if timeline.samples:
         print("windows: %.0f%% mean occupancy, %.0f%% churn "
               "(%d timeline samples)" % (
@@ -277,7 +271,7 @@ def print_summary(result, recorder: TraceRecorder, tracker, timeline,
     print()
 
     rows = [[kind, count]
-            for kind, count in tally.by_kind(result).items()]
+            for kind, count in observer.by_kind(result, tally).items()]
     print(format_table(["event", "count"], rows, title="events by kind"))
 
 
@@ -328,8 +322,7 @@ def main(argv=None) -> int:
     if args.list:
         print_events(cli.recorder, args)
     if args.summary or not (args.list or wrote):
-        print_summary(result, cli.recorder, cli.tracker, cli.timeline,
-                      cli.tally)
+        print_summary(result, cli.recorder, cli.observer)
     return 0
 
 

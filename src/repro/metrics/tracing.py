@@ -8,8 +8,9 @@ window, one column per scheduling quantum — which makes the difference
 between the schemes directly visible (NS wipes the file every column;
 SP's columns barely change).
 
-Attach with ``kernel.timeline = OccupancyTimeline()``: the kernel takes
-one snapshot per dispatch, on every execution loop, without tracing.
+A :class:`repro.metrics.observer.RunObserver` owns one (``attach`` it
+to a kernel): the kernel takes one snapshot per dispatch, on every
+execution loop, without tracing.
 A snapshot copies the window map's raw kind and owner columns; the
 glyphs are only rendered when a sample's ``cells`` are read.  The
 analyses work per distinct window-map state (a run revisits few), so

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core import make_scheme
@@ -68,7 +68,6 @@ class RunResult:
     counters: Counters
     threads: List[SimThread]
     steps: int
-    slackness_samples: List[int] = field(default_factory=list)
     #: the dispatch loop that executed (``"pure-batched"``; the test
     #: suite's reference loop reports ``"step"``)
     loop: Optional[str] = None
@@ -119,20 +118,9 @@ class Kernel:
         self.ready.events = self.events
         #: guards the kernel's emit sites (see ``enable_tracing``)
         self._tracing = False
-        #: quantum observers (see the ``tracker``/``timeline``/``tally``
-        #: properties); ``_observed`` is True while any is armed
-        self._tracker = None
-        self._timeline = None
-        self._tally = None
-        self._observed = False
-        #: the record log: one tuple per observed quantum, ``(tid,
-        #: depth, cycle, switch, low, high, state, stop)`` (see
-        #: ``_run_batched``), read by the tracker and the tally after
-        #: the run
-        self._log: List[tuple] = []
-        #: counters.switch_cycles when an observer was armed, then at
-        #: the last switched dispatch the tally has read
-        self._switch_cycles_seen = 0
+        #: the RunReport observer ``RunObserver.attach`` arms (None:
+        #: off), whose record log the dispatch loop appends to
+        self._observer = None
         #: the cycle profiler ``RunTelemetry.attach`` arms (None: off;
         #: the batched loop's guard is a hoisted-local None check)
         self._profiler = None
@@ -171,68 +159,6 @@ class Kernel:
             self.scheme.records = deque(maxlen=FLIGHT_CAPACITY)
 
     # -- observability ------------------------------------------------------
-
-    @property
-    def tracker(self):
-        """Optional :class:`repro.metrics.behavior.BehaviorTracker`,
-        which reads the run's record log after the run."""
-        return self._tracker
-
-    @tracker.setter
-    def tracker(self, tracker) -> None:
-        self._tracker = tracker
-        self._arm_observers()
-
-    @property
-    def timeline(self):
-        """Optional :class:`repro.metrics.tracing.OccupancyTimeline`,
-        which snapshots the window map at every dispatch."""
-        return self._timeline
-
-    @timeline.setter
-    def timeline(self, timeline) -> None:
-        self._timeline = timeline
-        self._arm_observers()
-
-    @property
-    def tally(self):
-        """Optional :class:`repro.metrics.events.EventTally`: the
-        RunReport ``events`` statistics, read from the record log."""
-        return self._tally
-
-    @tally.setter
-    def tally(self, tally) -> None:
-        self._tally = tally
-        self._arm_observers()
-
-    def _arm_observers(self) -> None:
-        """Observed runs record each quantum in the record log (and
-        snapshot the timeline at each dispatch), not as trace
-        events."""
-        self._observed = (self._tracker is not None
-                          or self._timeline is not None
-                          or self._tally is not None)
-        self._switch_cycles_seen = self.counters.switch_cycles
-
-    def _read_log(self, end: Optional[int]) -> None:
-        """Hand the record log to its readers and empty it.  ``end`` is
-        the finish cycle of a completed run, which closes the tracker's
-        last quantum; after a failure it is None and that quantum stays
-        open, as a quantum is closed only by the next dispatch."""
-        log = self._log
-        if self._tracker is not None:
-            self._tracker.read(log, end)
-        tally = self._tally
-        if tally is not None:
-            self._switch_cycles_seen = tally.read(log,
-                                                  self._switch_cycles_seen)
-            if end is not None:
-                faults = self.faults
-                tally.faults = (0 if faults is None else
-                                len(faults.fired)
-                                + faults.trap_actions_applied)
-                tally.finished = True
-        log.clear()
 
     def enable_tracing(self):
         """Record every event of the run in ``events`` (the returned
@@ -283,18 +209,14 @@ class Kernel:
         path lands on the exception as ``bundle_path``.
         """
         self._running = True
-        end = None
         try:
             result = self._run_to_completion(max_steps)
-            end = self.counters.total_cycles
-            return result
         except ReproError as exc:
             self._capture_crash(exc)
             raise
-        finally:
-            if self._observed:
-                # a failed run leaves ``end`` None
-                self._read_log(end)
+        if self._observer is not None:
+            self._observer.finish(self)
+        return result
 
     def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
         # Every hook rides the batched loop.
@@ -313,7 +235,7 @@ class Kernel:
             self.events.emit("run_end")
         self.counters.fold_thread_stats(self._windows)
         return RunResult(self.counters, list(self.threads), self._steps,
-                         list(self.ready.slackness_samples), loop=loop)
+                         loop=loop)
 
     # -- failure reporting --------------------------------------------------
 
@@ -501,20 +423,23 @@ class Kernel:
           dispatch.
 
         The profiler and the telemetry buffers are quantum-granular and
-        fed per batch.  With observers armed (``observed``), each
-        quantum is recorded once in the record log ``self._log``: the
-        dispatch keeps its facts in frame locals — tid, call depth,
-        cycle, and the cumulative ``switch_cycles`` after the switch
-        into it (None when the thread resumed without one) — and the
-        quantum's exit appends them with its stop facts: the lowest
-        and highest call depth its saves and restores reached (two
-        frame-local compares at those sites), ``thread.state`` and the
-        stop cycle, for which the cycle accumulators fold.  A quantum
-        an error or the step budget cut short is still recorded, with
-        the state ``running``; so is a dispatch whose audit failed
-        before its quantum began.  The tracker and the tally read the
-        log after the run (``_read_log``); the timeline snapshots the
-        window map at the dispatch itself.
+        fed per batch.  With a ``RunObserver`` armed (``observed``),
+        each quantum is recorded once in its record log: the dispatch
+        keeps its facts in frame locals — tid, call depth, cycle, and
+        the cumulative ``switch_cycles`` after the switch into it (None
+        when the thread resumed without one) — and the quantum's exit
+        appends them with its stop facts: the lowest and highest call
+        depth its saves and restores reached (two frame-local compares
+        at those sites), ``thread.state`` and the stop cycle, for which
+        the cycle accumulators fold.  A quantum an error or the step budget
+        cut short is still recorded, with the state ``running``; so is
+        a dispatch whose audit failed before its quantum began.  A
+        quantum the step budget cut, resumed by the next ``run()``,
+        takes its record back off the log and carries on with its
+        dispatch facts and depth bounds, so a cut and resumed run logs
+        exactly what the uncut run does.  The report reads the log
+        after the run; the observer's timeline snapshots the window map
+        at the dispatch itself.
         """
         cpu = self.cpu
         wf = cpu.wf
@@ -565,10 +490,10 @@ class Kernel:
             limit = budget
             max_stall = marks = mark_step = 0
         stall = self._stall_error
-        observed = self._observed
-        log_append = self._log.append
-        snapshot = (self._timeline.snapshot
-                    if self._timeline is not None else None)
+        observer = self._observer
+        observed = observer is not None
+        log_append = observer.log.append if observed else None
+        snapshot = observer.timeline.snapshot if observed else None
         events = self.events
         events_on = self._tracing
         handle_overflow = scheme.handle_overflow
@@ -599,13 +524,20 @@ class Kernel:
         call_cycles = 0            # -> counters.call_cycles
         saves_total = 0            # -> counters.saves
         restores_total = 0         # -> counters.restores
-        # the running quantum's depth excursion, for the observers;
+        # the running quantum's depth excursion, for the observer;
         # reset at each observed dispatch (unobserved, the save/restore
         # compares run on stale bounds that nothing reads)
         low = high = 0
         # an observed quantum's dispatch facts, until its record is
         # logged at the quantum's exit
         dispatched = None
+        if observed and steps:
+            # resume the quantum the step budget cut (``steps`` starts
+            # at -1): its provisional record gives way to the one its
+            # exit appends
+            dispatched = observer.log.pop()
+            low, high = dispatched[4], dispatched[5]
+            dispatched = dispatched[:4]
         # a blocked thread's op, replayed through its own branch below
         # when the thread resumes, and a partial write's progress
         replay = None
@@ -616,8 +548,6 @@ class Kernel:
                 if thread is None:
                     if not queue:
                         return     # all done, or deadlock (caller decides)
-                    if ready.sample_slackness:
-                        ready.slackness_samples.append(len(queue) - 1)
                     thread = popleft()
                     out = self.last_suspended
                     if out is not thread:
@@ -647,8 +577,7 @@ class Kernel:
                         dispatched = (thread.tid, low, cycle,
                                       counters.switch_cycles
                                       if out is not thread else None)
-                        if snapshot is not None:
-                            snapshot(cpu, thread.tid, cycle)
+                        snapshot(cpu, thread.tid, cycle)
                     if audit is not None:
                         audit(steps, compute + call_cycles)
                         clean = True
@@ -1184,8 +1113,8 @@ class Kernel:
 
     def _do_close(self, stream: Stream) -> None:
         if not stream.closed:
-            if self._tally is not None:
-                self._tally.stream_closes += 1
+            if self._observer is not None:
+                self._observer.stream_closes += 1
             if self._tracing:
                 self.events.emit("stream_close", stream=stream.name,
                                  written=stream.bytes_written,

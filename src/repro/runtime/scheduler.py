@@ -18,8 +18,7 @@ from repro.runtime.thread import READY, SimThread
 class ReadyQueue:
     """Deque of ready threads with policy-driven insertion."""
 
-    __slots__ = ("policy", "_queue", "slackness_samples",
-                 "sample_slackness", "events", "faults", "_tracing",
+    __slots__ = ("policy", "_queue", "events", "faults", "_tracing",
                  "_fifo")
 
     def __init__(self, policy: Optional[QueuePolicy] = None):
@@ -28,9 +27,6 @@ class ReadyQueue:
         #: can be skipped entirely on the default path
         self._fifo = type(self.policy) is FIFOPolicy
         self._queue: deque = deque()
-        #: parallel-slackness samples (§5): queue length at each pop
-        self.slackness_samples = []
-        self.sample_slackness = False
         #: the kernel's trace recorder (None when standalone)
         self.events = None
         #: guards the enqueue emit (set by ``Kernel.enable_tracing``)
@@ -89,8 +85,6 @@ class ReadyQueue:
             faults.on_enqueue(self)
 
     def pop(self) -> SimThread:
-        if self.sample_slackness:
-            self.slackness_samples.append(len(self._queue) - 1)
         return self._queue.popleft()
 
     def remove(self, thread: SimThread) -> None:

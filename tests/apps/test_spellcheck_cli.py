@@ -43,6 +43,15 @@ def test_cli_malformed_plan_is_a_usage_error(capsys):
                             "store_fail, store_delay, sched)\n")
 
 
+def test_cli_missing_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.tex"
+    assert main([str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot read %s: No such file or "
+                            "directory\n" % missing)
+
+
 def test_cli_seed_seeds_the_workload(tmp_path, capsys):
     """``--seed`` seeds the corpus and dictionaries, as in the trace
     CLI, and a crash bundle records it."""

@@ -10,7 +10,7 @@ from repro.apps.synthetic import (
     spawn_fork_join,
     spawn_ping_pong,
 )
-from repro.metrics.behavior import BehaviorTracker
+from repro.metrics.observer import RunObserver
 
 SCHEMES = ("NS", "SNP", "SP")
 
@@ -28,11 +28,11 @@ def test_call_depth_controls_window_activity():
     """Window activity per thread is depth + 1 by construction (§5)."""
     for depth in (1, 3, 5):
         kernel = Kernel(n_windows=32, scheme="SP")
-        kernel.tracker = BehaviorTracker()
+        observer = RunObserver().attach(kernel)
         spawn_call_depth_workers(kernel, n_workers=1, iterations=8,
                                  depth=depth)
         kernel.run(max_steps=500_000)
-        activity = kernel.tracker.window_activity_per_thread()
+        activity = observer.behavior().window_activity_per_thread()
         worker_activity = activity[1]  # tid 1 is the worker
         assert worker_activity >= depth + 1 - 0.5
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.analytic import AnalyticModel, WorkloadStats, stats_from_run
 from repro.apps.spellcheck import SpellConfig, build_spellchecker
-from repro.metrics.behavior import BehaviorTracker
+from repro.metrics.observer import RunObserver
 from repro.runtime.kernel import Kernel
 
 SCALE = 0.03
@@ -13,17 +13,17 @@ SCALE = 0.03
 def _instrumented_run(scheme, n_windows):
     kernel = Kernel(n_windows=n_windows, scheme=scheme,
                     verify_registers=False)
-    kernel.tracker = BehaviorTracker()
+    observer = RunObserver().attach(kernel)
     build_spellchecker(kernel, SpellConfig.named("high", "medium",
                                                  scale=SCALE))
     result = kernel.run()
-    return result, kernel.tracker
+    return result, observer.behavior()
 
 
 @pytest.fixture(scope="module")
 def model():
-    result, tracker = _instrumented_run("SP", 32)
-    return AnalyticModel(stats_from_run(result.counters, tracker))
+    result, behavior = _instrumented_run("SP", 32)
+    return AnalyticModel(stats_from_run(result.counters, behavior))
 
 
 class TestStats:

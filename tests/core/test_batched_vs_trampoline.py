@@ -79,7 +79,6 @@ def snapshot(kernel, result, error):
     }
     if result is not None:
         snap["result_steps"] = result.steps
-        snap["slackness"] = list(result.slackness_samples)
     return snap
 
 

@@ -70,6 +70,18 @@ class TestParse:
         assert len(plan.specs) == 4
         assert plan.seed == 11
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_random_needs_at_least_one_fault(self, count, capsys):
+        """``random:N`` with N < 1 would run fault-free: a usage error."""
+        with pytest.raises(ValueError, match="N >= 1"):
+            FaultPlan.parse("random:%d" % count)
+        with pytest.raises(SystemExit) as info:
+            plan_from_arg("random:%d" % count)
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: --faults random:%d: random:N needs N >= 1, got %d\n"
+            % (count, count))
+
     def test_plan_from_arg_none(self):
         assert plan_from_arg(None) is None
         assert plan_from_arg("") is None

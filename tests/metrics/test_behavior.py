@@ -1,7 +1,8 @@
-"""The §5 behaviour tracker and its aggregate measures."""
+"""The §5 behaviour measures over a run's quanta."""
 
 from repro import Call, CloseStream, Kernel, Read, Tick, Write
-from repro.metrics.behavior import BehaviorTracker, Quantum
+from repro.metrics.behavior import Behavior, Quantum
+from repro.metrics.observer import RunObserver
 
 
 class TestQuantum:
@@ -23,45 +24,42 @@ def _quantum(tid, depth, cycle, low=None, high=None, state="ready"):
 
 class TestTrackerDirect:
     def test_quanta_recorded(self):
-        t = BehaviorTracker()
-        t.read([_quantum(0, 1, 0, high=3), _quantum(1, 1, 50, high=2)],
-               end=80)
+        t = Behavior.from_log([_quantum(0, 1, 0, high=3),
+                               _quantum(1, 1, 50, high=2)], end=80)
         assert len(t.quanta) == 2
         assert t.quanta[0].windows_used == 3
         assert t.quanta[0].run_length == 50
         assert t.quanta[1].windows_used == 2
 
     def test_window_activity_per_thread(self):
-        t = BehaviorTracker()
-        t.read([_quantum(7, 1, 0, high=4)], end=10)
+        t = Behavior.from_log([_quantum(7, 1, 0, high=4)], end=10)
         assert t.window_activity_per_thread() == {7: 4.0}
 
     def test_concurrency_periods(self):
-        t = BehaviorTracker()
-        t.read([_quantum(i % 2, 1, i * 10) for i in range(6)], end=100)
+        t = Behavior.from_log([_quantum(i % 2, 1, i * 10)
+                               for i in range(6)], end=100)
         assert t.concurrency(period=4) == [2, 2]
 
     def test_total_window_activity_counts_slots_once(self):
-        t = BehaviorTracker()
-        t.read([_quantum(0, 1, 0, high=3),      # slots (0,1..3)
-                _quantum(0, 3, 10, low=1)],     # same slots again
-               end=20)
+        t = Behavior.from_log([_quantum(0, 1, 0, high=3),   # slots (0,1..3)
+                               _quantum(0, 3, 10, low=1)],  # same again
+                              end=20)
         assert t.total_window_activity(period=10) == [3]
 
     def test_cut_short_quantum_keeps_its_dispatch_depth(self):
         """A quantum still running when the run failed spans only its
         dispatch depth, and without a finish cycle it stays open."""
-        t = BehaviorTracker()
-        t.read([_quantum(0, 2, 0, low=1, high=5, state="running"),
-                _quantum(1, 1, 30, high=3, state="running")])
+        log = [_quantum(0, 2, 0, low=1, high=5, state="running"),
+               _quantum(1, 1, 30, high=3, state="running")]
+        t = Behavior.from_log(log, None)
         assert [(q.tid, q.start_cycle, q.end_cycle, q.min_depth,
                  q.max_depth) for q in t.quanta] == [(0, 0, 30, 2, 2)]
-        t.read([], end=40)
+        t = Behavior.from_log(log, end=40)
         assert t.quanta[-1].end_cycle == 40
         assert len(t.quanta) == 2
 
     def test_empty_tracker_safe(self):
-        t = BehaviorTracker()
+        t = Behavior([])
         assert t.mean_window_activity() == 0.0
         assert t.mean_concurrency() == 0.0
         assert t.granularity() == 0.0
@@ -70,7 +68,7 @@ class TestTrackerDirect:
 class TestTrackerInKernel:
     def _run(self, buffer_size):
         kernel = Kernel(n_windows=16, scheme="SP")
-        kernel.tracker = BehaviorTracker()
+        observer = RunObserver().attach(kernel)
         stream = kernel.stream(buffer_size, "s")
 
         def producer(s):
@@ -94,7 +92,7 @@ class TestTrackerInKernel:
         kernel.spawn(producer, stream, name="p")
         kernel.spawn(consumer, stream, name="c")
         kernel.run(max_steps=200_000)
-        return kernel.tracker
+        return observer.behavior()
 
     def test_finer_buffers_mean_finer_granularity(self):
         fine = self._run(buffer_size=1)

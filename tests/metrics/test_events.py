@@ -3,15 +3,13 @@
 from collections import Counter
 
 from repro import Call, CloseStream, Kernel, Read, Tick, Write, YieldCPU
-from repro.metrics.behavior import BehaviorTracker
 from repro.metrics.events import (
     STOP_KINDS,
-    EventTally,
     TraceRecorder,
     percentile,
     switch_cost_stats,
 )
-from repro.metrics.tracing import OccupancyTimeline
+from repro.metrics.observer import RunObserver
 from repro.runtime.thread import BLOCKED, DONE, READY
 from tests.support.bus_oracle import per_thread_cycles
 
@@ -149,25 +147,26 @@ class TestKernelPublishing:
 
 
 class TestLegacyAliases:
+    """The ``RunObserver`` that replaced the kernel's tracker and
+    timeline attributes is fed without tracing."""
+
     def test_tracker_alias_is_fed_without_the_bus(self):
         kernel = Kernel(n_windows=8, scheme="SP")
-        tracker = BehaviorTracker()
-        kernel.tracker = tracker
-        assert kernel.tracker is tracker
+        observer = RunObserver().attach(kernel)
+        assert kernel._observer is observer
         assert not kernel.events.active
         stream = kernel.stream(2, "s")
         kernel.spawn(_producer, stream, 20, name="p")
         kernel.spawn(_consumer, stream, name="c")
         result = kernel.run()
         assert result.loop == "pure-batched"
-        assert tracker.quanta
-        assert tracker.granularity() > 0
+        behavior = observer.behavior()
+        assert behavior.quanta
+        assert behavior.granularity() > 0
 
     def test_timeline_alias_is_fed_without_the_bus(self):
         kernel = Kernel(n_windows=8, scheme="SP")
-        timeline = OccupancyTimeline()
-        kernel.timeline = timeline
-        assert kernel.timeline is timeline
+        timeline = RunObserver().attach(kernel).timeline
         assert not kernel.events.active
         stream = kernel.stream(2, "s")
         kernel.spawn(_producer, stream, 20, name="p")
@@ -177,27 +176,18 @@ class TestLegacyAliases:
         assert timeline.samples
         assert timeline.n_windows == 8
 
-    def test_replacing_tracker_unsubscribes_old(self):
-        kernel = Kernel(n_windows=8, scheme="SP")
-        first = BehaviorTracker()
-        kernel.tracker = first
-        second = BehaviorTracker()
-        kernel.tracker = second
-        kernel.tracker = None
-        assert kernel.events.active is False
-
     def test_tracker_matches_hand_wired_semantics(self):
         """Log-fed quanta must equal what the old direct hooks
         produced: one quantum per dispatch, closed at run end."""
         kernel = Kernel(n_windows=8, scheme="SP")
-        tracker = BehaviorTracker()
-        kernel.tracker = tracker
+        observer = RunObserver().attach(kernel)
         stream = kernel.stream(2, "s")
         kernel.spawn(_producer, stream, 15, name="p")
         kernel.spawn(_consumer, stream, name="c")
         result = kernel.run()
-        assert len(tracker.quanta) == result.counters.context_switches
-        for q in tracker.quanta:
+        quanta = observer.behavior().quanta
+        assert len(quanta) == result.counters.context_switches
+        for q in quanta:
             assert q.max_depth >= q.min_depth >= 1
 
 
@@ -248,16 +238,16 @@ class TestTallyReader:
     def test_reads_switch_costs_stops_and_cycles_from_the_log(self):
         """Costs grow from the armed baseline at switched dispatches
         only; a quantum still running stops nothing."""
-        tally = EventTally()
-        log = [(0, 1, 100, 150, 1, 2, "blocked", 130),
-               (0, 1, 130, None, 1, 1, "ready", 140),
-               (1, 1, 190, 200, 1, 1, "running", 190)]
-        assert tally.read(log, 40) == 200
+        observer = RunObserver()
+        observer.switch_cycles = 40
+        observer.log = [(0, 1, 100, 150, 1, 2, "blocked", 130),
+                        (0, 1, 130, None, 1, 1, "ready", 140),
+                        (1, 1, 190, 200, 1, 1, "running", 190)]
+        tally = observer.tally()
         assert tally.switch_costs == [110, 50]
-        assert tally.dispatches == 3
         assert tally.stops == {"block": 1, "yield": 1, "retire": 0}
         assert tally.per_thread_cycles == {0: 40}
-        assert not tally.finished
+        assert observer.end is None
 
     def test_stop_kinds_are_keyed_by_the_thread_states(self):
         """The readers recognise a stop by ``thread.state``: a renamed

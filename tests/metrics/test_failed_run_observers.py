@@ -1,6 +1,6 @@
-"""What the quantum observers hold after a run that failed.
+"""What the RunReport observer holds after a run that failed.
 
-A failed run still leaves its observers readable: every dispatch that
+A failed run still leaves its observer readable: every dispatch that
 happened is counted, every quantum a later dispatch closed is kept,
 and the quantum the failure cut short is neither stopped nor closed.
 Three failures, each pinned on both loops against a committed golden:
@@ -24,9 +24,7 @@ import pytest
 from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
-from repro.metrics.behavior import BehaviorTracker
-from repro.metrics.events import EventTally
-from repro.metrics.tracing import OccupancyTimeline
+from repro.metrics.observer import RunObserver
 from tests.runtime.test_batched_hooks import _corrupt_then_yield
 from tests.support.goldens import assert_golden
 from tests.support.trampoline import force_trampoline, make_kernel
@@ -37,65 +35,55 @@ SCALE = 0.02
 LOOPS = ("batched", "step")
 
 
-class Observers:
-    def __init__(self):
-        self.tracker = BehaviorTracker()
-        self.timeline = OccupancyTimeline()
-        self.tally = EventTally()
-
-    def arm(self, kernel):
-        kernel.tracker = self.tracker
-        kernel.timeline = self.timeline
-        kernel.tally = self.tally
-
-    def state(self):
-        tally = self.tally
-        return {
-            "quanta": [[q.tid, q.start_cycle, q.end_cycle, q.min_depth,
-                        q.max_depth] for q in self.tracker.quanta],
-            "samples": [[s.cycle, s.running_tid, list(s.kinds),
-                         list(s.tids)] for s in self.timeline.samples],
-            "dropped": self.timeline.dropped,
-            "tally": {
-                "dispatches": tally.dispatches,
-                "stops": tally.stops,
-                "switch_costs": tally.switch_costs,
-                "per_thread_cycles": [[tid, n] for tid, n
-                                      in tally.per_thread_cycles.items()],
-                "stream_closes": tally.stream_closes,
-                "faults": tally.faults,
-                "finished": tally.finished,
-            },
-        }
+def _state(observer):
+    tally = observer.tally()
+    timeline = observer.timeline
+    return {
+        "quanta": [[q.tid, q.start_cycle, q.end_cycle, q.min_depth,
+                    q.max_depth] for q in observer.behavior().quanta],
+        "samples": [[s.cycle, s.running_tid, list(s.kinds),
+                     list(s.tids)] for s in timeline.samples],
+        "dropped": timeline.dropped,
+        "tally": {
+            "dispatches": len(observer.log),
+            "stops": tally.stops,
+            "switch_costs": tally.switch_costs,
+            "per_thread_cycles": [[tid, n] for tid, n
+                                  in tally.per_thread_cycles.items()],
+            "stream_closes": observer.stream_closes,
+            "faults": observer.faults,
+            "finished": observer.end is not None,
+        },
+    }
 
 
-def _spellcheck(loop, observers, n_windows, scheme, **kwargs):
+def _spellcheck(loop, observer, n_windows, scheme, **kwargs):
     def instrument(kernel):
         if loop == "step":
             force_trampoline(kernel)
-        observers.arm(kernel)
+        observer.attach(kernel)
 
     run_spellchecker(n_windows, scheme,
                      SpellConfig.named("high", "fine", scale=SCALE),
                      instrument=instrument, **kwargs)
 
 
-def trap_dup(loop, observers):
-    _spellcheck(loop, observers, 5, "SNP", verify_registers=True,
+def trap_dup(loop, observer):
+    _spellcheck(loop, observer, 5, "SNP", verify_registers=True,
                 faults=FaultInjector(FaultPlan.parse("trap_dup@1",
                                                      seed=1993)))
 
 
-def audit_at_dispatch(loop, observers):
+def audit_at_dispatch(loop, observer):
     kernel = make_kernel("generator" if loop == "step" else "batched",
                          n_windows=6, scheme="SP", audit=True)
-    observers.arm(kernel)
+    observer.attach(kernel)
     _corrupt_then_yield(kernel)
     kernel.run()
 
 
-def step_budget(loop, observers):
-    _spellcheck(loop, observers, 8, "SP", max_steps=300)
+def step_budget(loop, observer):
+    _spellcheck(loop, observer, 8, "SP", max_steps=300)
 
 
 CASES = {"trap_dup": trap_dup, "audit_at_dispatch": audit_at_dispatch,
@@ -103,10 +91,10 @@ CASES = {"trap_dup": trap_dup, "audit_at_dispatch": audit_at_dispatch,
 
 
 def _failed_state(case, loop):
-    observers = Observers()
+    observer = RunObserver()
     with pytest.raises(ReproError):
-        CASES[case](loop, observers)
-    return observers.state()
+        CASES[case](loop, observer)
+    return _state(observer)
 
 
 def test_failed_run_observers_match_goldens():

@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro import Call, CloseStream, Kernel, Read, Tick, Write
-from repro.metrics.behavior import BehaviorTracker
-from repro.metrics.events import EventTally
+from repro.metrics.observer import RunObserver
 from repro.metrics.report import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
@@ -15,7 +14,6 @@ from repro.metrics.report import (
     to_json,
     write_report,
 )
-from repro.metrics.tracing import OccupancyTimeline
 
 
 def _worker(n):
@@ -42,12 +40,7 @@ def _consumer(stream):
 
 def _instrumented_run(scheme="SNP", n_windows=6, items=40):
     kernel = Kernel(n_windows=n_windows, scheme=scheme)
-    tally = EventTally()
-    kernel.tally = tally
-    tracker = BehaviorTracker()
-    kernel.tracker = tracker
-    timeline = OccupancyTimeline()
-    kernel.timeline = timeline
+    observer = RunObserver().attach(kernel)
     stream = kernel.stream(3, "pipe")
     kernel.spawn(_producer, stream, items, name="p")
     kernel.spawn(_consumer, stream, name="c")
@@ -56,7 +49,7 @@ def _instrumented_run(scheme="SNP", n_windows=6, items=40):
         result,
         config={"scheme": scheme, "n_windows": n_windows,
                 "workload": "unit"},
-        tracker=tracker, timeline=timeline, tally=tally), result
+        observer=observer), result
 
 
 @pytest.fixture(scope="module")

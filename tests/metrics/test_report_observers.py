@@ -1,11 +1,11 @@
-"""Kernel-fed RunReport observers: byte-identical to trace-fed ones.
+"""The kernel-fed RunReport observer: byte-identical to a trace-fed one.
 
-``run_report_point`` arms the behaviour tracker, the occupancy timeline
-and the event tally on the kernel, which records each quantum once in
-a record log the tracker and the tally read after the run.
-The reference is the old wiring (:mod:`tests.support.bus_oracle`): the
-recorded trace, a tracker fed from its events and a timeline
-snapshotted at each recorded dispatch.  Both run on the batched loop,
+``run_report_point`` attaches a ``RunObserver`` to the kernel, which
+records each quantum once in the observer's record log; the report's
+sections are computed from that log.  The reference is the old wiring
+(:mod:`tests.support.bus_oracle`): the recorded trace, quanta built
+from its events and a timeline snapshotted at each recorded
+dispatch.  Both run on the batched loop,
 and both must produce the same report, byte for byte.
 """
 
@@ -16,8 +16,7 @@ from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.core.working_set import FIFOPolicy
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
-from repro.metrics.behavior import BehaviorTracker
-from repro.metrics.events import EventTally
+from repro.metrics.observer import RunObserver
 from repro.metrics.report import to_json
 from repro.metrics.tracing import OccupancyTimeline
 from tests.support.bus_oracle import BusObservers
@@ -90,21 +89,19 @@ def test_kernel_observers_agree_with_the_bus_on_the_batched_loop():
     """Armed next to tracing (the trace CLI's setup), the kernel hooks
     see what the trace records, on the same batched loop."""
     bus = BusObservers()
-    tracker, timeline, tally = (BehaviorTracker(), OccupancyTimeline(),
-                                EventTally())
+    observer = RunObserver()
 
     def instrument(kernel):
         bus.attach(kernel)
-        kernel.tracker, kernel.timeline, kernel.tally = (tracker, timeline,
-                                                         tally)
+        observer.attach(kernel)
 
     result, __ = run_spellchecker(
         6, "NS", SpellConfig.named("high", "fine", scale=SCALE),
         instrument=instrument)
     assert result.loop == "pure-batched"
-    assert tally.summary(result) == bus.events_section()
-    assert tracker.quanta == bus.tracker.quanta
-    assert timeline.samples == bus.timeline.samples
+    assert observer.events(result) == bus.events(result)
+    assert observer.behavior().quanta == bus.behavior().quanta
+    assert observer.timeline.samples == bus.timeline.samples
 
 
 def test_fault_events_count_applied_trap_actions():
@@ -112,11 +109,10 @@ def test_fault_events_count_applied_trap_actions():
     events, even though the run then fails."""
     injector = FaultInjector(FaultPlan.parse("trap_dup@1", seed=1993))
     bus = BusObservers()
-    tally = EventTally()
 
     def instrument(kernel):
         bus.attach(kernel)
-        kernel.tally = tally
+        RunObserver().attach(kernel)
 
     with pytest.raises(ReproError):
         run_spellchecker(5, "SNP",

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Call, CloseStream, Kernel, Read, Tick, Write
+from repro.metrics.observer import RunObserver
 from repro.metrics.tracing import OccupancyTimeline
 from repro.windows.occupancy import FRAME
 
@@ -10,10 +11,9 @@ from repro.windows.occupancy import FRAME
 def _run(scheme, n_windows=8, items=40, max_samples=4096):
     """A producer/consumer run's timeline, decimated past
     ``max_samples`` (the production cap, or a smaller one)."""
-    timeline = OccupancyTimeline()
-    timeline.MAX_SAMPLES = max_samples
     kernel = Kernel(n_windows=n_windows, scheme=scheme)
-    kernel.timeline = timeline
+    timeline = RunObserver().attach(kernel).timeline
+    timeline.MAX_SAMPLES = max_samples
     stream = kernel.stream(2, "s")
 
     def producer(s):
@@ -39,7 +39,7 @@ def _run(scheme, n_windows=8, items=40, max_samples=4096):
     kernel.spawn(producer, stream, name="p")
     kernel.spawn(consumer, stream, name="c")
     kernel.run()
-    return kernel.timeline
+    return timeline
 
 
 class TestSampling:

@@ -1,4 +1,4 @@
-"""ReadyQueue mechanics and slackness sampling."""
+"""ReadyQueue mechanics."""
 
 from repro.core.working_set import FIFOPolicy, WorkingSetPolicy
 from repro.runtime.scheduler import ReadyQueue
@@ -70,18 +70,3 @@ class TestReadyQueue:
         q.push_new(b)
         q.remove(a)
         assert q.peek_all() == [b]
-
-    def test_slackness_sampling(self):
-        q = ReadyQueue()
-        q.sample_slackness = True
-        for i in range(3):
-            q.push_new(make_thread(i))
-        q.pop()
-        q.pop()
-        assert q.slackness_samples == [2, 1]
-
-    def test_no_sampling_by_default(self):
-        q = ReadyQueue()
-        q.push_new(make_thread(0))
-        q.pop()
-        assert q.slackness_samples == []

@@ -1,27 +1,28 @@
-"""The RunReport observers fed off the trace: the reference the
+"""The RunReport observer fed off the trace: the reference the
 kernel's record log and its readers are held to.
 
-Before the kernel recorded quanta for them, the behaviour tracker and
-the occupancy timeline were fed event by event and the report's
-``events`` section came from the recorded trace.  This module keeps
-that wiring for tests, independent of the record log and its readers:
+Before the kernel recorded quanta, the behaviour measures and the
+occupancy timeline were fed event by event and the report's ``events``
+section came from the recorded trace.  This module keeps that wiring
+for tests, independent of the record log and its readers:
 :meth:`BusObservers.attach` (usable as an ``instrument=`` hook)
 enables tracing and wraps the recorder's ``emit`` on the instance so
-the timeline snapshots the live window map at each ``dispatch``;
-after the run, :attr:`BusObservers.tracker` is a :class:`BusTracker` —
-the event-by-event tracker the kernel once fed — fed from the recorded
-events, and :meth:`BusObservers.report` builds the RunReport from it
-and from this module's own statistics over those events.  The
-``behavior`` and ``timeline`` sections go through the same §5 measures
-and timeline analyses as production reports; the committed section
-goldens (``tests/metrics/test_report_sections.py``) pin those.
+the timeline snapshots the live window map at each ``dispatch``; after
+the run, :meth:`BusObservers.behavior` builds the quanta event by
+event with a :class:`BusTracker`, and :meth:`BusObservers.events`
+computes this module's own statistics over those events.  A
+``BusObservers`` stands in for a ``RunObserver`` in
+``build_run_report``, so the ``behavior`` and ``timeline`` sections go
+through the same §5 measures and timeline analyses as production
+reports; the committed section goldens
+(``tests/metrics/test_report_sections.py``) pin those.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.metrics.behavior import BehaviorTracker
+from repro.metrics.behavior import Behavior
 from repro.metrics.events import switch_cost_stats
 from repro.metrics.report import build_run_report
 from repro.metrics.tracing import OccupancyTimeline
@@ -65,13 +66,13 @@ def per_thread_cycles(events) -> Dict[int, int]:
     return totals
 
 
-class BusTracker(BehaviorTracker):
-    """A tracker fed event by event: each ``dispatch`` opens a quantum,
+class BusTracker:
+    """Quanta built event by event: each ``dispatch`` opens a quantum,
     each ``save``/``restore`` widens its depth bounds, and the next
     dispatch or the ``run_end`` closes it."""
 
     def __init__(self):
-        super().__init__()
+        self.rows = []
         self._tid = None
         self._start = 0
         self._min = 0
@@ -106,8 +107,8 @@ class BusTracker(BehaviorTracker):
 
     def _close(self, cycles: int) -> None:
         if self._tid is not None:
-            self._rows.append((self._tid, self._start, cycles, self._min,
-                               self._max))
+            self.rows.append((self._tid, self._start, cycles, self._min,
+                              self._max))
             self._tid = None
 
 
@@ -118,15 +119,13 @@ class BusObservers:
     def __init__(self):
         self.timeline = OccupancyTimeline()
         self.recorder = None
-        self._tracker = None
 
-    @property
-    def tracker(self) -> BusTracker:
-        """The tracker fed from the recorded events (after the run)."""
-        if self._tracker is None:
-            self._tracker = BusTracker()
-            self._tracker.read_events(self.recorder.events)
-        return self._tracker
+    def behavior(self) -> Behavior:
+        """The §5 measures over the quanta of the recorded events
+        (after the run)."""
+        tracker = BusTracker()
+        tracker.read_events(self.recorder.events)
+        return Behavior(tracker.rows)
 
     def attach(self, kernel) -> None:
         recorder = self.recorder = kernel.enable_tracing()
@@ -141,7 +140,9 @@ class BusObservers:
 
         recorder.emit = emit_and_snapshot
 
-    def events_section(self):
+    def events(self, result):
+        """The ``events`` section, from the recorded events alone
+        (``result`` is not read)."""
         events = self.recorder.events
         if not events:
             return None
@@ -155,8 +156,4 @@ class BusObservers:
         }
 
     def report(self, result, config):
-        report = build_run_report(result, config=config,
-                                  tracker=self.tracker,
-                                  timeline=self.timeline)
-        report["events"] = self.events_section()
-        return report
+        return build_run_report(result, config=config, observer=self)

@@ -15,11 +15,13 @@ dispatch (``_next_quantum``, ``_dispatch``), the block
 where the batched loop instead replays the op through its own
 branch).  Simple enough to read as the specification, it is what the
 batched loop must match exactly: counters, per-thread statistics,
-step counts, crash contexts and trace-event streams.  With observers
-armed it appends the same record-log entries as the batched loop: the
-dispatch keeps its facts in ``_dispatched`` and the quantum's exit
-(``_log_quantum``) appends them with the stop facts, so RunReports
-from both loops are byte-identical
+step counts, crash contexts and trace-event streams.  With a
+``RunObserver`` armed it appends the same record-log entries as the
+batched loop: the dispatch keeps its facts and the quantum's depth
+bounds so far in ``_dispatched``, the quantum's exit (``_log_quantum``)
+appends them with the stop facts, and a quantum the step budget cut
+takes its record back when the next ``run()`` resumes it, so
+RunReports from both loops are byte-identical
 (``tests/metrics/test_reference_loop_observers.py``).
 
 * :class:`ReferenceKernel` — a ``Kernel`` whose runs take the
@@ -70,8 +72,14 @@ class ReferenceKernel(Kernel):
 
     def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
         self._max_steps = max_steps
-        #: an observed quantum's dispatch facts, until its exit logs them
+        #: an observed quantum's dispatch facts and its depth bounds at
+        #: the dispatch (or where a cut quantum had reached), until its
+        #: exit logs them
         self._dispatched = None
+        if self._observer is not None and self._cut:
+            # resume the quantum the step budget cut: its provisional
+            # record gives way to the one its exit appends
+            self._dispatched = self._observer.log.pop()[:6]
         try:
             while self._next_quantum():
                 self._run_quantum(max_steps)
@@ -119,14 +127,15 @@ class ReferenceKernel(Kernel):
         if self._tracing:
             self.events.emit("dispatch", tid=thread.tid,
                              depth=thread.windows.depth)
-        if self._observed:
+        if self._observer is not None:
             counters = self.counters
             cycle = counters.total_cycles
-            self._dispatched = (thread.tid, thread.windows.depth, cycle,
+            depth = thread.windows.depth
+            self._dispatched = (thread.tid, depth, cycle,
                                 counters.switch_cycles
-                                if out is not thread else None)
-            if self._timeline is not None:
-                self._timeline.snapshot(self.cpu, thread.tid, cycle)
+                                if out is not thread else None,
+                                depth, depth)
+            self._observer.timeline.snapshot(self.cpu, thread.tid, cycle)
         if self.audit:
             self._audit()
 
@@ -143,7 +152,10 @@ class ReferenceKernel(Kernel):
         watchdog = self._watchdog
         prof = self._profiler
         gen_stack = thread.gen_stack
-        low = high = tw.depth  # the quantum's depth excursion
+        # the quantum's depth excursion
+        low = high = tw.depth
+        if self._dispatched is not None:
+            low, high = self._dispatched[4:]
         # the step a budget cut is counted already: it runs uncounted
         self._steps -= self._cut
         self._cut = 0
@@ -228,7 +240,7 @@ class ReferenceKernel(Kernel):
     def _log_quantum(self, thread: SimThread, low: int, high: int) -> None:
         """Append the quantum's record: its dispatch facts, then the
         depth bounds, the state it stopped in and the stop cycle."""
-        self._log.append(self._dispatched + (
+        self._observer.log.append(self._dispatched[:4] + (
             low, high, thread.state, self.counters.total_cycles))
         self._dispatched = None
 

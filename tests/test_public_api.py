@@ -81,9 +81,9 @@ class TestSubpackageImports:
         assert thread.exit_value == 1
 
     def test_metrics(self):
-        from repro.metrics.behavior import BehaviorTracker
-        from repro.metrics.tracing import OccupancyTimeline
-        assert BehaviorTracker() and OccupancyTimeline()
+        from repro.metrics import RunObserver
+        from repro.metrics.behavior import Behavior
+        assert Behavior([]) and RunObserver().timeline is not None
 
     def test_diagrams(self):
         from repro.windows.diagrams import reenact_figure8
