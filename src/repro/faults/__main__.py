@@ -20,13 +20,16 @@ reduction step (see :mod:`repro.faults.minimize`).
 workloads x schemes, auto-minimizing every detected failure; exits non-zero unless every trial survives-or-minimizes.
 
 All bundle-file problems (missing path, corrupt JSON, foreign schema)
-exit with code 2 and a one-line structured error, never a traceback.
+and fuzz flags that name no runnable campaign (no trials, an unknown
+workload or scheme) exit with code 2 and a one-line error, never a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
 from repro.errors import ReproError
 from repro.faults.bundle import load_bundle, replay_bundle
@@ -143,13 +146,36 @@ def minimize(path: str, out=None, trial_budget=None) -> int:
     return 0
 
 
+def fuzz_usage_error(trials: int, workloads, schemes) -> Optional[str]:
+    """Why the fuzz flags name no campaign that can run, or None."""
+    from repro.core.registry import SCHEMES
+    from repro.faults.workloads import WORKLOADS
+
+    if trials < 1:
+        return "--trials %d: a campaign needs at least one trial" % trials
+    unknown = [n for n in workloads or () if n not in WORKLOADS]
+    if unknown:
+        return ("--workloads: unknown workload %r (known: %s)"
+                % (unknown[0], ", ".join(sorted(WORKLOADS))))
+    unknown = [s for s in schemes if s.upper() not in SCHEMES]
+    if unknown:
+        return ("--schemes: unknown scheme %r (known: %s)"
+                % (unknown[0], ", ".join(sorted(SCHEMES))))
+    return None
+
+
 def fuzz(args) -> int:
     from repro.faults.fuzz import run_fuzz
 
+    workloads = args.workloads.split(",") if args.workloads else None
+    schemes = tuple(args.schemes.split(","))
+    problem = fuzz_usage_error(args.trials, workloads, schemes)
+    if problem is not None:
+        print("error: %s" % problem, file=sys.stderr)
+        return 2
     report = run_fuzz(
         trials=args.trials, seed=args.seed, out_dir=args.out,
-        workloads=args.workloads.split(",") if args.workloads else None,
-        schemes=tuple(args.schemes.split(",")),
+        workloads=workloads, schemes=schemes,
         minimize=not args.no_minimize,
         trial_budget=args.trial_budget,
         log=print)

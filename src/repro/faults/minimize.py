@@ -5,7 +5,8 @@ A replayable crash bundle (PR 3) embeds the *entire* fault plan and
 workload that produced a failure — far more than the failure needs.
 Following the binary trace-simplification idea of El-Zawawy & Alanazi
 (see PAPERS.md), :func:`minimize_bundle` reduces a bundle along two
-axes, verifying every candidate by deterministic replay:
+axes, verifying by deterministic replay every candidate that could
+reproduce:
 
 1. **The fault plan.**  Classic ddmin (binary reduction with
    complement testing) over the ``FaultSpec`` list finds a minimal
@@ -20,8 +21,10 @@ axes, verifying every candidate by deterministic replay:
 A candidate *reproduces* when its run raises the same error class
 with the same context shape (same context keys, same failing thread)
 as the original — exact step/cycle values necessarily move as the
-schedule shrinks.  Every candidate run is capped by a step budget so
-a shrink that un-crashes a livelock cannot spin forever.
+schedule shrinks.  A fault-free candidate cannot reproduce a crash
+whose context records fired faults (``faults_fired``), so it is
+counted but not run.  Every candidate run is capped by a step budget
+so a shrink that un-crashes a livelock cannot spin forever.
 
 The result is written as a crash-bundle v2 whose ``minimization``
 section carries provenance: the original bundle's hash, the reduction
@@ -198,10 +201,17 @@ class _Minimizer:
 
     def attempt(self, config: Dict[str, Any],
                 specs: Tuple[FaultSpec, ...]) -> bool:
-        """Run a candidate; True when the original failure reproduces."""
+        """Run a candidate; True when the original failure reproduces.
+
+        A fault-free candidate of a target whose context carries
+        ``faults_fired`` is decided without running it: with no
+        injector attached, no crash context gets that key, so the run
+        cannot match (DESIGN §8).  It still counts as a candidate."""
+        self.candidates += 1
+        if not specs and "faults_fired" in self.target[1]:
+            return False
         plan = FaultPlan(seed=self.plan.seed, specs=tuple(specs))
         injector = FaultInjector(plan) if plan.specs else None
-        self.candidates += 1
         try:
             run_workload(config, faults=injector,
                          trial_budget=self.trial_budget)
@@ -308,7 +318,11 @@ def minimize_bundle(path, out_dir=None,
     Raises :class:`MinimizeError` when the original bundle does not
     reproduce its recorded failure (nothing to minimize), and
     propagates any non-``ReproError`` a candidate run raises (a
-    candidate exposing a *new* bug must not be silently eaten).
+    candidate exposing a *new* bug must not be silently eaten).  The
+    fault-free candidate of a crash whose context carries
+    ``faults_fired`` is not run (see :meth:`_Minimizer.attempt`), so a
+    non-``ReproError`` that run would raise is not seen here;
+    ``tests/faults/test_minimize.py`` runs those configs fault-free.
     """
     path = Path(path)
     bundle = load_bundle(path)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.ioutil import atomic_write_text
 from repro.metrics.events import TraceEvent
 
 THREADS_PID = 1
@@ -196,9 +197,9 @@ class PerfettoExporter:
         return json.dumps(self.to_dict(), indent=indent)
 
     def write(self, path: str, indent: Optional[int] = None) -> str:
-        """Write the trace JSON to ``path``; returns the path."""
-        with open(path, "w") as handle:
-            handle.write(self.dumps(indent=indent))
+        """Write the trace JSON to ``path`` atomically, creating a
+        missing directory; returns the path."""
+        atomic_write_text(path, self.dumps(indent=indent))
         return path
 
     # -- introspection (used by tests and the CLI) ---------------------------

@@ -101,6 +101,12 @@ class TestAtomicWrite:
         assert target.read_text() == "replaced"
         assert [p.name for p in target.parent.iterdir()] == ["out.json"]
 
+    def test_mode_is_that_of_a_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.json"
+        plain.write_text("hello")
+        target = atomic_write_text(tmp_path / "atomic.json", "hello")
+        assert target.stat().st_mode == plain.stat().st_mode
+
 
 class TestResultCache:
     def test_roundtrip(self, tmp_path):

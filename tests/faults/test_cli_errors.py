@@ -94,3 +94,28 @@ class TestCliExitCodes:
         assert code == 2
         assert "error: WorkloadError:" in err
         assert "not-a-workload" in err
+
+
+class TestFuzzUsageErrors:
+    """Fuzz flags that name no runnable campaign are usage errors: one
+    ``error:`` line and exit 2 before any trial runs."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--workloads", "nosuch"], "unknown workload 'nosuch'"),
+        (["--workloads", "spellcheck,"], "unknown workload ''"),
+        (["--schemes", "XX"], "unknown scheme 'XX'"),
+        (["--schemes", "NS,SNP,Sp,"], "unknown scheme ''"),
+        (["--trials", "0"], "at least one trial"),
+        (["--trials", "-1"], "at least one trial"),
+    ], ids=["unknown-workload", "empty-workload", "unknown-scheme",
+            "empty-scheme", "zero-trials", "negative-trials"])
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, flags,
+                                         message):
+        out_dir = tmp_path / "fuzz"
+        code, out, err = run_cli(capsys, "fuzz", "--out", str(out_dir),
+                                 *flags)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+        assert not out_dir.exists()

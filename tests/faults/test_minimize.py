@@ -2,24 +2,35 @@
 signature, and end-to-end bundle minimization."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import repro.faults.minimize as minimize
 from repro.faults import (
     FaultInjector,
     FaultPlan,
     MinimizeError,
     load_bundle,
     minimize_bundle,
+    run_fuzz,
     run_workload,
 )
 from repro.faults.minimize import (
+    MIN_TRIAL_BUDGET,
+    TRIAL_BUDGET_SLACK,
     ddmin,
     failure_signature,
     shrink_float,
     shrink_int,
 )
+from repro.faults.workloads import WORKLOADS
 from repro.errors import ReproError
+from repro.runtime.errors import LivelockError
+
+CORPUS = sorted((Path(__file__).parent / "corpus").glob("crash-*.json"))
+LIVELOCK = Path(__file__).parent / "corpus" / \
+    "crash-livelockerror-859e18e60de3.json"
 
 
 @pytest.fixture(autouse=True, params=["batched"])
@@ -183,3 +194,111 @@ class TestMinimizeBundle:
         out = capsys.readouterr().out
         assert "4 -> 1 spec(s)" in out
         assert "verified" in out
+
+
+def candidate_budget(bundle):
+    """The step cap ``minimize_bundle`` gives each candidate run."""
+    return max(MIN_TRIAL_BUDGET,
+               TRIAL_BUDGET_SLACK * int(bundle.get("steps", 0)))
+
+
+@pytest.fixture
+def workload_calls(monkeypatch):
+    """Every ``run_workload`` call the minimizer makes, as kwargs."""
+    calls = []
+
+    def spy(config, **kwargs):
+        calls.append(kwargs)
+        return run_workload(config, **kwargs)
+
+    monkeypatch.setattr(minimize, "run_workload", spy)
+    return calls
+
+
+class TestFaultFreeSkip:
+    """A candidate with no fault specs cannot reproduce a crash whose
+    context carries ``faults_fired``; it is counted, not run."""
+
+    #: corpus bundle -> minimizer candidates (the robustness golden's)
+    CANDIDATES = {
+        "crash-livelockerror-859e18e60de3.json": 19,
+        "crash-windowintegrityerror-2b0e8f8ef1a1.json": 14,
+        "crash-windowintegrityerror-8455e23358a4.json": 13,
+        "crash-windowintegrityerror-fc1e9f89efcf.json": 16,
+    }
+
+    @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+    def test_fault_free_candidate_is_not_run(self, path, tmp_path,
+                                             workload_calls):
+        assert "faults_fired" in load_bundle(path)["error"]["context"]
+        result = minimize_bundle(path, out_dir=tmp_path)
+        assert all(call["faults"] is not None for call in workload_calls)
+        assert result.candidates == self.CANDIDATES[path.name]
+        # every candidate ran but the one fault-free probe; the last
+        # call is the final crash that writes the minimized bundle
+        *candidate_runs, final = workload_calls
+        assert final["crash_dir"] == tmp_path
+        assert len(candidate_runs) == result.candidates - 1
+
+    def test_fault_free_candidate_runs_without_faults_fired(
+            self, workload_calls):
+        bundle = load_bundle(LIVELOCK)
+        context = dict(bundle["error"]["context"])
+        del context["faults_fired"]
+        target = failure_signature(bundle["error"]["type"], context)
+        engine = minimize._Minimizer(
+            dict(bundle["config"]),
+            FaultPlan.from_payload(bundle["fault_plan"]), target,
+            candidate_budget(bundle))
+        assert engine.attempt(engine.config, ())
+        assert [call["faults"] for call in workload_calls] == [None]
+        assert (engine.candidates, engine.reproductions) == (1, 1)
+
+
+#: the robustness benchmark's campaign: seed 1993, 8 trials, every
+#: workload but synthetic-yield-storm
+PROBE_SEED, PROBE_TRIALS = 1993, 8
+
+
+@pytest.fixture(scope="module")
+def probe_targets(tmp_path_factory):
+    """The 8 bundles whose ddmin ends in the fault-free probe: the 4
+    crashes of the benchmark campaign and the 4 corpus bundles."""
+    out = tmp_path_factory.mktemp("probes")
+    run_fuzz(trials=PROBE_TRIALS, seed=PROBE_SEED, out_dir=out,
+             workloads=[n for n in sorted(WORKLOADS)
+                        if n != "synthetic-yield-storm"],
+             minimize=False)
+    raw = sorted((out / "raw").glob("crash-*.json"))
+    assert len(raw) == 4
+    return raw + CORPUS
+
+
+class TestFaultFreeProbeConfigs:
+    """The runs the skip no longer makes, made here: the fault-free
+    config of every probe target completes or raises a ``ReproError``
+    (a non-``ReproError`` would be a simulator bug the minimizer no
+    longer sees)."""
+
+    def test_fault_free_runs_complete_or_raise_repro_errors(
+            self, probe_targets):
+        crashed = {}
+        for path in probe_targets:
+            bundle = load_bundle(path)
+            try:
+                run_workload(dict(bundle["config"]), faults=None,
+                             trial_budget=candidate_budget(bundle))
+            except ReproError as exc:
+                crashed[path] = exc
+        assert list(crashed) == [LIVELOCK]
+        # The corpus livelock is fault-independent: with no faults it
+        # raises the same error on the same thread, with the same
+        # context keys but ``faults_fired``, which is all that keeps it
+        # from minimizing to the empty plan.
+        exc = crashed[LIVELOCK]
+        context = dict(load_bundle(LIVELOCK)["error"]["context"])
+        assert context.pop("faults_fired")
+        assert isinstance(exc, LivelockError)
+        assert exc.context["thread"] == context["thread"]
+        assert (failure_signature("LivelockError", exc.context)
+                == failure_signature("LivelockError", context))

@@ -62,6 +62,23 @@ class TestTraceJson:
         trace = json.loads(path.read_text())
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
 
+    def test_write_creates_a_missing_directory(self, traced, tmp_path):
+        exporter, __, __unused = traced
+        path = tmp_path / "missing" / "dir" / "trace.json"
+        assert exporter.write(str(path)) == str(path)
+        assert json.loads(path.read_text()) == exporter.to_dict()
+        assert [p.name for p in path.parent.iterdir()] == ["trace.json"]
+
+    def test_trace_cli_writes_into_a_missing_directory(self, tmp_path,
+                                                       capsys):
+        from repro.metrics.trace import main
+
+        path = tmp_path / "missing" / "t.json"
+        assert main(["--app", "pingpong", "--rounds", "5",
+                     "--perfetto", str(path)]) == 0
+        assert "wrote Perfetto trace: %s" % path in capsys.readouterr().out
+        assert json.loads(path.read_text())["traceEvents"]
+
     def test_every_thread_has_a_duration_event(self, traced):
         exporter, __, result = traced
         quanta_tids = {e["tid"] for e in exporter.duration_events()
