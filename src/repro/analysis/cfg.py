@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.isa.assembler import Program
-from repro.isa.instructions import BRANCH_OPS, Instruction
+from repro.isa.instructions import BRANCH_OPS
 
 #: ops that terminate the current path (control leaves the function or
 #: the thread); ``ret``/``retadd`` also pop a window, tracked in depth.py
@@ -58,9 +58,6 @@ class FunctionCFG:
     calls: List[Tuple[int, int]] = field(default_factory=list)
     #: reachable indices one past the program end (fall-off paths)
     falls_off: List[int] = field(default_factory=list)
-
-    def instruction(self, program: Program, index: int) -> Instruction:
-        return program.instructions[index]
 
 
 @dataclass

@@ -51,7 +51,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         try:
             source = open(path).read()
         except OSError as exc:
-            print("cannot read %s: %s" % (path, exc), file=sys.stderr)
+            print("error: cannot read %s: %s" % (path, exc),
+                  file=sys.stderr)
             return 2
         threads = ([ThreadSpec(entry) for entry in args.entry]
                    if args.entry else [ThreadSpec()])

@@ -76,14 +76,6 @@ class Finding:
                 "message": self.message, "file": self.file,
                 "line": self.line, "hint": self.hint}
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        return cls(rule=str(data["rule"]), severity=str(data["severity"]),
-                   message=str(data["message"]),
-                   file=str(data.get("file", "")),
-                   line=int(data.get("line", 0)),
-                   hint=str(data.get("hint", "")))
-
 
 @dataclass
 class AnalysisReport:
@@ -110,10 +102,6 @@ class AnalysisReport:
         return [f for f in self.findings if f.severity == ERROR]
 
     @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == WARNING]
-
-    @property
     def ok(self) -> bool:
         """No error-severity findings (the gate criterion)."""
         return not self.errors
@@ -138,24 +126,6 @@ class AnalysisReport:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AnalysisReport":
-        if data.get("schema") != SCHEMA:
-            raise ValueError("not a %s document: schema=%r"
-                             % (SCHEMA, data.get("schema")))
-        if int(data.get("version", 0)) > VERSION:
-            raise ValueError("report version %s is newer than this build"
-                             % data.get("version"))
-        report = cls(tool=str(data.get("tool", "?")),
-                     meta=dict(data.get("meta", {})))
-        for entry in data.get("findings", ()):
-            report.add(Finding.from_dict(entry))
-        return report
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        return cls.from_dict(json.loads(text))
 
     def raise_if_errors(self, what: str) -> None:
         """The gate: raise :class:`AnalysisError` on any error finding."""

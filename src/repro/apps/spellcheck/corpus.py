@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 #: the paper's draft was 40500 bytes long (§5.1)
 CORPUS_SIZE = 40500
@@ -125,8 +125,7 @@ def misspell(word: str, rng: random.Random) -> str:
     return word[:i] + "q" + word[i + 1:]  # substitute
 
 
-def generate_vocabulary(seed: int = DEFAULT_SEED,
-                        n_bases: int = 5200) -> List[str]:
+def generate_vocabulary(seed: int, n_bases: int) -> List[str]:
     """Base vocabulary: core English words plus synthetic fillers."""
     rng = random.Random(seed)
     words = []
@@ -194,14 +193,6 @@ def _dictionaries_cached(seed: int,
     derivable = [base for base in vocab if rng.random() < 0.85]
     dict1 = pack(derivable)
     return dict1, dict2, tuple(vocab)
-
-
-def parse_dictionary(data: bytes) -> frozenset:
-    """Word set from a dictionary byte stream (filler lines skipped)."""
-    return frozenset(
-        line.decode("ascii")
-        for line in data.split(b"\n")
-        if line and not line.startswith(b"#"))
 
 
 def generate_corpus(seed: int = DEFAULT_SEED, scale: float = 1.0) -> bytes:
@@ -293,15 +284,3 @@ def _corpus_cached(seed: int, scale: float) -> bytes:
     while len(out) < target:
         out.extend(b"%\n"[: target - len(out)])
     return bytes(out)
-
-
-def corpus_statistics(corpus: bytes) -> Dict[str, int]:
-    """Quick structural statistics, used by tests."""
-    text = corpus.decode("ascii", "replace")
-    return {
-        "bytes": len(corpus),
-        "lines": text.count("\n"),
-        "commands": text.count("\\"),
-        "math": text.count("$") // 2,
-        "comments": text.count("%"),
-    }

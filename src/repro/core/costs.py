@@ -37,10 +37,6 @@ class Table2Row:
     def contains(self, cycles: int) -> bool:
         return self.lo <= cycles <= self.hi
 
-    @property
-    def mid(self) -> float:
-        return (self.lo + self.hi) / 2.0
-
 
 #: The paper's measured Table 2 (cycles for a context switch on the S-20).
 PAPER_TABLE2: List[Table2Row] = [
@@ -197,8 +193,7 @@ class CostModel:
 
     # -- Table 2 regeneration ------------------------------------------------
 
-    def switch_cost(self, scheme: str, saves: int, restores: int,
-                    allocated: bool = False) -> int:
+    def switch_cost(self, scheme: str, saves: int, restores: int) -> int:
         scheme = scheme.upper()
         if scheme == "NS":
             return self.ns_switch_cost(saves, restores)
@@ -208,7 +203,7 @@ class CostModel:
             # Every SP row with a restore corresponds to a windowless
             # dispatch (that is the only situation SP transfers windows).
             return self.sp_switch_cost(saves, restores,
-                                       allocated or restores > 0 or saves > 0)
+                                       restores > 0 or saves > 0)
         raise ValueError("unknown scheme %r" % scheme)
 
     def table2(self) -> Dict[Tuple[str, int, int], int]:

@@ -36,7 +36,7 @@ import time
 import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.core.costs import CostModel
@@ -116,9 +116,9 @@ class PointSpec:
         return cls(**{k: v for k, v in payload.items() if k in names})
 
 
-def cost_model_fingerprint(model: Optional[CostModel] = None) -> Dict[str, int]:
+def cost_model_fingerprint() -> Dict[str, int]:
     """The calibrated constants that feed every cycle count."""
-    return asdict(model if model is not None else CostModel())
+    return asdict(CostModel())
 
 
 _SOURCE_DIGEST: Optional[str] = None
@@ -171,8 +171,7 @@ def sweep_specs(concurrency: str, granularity: str,
                 windows: Sequence[int],
                 schemes: Sequence[str],
                 scale: float,
-                working_set: bool = False,
-                seed: int = 1993) -> List[PointSpec]:
+                working_set: bool = False) -> List[PointSpec]:
     """The (scheme x windows) grid for one figure series, skipping the
     SP points below its 4-window minimum (same rule as the serial
     :func:`~repro.experiments.harness.sweep_windows`)."""
@@ -184,7 +183,7 @@ def sweep_specs(concurrency: str, granularity: str,
             specs.append(PointSpec(scheme=scheme, n_windows=n,
                                    concurrency=concurrency,
                                    granularity=granularity, scale=scale,
-                                   seed=seed, working_set=working_set))
+                                   working_set=working_set))
     return specs
 
 
@@ -208,9 +207,6 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.objects / key[:2] / (key + ".json")
 
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).is_file()
-
     def get(self, key: str) -> Optional[Dict[str, object]]:
         path = self._path(key)
         if not path.is_file():
@@ -222,11 +218,6 @@ class ResultCache:
 
     def put(self, key: str, report: Dict[str, object]) -> None:
         atomic_write_text(self._path(key), to_json(report))
-
-    def keys(self) -> List[str]:
-        if not self.objects.is_dir():
-            return []
-        return sorted(p.stem for p in self.objects.glob("*/*.json"))
 
     def manifest_path(self) -> Path:
         return self.root / "manifest.json"
@@ -463,7 +454,6 @@ class Engine:
 
     def __init__(self, jobs: Optional[int] = None, cache_dir=None,
                  retries: int = 1,
-                 runner: Optional[Callable] = None,
                  timeout: Optional[float] = None,
                  backoff: float = 0.0,
                  keep_going: bool = False,
@@ -472,7 +462,9 @@ class Engine:
         self.jobs = default_jobs() if jobs is None else max(1, jobs)
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.retries = max(0, retries)
-        self._runner = runner or _execute_payload
+        #: runs one ``(index, payload)`` task in a worker; tests that
+        #: fake the simulation replace it on the instance
+        self._runner = _execute_payload
         self.timeout = timeout
         self.backoff = max(0.0, backoff)
         self.keep_going = keep_going

@@ -37,13 +37,12 @@ class FigureResult:
     series: Series
     notes: List[str] = field(default_factory=list)
 
-    def chart(self, granularity: Optional[str] = None,
-              width: int = 64, height: int = 16) -> str:
+    def chart(self, granularity: Optional[str] = None) -> str:
         series = self.series
         if granularity is not None:
             series = {k: v for k, v in series.items()
                       if k.endswith("/" + granularity)}
-        return ascii_chart(series, width=width, height=height,
+        return ascii_chart(series, width=64, height=16,
                            title="%s — %s" % (self.figure, self.ylabel),
                            xlabel="number of windows")
 
@@ -58,8 +57,6 @@ class FigureResult:
 def _sweep_figure(figure: str, ylabel: str, concurrency: str,
                   metric, windows: Optional[Sequence[int]],
                   scale: Optional[float], working_set: bool,
-                  granularities: Sequence[str] = GRANULARITIES,
-                  schemes: Sequence[str] = SCHEMES,
                   engine=None) -> FigureResult:
     """Fan the whole (granularity x scheme x windows) grid of one
     figure through the sweep engine as a single batch, so every point
@@ -74,13 +71,13 @@ def _sweep_figure(figure: str, ylabel: str, concurrency: str,
     if engine is None:
         engine = Engine(jobs=1, cache_dir=None)
     specs = []
-    for granularity in granularities:
+    for granularity in GRANULARITIES:
         specs.extend(sweep_specs(concurrency, granularity, windows,
-                                 schemes, scale,
+                                 SCHEMES, scale,
                                  working_set=working_set))
     points = engine.run_points(specs)
     series: Series = {"%s/%s" % (s, g): []
-                      for g in granularities for s in schemes}
+                      for g in GRANULARITIES for s in SCHEMES}
     notes = []
     for spec, point in zip(specs, points):
         if point is None:  # quarantined by a keep_going engine

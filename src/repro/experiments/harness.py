@@ -12,10 +12,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.core.working_set import FIFOPolicy, WorkingSetPolicy
-from repro.experiments.points import (  # noqa: F401  (re-export)
-    DEFAULT_SCALE,
-    DEFAULT_WINDOWS,
-    GRANULARITIES,
+from repro.experiments.points import (
     SCHEMES,
     ExperimentPoint,
     env_scale,
@@ -125,7 +122,6 @@ def sweep_windows(concurrency: str, granularity: str,
                   schemes: Sequence[str] = SCHEMES,
                   scale: Optional[float] = None,
                   working_set: bool = False,
-                  seed: int = 1993,
                   engine=None) -> Dict[str, List[ExperimentPoint]]:
     """Run every scheme over a window-count sweep.
 
@@ -142,7 +138,7 @@ def sweep_windows(concurrency: str, granularity: str,
         from repro.experiments.engine import sweep_specs
 
         specs = sweep_specs(concurrency, granularity, windows, schemes,
-                            scale, working_set=working_set, seed=seed)
+                            scale, working_set=working_set)
         points = engine.run_points(specs)
         out: Dict[str, List[ExperimentPoint]] = {s: [] for s in schemes}
         for spec, point in zip(specs, points):
@@ -157,7 +153,6 @@ def sweep_windows(concurrency: str, granularity: str,
             if scheme == "SP" and n < 4:
                 continue
             pts.append(run_point(scheme, n, concurrency, granularity,
-                                 scale=scale, working_set=working_set,
-                                 seed=seed))
+                                 scale=scale, working_set=working_set))
         out[scheme] = pts
     return out

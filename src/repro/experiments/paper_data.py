@@ -10,7 +10,7 @@ over a ~50 000-byte dictionary, 49 means a 1024-byte buffer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 #: (concurrency, granularity) -> per-thread context-switch counts
 PAPER_TABLE1_SWITCHES: Dict[Tuple[str, str], Dict[str, int]] = {
@@ -46,15 +46,6 @@ PAPER_TABLE1_SWITCHES: Dict[Tuple[str, str], Dict[str, int]] = {
     },
 }
 
-PAPER_TABLE1_TOTALS: Dict[Tuple[str, str], int] = {
-    ("high", "fine"): 385099,
-    ("high", "medium"): 94368,
-    ("high", "coarse"): 22504,
-    ("low", "fine"): 114789,
-    ("low", "medium"): 32605,
-    ("low", "coarse"): 8306,
-}
-
 #: dynamic save-instruction counts (independent of buffers/scheduling)
 PAPER_TABLE1_SAVES: Dict[str, int] = {
     "T1.delatex": 113015,
@@ -65,8 +56,3 @@ PAPER_TABLE1_SAVES: Dict[str, int] = {
     "T6.dict1": 12502,
     "T7.dict2": 12502,
 }
-
-PAPER_TABLE1_SAVES_TOTAL = 334674
-
-#: the window counts the paper swept (Figures 11–15)
-PAPER_WINDOW_SWEEP: List[int] = [4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.costs import CostModel, PAPER_TABLE2, Table2Row
+from repro.core.costs import CostModel, Table2Row
 from repro.metrics.reporting import format_table
 
 
@@ -23,10 +23,6 @@ from repro.metrics.reporting import format_table
 class Table2Result:
     rows: List[Tuple[Table2Row, int, bool]]
     observed_histograms: Dict[str, Dict[Tuple[int, int], int]]
-
-    @property
-    def all_in_range(self) -> bool:
-        return all(ok for __, __, ok in self.rows)
 
 
 def run_table2(scale: Optional[float] = None,
@@ -73,7 +69,3 @@ def render_table2(result: Table2Result) -> str:
                           for k, v in sorted(hist.items()))
         extra.append("  %-4s %s" % (scheme, items))
     return table + "\n" + "\n".join(extra)
-
-
-def paper_rows_for(scheme: str) -> List[Table2Row]:
-    return [row for row in PAPER_TABLE2 if row.scheme == scheme]

@@ -57,6 +57,8 @@ TRIAL_BUDGET_SLACK = 4
 #: floor for the candidate step budget, so tiny bundles still leave
 #: room for a shrunk-but-slower schedule to reach the failure
 MIN_TRIAL_BUDGET = 50_000
+#: halvings a float workload knob is shrunk by
+FLOAT_SHRINK_STEPS = 8
 
 
 class MinimizeError(ReproError):
@@ -134,16 +136,16 @@ def shrink_int(value: int, floor: int,
 
 
 def shrink_float(value: float, floor: float,
-                 test: Callable[[float], bool],
-                 iterations: int = 8) -> float:
-    """Binary-shrink a float toward ``floor`` (rounded to 4 places so
-    the minimized config stays readable)."""
+                 test: Callable[[float], bool]) -> float:
+    """Binary-shrink a float toward ``floor`` in at most
+    ``FLOAT_SHRINK_STEPS`` halvings (rounded to 4 places so the
+    minimized config stays readable)."""
     if value <= floor:
         return value
     if test(round(floor, 4)):
         return round(floor, 4)
     lo, hi = floor, value
-    for __ in range(iterations):
+    for __ in range(FLOAT_SHRINK_STEPS):
         mid = round((lo + hi) / 2, 4)
         if mid <= lo or mid >= hi:
             break
@@ -306,8 +308,7 @@ class _Minimizer:
 
 
 def minimize_bundle(path, out_dir=None,
-                    trial_budget: Optional[int] = None,
-                    verify: bool = True) -> MinimizeResult:
+                    trial_budget: Optional[int] = None) -> MinimizeResult:
     """Delta-debug a failing bundle; returns the minimized artifact.
 
     The minimized bundle lands in ``out_dir`` (default: alongside the
@@ -386,17 +387,13 @@ def minimize_bundle(path, out_dir=None,
                           % (final["error"]["type"].lower(), digest))
     atomic_write_text(min_path, bundle_to_json(final))
 
-    verified = False
-    if verify:
-        matched, replay_path, detail = replay_bundle(min_path,
-                                                     workdir=out_dir)
-        if not matched:
-            raise MinimizeError(
-                "minimized bundle failed bit-for-bit replay: %s"
-                % detail, bundle=min_path.name)
-        verified = True
-        if replay_path is not None and replay_path != min_path:
-            Path(replay_path).unlink()
+    matched, replay_path, detail = replay_bundle(min_path, workdir=out_dir)
+    if not matched:
+        raise MinimizeError(
+            "minimized bundle failed bit-for-bit replay: %s" % detail,
+            bundle=min_path.name)
+    if replay_path is not None and replay_path != min_path:
+        Path(replay_path).unlink()
 
     return MinimizeResult(
         path=min_path, bundle=final,
@@ -406,4 +403,4 @@ def minimize_bundle(path, out_dir=None,
         final_steps=int(final.get("steps", 0)),
         candidates=engine.candidates,
         reproductions=engine.reproductions,
-        verified=verified, log=list(engine.log))
+        verified=True, log=list(engine.log))

@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 #: every injectable fault kind, grouped by the hook site that fires it
 FAULT_KINDS = (
@@ -56,10 +56,6 @@ SITE_OF: Dict[str, str] = {
     "store_delay": "store",
     "sched": "enqueue",
 }
-
-#: kinds that must be *survived* (architectural results unchanged);
-#: everything else must be *detected* (or provably harmless)
-SURVIVABLE_KINDS = ("store_delay", "sched")
 
 DEFAULT_SEED = 1993
 
@@ -108,6 +104,9 @@ class FaultPlan:
     seed: int = DEFAULT_SEED
     specs: Tuple[FaultSpec, ...] = ()
 
+    #: a random plan's trigger points are drawn from ``[1, HORIZON]``
+    HORIZON = 25
+
     # -- construction -------------------------------------------------------
 
     @classmethod
@@ -145,15 +144,14 @@ class FaultPlan:
         return cls(seed=seed, specs=tuple(specs))
 
     @classmethod
-    def random(cls, seed: int = DEFAULT_SEED, count: int = 1,
-               kinds: Optional[Sequence[str]] = None,
-               horizon: int = 25) -> "FaultPlan":
-        """``count`` faults with RNG-drawn kinds and trigger points in
-        ``[1, horizon]`` — same seed, same plan, always."""
+    def random(cls, seed: int = DEFAULT_SEED,
+               count: int = 1) -> "FaultPlan":
+        """``count`` faults with kinds drawn from ``FAULT_KINDS`` and
+        trigger points from ``[1, HORIZON]`` — same seed, same plan,
+        always."""
         rng = random.Random(seed)
-        pool = tuple(kinds) if kinds else FAULT_KINDS
-        specs = tuple(FaultSpec(kind=rng.choice(pool),
-                                at=rng.randint(1, horizon))
+        specs = tuple(FaultSpec(kind=rng.choice(FAULT_KINDS),
+                                at=rng.randint(1, cls.HORIZON))
                       for __ in range(count))
         return cls(seed=seed, specs=specs)
 

@@ -13,7 +13,7 @@ marks (the progress count last seen and the step it was seen at) into
 frame locals, updates them inline at every step while the watchdog is
 armed, and writes them back here on every exit, a LivelockError
 included, so :meth:`Watchdog.stalled_for` reads what the step-granular
-reference loop's :meth:`Watchdog.expired` calls leave.  Unarmed, and
+reference loop's own per-step ``stalled_for`` calls leave.  Unarmed, and
 with no step budget, a step pays one integer compare.
 """
 
@@ -40,9 +40,6 @@ class Watchdog:
             self._last_step = step
             return 0
         return step - self._last_step
-
-    def expired(self, marks: int, step: int) -> bool:
-        return self.stalled_for(marks, step) >= self.max_stall
 
     def __repr__(self) -> str:
         return "Watchdog(max_stall=%d)" % self.max_stall

@@ -48,8 +48,6 @@ from repro.windows.cpu import WindowCPU
 from repro.windows.errors import WindowError
 from repro.windows.thread_windows import ThreadWindows
 
-WORD = 4
-
 #: the link register ``call`` writes
 _O7 = Operand.reg(OUT, 7)
 
@@ -160,9 +158,6 @@ class Machine:
 
     def poke(self, addr: int, value: int) -> None:
         self.memory[addr] = value
-
-    def peek(self, addr: int) -> int:
-        return self.memory.get(addr, 0)
 
     # -- execution -------------------------------------------------------------
 

@@ -16,40 +16,24 @@ A :class:`repro.metrics.observer.RunObserver` keeps the kernel's
 per-run record log, one record per scheduling quantum (see
 :meth:`repro.runtime.kernel.Kernel._run_batched`);
 :meth:`Behavior.from_log` turns it into one row per quantum when a
-report is built, and the measures aggregate the rows over
-configurable periods.
+report is built, and the measures aggregate the rows over periods of
+:attr:`Behavior.PERIOD` quanta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.events import STOP_KINDS
 
 
-@dataclass
-class Quantum:
-    """One scheduling quantum of one thread."""
-
-    tid: int
-    start_cycle: int
-    end_cycle: int
-    min_depth: int
-    max_depth: int
-
-    @property
-    def windows_used(self) -> int:
-        return self.max_depth - self.min_depth + 1
-
-    @property
-    def run_length(self) -> int:
-        return self.end_cycle - self.start_cycle
-
-
 class Behavior:
     """The §5 measures over a run's quanta, one
     ``(tid, start_cycle, end_cycle, min_depth, max_depth)`` row each."""
+
+    #: consecutive quanta per period of the concurrency and total
+    #: window activity measures
+    PERIOD = 64
 
     def __init__(self, rows: List[Tuple[int, int, int, int, int]]):
         self._rows = rows
@@ -84,14 +68,7 @@ class Behavior:
 
     @property
     def n_quanta(self) -> int:
-        """How many quanta there are (without building them)."""
         return len(self._rows)
-
-    @property
-    def quanta(self) -> List[Quantum]:
-        """Every quantum, in dispatch order (built anew on each
-        access; the measures below work on the rows)."""
-        return [Quantum(*row) for row in self._rows]
 
     # -- §5 measures ------------------------------------------------------------
 
@@ -111,19 +88,18 @@ class Behavior:
         return (sum(high - low + 1 for __, __, __, low, high in rows)
                 / len(rows))
 
-    def concurrency(self, period: int = 64) -> List[int]:
-        """Distinct threads scheduled in each window of ``period``
-        consecutive quanta."""
-        rows = self._rows
+    def concurrency(self) -> List[int]:
+        """Distinct threads scheduled in each period."""
+        rows, period = self._rows, self.PERIOD
         return [len({row[0] for row in rows[i:i + period]})
                 for i in range(0, len(rows), period)]
 
-    def total_window_activity(self, period: int = 64) -> List[int]:
+    def total_window_activity(self) -> List[int]:
         """Windows used per period by all threads together: the union
         of (thread, depth-slot) pairs touched (a repeatedly used window
         counts once) — the measure the sharing schemes' saturation
         point is proportional to (§6.3)."""
-        rows = self._rows
+        rows, period = self._rows, self.PERIOD
         out = []
         for i in range(0, len(rows), period):
             # a thread's quanta mostly repeat the same excursion
@@ -133,14 +109,14 @@ class Behavior:
                             for d in range(low, high + 1)}))
         return out
 
-    def mean_total_window_activity(self, period: int = 64) -> float:
-        values = self.total_window_activity(period)
+    def mean_total_window_activity(self) -> float:
+        values = self.total_window_activity()
         if not values:
             return 0.0
         return sum(values) / len(values)
 
-    def mean_concurrency(self, period: int = 64) -> float:
-        values = self.concurrency(period)
+    def mean_concurrency(self) -> float:
+        values = self.concurrency()
         if not values:
             return 0.0
         return sum(values) / len(values)

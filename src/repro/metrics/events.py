@@ -20,35 +20,30 @@ sets the flags before the run.  The RunReport observer
 because one event per site is far dearer than one record per quantum:
 the kernel records each scheduling quantum once in the observer's
 record log, from which the report's ``events`` section is computed.
+
+Event kinds, in rough lifecycle order, with their payloads:
+
+* ``spawn`` thread created: tid, name
+* ``enqueue`` thread entered the ready queue: tid, reason, position
+* ``switch`` scheme context switch: tid (incoming), out_tid, saves,
+  restores, cycles
+* ``dispatch`` thread starts a quantum: tid, depth
+* ``save`` / ``restore`` instruction retired: tid, window, depth
+  (``restore`` also inplace)
+* ``overflow`` window overflow trap: tid, spilled, cycles
+* ``underflow`` window underflow trap: tid, restored, cycles, inplace
+* ``block`` / ``wake`` thread blocked / woken: tid, on, op
+* ``yield`` thread yielded the CPU: tid
+* ``retire`` thread finished: tid, name
+* ``stream_close`` stream closed: stream, written, read
+* ``fault`` injected fault fired: tid, kind, at, site
+* ``run_end`` simulation finished: no payload
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional
-
-#: every event kind the runtime publishes, in rough lifecycle order
-EVENT_KINDS = (
-    "spawn",        # thread created                 (tid, name)
-    "enqueue",      # thread entered the ready queue (tid, reason, position)
-    "switch",       # scheme context switch          (tid=in, out_tid, saves,
-                    #                                 restores, cycles)
-    "dispatch",     # thread starts a quantum        (tid, depth)
-    "save",         # save instruction retired       (tid, window, depth)
-    "restore",      # restore instruction retired    (tid, window, depth,
-                    #                                 inplace)
-    "overflow",     # window overflow trap           (tid, spilled, cycles)
-    "underflow",    # window underflow trap          (tid, restored, cycles,
-                    #                                 inplace)
-    "block",        # thread blocked                 (tid, on, op)
-    "wake",         # thread woken                   (tid, on, op)
-    "yield",        # thread yielded the CPU         (tid)
-    "retire",       # thread finished                (tid, name)
-    "stream_close", # stream closed                  (stream, written, read)
-    "fault",        # injected fault fired           (tid, kind, at, site)
-    "run_end",      # simulation finished            ()
-)
-
 
 #: the event a quantum's stop state stands for in a kernel record log;
 #: a quantum an error or the step budget cut short is still
@@ -66,9 +61,6 @@ class TraceEvent:
     cycle: int
     tid: Optional[int] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.attrs.get(key, default)
 
     def to_dict(self) -> Dict[str, Any]:
         out = {"kind": self.kind, "cycle": self.cycle}

@@ -201,12 +201,3 @@ class PerfettoExporter:
         missing directory; returns the path."""
         atomic_write_text(path, self.dumps(indent=indent))
         return path
-
-    # -- introspection (used by tests and the CLI) ---------------------------
-
-    def duration_events(self) -> List[dict]:
-        self.finish()
-        return [e for e in self._slices if e["ph"] == "X"]
-
-    def instant_events(self) -> List[dict]:
-        return list(self._instants)

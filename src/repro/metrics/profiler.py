@@ -55,16 +55,15 @@ class CycleProfiler:
                  "_last_cycle", "samples", "checks", "stack_cycles",
                  "op_cycles", "occupancy", "_n_windows", "_window_kinds")
 
-    def __init__(self, every: Optional[int] = None,
-                 check_every: int = DEFAULT_CHECK_STEPS):
+    def __init__(self, every: Optional[int] = None):
         self.every = int(every) if every else DEFAULT_EVERY
         if self.every <= 0:
             raise ValueError("profiler interval must be positive")
-        self.check_every = check_every
+        self.check_every = DEFAULT_CHECK_STEPS
         #: persistent countdown: the kernel decrements it per quantum,
         #: the ISA machine per instruction (hoisted into a local and
         #: written back, so it survives short quanta)
-        self._cd = check_every
+        self._cd = DEFAULT_CHECK_STEPS
         self._next_cycle = self.every
         self._last_cycle = 0
         self.samples = 0

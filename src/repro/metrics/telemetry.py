@@ -90,7 +90,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that goes up and down (utilization, queue depth, ...)."""
+    """A value that is set (utilization, queue depth, ...)."""
 
     __slots__ = ("name", "help", "labels", "value")
 
@@ -105,12 +105,6 @@ class Gauge:
 
     def set(self, value) -> None:
         self.value = value
-
-    def inc(self, n=1) -> None:
-        self.value += n
-
-    def dec(self, n=1) -> None:
-        self.value -= n
 
     def to_payload(self) -> Dict[str, Any]:
         return {"name": self.name, "help": self.help,
@@ -182,10 +176,6 @@ class Histogram:
         if self.max is None or hi > self.max:
             self.max = hi
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def percentile(self, q: float):
         """Deterministic bucket-resolution percentile (see
         :func:`histogram_percentile`)."""
@@ -249,14 +239,8 @@ class MetricsRegistry:
                 % _label_key(name, labels))
         return instrument
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._instruments
-
     def __len__(self) -> int:
         return len(self._instruments)
-
-    def get(self, key: str):
-        return self._instruments.get(key)
 
     def instruments(self) -> List[Any]:
         return [self._instruments[k] for k in sorted(self._instruments)]
@@ -296,10 +280,9 @@ class MetricsRegistry:
         }
 
 
-def snapshot_to_json(snapshot: Dict[str, Any],
-                     indent: Optional[int] = 2) -> str:
+def snapshot_to_json(snapshot: Dict[str, Any]) -> str:
     """Stable serialization (sorted keys) — byte-diffable across runs."""
-    return json.dumps(snapshot, indent=indent, sort_keys=True)
+    return json.dumps(snapshot, indent=2, sort_keys=True)
 
 
 def validate_snapshot(snapshot: Dict[str, Any]) -> Dict[str, Any]:

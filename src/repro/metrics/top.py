@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -115,6 +116,10 @@ def main(argv=None) -> int:
     parser.add_argument("--interval", type=float, default=1.0,
                         help="refresh period in seconds (watch mode)")
     args = parser.parse_args(argv)
+    if not 0 < args.interval < math.inf:
+        print("error: --interval must be a positive number of seconds, "
+              "not %s" % args.interval, file=sys.stderr)
+        return 2
 
     history: Dict[str, List[Tuple[float, float]]] = {}
     generation = 0

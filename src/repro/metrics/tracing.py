@@ -14,7 +14,7 @@ execution loop, without tracing.
 A snapshot copies the window map's raw kind and owner columns; the
 glyphs are only rendered when a sample's ``cells`` are read.  The
 analyses work per distinct window-map state (a run revisits few), so
-churn, occupancy, owners and the rendered rows are computed once per
+churn, occupancy and the rendered rows are computed once per
 state or pair of consecutive states, not once per sample.
 """
 
@@ -156,16 +156,11 @@ class OccupancyTimeline:
                 changed += times * sum(map(ne, rows[a], rows[b]))
         return changed / ((n - 1) * self.n_windows)
 
-    def distinct_owners(self, window: int) -> int:
-        """How many different threads' frames a window held."""
-        __, rows, kinds_of = self._distinct()
-        return len({row[window] for row, kinds in zip(rows, kinds_of)
-                    if kinds[window] == FRAME})
-
     # -- rendering ----------------------------------------------------------------
 
-    def render(self, max_columns: int = 100, legend: bool = True) -> str:
-        """Rows = windows (W0 on top), columns = samples."""
+    def render(self, max_columns: int = 100) -> str:
+        """Rows = windows (W0 on top), columns = samples, then a
+        legend."""
         if not self.samples or not self.n_windows:
             return "(no samples)"
         seq, rows, __ = self._distinct()
@@ -177,12 +172,11 @@ class OccupancyTimeline:
         for w in range(self.n_windows):
             row = "".join(cells[w] for cells in columns)
             lines.append("W%-2d %s" % (w, row))
-        if legend:
-            lines.append("")
-            lines.append("    digits/letters=thread frames  "
-                         "lowercase=PRW  #=reserved  .=free  "
-                         "(%d samples%s)"
-                         % (len(self.samples),
-                            ", %d dropped" % self._dropped
-                            if self._dropped else ""))
+        lines.append("")
+        lines.append("    digits/letters=thread frames  "
+                     "lowercase=PRW  #=reserved  .=free  "
+                     "(%d samples%s)"
+                     % (len(self.samples),
+                        ", %d dropped" % self._dropped
+                        if self._dropped else ""))
         return "\n".join(lines)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.core import make_scheme
 from repro.core.invariants import _consistent, check_invariants
@@ -81,9 +81,6 @@ class RunResult:
             if t.name == name:
                 return t.result
         raise KeyError(name)
-
-    def thread_results(self) -> Dict[str, Any]:
-        return {t.name: t.result for t in self.threads}
 
 
 class Kernel:
@@ -819,7 +816,7 @@ class Kernel:
                             replay = None
                             sdata = stream._data
                             if sdata or stream.closed:
-                                # -- Stream.pull, inlined --
+                                # -- reference ``pull``, inlined --
                                 take = cmd.max_bytes
                                 avail = len(sdata)
                                 if take >= avail:
@@ -875,7 +872,7 @@ class Kernel:
                                 elif steps - mark_step >= max_stall:
                                     raise stall(progress, steps, mark_step)
                             replay = None
-                            # -- Stream.push from ``offset``, inlined --
+                            # -- reference ``push`` from ``offset``, inlined --
                             if stream.closed:
                                 raise StreamClosedError(
                                     "write to closed stream %r"
@@ -936,7 +933,7 @@ class Kernel:
                                 elif steps - mark_step >= max_stall:
                                     raise stall(progress, steps, mark_step)
                             replay = None
-                            # -- has_line/at_eof/pull_line, inlined --
+                            # -- reference has_line/at_eof/pull_line, inlined
                             sdata = stream._data
                             idx = sdata.find(b"\n")
                             if idx >= 0:

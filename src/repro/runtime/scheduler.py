@@ -84,11 +84,5 @@ class ReadyQueue:
         if faults is not None:
             faults.on_enqueue(self)
 
-    def pop(self) -> SimThread:
-        return self._queue.popleft()
-
     def remove(self, thread: SimThread) -> None:
         self._queue.remove(thread)
-
-    def peek_all(self):
-        return list(self._queue)

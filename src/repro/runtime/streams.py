@@ -10,7 +10,7 @@ concurrency knobs of the evaluation.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.runtime.errors import RuntimeFault
 
@@ -50,63 +50,12 @@ class Stream:
         return len(self._data)
 
     @property
-    def space(self) -> int:
-        return self.capacity - len(self._data)
-
-    @property
     def is_empty(self) -> bool:
         return not self._data
 
     @property
     def is_full(self) -> bool:
         return len(self._data) >= self.capacity
-
-    @property
-    def at_eof(self) -> bool:
-        return self.closed and not self._data
-
-    # -- data transfer (non-blocking primitives; the kernel blocks) -----------
-
-    def push(self, data: bytes) -> int:
-        """Accept as much of ``data`` as fits; return the byte count."""
-        if self.closed:
-            raise StreamClosedError(
-                "write to closed stream %r" % (self.name,))
-        take = min(self.space, len(data))
-        if take:
-            self._data.extend(data[:take])
-            self.bytes_written += take
-        return take
-
-    def pull(self, max_bytes: int) -> bytes:
-        """Remove and return up to ``max_bytes`` (may be empty)."""
-        take = min(max_bytes, len(self._data))
-        if take == 0:
-            return b""
-        out = bytes(self._data[:take])
-        del self._data[:take]
-        self.bytes_read += take
-        return out
-
-    def pull_line(self) -> Optional[bytes]:
-        """Remove and return one full line, or None if no complete line
-        is buffered yet (at EOF the residue counts as a line)."""
-        idx = self._data.find(b"\n")
-        if idx < 0:
-            if self.closed and self._data:
-                out = bytes(self._data)
-                self._data.clear()
-                self.bytes_read += len(out)
-                return out
-            return None
-        out = bytes(self._data[:idx + 1])
-        del self._data[:idx + 1]
-        self.bytes_read += len(out)
-        return out
-
-    def has_line(self) -> bool:
-        return self._data.find(b"\n") >= 0 or (self.closed
-                                               and bool(self._data))
 
     def close(self) -> None:
         self.closed = True

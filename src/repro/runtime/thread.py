@@ -49,10 +49,6 @@ class SimThread:
         self.returns = 0
         self.blocks = 0
 
-    @property
-    def alive(self) -> bool:
-        return self.state != DONE
-
     def start_root(self) -> None:
         """Instantiate the root generator (runs in the first frame)."""
         self.gen_stack.append(self.factory(*self.args))

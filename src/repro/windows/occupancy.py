@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.windows.errors import WindowGeometryError
-
 FREE = "free"
 FRAME = "frame"
 RESERVED = "reserved"
@@ -36,10 +34,6 @@ class WindowMap:
         self._kind[w] = FREE
         self._tid[w] = None
 
-    def set_frame(self, w: int, tid: int) -> None:
-        self._kind[w] = FRAME
-        self._tid[w] = tid
-
     def set_reserved(self, w: int, tid: Optional[int] = None) -> None:
         self._kind[w] = RESERVED
         self._tid[w] = tid
@@ -58,47 +52,8 @@ class WindowMap:
     def is_free(self, w: int) -> bool:
         return self._kind[w] == FREE
 
-    def is_frame(self, w: int) -> bool:
-        return self._kind[w] == FRAME
-
-    def is_reserved(self, w: int) -> bool:
-        return self._kind[w] == RESERVED
-
-    def frame_tid(self, w: int) -> int:
-        if self._kind[w] != FRAME:
-            raise WindowGeometryError(
-                "window %d holds no frame (%s)" % (w, self._kind[w]))
-        tid = self._tid[w]
-        assert tid is not None
-        return tid
-
     def free_count(self) -> int:
         return self._kind.count(FREE)
-
-    def frames_of(self, tid: int) -> List[int]:
-        return [w for w in range(self.n_windows)
-                if self._kind[w] == FRAME and self._tid[w] == tid]
-
-    def reserved_windows(self) -> List[int]:
-        return [w for w in range(self.n_windows)
-                if self._kind[w] == RESERVED]
-
-    def free_run_above(self, w: int) -> int:
-        """Length of the run of FREE windows strictly above window ``w``."""
-        count = 0
-        cur = (w - 1) % self.n_windows
-        while cur != w and self._kind[cur] == FREE:
-            count += 1
-            cur = (cur - 1) % self.n_windows
-        return count
-
-    def find_free(self) -> Optional[int]:
-        """Index of some free window, or None (used by the free-search
-        allocation policy of paper §4.2)."""
-        for w in range(self.n_windows):
-            if self._kind[w] == FREE:
-                return w
-        return None
 
     def __repr__(self) -> str:
         cells = []

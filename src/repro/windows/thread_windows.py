@@ -65,20 +65,6 @@ class ThreadWindows:
         self.resident = 0
         self.prw = None
 
-    def shrink_bottom(self, n_windows: int) -> int:
-        """The bottom frame was spilled; return the old bottom window."""
-        if self.resident == 0 or self.bottom is None:
-            raise WindowGeometryError(
-                "thread %d has no bottom window to spill" % self.tid)
-        old = self.bottom
-        self.resident -= 1
-        if self.resident == 0:
-            self.cwp = None
-            self.bottom = None
-        else:
-            self.bottom = (old - 1) % n_windows
-        return old
-
     def check_consistency(self, n_windows: int) -> None:
         """Internal invariants; raised violations indicate simulator bugs."""
         if self.resident == 0:

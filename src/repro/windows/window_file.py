@@ -44,8 +44,6 @@ REGS_PER_BANK = 8
 #: window plus at least two frames so overflow never targets the CWP).
 MIN_WINDOWS = 3
 
-_BANK_RANGE = range(REGS_PER_BANK)
-
 
 class RegisterBank:
     """Live eight-register view over one bank of the flat register file.
@@ -61,63 +59,19 @@ class RegisterBank:
         self._regs = regs
         self._base = base
 
-    def __len__(self) -> int:
-        return REGS_PER_BANK
+    def __getitem__(self, i: int):
+        if not 0 <= i < REGS_PER_BANK:
+            raise IndexError("register index %d out of range" % i)
+        return self._regs[self._base + i]
 
-    def __getitem__(self, i):
-        if type(i) is int:
-            if i < 0:
-                i += REGS_PER_BANK
-            if not 0 <= i < REGS_PER_BANK:
-                raise IndexError("register index %d out of range" % i)
-            return self._regs[self._base + i]
-        if i.start is None and i.stop is None and i.step is None:
-            off = self._base
-            return self._regs[off:off + REGS_PER_BANK]
-        base = self._regs
-        off = self._base
-        return [base[off + j] for j in _BANK_RANGE[i]]
-
-    def __setitem__(self, i, value) -> None:
-        if type(i) is int:
-            if i < 0:
-                i += REGS_PER_BANK
-            if not 0 <= i < REGS_PER_BANK:
-                raise IndexError("register index %d out of range" % i)
-            self._regs[self._base + i] = value
-            return
-        if i.start is None and i.stop is None and i.step is None:
-            values = value if type(value) is list else list(value)
-            if len(values) != REGS_PER_BANK:
-                raise ValueError(
-                    "cannot assign %d values to %d registers"
-                    % (len(values), REGS_PER_BANK))
-            off = self._base
-            self._regs[off:off + REGS_PER_BANK] = values
-            return
-        idx = _BANK_RANGE[i]
-        values = list(value)
-        if len(values) != len(idx):
-            raise ValueError(
-                "cannot assign %d values to %d registers"
-                % (len(values), len(idx)))
-        regs = self._regs
-        off = self._base
-        for j, v in zip(idx, values):
-            regs[off + j] = v
+    def __setitem__(self, i: int, value) -> None:
+        if not 0 <= i < REGS_PER_BANK:
+            raise IndexError("register index %d out of range" % i)
+        self._regs[self._base + i] = value
 
     def __iter__(self):
         base = self._base
         return iter(self._regs[base:base + REGS_PER_BANK])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RegisterBank):
-            return (self._regs is other._regs
-                    and self._base == other._base) or \
-                list(self) == list(other)
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
 
     def __repr__(self) -> str:
         base = self._base

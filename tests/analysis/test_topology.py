@@ -139,7 +139,8 @@ class TestVerdicts:
         report = analyze_kernel(probe)
         assert report.meta["partial"]
         assert not report.errors  # degraded: warning, not error
-        assert [f.rule for f in report.warnings] == [
+        assert [f.rule for f in report.findings
+                if f.severity == "warning"] == [
             "stream-never-written"]
 
 

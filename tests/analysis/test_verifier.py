@@ -121,7 +121,8 @@ class TestFindings:
     def test_entry_outs_are_residue(self):
         report = verify_program("start:\n    add %o3, 1, %o0\n    halt\n",
                                 name="p")
-        assert [f.rule for f in report.warnings] == ["stale-read"]
+        assert [f.rule for f in report.findings
+                if f.severity == "warning"] == ["stale-read"]
 
     def test_missing_entry_label(self):
         report = verify_program("start:\n    halt\n", name="p",

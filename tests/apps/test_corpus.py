@@ -5,32 +5,42 @@ from repro.apps.spellcheck.corpus import (
     DICT_SIZE,
     SUFFIXES,
     bases_for_scale,
-    corpus_statistics,
     derive,
     generate_corpus,
     generate_dictionaries,
     generate_vocabulary,
     misspell,
     naive_strip,
-    parse_dictionary,
 )
+from repro.apps.spellcheck.oracle import _FakeStream, run_procedure
+from repro.apps.spellcheck.spell import load_dictionary
 
 import random
+
+FULL = bases_for_scale(1.0)
+
+
+def read_dictionary(data: bytes) -> set:
+    """The word set the spell checkers' ``load_dictionary`` builds
+    from a dictionary stream."""
+    stream = _FakeStream()
+    stream.data.extend(data)
+    return run_procedure(load_dictionary(stream))
 
 
 class TestVocabulary:
     def test_deterministic(self):
-        assert generate_vocabulary(7) == generate_vocabulary(7)
+        assert generate_vocabulary(7, FULL) == generate_vocabulary(7, FULL)
 
     def test_different_seeds_differ(self):
-        assert generate_vocabulary(1) != generate_vocabulary(2)
+        assert generate_vocabulary(1, FULL) != generate_vocabulary(2, FULL)
 
     def test_no_duplicates(self):
-        vocab = generate_vocabulary(3, n_bases=500)
+        vocab = generate_vocabulary(3, 500)
         assert len(vocab) == len(set(vocab)) == 500
 
     def test_all_lowercase_ascii(self):
-        for word in generate_vocabulary(3, n_bases=300):
+        for word in generate_vocabulary(3, 300):
             assert word.isalpha() and word == word.lower()
 
 
@@ -90,12 +100,12 @@ class TestDictionaries:
 
     def test_dict2_covers_vocabulary(self):
         d1, d2, vocab = generate_dictionaries()
-        words = parse_dictionary(d2)
+        words = read_dictionary(d2)
         assert set(vocab) <= words
 
     def test_dict1_is_subset_of_vocab(self):
         d1, __, vocab = generate_dictionaries()
-        bases = parse_dictionary(d1)
+        bases = read_dictionary(d1)
         assert bases <= set(vocab)
         assert len(bases) > len(vocab) * 0.5
 
@@ -117,11 +127,10 @@ class TestCorpus:
     def test_is_ascii_latex(self):
         corpus = generate_corpus(scale=0.1)
         text = corpus.decode("ascii")  # must not raise
-        stats = corpus_statistics(corpus)
-        assert stats["commands"] > 5
-        assert stats["math"] >= 1
-        assert stats["comments"] >= 1
-        assert stats["lines"] > 20
+        assert text.count("\\") > 5  # commands
+        assert text.count("$") >= 2  # math
+        assert text.count("%") >= 1  # comments
+        assert text.count("\n") > 20
         assert "\\documentclass" in text
 
     def test_bases_for_scale_consistency(self):

@@ -1,13 +1,14 @@
 """Unit tests for the free-run scanner behind the allocation policies."""
 
 from repro.core.allocation import _longest_free_run
-from repro.windows.occupancy import WindowMap
+from repro.windows.occupancy import FRAME, WindowMap
 
 
 def make_map(n, frames=(), reserved=()):
     wmap = WindowMap(n)
     for w in frames:
-        wmap.set_frame(w, tid=0)
+        wmap._kind[w] = FRAME
+        wmap._tid[w] = 0
     for w in reserved:
         wmap.set_reserved(w)
     return wmap

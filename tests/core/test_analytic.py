@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.analytic import AnalyticModel, WorkloadStats, stats_from_run
+from tests.support.analytic import AnalyticModel, WorkloadStats, stats_from_run
 from repro.apps.spellcheck import SpellConfig, build_spellchecker
 from repro.metrics.observer import RunObserver
 from repro.runtime.kernel import Kernel

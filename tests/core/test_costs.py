@@ -78,4 +78,4 @@ class TestSwitchCostDispatch:
         assert len(PAPER_TABLE2) == 14
         for row in PAPER_TABLE2:
             assert row.lo < row.hi
-            assert row.contains(int(row.mid))
+            assert row.contains((row.lo + row.hi) // 2)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.invariants import check_invariants
 from repro.windows.errors import WindowGeometryError
+from repro.windows.occupancy import FRAME, FREE
 from tests.helpers import call_to_depth, dispatch, make_machine, new_thread
 
 
@@ -56,8 +57,9 @@ class TestDetectsCorruption:
 
     def test_unclaimed_occupied_window(self):
         cpu, scheme, tw = build("SNP")
-        free = cpu.map.find_free()
-        cpu.map.set_frame(free, 42)
+        free = cpu.map._kind.index(FREE)
+        cpu.map._kind[free] = FRAME
+        cpu.map._tid[free] = 42
         with pytest.raises(WindowGeometryError):
             check(cpu, scheme)
 

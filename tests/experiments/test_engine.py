@@ -20,6 +20,13 @@ from repro.metrics.report import SCHEMA_NAME, SCHEMA_VERSION
 SPEC = PointSpec("SP", 8, "high", "fine", 0.02)
 
 
+def engine_with(runner, **kwargs) -> Engine:
+    """An engine whose workers run each task through ``runner``."""
+    engine = Engine(**kwargs)
+    engine._runner = runner
+    return engine
+
+
 def fake_report(spec: PointSpec) -> dict:
     """A minimal document that passes RunReport validation, derived
     deterministically from the spec so cache round-trips are checkable."""
@@ -112,11 +119,10 @@ class TestResultCache:
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache_key(SPEC)
-        assert key not in cache
+        assert cache.get(key) is None
         cache.put(key, fake_report(SPEC))
-        assert key in cache
         assert cache.get(key) == fake_report(SPEC)
-        assert cache.keys() == [key]
+        assert [p.stem for p in tmp_path.glob("objects/*/*.json")] == [key]
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -145,7 +151,7 @@ class TestEngine:
         return sweep_specs("high", "fine", [4, 6, 8], ("NS", "SP"), 0.02)
 
     def test_results_in_spec_order(self, tmp_path):
-        engine = Engine(jobs=1, cache_dir=tmp_path, runner=fake_runner)
+        engine = engine_with(fake_runner, jobs=1, cache_dir=tmp_path)
         specs = self.grid()
         reports = engine.run_reports(specs)
         assert [r["config"] for r in reports] == [
@@ -155,9 +161,9 @@ class TestEngine:
 
     def test_second_run_is_pure_cache_hits(self, tmp_path):
         specs = self.grid()
-        Engine(jobs=1, cache_dir=tmp_path, runner=fake_runner)\
+        engine_with(fake_runner, jobs=1, cache_dir=tmp_path)\
             .run_reports(specs)
-        engine = Engine(jobs=1, cache_dir=tmp_path, runner=failing_runner)
+        engine = engine_with(failing_runner, jobs=1, cache_dir=tmp_path)
         reports = engine.run_reports(specs)  # runner never consulted
         assert engine.last_stats.hits == len(specs)
         assert engine.last_stats.executed == 0
@@ -168,17 +174,17 @@ class TestEngine:
         """Checkpoint/resume: drop one object from an interrupted
         sweep's cache and only that point re-runs."""
         specs = self.grid()
-        engine = Engine(jobs=1, cache_dir=tmp_path, runner=fake_runner)
+        engine = engine_with(fake_runner, jobs=1, cache_dir=tmp_path)
         engine.run_reports(specs)
         victim = specs[2]
         engine.cache._path(cache_key(victim)).unlink()
         engine.run_reports(specs)
         assert engine.last_stats.executed == 1
         assert engine.last_stats.hits == len(specs) - 1
-        assert cache_key(victim) in engine.cache
+        assert engine.cache.get(cache_key(victim)) is not None
 
     def test_no_cache_dir_always_executes(self):
-        engine = Engine(jobs=1, cache_dir=None, runner=fake_runner)
+        engine = engine_with(fake_runner, jobs=1, cache_dir=None)
         engine.run_reports([SPEC])
         engine.run_reports([SPEC])
         assert engine.last_stats.executed == 1
@@ -193,16 +199,15 @@ class TestEngine:
                 return task[0], None, error("OSError"), 1.0
             return fake_runner(task)
 
-        engine = Engine(jobs=1, cache_dir=tmp_path, retries=1,
-                        runner=flaky)
+        engine = engine_with(flaky, jobs=1, cache_dir=tmp_path, retries=1)
         reports = engine.run_reports([SPEC])
         assert reports[0] == fake_report(SPEC)
         assert engine.last_stats.retried == 1
         assert engine.last_stats.executed == 1
 
     def test_persistent_failure_raises_with_labels(self):
-        engine = Engine(jobs=1, cache_dir=None, retries=1,
-                        runner=failing_runner)
+        engine = engine_with(failing_runner, jobs=1, cache_dir=None,
+                             retries=1)
         with pytest.raises(EngineError) as exc:
             engine.run_reports([SPEC])
         assert SPEC.label in str(exc.value)
@@ -212,13 +217,13 @@ class TestEngine:
 
     def test_pool_path_preserves_order(self, tmp_path):
         specs = self.grid()
-        engine = Engine(jobs=2, cache_dir=tmp_path, runner=fake_runner)
+        engine = engine_with(fake_runner, jobs=2, cache_dir=tmp_path)
         reports = engine.run_reports(specs)
         assert [r["config"] for r in reports] == [
             s.to_payload() for s in specs]
 
     def test_stats_summary_is_greppable(self, tmp_path):
-        engine = Engine(jobs=3, cache_dir=tmp_path, runner=fake_runner)
+        engine = engine_with(fake_runner, jobs=3, cache_dir=tmp_path)
         specs = self.grid()
         engine.run_reports(specs)
         engine.run_reports(specs)
@@ -242,7 +247,7 @@ class TestFailurePolicy:
             calls.append(task[0])
             return self.fatal_runner(task)
 
-        engine = Engine(jobs=1, cache_dir=None, retries=3, runner=runner)
+        engine = engine_with(runner, jobs=1, cache_dir=None, retries=3)
         with pytest.raises(EngineError):
             engine.run_reports([SPEC])
         assert calls == [0]  # deterministic failure: one attempt only
@@ -258,7 +263,7 @@ class TestFailurePolicy:
             calls.append(task[0])
             return task[0], None, error("InjectedStoreError"), 1.0
 
-        engine = Engine(jobs=1, cache_dir=None, retries=2, runner=runner)
+        engine = engine_with(runner, jobs=1, cache_dir=None, retries=2)
         with pytest.raises(EngineError):
             engine.run_reports([SPEC])
         assert calls == [0, 0, 0]  # initial attempt + both retries
@@ -275,8 +280,8 @@ class TestFailurePolicy:
                 return self.fatal_runner(task)
             return fake_runner(task)
 
-        engine = Engine(jobs=1, cache_dir=tmp_path, runner=runner,
-                        keep_going=True)
+        engine = engine_with(runner, jobs=1, cache_dir=tmp_path,
+                             keep_going=True)
         reports = engine.run_reports(specs)
         assert reports[1] is None
         assert [r is None for r in reports] == [
@@ -293,17 +298,17 @@ class TestFailurePolicy:
         assert manifest["failures"][0]["attempts"] == 1
 
     def test_keep_going_run_points_maps_holes(self, tmp_path):
-        engine = Engine(jobs=1, cache_dir=tmp_path,
-                        runner=self.fatal_runner, keep_going=True)
+        engine = engine_with(self.fatal_runner, jobs=1, cache_dir=tmp_path,
+                             keep_going=True)
         points = engine.run_points([SPEC])
         assert points == [None]
         assert (tmp_path / "failures.json").is_file()
 
     def test_quarantined_points_are_not_cached(self, tmp_path):
-        engine = Engine(jobs=1, cache_dir=tmp_path,
-                        runner=self.fatal_runner, keep_going=True)
+        engine = engine_with(self.fatal_runner, jobs=1, cache_dir=tmp_path,
+                             keep_going=True)
         engine.run_reports([SPEC])
-        assert cache_key(SPEC) not in engine.cache
+        assert engine.cache.get(cache_key(SPEC)) is None
 
     def test_spec_defaults_are_applied(self):
         seen = []
@@ -313,9 +318,9 @@ class TestFailurePolicy:
             seen.append(PointSpec.from_payload(payload))
             return fake_runner(task)
 
-        engine = Engine(jobs=1, cache_dir=None, runner=runner,
-                        spec_defaults={"faults": "store_fail@2",
-                                       "audit": True})
+        engine = engine_with(runner, jobs=1, cache_dir=None,
+                             spec_defaults={"faults": "store_fail@2",
+                                            "audit": True})
         engine.run_reports([SPEC])
         assert seen[0].faults == "store_fail@2"
         assert seen[0].audit is True
@@ -338,8 +343,7 @@ class TestFailurePolicy:
             payloads.append(dict(task[1]))
             return fake_runner(task)
 
-        engine = Engine(jobs=1, cache_dir=None, runner=runner,
-                        timeout=2.5)
+        engine = engine_with(runner, jobs=1, cache_dir=None, timeout=2.5)
         engine.run_reports([SPEC])
         assert payloads[0]["_timeout"] == 2.5
 

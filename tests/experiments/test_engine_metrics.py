@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.experiments.engine import (
-    Engine,
     EngineStats,
     PointFailure,
     PointSpec,
@@ -16,6 +15,7 @@ from repro.experiments.engine import (
 )
 from repro.metrics.report import SCHEMA_NAME, SCHEMA_VERSION
 from repro.metrics.telemetry import validate_snapshot
+from tests.experiments.test_engine import engine_with
 
 
 def fake_report(spec: PointSpec) -> dict:
@@ -119,8 +119,8 @@ class TestLiveSnapshotFile:
 
     def test_run_writes_valid_snapshot_and_path(self, tmp_path):
         out = tmp_path / "engine-metrics.json"
-        engine = Engine(jobs=1, cache_dir=None, runner=timed_runner,
-                        metrics_out=out)
+        engine = engine_with(timed_runner, jobs=1, cache_dir=None,
+                             metrics_out=out)
         specs = self._specs()
         reports = engine.run_reports(specs)
         assert len(reports) == len(specs)
@@ -143,12 +143,12 @@ class TestLiveSnapshotFile:
             index, payload = task
             return index, fake_report(PointSpec.from_payload(payload)), None
 
-        engine = Engine(jobs=1, cache_dir=None, runner=legacy_runner)
+        engine = engine_with(legacy_runner, jobs=1, cache_dir=None)
         with pytest.raises(TypeError, match="3-tuple"):
             engine.run_reports(self._specs())
 
     def test_no_metrics_out_writes_nothing(self, tmp_path):
-        engine = Engine(jobs=1, cache_dir=None, runner=timed_runner)
+        engine = engine_with(timed_runner, jobs=1, cache_dir=None)
         engine.run_reports(self._specs())
         assert engine.last_stats.metrics_path is None
         assert list(tmp_path.iterdir()) == []

@@ -13,8 +13,12 @@ from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.errors import ReproError, TransientError
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.inject import InjectedStoreError
-from repro.faults.plan import FAULT_KINDS, SURVIVABLE_KINDS
+from repro.faults.plan import FAULT_KINDS
 from repro.runtime.ops import Read
+
+#: kinds that must be *survived* (architectural results unchanged);
+#: everything else must be *detected* (or provably harmless)
+SURVIVABLE_KINDS = ("store_delay", "sched")
 
 N_WINDOWS = 6
 SCHEME = "SP"
@@ -100,8 +104,9 @@ class TestContract:
         assert "faults_fired" in exc.context
 
     @pytest.mark.parametrize("seed", [1993, 7, 42])
-    def test_random_plans_uphold_the_contract(self, seed):
-        plan = FaultPlan.random(seed, count=3, horizon=10)
+    def test_random_plans_uphold_the_contract(self, seed, monkeypatch):
+        monkeypatch.setattr(FaultPlan, "HORIZON", 10)
+        plan = FaultPlan.random(seed, count=3)
         outcome, payload, __ = run_with(plan)
         if outcome == "survived":
             assert payload == reference_output()

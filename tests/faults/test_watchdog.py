@@ -17,9 +17,9 @@ class TestWatchdogUnit:
 
     def test_expired_at_threshold(self):
         dog = Watchdog(max_stall=3)
-        assert not dog.expired(marks=0, step=1)
-        assert not dog.expired(marks=0, step=3)
-        assert dog.expired(marks=0, step=4)
+        assert dog.stalled_for(marks=0, step=1) < dog.max_stall
+        assert dog.stalled_for(marks=0, step=3) < dog.max_stall
+        assert dog.stalled_for(marks=0, step=4) >= dog.max_stall
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):

@@ -88,7 +88,7 @@ def resumed(loop, build, scheme, budget):
             kernel.run(max_steps=budget)
     result = kernel.run()
     return (result.steps, result.counters.snapshot(),
-            result.thread_results())
+            {t.name: t.result for t in result.threads})
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

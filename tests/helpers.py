@@ -75,9 +75,9 @@ def save_stats(recorder, n_windows: int):
     wraparounds = 0
     max_depth = {}
     for event in recorder.filter(kinds=("save",)):
-        if event.get("window") == n_windows - 1:
+        if event.attrs.get("window") == n_windows - 1:
             wraparounds += 1
-        depth = event.get("depth", 0)
+        depth = event.attrs.get("depth", 0)
         if depth > max_depth.get(event.tid, 0):
             max_depth[event.tid] = depth
     return wraparounds, max_depth

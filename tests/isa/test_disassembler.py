@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa import Machine, assemble
-from repro.isa.disassembler import disassemble, roundtrip
+from tests.support.disassembler import disassemble, roundtrip
 from repro.isa.programs import (
     ACKERMANN,
     DEEP_SUM,

@@ -81,7 +81,7 @@ class TestMemory:
             halt
         """)
         assert value == 42
-        assert machine.peek(108) == 42
+        assert machine.memory.get(108, 0) == 42
 
     def test_poke_visible_to_program(self):
         source = """

@@ -77,8 +77,8 @@ def test_two_threads_share_windows(scheme):
     t2 = machine.add_thread("start", args=(0, 768), name="c2")
     results = machine.run(max_steps=200_000)
     assert results == {"c1": 8, "c2": 8}
-    assert machine.peek(512) == 8
-    assert machine.peek(768) == 8
+    assert machine.memory.get(512, 0) == 8
+    assert machine.memory.get(768, 0) == 8
     assert machine.counters.context_switches > 10
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa import assemble
-from repro.isa.disassembler import disassemble
+from tests.support.disassembler import disassemble
 from repro.isa.instructions import ALU_OPS, BRANCH_OPS
 from repro.isa.programs import (
     ACKERMANN,

@@ -62,7 +62,7 @@ class TestTraceRecorder:
         recorder.emit("restore", tid=1, depth=1)
         assert recorder.events[0] is event
         assert event.kind == "save" and event.tid == 1
-        assert event.get("depth") == 2
+        assert event.attrs == {"depth": 2}
         assert [e.kind for e in recorder] == ["save", "restore"]
         assert len(recorder) == 2
 
@@ -161,7 +161,7 @@ class TestLegacyAliases:
         result = kernel.run()
         assert result.loop == "pure-batched"
         behavior = observer.behavior()
-        assert behavior.quanta
+        assert behavior.n_quanta
         assert behavior.granularity() > 0
 
     def test_timeline_alias_is_fed_without_the_bus(self):
@@ -185,10 +185,10 @@ class TestLegacyAliases:
         kernel.spawn(_producer, stream, 15, name="p")
         kernel.spawn(_consumer, stream, name="c")
         result = kernel.run()
-        quanta = observer.behavior().quanta
-        assert len(quanta) == result.counters.context_switches
-        for q in quanta:
-            assert q.max_depth >= q.min_depth >= 1
+        rows = observer.behavior()._rows
+        assert len(rows) == result.counters.context_switches
+        for __, __, __, min_depth, max_depth in rows:
+            assert max_depth >= min_depth >= 1
 
 
 class TestRecorderStats:

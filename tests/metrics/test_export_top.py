@@ -105,6 +105,20 @@ class TestTopCLI:
     def test_once_missing_file_fails(self, tmp_path, capsys):
         assert top_main([str(tmp_path / "nope.json"), "--once"]) == 1
 
+    @pytest.mark.parametrize("interval", ["-1", "0", "nan", "inf"])
+    def test_interval_must_be_positive(self, tmp_path, capsys, interval):
+        """A bad refresh period is a usage error before any read: a
+        negative one used to end in a ``time.sleep`` traceback once the
+        file was missing, and zero busy-polled."""
+        code = top_main([str(tmp_path / "nope.json"),
+                         "--interval", interval])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--interval" in lines[0]
+
     def test_once_invalid_document_fails(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "wrong"}))

@@ -39,8 +39,7 @@ def _state(observer):
     tally = observer.tally()
     timeline = observer.timeline
     return {
-        "quanta": [[q.tid, q.start_cycle, q.end_cycle, q.min_depth,
-                    q.max_depth] for q in observer.behavior().quanta],
+        "quanta": [list(row) for row in observer.behavior()._rows],
         "samples": [[s.cycle, s.running_tid, list(s.kinds),
                      list(s.tids)] for s in timeline.samples],
         "dropped": timeline.dropped,

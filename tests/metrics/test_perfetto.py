@@ -13,6 +13,12 @@ from repro.metrics.perfetto import (
 )
 
 
+def events(exporter, ph):
+    """The trace's events of phase ``ph`` ("X" duration, "i" instant),
+    as the written JSON holds them."""
+    return [e for e in exporter.to_dict()["traceEvents"] if e["ph"] == ph]
+
+
 def _worker(n):
     yield Tick(2)
     return n
@@ -81,13 +87,13 @@ class TestTraceJson:
 
     def test_every_thread_has_a_duration_event(self, traced):
         exporter, __, result = traced
-        quanta_tids = {e["tid"] for e in exporter.duration_events()
+        quanta_tids = {e["tid"] for e in events(exporter, "X")
                        if e["pid"] == THREADS_PID}
         assert quanta_tids == {t.tid for t in result.threads}
 
     def test_instants_cover_every_trap(self, traced):
         exporter, __, result = traced
-        traps = [e for e in exporter.instant_events()
+        traps = [e for e in events(exporter, "i")
                  if e["cat"] == "trap"]
         c = result.counters
         assert len(traps) == c.overflow_traps + c.underflow_traps
@@ -96,14 +102,14 @@ class TestTraceJson:
     def test_instant_count_matches_recorder(self, traced):
         exporter, recorder, __ = traced
         by_kind = Counter(e.kind for e in recorder)
-        instants = exporter.instant_events()
+        instants = events(exporter, "i")
         for kind in ("overflow", "underflow", "switch", "block", "wake"):
             got = sum(1 for e in instants if e["name"] == kind)
             assert got == by_kind.get(kind, 0), kind
 
     def test_window_track_slices(self, traced):
         exporter, __, __unused = traced
-        windows = [e for e in exporter.duration_events()
+        windows = [e for e in events(exporter, "X")
                    if e["pid"] == WINDOWS_PID]
         assert windows
         for e in windows:
@@ -139,10 +145,10 @@ class TestTraceJson:
 
     def test_finish_idempotent(self, traced):
         exporter, __, __unused = traced
-        before = len(exporter.duration_events())
+        before = len(events(exporter, "X"))
         exporter.finish()
         exporter.finish()
-        assert len(exporter.duration_events()) == before
+        assert len(events(exporter, "X")) == before
 
 
 class TestExporterUnits:
@@ -151,7 +157,7 @@ class TestExporterUnits:
         exporter.read([_event("spawn", 0, tid=0, name="solo"),
                        _event("dispatch", 0, tid=0, depth=1)])
         exporter.finish(100)
-        quanta = exporter.duration_events()
+        quanta = events(exporter, "X")
         assert len(quanta) == 1
         assert quanta[0]["tid"] == 0 and quanta[0]["dur"] == 100
 
@@ -164,7 +170,7 @@ class TestExporterUnits:
                        _event("run_end", 40),
                        _event("dispatch", 50, tid=1, depth=1)])
         assert [(e["tid"], e["ts"], e["dur"])
-                for e in exporter.duration_events()] == [(0, 0, 40)]
+                for e in events(exporter, "X")] == [(0, 0, 40)]
         counters = [e for e in exporter.to_dict()["traceEvents"]
                     if e["ph"] == "C"]
         assert [e["args"] for e in counters] == [{"depth": 3}]

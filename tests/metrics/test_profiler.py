@@ -77,7 +77,8 @@ class TestSampling:
         assert prof.stack_cycles == {"hw0": 25}
 
     def test_profile_section_is_sorted_and_complete(self):
-        prof = CycleProfiler(every=10, check_every=4)
+        prof = CycleProfiler(every=10)
+        prof.check_every = 4
         counters = Counters()
         counters.compute_cycles = 11
         prof.check_op("b", "zz", counters)

@@ -74,15 +74,17 @@ class TestEnabledPathIsTransparent:
         result, __ = _run(telemetry.attach)
         telemetry.finalize(result)
         snap = result.counters.snapshot()
-        reg = telemetry.registry
-        switch = reg.get('sim_switch_cycles_hist{scheme="SNP"}')
-        trap = reg.get('sim_trap_cycles_hist{scheme="SNP"}')
+        # one SNP run: each instrument name is registered once
+        reg = {i.name: i for i in telemetry.registry.instruments()}
+        switch = reg["sim_switch_cycles_hist"]
+        trap = reg["sim_trap_cycles_hist"]
+        assert switch.labels == trap.labels == {"scheme": "SNP"}
         assert switch.count == snap["context_switches"]
         assert trap.count == (snap["overflow_traps"]
                               + snap["underflow_traps"])
         assert switch.sum == snap["switch_cycles"]
-        assert reg.get("sim_saves").value == snap["saves"]
-        assert reg.get("sim_total_cycles").value == snap["total_cycles"]
+        assert reg["sim_saves"].value == snap["saves"]
+        assert reg["sim_total_cycles"].value == snap["total_cycles"]
 
     def test_fold_is_idempotent(self):
         telemetry = RunTelemetry(every=1024)

@@ -29,7 +29,7 @@ from repro.apps.synthetic import spawn_fork_join, spawn_yield_storm
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.bundle import build_crash_bundle, bundle_to_json
-from repro.windows.occupancy import FRAME
+from repro.windows.occupancy import FRAME, FREE
 from tests.support.trampoline import make_kernel
 
 
@@ -153,7 +153,7 @@ def run(build, loop, scheme="SNP", n_windows=4, max_steps=None,
                 bundle_to_json(build_crash_bundle(exc, kernel)))
     assert result.loop == ("step" if loop == "step" else "pure-batched")
     return ("ok", result.steps, result.counters.snapshot(),
-            result.thread_results(),
+            {t.name: t.result for t in result.threads},
             [(t.calls, t.returns, t.blocks) for t in result.threads])
 
 
@@ -202,7 +202,10 @@ def _corrupt_then_yield(kernel):
         yield Tick(1)
         # plant a frame no thread owns, then leave the CPU without a
         # call or return: only the audit at the next dispatch sees it
-        kernel.cpu.map.set_frame(kernel.cpu.map.find_free(), 99)
+        wmap = kernel.cpu.map
+        free = wmap._kind.index(FREE)
+        wmap._kind[free] = FRAME
+        wmap._tid[free] = 99
         yield YieldCPU()
         return 0
 

@@ -21,7 +21,7 @@ class TestReadyQueue:
         q.push_new(a)
         q.push_new(b)
         q.push_woken(c)
-        assert [q.pop() for __ in range(3)] == [a, b, c]
+        assert list(q._queue) == [a, b, c]
 
     def test_working_set_front_when_windows(self):
         q = ReadyQueue(WorkingSetPolicy())
@@ -31,9 +31,7 @@ class TestReadyQueue:
         q.push_new(a)
         q.push_woken(c)   # no windows: back
         q.push_woken(b)   # windows: front
-        assert q.pop() is b
-        assert q.pop() is a
-        assert q.pop() is c
+        assert list(q._queue) == [b, a, c]
 
     def test_new_threads_always_back_even_with_working_set(self):
         q = ReadyQueue(WorkingSetPolicy())
@@ -41,7 +39,7 @@ class TestReadyQueue:
         b = make_thread(1, with_windows=True)
         q.push_new(a)
         q.push_new(b)
-        assert q.pop() is a
+        assert list(q._queue) == [a, b]
 
     def test_yield_goes_back(self):
         q = ReadyQueue(WorkingSetPolicy())
@@ -49,7 +47,7 @@ class TestReadyQueue:
         b = make_thread(1)
         q.push_new(b)
         q.push_yielded(a)
-        assert q.pop() is b
+        assert list(q._queue) == [b, a]
 
     def test_push_sets_ready_state(self):
         q = ReadyQueue()
@@ -69,4 +67,4 @@ class TestReadyQueue:
         q.push_new(a)
         q.push_new(b)
         q.remove(a)
-        assert q.peek_all() == [b]
+        assert list(q._queue) == [b]

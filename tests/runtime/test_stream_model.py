@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.streams import Stream
+from tests.support.streams import pull, pull_line, push
 
 # operations: ("push", bytes) | ("pull", n) | ("pull_line",)
 ops_strategy = st.lists(
@@ -28,12 +29,12 @@ def test_stream_matches_reference_queue(capacity, ops):
     for op in ops:
         if op[0] == "push":
             data = op[1]
-            accepted = stream.push(data)
+            accepted = push(stream, data)
             space = capacity - len(model)
             assert accepted == min(space, len(data))
             model.extend(data[:accepted])
         elif op[0] == "pull":
-            got = stream.pull(op[1])
+            got = pull(stream, op[1])
             expected = bytes(model[i] for i in range(
                 min(op[1], len(model))))
             assert got == expected
@@ -42,7 +43,7 @@ def test_stream_matches_reference_queue(capacity, ops):
         else:  # pull_line
             buffered = bytes(model)
             idx = buffered.find(b"\n")
-            got = stream.pull_line()
+            got = pull_line(stream)
             if idx < 0:
                 assert got is None
             else:
@@ -62,9 +63,9 @@ def test_byte_accounting(chunks, capacity):
     written = 0
     read = 0
     for chunk in chunks:
-        written += stream.push(chunk)
-        read += len(stream.pull(capacity))
-    read += len(stream.pull(capacity))
+        written += push(stream, chunk)
+        read += len(pull(stream, capacity))
+    read += len(pull(stream, capacity))
     assert stream.bytes_written == written
     assert stream.bytes_read == read
     assert written == read

@@ -61,6 +61,7 @@ from repro.runtime.ops import (
 from repro.runtime.streams import Stream
 from repro.runtime.thread import BLOCKED, DONE, RUNNING, SimThread
 from repro.windows.errors import WindowIntegrityError
+from tests.support.streams import at_eof, has_line, pull, pull_line, push
 
 #: the test-parameter name of the reference loop (the execution core
 #: it once was)
@@ -104,7 +105,7 @@ class ReferenceKernel(Kernel):
                 if blocked:
                     raise self._deadlock_error(blocked)
                 return False
-            self._dispatch(self.ready.pop())
+            self._dispatch(self.ready._queue.popleft())
         return True
 
     def _dispatch(self, thread: SimThread) -> None:
@@ -164,8 +165,8 @@ class ReferenceKernel(Kernel):
                 self._steps += 1
                 if max_steps is not None and self._steps >= max_steps:
                     return EXIT_BUDGET
-                if watchdog is not None and watchdog.expired(self._progress,
-                                                             self._steps):
+                if watchdog is not None and watchdog.stalled_for(
+                        self._progress, self._steps) >= watchdog.max_stall:
                     raise self._livelock_error(watchdog, self._progress,
                                                self._steps)
                 if thread.pending is not None:
@@ -324,7 +325,7 @@ class ReferenceKernel(Kernel):
         stream: Stream = pending[1]
         if kind == "write":
             data, offset = pending[2].data, pending[3]
-            pushed = stream.push(data[offset:])
+            pushed = push(stream, data[offset:])
             if pushed:
                 offset += pushed
                 if stream.read_waiters:
@@ -338,15 +339,15 @@ class ReferenceKernel(Kernel):
         if kind == "read":
             if stream.is_empty and not stream.closed:
                 return False
-            data = stream.pull(pending[2].max_bytes)
+            data = pull(stream, pending[2].max_bytes)
             if data and stream.write_waiters:
                 self._wake_writers(stream)
             thread.pending = None
             thread.resume_value = data
             return True
         if kind == "readline":
-            if stream.has_line() or stream.at_eof:
-                line = stream.pull_line()
+            if has_line(stream) or at_eof(stream):
+                line = pull_line(stream)
                 if line is None:
                     line = b""
                 if line and stream.write_waiters:

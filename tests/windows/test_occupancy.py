@@ -1,9 +1,13 @@
 """Unit tests for the window-ownership map."""
 
-import pytest
-
-from repro.windows.errors import WindowGeometryError
 from repro.windows.occupancy import FRAME, FREE, RESERVED, WindowMap
+
+
+def set_frame(wmap, w, tid):
+    """Claim window ``w`` for a frame of ``tid``, the way
+    ``WindowCPU.save`` writes the map."""
+    wmap._kind[w] = FRAME
+    wmap._tid[w] = tid
 
 
 class TestWindowMap:
@@ -14,68 +18,28 @@ class TestWindowMap:
 
     def test_set_frame(self):
         wmap = WindowMap(6)
-        wmap.set_frame(2, tid=5)
-        assert wmap.is_frame(2)
-        assert wmap.frame_tid(2) == 5
-        assert wmap.kind(2) == FRAME
+        set_frame(wmap, 2, tid=5)
+        assert wmap.entry(2) == (FRAME, 5)
+        assert not wmap.is_free(2) and wmap.free_count() == 5
 
     def test_set_reserved_global_and_private(self):
         wmap = WindowMap(6)
         wmap.set_reserved(0)
         wmap.set_reserved(1, tid=3)
-        assert wmap.is_reserved(0) and wmap.tid(0) is None
-        assert wmap.is_reserved(1) and wmap.tid(1) == 3
+        assert wmap.entry(0) == (RESERVED, None)
+        assert wmap.entry(1) == (RESERVED, 3)
 
     def test_set_free_clears_tid(self):
         wmap = WindowMap(6)
-        wmap.set_frame(2, tid=5)
+        set_frame(wmap, 2, tid=5)
         wmap.set_free(2)
         assert wmap.is_free(2)
         assert wmap.tid(2) is None
         assert wmap.kind(2) == FREE
 
-    def test_frame_tid_on_non_frame_raises(self):
-        wmap = WindowMap(6)
-        wmap.set_reserved(2)
-        with pytest.raises(WindowGeometryError):
-            wmap.frame_tid(2)
-
-    def test_frames_of(self):
-        wmap = WindowMap(6)
-        wmap.set_frame(1, tid=7)
-        wmap.set_frame(4, tid=7)
-        wmap.set_frame(2, tid=8)
-        assert wmap.frames_of(7) == [1, 4]
-
-    def test_reserved_windows(self):
-        wmap = WindowMap(6)
-        wmap.set_reserved(3)
-        wmap.set_reserved(5, tid=1)
-        assert wmap.reserved_windows() == [3, 5]
-        assert RESERVED == wmap.kind(3)
-
-    def test_free_run_above(self):
-        wmap = WindowMap(8)
-        wmap.set_frame(4, tid=0)
-        wmap.set_frame(1, tid=1)
-        # above 4: windows 3, 2 free, then 1 occupied
-        assert wmap.free_run_above(4) == 2
-
-    def test_free_run_above_full_circle(self):
-        wmap = WindowMap(4)
-        assert wmap.free_run_above(0) == 3  # stops before wrapping onto 0
-
-    def test_find_free(self):
-        wmap = WindowMap(3)
-        wmap.set_frame(0, tid=0)
-        wmap.set_reserved(1)
-        assert wmap.find_free() == 2
-        wmap.set_frame(2, tid=0)
-        assert wmap.find_free() is None
-
     def test_repr_readable(self):
         wmap = WindowMap(4)
-        wmap.set_frame(0, tid=2)
+        set_frame(wmap, 0, tid=2)
         wmap.set_reserved(1)
         wmap.set_reserved(2, tid=3)
         text = repr(wmap)

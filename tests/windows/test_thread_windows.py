@@ -18,23 +18,6 @@ class TestResidency:
         tw.cwp, tw.bottom, tw.resident, tw.depth = 6, 1, 4, 4
         assert tw.resident_windows(8) == [6, 7, 0, 1]
 
-    def test_shrink_bottom(self):
-        tw = ThreadWindows(1)
-        tw.cwp, tw.bottom, tw.resident, tw.depth = 2, 4, 3, 3
-        assert tw.shrink_bottom(8) == 4
-        assert tw.bottom == 3
-        assert tw.resident == 2
-
-    def test_shrink_to_empty_clears_pointers(self):
-        tw = ThreadWindows(1)
-        tw.cwp, tw.bottom, tw.resident, tw.depth = 2, 2, 1, 1
-        tw.shrink_bottom(8)
-        assert tw.cwp is None and tw.bottom is None
-
-    def test_shrink_without_windows_rejected(self):
-        with pytest.raises(WindowGeometryError):
-            ThreadWindows(1).shrink_bottom(8)
-
     def test_drop_windows(self):
         tw = ThreadWindows(1)
         tw.cwp, tw.bottom, tw.resident, tw.prw = 2, 3, 2, 1
