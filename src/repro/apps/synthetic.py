@@ -128,7 +128,7 @@ def _fork_parent(work_streams, result_stream, items: int,
     if flush_hint:
         # The parent now only waits for results: it will sleep long,
         # so ask for the flush-type context switch (§4.4).
-        yield FlushHint(True)
+        yield FlushHint()
     while received < items:
         data = yield Read(result_stream, 64)
         if not data:

@@ -18,6 +18,11 @@ policy variations of §4.2.
 
 from repro.lazy import LazyExports
 
+#: smallest window file each scheme runs on, by paper name: read by
+#: ``Scheme.min_windows`` and, without loading a scheme, by the
+#: experiments CLI's ``--windows`` check
+SCHEME_MIN_WINDOWS = {"NS": 3, "SNP": 3, "SP": 4}
+
 _exports = LazyExports(__name__, {
     "repro.core.allocation": ("AllocationPolicy", "FreeSearchAllocation",
                               "LRUBottomAllocation", "SimpleAllocation"),

@@ -50,6 +50,9 @@ class NSScheme(Scheme):
         self.reserved = 0
         self.map.set_reserved(self.reserved)
         self.wf.set_wim_only(self.reserved)
+        #: the WIM span pattern with one invalid window: reserved ``r``
+        #: is marked by the slice ``[n - 1 - r : 2n - 1 - r]``
+        self._wim_one_invalid = self.wf._wim_spans[self.wf.n_windows - 1]
         #: trap costs for 1..transfer_depth windows, cached off the
         #: (frozen) cost model at construction (index 0 unused)
         self._overflow_costs = [0] + [
@@ -75,14 +78,14 @@ class NSScheme(Scheme):
         spills = min(self.transfer_depth, tw.resident - 1)
         new_reserved = self.reserved
         for __ in range(spills):
-            new_reserved = self._spill_bottom(tw)
+            new_reserved = tw.bottom
+            self._spill_bottom(new_reserved)
         self.map.set_free(self.reserved)
         self.map.set_reserved(new_reserved)
         self.reserved = new_reserved
-        wf = self.wf
-        wim = wf._wim
-        wim[:] = wf._all_valid
-        wim[new_reserved] = 1
+        n = self.wf.n_windows
+        k = n - 1 - new_reserved
+        self.wf._wim[:] = self._wim_one_invalid[k:k + n]
         cycles = self._overflow_costs[spills]
         counters = self.counters
         counters.overflow_traps += 1
@@ -157,9 +160,9 @@ class NSScheme(Scheme):
         kinds[new_reserved] = RESERVED
         tids[new_reserved] = None
         self.reserved = new_reserved
-        wim = wf._wim
-        wim[:] = wf._all_valid
-        wim[new_reserved] = 1
+        n = wf.n_windows
+        k = n - 1 - new_reserved
+        wf._wim[:] = self._wim_one_invalid[k:k + n]
         cycles = self._underflow_costs[restores]
         counters = self.counters
         counters.underflow_traps += 1
@@ -263,6 +266,7 @@ class NSScheme(Scheme):
         else:
             regs[base:base + 16] = [0] * 16
             in_tw.depth = 1
+            in_tw.started = True
         in_tw.cwp = top
         in_tw.bottom = top
         in_tw.resident = 1
@@ -275,20 +279,20 @@ class NSScheme(Scheme):
             in_tw.saved_outs = None
         wf.cwp = top
         self.cpu.current = in_tw
-        in_tw.started = True
-        wim = wf._wim
-        wim[:] = wf._all_valid
-        wim[self.reserved] = 1
+        n = wf.n_windows
+        k = n - 1 - self.reserved
+        wf._wim[:] = self._wim_one_invalid[k:k + n]
         key = (saves, restores)
         cache = self._switch_cost_cache
         cycles = cache.get(key)
         if cycles is None:
             cycles = self.cost.ns_switch_cost(saves, restores)
             cache[key] = cycles
-        # count the switch (one per quantum)
+        # count the switch (one per quantum); the cost key is the
+        # histogram key too
         counters = self.counters
         counters.context_switches += 1
-        counters.switch_transfer_hist[(saves, restores)] += 1
+        counters.switch_transfer_hist[key] += 1
         counters.windows_spilled += saves
         counters.windows_restored += restores
         counters.switch_cycles += cycles

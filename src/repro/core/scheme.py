@@ -20,8 +20,9 @@ Geometry facts the shared helpers rely on (see DESIGN.md):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
+from repro.core import SCHEME_MIN_WINDOWS
 from repro.windows.backing_store import Frame
 from repro.windows.errors import WindowGeometryError, WindowIntegrityError
 from repro.windows.occupancy import FRAME, FREE
@@ -50,7 +51,8 @@ class Scheme(ABC):
         self.threads: Dict[int, ThreadWindows] = {}
         #: memo of switch-cost calls — the cost model is a frozen
         #: dataclass, so (args) -> cycles never changes per instance
-        self._switch_cost_cache: Dict[tuple, int] = {}
+        #: (the sharing schemes memoize (cycles, histogram key))
+        self._switch_cost_cache: Dict[tuple, Any] = {}
         # The switch and trap sites' sinks besides the trace: each is
         # None until armed, so an unarmed site pays one check.
         #: telemetry's int buffers of switch and trap cycles
@@ -90,9 +92,10 @@ class Scheme(ABC):
         long).  The NS scheme always flushes, so it ignores the flag.
         """
 
-    def min_windows(self) -> int:
+    @classmethod
+    def min_windows(cls) -> int:
         """Smallest window file this scheme can run on."""
-        return 3
+        return SCHEME_MIN_WINDOWS[cls.kind]
 
     # -- thread exit ---------------------------------------------------------
 
@@ -110,22 +113,34 @@ class Scheme(ABC):
 
     # -- shared helpers --------------------------------------------------------
 
-    def _spill_bottom(self, victim: ThreadWindows) -> int:
-        """Spill the victim's stack-bottom window to its backing store.
+    def _spill_bottom(self, w: int) -> None:
+        """Spill the stack-bottom frame in window ``w`` to its owner's
+        backing store and free the window.
 
-        Frees the window in the map; if the victim loses its last frame
-        its private reserved window (if any) is freed too, keeping the
-        "first occupant above a boundary is a bottom" invariant alive.
+        Only a frame that is its owner's stack-bottom is legal here;
+        anything else (a reserved window, a deeper frame) means the
+        caller broke the packing invariant.  If the owner loses its
+        last frame its private reserved window (if any) is freed too,
+        keeping the "first occupant above a boundary is a bottom"
+        invariant alive.
         """
-        wf = self.wf
-        old_bottom = victim.bottom
-        if victim.resident == 0 or old_bottom is None:
+        wmap = self.map
+        kinds = wmap._kind
+        tids = wmap._tid
+        if kinds[w] is not FRAME:
             raise WindowGeometryError(
-                "thread %d has no bottom window to spill" % victim.tid)
+                "window %d is %s; expected a stack-bottom frame"
+                % (w, wmap.kind(w)))
+        victim = self.threads[tids[w]]
+        if victim.bottom != w:
+            raise WindowGeometryError(
+                "window %d belongs to thread %d but is not its bottom"
+                % (w, victim.tid))
+        wf = self.wf
         depth = victim.depth - victim.resident + 1
         # reuse a pooled frame buffer (the restore paths return them)
         regs = wf._regs
-        base = wf._in_base[old_bottom]
+        base = wf._in_base[w]
         mid = base + 8
         pool = wf._frame_pool
         if pool:
@@ -146,49 +161,21 @@ class Scheme(ABC):
                     "non-contiguous spill: depth %d pushed over depth %d"
                     % (depth, last_depth))
         frames.append(frame)
-        kinds = self.map._kind
-        tids = self.map._tid
+        kinds[w] = FREE
+        tids[w] = None
         victim.resident -= 1
-        if victim.resident == 0:
-            victim.cwp = None
-            victim.bottom = None
-        else:
-            victim.bottom = wf._above[old_bottom]
-        kinds[old_bottom] = FREE
-        tids[old_bottom] = None
-        if victim.resident == 0 and victim.prw is not None:
+        if victim.resident:
+            victim.bottom = wf._above[w]
+            return
+        victim.cwp = None
+        victim.bottom = None
+        prw = victim.prw
+        if prw is not None:
             # The thread's last frame is gone, so its PRW goes too; the
             # stack-top outs physically lived in the PRW's in registers
             # and must survive in the thread context until re-dispatch.
-            prw_base = wf._in_base[victim.prw]
-            victim.saved_outs = wf._regs[prw_base:prw_base + 8]
-            kinds[victim.prw] = FREE
-            tids[victim.prw] = None
+            prw_base = wf._in_base[prw]
+            victim.saved_outs = regs[prw_base:prw_base + 8]
+            kinds[prw] = FREE
+            tids[prw] = None
             victim.prw = None
-        return old_bottom
-
-    def _make_free(self, w: int) -> int:
-        """Spill whatever occupies window ``w`` until it is free.
-
-        Returns the number of windows spilled.  Only frame occupants are
-        legal here; hitting a reserved window means the caller broke the
-        packing invariant.  A frame occupant is always its owner's
-        stack-bottom (checked below), so one :meth:`_spill_bottom`
-        frees the window and the loop never runs twice.
-        """
-        wmap = self.map
-        kinds = wmap._kind
-        saves = 0
-        while kinds[w] is not FREE:
-            if kinds[w] is not FRAME:
-                raise WindowGeometryError(
-                    "window %d is %s; expected a stack-bottom frame"
-                    % (w, wmap.kind(w)))
-            victim = self.threads[wmap._tid[w]]
-            if victim.bottom != w:
-                raise WindowGeometryError(
-                    "window %d belongs to thread %d but is not its bottom"
-                    % (w, victim.tid))
-            self._spill_bottom(victim)
-            saves += 1
-        return saves

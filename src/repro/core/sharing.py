@@ -52,6 +52,8 @@ class SharingScheme(Scheme):
         #: the default policy just delegates to ``simple_top``; skip
         #: the double indirection on the hot windowless-dispatch path
         self._simple_alloc = type(self.allocation) is SimpleAllocation
+        #: dispatch recency, read by ``LRUBottomAllocation`` and kept
+        #: only under a non-simple policy
         self._dispatch_seq = 0
         self.last_dispatched = {}
         #: trap costs cached off the (frozen) cost model at construction
@@ -160,11 +162,8 @@ class SharingScheme(Scheme):
             w = above[w]
         saves = 0
         if not count:
-            saves = self._make_free(above[top])
-            if saves > 1:
-                raise WindowGeometryError(
-                    "boundary placement spilled %d windows" % saves)
-            count = 1
+            self._spill_bottom(above[top])
+            saves = count = 1
             # The eviction may have spilled ``tw``'s *own* bottom (the
             # file held nothing but this thread); the valid span must
             # reflect the post-spill resident count.
@@ -185,22 +184,10 @@ class SharingScheme(Scheme):
             tids[boundary] = None
             self.reserved = boundary
         # The whole valid set — granted run, ``top``, resident span —
-        # is the single cyclic span of count + above_len windows just
-        # above the boundary, so the WIM rebuild is (at most) two
-        # slice copies from the all-valid template.
-        bitmap = wf._wim
-        bitmap[:] = wf._all_invalid
-        valid_t = wf._all_valid
-        start = boundary + 1
-        if start == n:
-            start = 0
-        end = start + count + above_len
-        if end <= n:
-            bitmap[start:end] = valid_t[start:end]
-        else:
-            bitmap[start:] = valid_t[start:]
-            end -= n
-            bitmap[:end] = valid_t[:end]
+        # is the single cyclic span of count + above_len windows from
+        # boundary + 1, so the WIM rebuild is one slice of its pattern.
+        k = n - 1 - boundary
+        wf._wim[:] = wf._wim_spans[count + above_len][k:k + n]
         return saves
 
     def handle_underflow(self, tw: ThreadWindows) -> None:
@@ -275,8 +262,7 @@ class SharingScheme(Scheme):
         saves = 0
         restores = 0
         allocated = False
-        flushed = (self._flush_out_windows(out_tw, flush_out)
-                   if flush_out else 0)
+        flushed = self._flush_out_windows(out_tw) if flush_out else 0
         if out_tw is not None and out_tw.resident > 0:
             if prw_boundary:
                 # Snug the PRW: move it down to immediately above the
@@ -324,7 +310,8 @@ class SharingScheme(Scheme):
             # SNP may take its own reserved window as the new top.
             if kinds[top] is not FREE and (prw_boundary
                                            or top != self.reserved):
-                saves += self._make_free(top)
+                self._spill_bottom(top)
+                saves = 1
             # Install one frame at ``top``: the innermost stored frame,
             # or a zeroed one for a fresh thread (every windowless
             # re-entry runs this, straight against the flat file).
@@ -355,6 +342,9 @@ class SharingScheme(Scheme):
             else:
                 regs[base:base + 16] = [0] * 16
                 in_tw.depth = 1
+                # a resident thread was dispatched before, so only
+                # this path can meet one not yet started
+                in_tw.started = True
             in_tw.cwp = top
             in_tw.bottom = top
             in_tw.resident = 1
@@ -383,7 +373,8 @@ class SharingScheme(Scheme):
             count += 1
             w = above[w]
         if not count:
-            saves += self._make_free(above[top])
+            self._spill_bottom(above[top])
+            saves += 1
             count = 1
             # The eviction may have spilled ``in_tw``'s own bottom;
             # the valid span must use the post-spill resident count.
@@ -402,19 +393,8 @@ class SharingScheme(Scheme):
         else:
             tids[boundary] = None
             self.reserved = boundary
-        bitmap = wf._wim
-        bitmap[:] = wf._all_invalid
-        valid_t = wf._all_valid
-        start = boundary + 1
-        if start == n:
-            start = 0
-        end = start + count + resident - 1
-        if end <= n:
-            bitmap[start:end] = valid_t[start:end]
-        else:
-            bitmap[start:] = valid_t[start:]
-            end -= n
-            bitmap[:end] = valid_t[:end]
+        k = n - 1 - boundary
+        wf._wim[:] = wf._wim_spans[count + resident - 1][k:k + n]
         # SNP's outs come back on every switch-in; SP's only after the
         # thread lost its PRW to a spill while suspended.
         saved = in_tw.saved_outs
@@ -423,26 +403,32 @@ class SharingScheme(Scheme):
             regs[ob:ob + 8] = saved
             in_tw.saved_outs = None
         # point the hardware at the incoming thread; stamp the dispatch
+        # for the one policy that reads it
         wf.cwp = in_tw.cwp
         self.cpu.current = in_tw
-        in_tw.started = True
-        seq = self._dispatch_seq + 1
-        self._dispatch_seq = seq
-        self.last_dispatched[in_tw.tid] = seq
+        if not self._simple_alloc:
+            seq = self._dispatch_seq + 1
+            self._dispatch_seq = seq
+            self.last_dispatched[in_tw.tid] = seq
+        # one lookup: the cost and the histogram key, cached together
         key = (saves, restores, allocated, flushed)
         cache = self._switch_cost_cache
-        cycles = cache.get(key)
-        if cycles is None:
-            cycles = (self._switch_cost(saves, restores, allocated)
-                      + self.cost.flush_cost(flushed))
-            cache[key] = cycles
+        entry = cache.get(key)
+        if entry is None:
+            entry = cache[key] = (
+                self._switch_cost(saves, restores, allocated)
+                + self.cost.flush_cost(flushed),
+                (saves + flushed, restores))
+        cycles, hist = entry
         # count the switch (one per quantum)
         saves += flushed
         counters = self.counters
         counters.context_switches += 1
-        counters.switch_transfer_hist[(saves, restores)] += 1
-        counters.windows_spilled += saves
-        counters.windows_restored += restores
+        counters.switch_transfer_hist[hist] += 1
+        if saves:
+            counters.windows_spilled += saves
+        if restores:
+            counters.windows_restored += restores
         counters.switch_cycles += cycles
         in_tw.stat_switches += 1
         if self.records is not None:
@@ -459,17 +445,16 @@ class SharingScheme(Scheme):
 
     # -- flush-type context switch (§4.4) ------------------------------------
 
-    def _flush_out_windows(self, out_tw: Optional[ThreadWindows],
-                           flush_out: bool) -> int:
+    def _flush_out_windows(self, out_tw: Optional[ThreadWindows]) -> int:
         """Write out every window of the suspended thread at switch
         time.  Cheaper per window than the later overflow traps it
         avoids, because the trap entry/exit overhead is not paid."""
-        if not flush_out or out_tw is None or not out_tw.has_windows:
+        if out_tw is None or not out_tw.has_windows:
             return 0
         assert out_tw.cwp is not None
         out_tw.saved_outs = list(self.wf.outs_of(out_tw.cwp))
         count = 0
         while out_tw.resident:
-            self._spill_bottom(out_tw)
+            self._spill_bottom(out_tw.bottom)
             count += 1
         return count

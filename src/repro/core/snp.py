@@ -44,6 +44,3 @@ class SNPScheme(SharingScheme):
     def _switch_cost(self, saves: int, restores: int,
                      allocated: bool) -> int:
         return self.cost.snp_switch_cost(saves, restores)
-
-    def min_windows(self) -> int:
-        return 3

@@ -67,6 +67,3 @@ class SPScheme(SharingScheme):
         if tw.prw is not None and self._anchor == tw.prw:
             self._anchor = 0
         super().retire(tw)
-
-    def min_windows(self) -> int:
-        return 4

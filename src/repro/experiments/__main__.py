@@ -32,7 +32,8 @@ from repro.experiments.figures import (
     run_fig14,
     run_fig15,
 )
-from repro.experiments.points import GRANULARITIES
+from repro.core import SCHEME_MIN_WINDOWS
+from repro.experiments.points import GRANULARITIES, SCHEMES
 from repro.experiments.table1 import render_table1, run_table1
 from repro.experiments.table2 import render_table2, run_table2
 
@@ -52,6 +53,11 @@ def _emit_figure(name: str, windows, scale, engine) -> None:
         print(result.chart(granularity))
         print()
     print("(%s computed in %.1fs)" % (name, time.time() - t0))
+
+
+def _usage_error(message: str) -> int:
+    print("error: %s" % message, file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
@@ -117,8 +123,23 @@ def main(argv=None) -> int:
         # point runs, instead of failing (and retrying) every point
         plan_from_arg(args.faults, seed=args.seed)
 
-    windows = ([int(x) for x in args.windows.split(",")]
-               if args.windows else None)
+    # window counts and scale are checked here too, before any point
+    windows = None
+    if args.windows:
+        try:
+            windows = [int(x) for x in args.windows.split(",")]
+        except ValueError:
+            return _usage_error("--windows %s: not a comma-separated list "
+                                "of integers" % args.windows)
+        for scheme in ([args.scheme] if args.target == "report"
+                       else SCHEMES):
+            if min(windows) < SCHEME_MIN_WINDOWS[scheme]:
+                return _usage_error(
+                    "--windows %s: %s needs at least %d windows"
+                    % (args.windows, scheme, SCHEME_MIN_WINDOWS[scheme]))
+    if args.scale is not None and not args.scale > 0:
+        return _usage_error("--scale %s: not a positive number"
+                            % args.scale)
 
     if args.target == "report":
         from repro.experiments.harness import run_report_point

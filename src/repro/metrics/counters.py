@@ -11,9 +11,9 @@ Everything the paper's evaluation reports is derived from these counts:
 
 from __future__ import annotations
 
-from collections import Counter as _Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import DefaultDict, Dict, Optional, Tuple
 
 
 @dataclass
@@ -49,7 +49,12 @@ class Counters:
     windows_spilled: int = 0
     windows_restored: int = 0
     context_switches: int = 0
-    switch_transfer_hist: _Counter = field(default_factory=_Counter)
+    #: (saves, restores) -> switches, bumped once per switch.  A
+    #: defaultdict, not a Counter: Counter overrides ``__delitem__``,
+    #: which sends every item store through a Python-level slot and
+    #: about doubles the cost of that bump.
+    switch_transfer_hist: DefaultDict[Tuple[int, int], int] = field(
+        default_factory=lambda: defaultdict(int))
 
     compute_cycles: int = 0
     call_cycles: int = 0

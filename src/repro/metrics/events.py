@@ -62,13 +62,6 @@ class TraceEvent:
     tid: Optional[int] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        out = {"kind": self.kind, "cycle": self.cycle}
-        if self.tid is not None:
-            out["tid"] = self.tid
-        out.update(self.attrs)
-        return out
-
     def __str__(self) -> str:
         attrs = " ".join("%s=%s" % (k, v) for k, v in self.attrs.items())
         tid = "-" if self.tid is None else str(self.tid)

@@ -30,9 +30,6 @@ same codes for its fetch-loop batches.
 
 from __future__ import annotations
 
-#: thread blocked on a stream or a join — it left the CPU and sits on
-#: the waiter list of whatever it blocked on
-EXIT_BLOCKED = 1
 #: thread executed ``YieldCPU`` with other runnable threads queued
 EXIT_YIELDED = 2
 #: thread's root procedure returned — the thread retired

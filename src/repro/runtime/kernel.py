@@ -550,10 +550,9 @@ class Kernel:
                     if out is not thread:
                         if out is not None:
                             context_switch(out.windows, thread.windows,
-                                           flush_out=out.flush_on_switch)
+                                           out.flush_on_switch)
                         else:
-                            context_switch(None, thread.windows,
-                                           flush_out=False)
+                            context_switch(None, thread.windows, False)
                     # else: a ``sched`` fault shuffled the thread that
                     # just yielded back to the head of the queue; it
                     # resumes with no switch and no cost, like a
@@ -991,7 +990,7 @@ class Kernel:
                             # Nobody else runnable: keep going, no
                             # switch, no cost.
                         elif t is FlushHint_:
-                            thread.flush_on_switch = cmd.flush
+                            thread.flush_on_switch = True
                         elif t is Spawn_:
                             resume = self._spawn(cmd.factory, cmd.args,
                                                  cmd.name)

@@ -107,7 +107,4 @@ class FlushHint:
     suspension: the thread expects to sleep for a long time, so its
     windows are flushed at switch-out instead of being left in place."""
 
-    __slots__ = ("flush",)
-
-    def __init__(self, flush: bool = True):
-        self.flush = flush
+    __slots__ = ()

@@ -83,6 +83,3 @@ class ReadyQueue:
         faults = self.faults
         if faults is not None:
             faults.on_enqueue(self)
-
-    def remove(self, thread: SimThread) -> None:
-        self._queue.remove(thread)

@@ -197,10 +197,6 @@ class WindowCPU:
     def read_out(self, i: int):
         return self.wf.read_out(i)
 
-    def tick(self, cycles: int) -> None:
-        """Charge ordinary computation cycles."""
-        self.counters.compute_cycles += cycles
-
     def _check_running(self, tw: ThreadWindows) -> None:
         if self.scheme is None:
             raise WindowGeometryError("no scheme bound to the CPU")

@@ -22,7 +22,12 @@ register access is one flat index instead of two list hops.  Cyclic
 geometry (``above``/``below``, the in/out bank offsets) is served from
 tables precomputed at construction; the WIM is a bytearray bitmap with a
 set-valued ``wim`` property kept for introspection (crash bundles,
-invariant checks, ``repr``).  Registers hold arbitrary Python objects,
+invariant checks, ``repr``).  The schemes rebuild it in one slice copy
+from ``_wim_spans``, a table of n + 1 patterns built once per window
+count and shared by every file of that size: row ``L`` is
+``(bytes(L) + b"\x01" * (n - L)) * 2``, so its slice
+``[n - start : 2n - start]`` marks exactly the cyclic run of ``L``
+windows from ``start`` valid.  Registers hold arbitrary Python objects,
 not just ints — the kernel stores signature tuples in them — which is
 why the flat storage is a list rather than an ``array``.
 
@@ -33,7 +38,7 @@ aliasing contract ``outs_of(w) is ins_of(above(w))``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.windows.backing_store import Frame
 from repro.windows.errors import WindowGeometryError
@@ -43,6 +48,10 @@ REGS_PER_BANK = 8
 #: Smallest window file that supports the basic algorithm (one reserved
 #: window plus at least two frames so overflow never targets the CWP).
 MIN_WINDOWS = 3
+
+#: n -> the WIM span patterns of an n-window file (see the module
+#: docstring), shared by every ``WindowFile`` of that size
+_WIM_SPANS: Dict[int, Tuple[bytes, ...]] = {}
 
 
 class RegisterBank:
@@ -84,7 +93,7 @@ class WindowFile:
     __slots__ = ("n_windows", "global_regs", "cwp", "_regs", "_wim",
                  "_above", "_below", "_in_base", "_out_base",
                  "_in_views", "_local_views", "_frame_pool",
-                 "_all_invalid", "_all_valid")
+                 "_wim_spans")
 
     def __init__(self, n_windows: int):
         if n_windows < MIN_WINDOWS:
@@ -107,8 +116,12 @@ class WindowFile:
             for w in range(n)]
         # -- WIM bitmap (index w nonzero == window w invalid) --
         self._wim = bytearray(n)
-        self._all_invalid = bytes([1]) * n
-        self._all_valid = bytes(n)
+        spans = _WIM_SPANS.get(n)
+        if spans is None:
+            spans = _WIM_SPANS[n] = tuple(
+                (bytes(run) + b"\x01" * (n - run)) * 2
+                for run in range(n + 1))
+        self._wim_spans = spans
         self._frame_pool: List[Frame] = []
 
     # -- cyclic geometry ------------------------------------------------
@@ -146,9 +159,10 @@ class WindowFile:
         """Mark exactly window ``w`` invalid (the NS scheme's single
         reserved window), everything else valid."""
         self._check_index(w)
-        bitmap = self._wim
-        bitmap[:] = self._all_valid
-        bitmap[w] = 1
+        n = self.n_windows
+        # the n - 1 valid windows run from start = w + 1
+        offset = n - 1 - w
+        self._wim[:] = self._wim_spans[n - 1][offset:offset + n]
 
     def mark_invalid(self, w: int) -> None:
         self._check_index(w)

@@ -100,6 +100,42 @@ def test_malformed_plan_is_a_usage_error(capsys, tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["fig11", "--windows", "abc"],
+     "error: --windows abc: not a comma-separated list of integers\n"),
+    (["fig11", "--windows", "8,x"],
+     "error: --windows 8,x: not a comma-separated list of integers\n"),
+    (["fig11", "--windows", "2"],
+     "error: --windows 2: NS needs at least 3 windows\n"),
+    (["fig13", "--windows", "8,3"],
+     "error: --windows 8,3: SP needs at least 4 windows\n"),
+    (["report", "--scheme", "SP", "--windows", "3"],
+     "error: --windows 3: SP needs at least 4 windows\n"),
+    (["report", "--scheme", "SNP", "--windows", "2"],
+     "error: --windows 2: SNP needs at least 3 windows\n"),
+    (["fig11", "--scale", "0"],
+     "error: --scale 0.0: not a positive number\n"),
+    (["fig11", "--scale", "-1"],
+     "error: --scale -1.0: not a positive number\n"),
+])
+def test_bad_windows_or_scale_is_a_usage_error(args, message, capsys,
+                                               tmp_path):
+    """One ``error:`` line and exit 2 before any point runs; a window
+    count is bad when a scheme of the target cannot run it."""
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert not (tmp_path / "cache").exists()
+
+
+def test_smallest_window_count_of_each_target_runs(capsys):
+    """NS and SNP run on 3 windows, so an NS report there is legal."""
+    assert main(["report", "--scheme", "NS", "--windows", "3",
+                 "--scale", "0.02"]) == 0
+    assert '"n_windows": 3' in capsys.readouterr().out
+
+
 #: modules that only executing a point needs
 SIMULATOR_MODULES = (
     "repro.runtime.kernel", "repro.windows.cpu", "repro.core.ns",

@@ -47,7 +47,7 @@ def _nest(depth):
 
 
 def _child(stream):
-    yield FlushHint(True)
+    yield FlushHint()
     line = yield ReadLine(stream)
     yield YieldCPU()
     return line

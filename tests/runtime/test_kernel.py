@@ -167,7 +167,7 @@ def test_flush_hint_flushes_windows_on_switch():
         return None
 
     def _one_level(s):
-        yield FlushHint(True)
+        yield FlushHint()
         data = yield Read(s, 4)  # blocks; windows flushed at switch
         return data
 

@@ -60,11 +60,3 @@ class TestReadyQueue:
         assert not q and len(q) == 0
         q.push_new(make_thread(0))
         assert q and len(q) == 1
-
-    def test_remove(self):
-        q = ReadyQueue()
-        a, b = make_thread(0), make_thread(1)
-        q.push_new(a)
-        q.push_new(b)
-        q.remove(a)
-        assert list(q._queue) == [b]

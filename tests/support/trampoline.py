@@ -39,7 +39,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.runtime.batch import (
-    EXIT_BLOCKED,
     EXIT_BUDGET,
     EXIT_DONE,
     EXIT_YIELDED,
@@ -62,6 +61,11 @@ from repro.runtime.streams import Stream
 from repro.runtime.thread import BLOCKED, DONE, RUNNING, SimThread
 from repro.windows.errors import WindowIntegrityError
 from tests.support.streams import at_eof, has_line, pull, pull_line, push
+
+#: a quantum that ended with its thread blocked on a stream or a join
+#: (``repro.runtime.batch`` holds the codes production returns; the
+#: batched kernel leaves a block with ``break  # EXIT_BLOCKED``)
+EXIT_BLOCKED = 1
 
 #: the test-parameter name of the reference loop (the execution core
 #: it once was)
@@ -210,7 +214,7 @@ class ReferenceKernel(Kernel):
                         return EXIT_YIELDED
                     # Nobody else to run: keep going, no switch, no cost.
                 elif t is FlushHint:
-                    thread.flush_on_switch = cmd.flush
+                    thread.flush_on_switch = True
                 elif t is Spawn:
                     thread.resume_value = self._spawn(
                         cmd.factory, cmd.args, cmd.name)

@@ -42,17 +42,17 @@ class TestBackingStore:
         scheme, tw = running_thread(3)
         tw.store.frames.append(frame(3))  # the spill is of depth 1
         with pytest.raises(WindowIntegrityError, match="non-contiguous"):
-            scheme._spill_bottom(tw)
+            scheme._spill_bottom(tw.bottom)
 
     def test_contiguous_spill_accepted(self):
         scheme, tw = running_thread(5)
         for __ in range(4):
-            scheme._spill_bottom(tw)
+            scheme._spill_bottom(tw.bottom)
         assert [f.depth for f in tw.store.frames] == [1, 2, 3, 4]
         assert len(tw.store) == 4
 
     def test_unknown_depth_frames_skip_check(self):
         scheme, tw = running_thread(3)
         tw.store.frames.append(Frame([0] * 8, [0] * 8, -1))
-        scheme._spill_bottom(tw)
+        scheme._spill_bottom(tw.bottom)
         assert len(tw.store) == 2

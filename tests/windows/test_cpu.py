@@ -66,12 +66,6 @@ class TestAccessors:
         assert cpu.read_in(2) == "I"
         assert cpu.read_out(1) == "O"
 
-    def test_tick_accumulates(self):
-        cpu, scheme = make_machine(6, "SP")
-        cpu.tick(5)
-        cpu.tick(7)
-        assert cpu.counters.compute_cycles == 12
-
     def test_n_windows_property(self):
         assert WindowCPU(9).n_windows == 9
 

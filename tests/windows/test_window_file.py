@@ -134,7 +134,7 @@ class TestFrames:
         for i in range(8):
             wf.ins_of(bottom)[i] = i * 2
             wf.locals_of(bottom)[i] = i * 3
-        scheme._spill_bottom(tw)
+        scheme._spill_bottom(tw.bottom)
         frame = tw.store.frames[-1]
         assert frame.depth == 1
         for i in range(8):
@@ -151,7 +151,7 @@ class TestFrames:
         wf = cpu.wf
         bottom = tw.bottom
         wf.ins_of(bottom)[0] = 10
-        scheme._spill_bottom(tw)
+        scheme._spill_bottom(tw.bottom)
         frame = tw.store.frames[-1]
         wf.ins_of(bottom)[0] = 20
         assert frame.ins[0] == 10
@@ -160,7 +160,7 @@ class TestFrames:
         """§3.2: callee's ins (return values) must land in its outs."""
         cpu, scheme, tw = _two_frame_thread(8)
         wf = cpu.wf
-        scheme._spill_bottom(tw)
+        scheme._spill_bottom(tw.bottom)
         for i in range(8):
             wf.write_in(i, 50 + i)
         # Loading the caller's frame over the CWP must not lose them.

@@ -125,7 +125,7 @@ def _spilled_thread(n_windows, ins0, local1):
     bottom = tw.bottom
     cpu.wf.ins_of(bottom)[0] = ins0
     cpu.wf.locals_of(bottom)[1] = local1
-    scheme._spill_bottom(tw)
+    scheme._spill_bottom(tw.bottom)
     return cpu, scheme, tw, bottom, tw.store.frames[-1]
 
 
@@ -137,12 +137,12 @@ def test_frame_pool_reuses_released_frames():
     assert wf._frame_pool == [frame]
     call_to_depth(cpu, tw, 3)
     wf.ins_of(tw.bottom)[0] = 22
-    scheme._spill_bottom(tw)
+    scheme._spill_bottom(tw.bottom)
     again = tw.store.frames[-1]
     assert again is frame  # pooled buffer, not a new allocation
     assert again.ins[0] == 22 and again.depth == 1
     # with the pool empty, the next spill allocates a full-sized frame
-    scheme._spill_bottom(tw)
+    scheme._spill_bottom(tw.bottom)
     third = tw.store.frames[-1]
     assert third is not frame and third.depth == 2
     assert len(third.ins) == len(third.local_regs) == REGS_PER_BANK
