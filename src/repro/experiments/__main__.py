@@ -21,6 +21,7 @@ Environment knobs:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -33,7 +34,14 @@ from repro.experiments.figures import (
     run_fig15,
 )
 from repro.core import SCHEME_MIN_WINDOWS
-from repro.experiments.points import GRANULARITIES, SCHEMES
+from repro.experiments.points import (
+    ENV_SCALE,
+    ENV_WINDOWS,
+    GRANULARITIES,
+    SCHEMES,
+    env_scale,
+    env_windows,
+)
 from repro.experiments.table1 import render_table1, run_table1
 from repro.experiments.table2 import render_table2, run_table2
 
@@ -123,23 +131,39 @@ def main(argv=None) -> int:
         # point runs, instead of failing (and retrying) every point
         plan_from_arg(args.faults, seed=args.seed)
 
-    # window counts and scale are checked here too, before any point
+    # window counts and scale are checked here too, before any point;
+    # so are the environment values a target reads in their place
     windows = None
-    if args.windows:
-        try:
+    where = "--windows %s" % args.windows
+    try:
+        if args.windows:
             windows = [int(x) for x in args.windows.split(",")]
-        except ValueError:
-            return _usage_error("--windows %s: not a comma-separated list "
-                                "of integers" % args.windows)
+        elif args.target != "report" and os.environ.get(ENV_WINDOWS):
+            where = "%s=%s" % (ENV_WINDOWS, os.environ[ENV_WINDOWS])
+            windows = env_windows()
+        if windows == []:
+            raise ValueError(where)
+    except ValueError:
+        return _usage_error("%s: not a comma-separated list of integers"
+                            % where)
+    if windows:
         for scheme in ([args.scheme] if args.target == "report"
                        else SCHEMES):
             if min(windows) < SCHEME_MIN_WINDOWS[scheme]:
                 return _usage_error(
-                    "--windows %s: %s needs at least %d windows"
-                    % (args.windows, scheme, SCHEME_MIN_WINDOWS[scheme]))
-    if args.scale is not None and not args.scale > 0:
-        return _usage_error("--scale %s: not a positive number"
-                            % args.scale)
+                    "%s: %s needs at least %d windows"
+                    % (where, scheme, SCHEME_MIN_WINDOWS[scheme]))
+    scale = args.scale
+    where = "--scale %s" % scale
+    if scale is None and args.target != "table2" \
+            and ENV_SCALE in os.environ:
+        where = "%s=%s" % (ENV_SCALE, os.environ[ENV_SCALE])
+        try:
+            scale = env_scale()
+        except ValueError:
+            return _usage_error("%s: not a positive number" % where)
+    if scale is not None and not scale > 0:
+        return _usage_error("%s: not a positive number" % where)
 
     if args.target == "report":
         from repro.experiments.harness import run_report_point
@@ -147,7 +171,7 @@ def main(argv=None) -> int:
 
         report = run_report_point(
             args.scheme, windows[0] if windows else 8, "high", "coarse",
-            scale=args.scale, faults=args.faults, fault_seed=args.seed,
+            scale=scale, faults=args.faults, fault_seed=args.seed,
             audit=args.audit, watchdog=args.watchdog)
         if args.out:
             write_report(report, args.out)
@@ -181,12 +205,11 @@ def main(argv=None) -> int:
     for target in targets:
         print("=" * 72)
         if target == "table1":
-            print(render_table1(run_table1(scale=args.scale,
-                                           engine=engine)))
+            print(render_table1(run_table1(scale=scale, engine=engine)))
         elif target == "table2":
             print(render_table2(run_table2(engine=engine)))
         else:
-            _emit_figure(target, windows, args.scale, engine)
+            _emit_figure(target, windows, scale, engine)
         print(engine.last_stats.summary(engine.jobs))
         if engine.last_stats.failures and args.keep_going \
                 and engine.failure_manifest_path() is not None:

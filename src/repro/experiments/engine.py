@@ -12,7 +12,13 @@ content-addressed store, so:
   later run executes only the missing keys;
 * a repeated sweep is pure cache hits and executes zero points;
 * cached sweeps double as regression artifacts: the payload is the
-  versioned RunReport JSON, diffable across PRs.
+  versioned RunReport JSON, diffable across PRs;
+* the fault-free FIFO points of one workload (same concurrency,
+  granularity, scale and seed) form a replay group: the first executes
+  while recording its window trace, and every other point replays it
+  through its own scheme and window count
+  (:mod:`repro.runtime.replay`), which gives the same RunReport.  Each
+  point is still a task of its own, committed as it lands.
 
 Cache key = SHA-256 over the point parameters (scheme, windows,
 granularity, concurrency, scale, seed, policy) *plus* the calibrated
@@ -295,19 +301,22 @@ def _unpack(result):
         "wall_ms)" % len(result))
 
 
-def _execute_payload(task: Tuple[int, Dict[str, object]]):
-    """Worker-side entry point: run one point, return its report.
+def _run_spec(spec: PointSpec, trace=None) -> Dict:
+    from repro.experiments.harness import run_report_point
 
-    Module-level so it pickles under every multiprocessing start
-    method.  The simulator is imported here, on the first executed
-    point, so a sweep of cache hits never loads it.  Returns
+    return run_report_point(
+        spec.scheme, spec.n_windows, spec.concurrency, spec.granularity,
+        scale=spec.scale, working_set=spec.working_set, seed=spec.seed,
+        faults=spec.faults, fault_seed=spec.fault_seed, audit=spec.audit,
+        watchdog=spec.watchdog, trace=trace)
+
+
+def _timed(task: Tuple[int, Dict[str, object]], run):
+    """Run ``run(spec)`` for one ``(index, payload)`` task and return
     ``(index, report, None, wall_ms)`` or ``(index, None, error_dict,
     wall_ms)`` — exceptions never cross the pipe raw.  A
     ``"_timeout"`` key in the payload (seconds) arms a SIGALRM budget
-    around the point where the platform supports it.
-    """
-    from repro.experiments.harness import run_report_point
-
+    around the point where the platform supports it."""
     index, payload = task
     timeout = payload.get("_timeout")
     armed = False
@@ -317,13 +326,7 @@ def _execute_payload(task: Tuple[int, Dict[str, object]]):
             signal.signal(signal.SIGALRM, _alarm_handler)
             signal.setitimer(signal.ITIMER_REAL, timeout)
             armed = True
-        spec = PointSpec.from_payload(payload)
-        report = run_report_point(
-            spec.scheme, spec.n_windows, spec.concurrency,
-            spec.granularity, scale=spec.scale,
-            working_set=spec.working_set, seed=spec.seed,
-            faults=spec.faults, fault_seed=spec.fault_seed,
-            audit=spec.audit, watchdog=spec.watchdog)
+        report = run(PointSpec.from_payload(payload))
         wall_ms = (time.perf_counter() - start) * 1000.0
         return index, report, None, wall_ms
     except Exception as exc:
@@ -333,6 +336,74 @@ def _execute_payload(task: Tuple[int, Dict[str, object]]):
         if armed:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
+
+def _execute_payload(task: Tuple[int, Dict[str, object]]):
+    """Worker-side entry point: run one point, return its report.
+
+    Module-level so it pickles under every multiprocessing start
+    method.  The simulator is imported here, on the first executed
+    point, so a sweep of cache hits never loads it.  Returns what
+    :func:`_timed` does.
+    """
+    return _timed(task, _run_spec)
+
+
+def _record_payload(task: Tuple[int, Dict[str, object]]):
+    """Worker-side entry point for the first point of a replay group
+    (see :func:`replay_groups`): execute it while recording its window
+    trace.  Returns ``(result, source)``: what :func:`_timed` returns,
+    and what :func:`_replay_payload` replays the group's other points
+    from, ``(trace, report config)`` — None when the point failed, and
+    the other points then execute on their own."""
+    from repro.runtime.replay import WindowTrace
+
+    trace = WindowTrace()
+    result = _timed(task, lambda spec: _run_spec(spec, trace))
+    if result[2] is not None:
+        return result, None
+    return result, (trace, result[1]["config"])
+
+
+def _replay_payload(job):
+    """Worker-side entry point for any other point of a replay group:
+    ``job`` is a task and the ``source`` :func:`_record_payload`
+    returned for the group; the point replays the recorded trace
+    through its own scheme and window count, under its own time
+    budget.  Returns what :func:`_timed` does."""
+    from repro.experiments.harness import replay_report_point
+
+    task, (trace, config) = job
+    return _timed(task, lambda spec: replay_report_point(
+        trace, config, spec.scheme, spec.n_windows))
+
+
+def replay_groups(specs: Sequence[PointSpec],
+                  indices: Sequence[int]) -> List[List[int]]:
+    """Split the points ``indices`` of ``specs`` into replay groups
+    and lone points, in order of first appearance.
+
+    A replay group is two or more points with the same (concurrency,
+    granularity, scale, seed) that are FIFO and free of faults, audit
+    and watchdog (reports verify registers only under faults): their
+    runs share one window trace (DESIGN §7.1).  Working-set and fault
+    runs execute.
+    """
+    groups: Dict[tuple, List[int]] = {}
+    units: List[List[int]] = []
+    for i in indices:
+        spec = specs[i]
+        if (spec.working_set or spec.faults or spec.audit
+                or spec.watchdog):
+            units.append([i])
+            continue
+        key = (spec.concurrency, spec.granularity, spec.scale, spec.seed)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = []
+            units.append(group)
+        group.append(i)
+    return units
 
 
 @dataclass
@@ -462,9 +533,13 @@ class Engine:
         self.jobs = default_jobs() if jobs is None else max(1, jobs)
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.retries = max(0, retries)
-        #: runs one ``(index, payload)`` task in a worker; tests that
-        #: fake the simulation replace it on the instance
+        #: run one ``(index, payload)`` task in a worker: execute it,
+        #: execute it recording a replay group's trace, replay it from
+        #: that trace; tests that fake the simulation replace them on
+        #: the instance
         self._runner = _execute_payload
+        self._recorder = _record_payload
+        self._replayer = _replay_payload
         self.timeout = timeout
         self.backoff = max(0.0, backoff)
         self.keep_going = keep_going
@@ -547,34 +622,23 @@ class Engine:
             return payload
 
         failed: List[Tuple[int, Dict[str, object]]] = []
-        if pending:
-            tasks = [(i, payload_of(i)) for i in pending]
-            if self.jobs > 1 and len(tasks) > 1:
-                import multiprocessing
 
-                # load the simulator once, before the fork, rather
-                # than once in every worker
-                import repro.experiments.harness  # noqa: F401
-
-                methods = multiprocessing.get_all_start_methods()
-                ctx = multiprocessing.get_context(
-                    "fork" if "fork" in methods else "spawn")
-                with ctx.Pool(min(self.jobs, len(tasks))) as pool:
-                    for result in pool.imap_unordered(self._runner, tasks):
-                        i, report, err, wall_ms = _unpack(result)
-                        note_wall(wall_ms)
-                        if err is None:
-                            commit(i, report)
-                        else:
-                            failed.append((i, err))
+        def land(result) -> None:
+            i, report, err, wall_ms = _unpack(result)
+            note_wall(wall_ms)
+            if err is None:
+                commit(i, report)
             else:
-                for task in tasks:
-                    i, report, err, wall_ms = _unpack(self._runner(task))
-                    note_wall(wall_ms)
-                    if err is None:
-                        commit(i, report)
-                    else:
-                        failed.append((i, err))
+                failed.append((i, err))
+
+        if pending:
+            units = replay_groups(specs, pending)
+            if self.jobs > 1 and len(pending) > 1:
+                self._run_pool(units, payload_of, land)
+            else:
+                for unit in units:
+                    for result in self._run_unit(unit, payload_of):
+                        land(result)
 
         failures: List[PointFailure] = []
         for i, err in failed:
@@ -606,6 +670,70 @@ class Engine:
             if not self.keep_going:
                 raise EngineError(failures)
         return reports
+
+    def _run_unit(self, unit: List[int], payload_of):
+        """Run a lone point or a replay group in this process, yielding
+        each point's result as it lands."""
+        head = (unit[0], payload_of(unit[0]))
+        if len(unit) == 1:
+            yield self._runner(head)
+            return
+        result, source = self._recorder(head)
+        yield result
+        for i in unit[1:]:
+            task = (i, payload_of(i))
+            yield (self._runner(task) if source is None
+                   else self._replayer((task, source)))
+
+    def _run_pool(self, units: List[List[int]], payload_of, land) -> None:
+        """Run lone points and replay groups in a worker pool, one task
+        per point, landing each result as it arrives.  A group's first
+        point records its trace; when it lands, every other point of
+        the group becomes a task of its own that replays the trace, so
+        a group spreads over every worker.  Group heads are queued
+        first, since their groups wait on them."""
+        import multiprocessing
+        import queue
+
+        # load the simulator once, before the fork, rather than once in
+        # every worker
+        import repro.experiments.harness  # noqa: F401
+
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
+        n_points = sum(len(unit) for unit in units)
+        landed: "queue.SimpleQueue" = queue.SimpleQueue()
+        with ctx.Pool(min(self.jobs, n_points)) as pool:
+            def submit(runner, arg, rest=None) -> None:
+                pool.apply_async(
+                    runner, (arg,),
+                    callback=lambda out: landed.put((rest, out)),
+                    error_callback=lambda exc: landed.put((None, exc)))
+
+            outstanding = 0
+            for unit in sorted(units, key=lambda unit: len(unit) == 1):
+                head = (unit[0], payload_of(unit[0]))
+                if len(unit) == 1:
+                    submit(self._runner, head)
+                else:
+                    submit(self._recorder, head, unit[1:])
+                outstanding += 1
+            while outstanding:
+                rest, out = landed.get()
+                outstanding -= 1
+                if isinstance(out, BaseException):
+                    raise out
+                if rest is not None:
+                    out, source = out
+                    for i in rest:
+                        task = (i, payload_of(i))
+                        if source is None:
+                            submit(self._runner, task)
+                        else:
+                            submit(self._replayer, (task, source))
+                        outstanding += 1
+                land(out)
 
     def run_points(self,
                    specs: Sequence[PointSpec]

@@ -60,8 +60,9 @@ def _sweep_figure(figure: str, ylabel: str, concurrency: str,
                   engine=None) -> FigureResult:
     """Fan the whole (granularity x scheme x windows) grid of one
     figure through the sweep engine as a single batch, so every point
-    runs concurrently (and cached points are skipped), then regroup
-    into the labelled series the paper plots."""
+    runs concurrently (a replayed point once its group's trace is
+    recorded, and cached points are skipped), then regroup into the
+    labelled series the paper plots."""
     from repro.experiments.engine import Engine, sweep_specs
 
     if windows is None:

@@ -64,7 +64,8 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
                      granularity: str, scale: Optional[float] = None,
                      working_set: bool = False, seed: int = 1993,
                      faults: str = "", fault_seed: int = 1993,
-                     audit: bool = False, watchdog: int = 0) -> Dict:
+                     audit: bool = False, watchdog: int = 0,
+                     trace=None) -> Dict:
     """Run one spell-checker point with a
     :class:`~repro.metrics.observer.RunObserver` attached and return its
     versioned RunReport dict (the document ``benchmarks/`` emits for
@@ -83,6 +84,10 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
     detected rather than silently wrong.  The extra config keys are
     only added when a knob is non-default, keeping vanilla reports
     byte-identical to previous versions.
+
+    ``trace``, a :class:`~repro.runtime.replay.WindowTrace`, records the
+    run for :func:`replay_report_point` (a FIFO point without faults,
+    audit or watchdog only).
     """
     if scale is None:
         scale = env_scale()
@@ -90,6 +95,12 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
                                scale=scale, seed=seed)
     policy = WorkingSetPolicy() if working_set else FIFOPolicy()
     observer = RunObserver()
+
+    def instrument(kernel):
+        observer.attach(kernel)
+        if trace is not None:
+            trace.attach(kernel)
+
     injector = None
     if faults:
         from repro.faults import FaultInjector, FaultPlan
@@ -97,7 +108,7 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
         injector = FaultInjector(FaultPlan.parse(faults, seed=fault_seed))
     result, output = run_spellchecker(
         n_windows, scheme, config, queue_policy=policy,
-        instrument=observer.attach,
+        instrument=instrument,
         verify_registers=bool(faults), faults=injector,
         audit=audit, watchdog=watchdog or None)
     report_config = {"scheme": scheme, "n_windows": n_windows,
@@ -115,6 +126,24 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
         report_config["watchdog"] = watchdog
     return build_run_report(result, config=report_config,
                             observer=observer)
+
+
+def replay_report_point(trace, config: Dict, scheme: str,
+                        n_windows: int) -> Dict:
+    """The RunReport of the point ``(scheme, n_windows)`` of the run
+    ``trace`` recorded, whose report config was ``config``: the recorded
+    window trace is replayed through that scheme and window count
+    (:meth:`~repro.runtime.replay.WindowTrace.replay`), and the report
+    is byte-identical to :func:`run_report_point`'s for the point."""
+    from repro.runtime.kernel import Kernel
+
+    kernel = Kernel(n_windows=n_windows, scheme=scheme,
+                    verify_registers=False)
+    observer = RunObserver().attach(kernel)
+    result = trace.replay(kernel)
+    return build_run_report(
+        result, config=dict(config, scheme=scheme, n_windows=n_windows),
+        observer=observer)
 
 
 def sweep_windows(concurrency: str, granularity: str,

@@ -21,15 +21,19 @@ DEFAULT_WINDOWS: Sequence[int] = (4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32)
 DEFAULT_SCALE = 0.25
 
 SCHEMES = ("NS", "SNP", "SP")
+
+#: the environment knobs of :func:`env_scale` and :func:`env_windows`
+ENV_SCALE = "REPRO_SCALE"
+ENV_WINDOWS = "REPRO_WINDOWS"
 GRANULARITIES = ("coarse", "medium", "fine")
 
 
 def env_scale(default: float = DEFAULT_SCALE) -> float:
-    return float(os.environ.get("REPRO_SCALE", default))
+    return float(os.environ.get(ENV_SCALE, default))
 
 
 def env_windows(default: Sequence[int] = DEFAULT_WINDOWS) -> List[int]:
-    raw = os.environ.get("REPRO_WINDOWS")
+    raw = os.environ.get(ENV_WINDOWS)
     if not raw:
         return list(default)
     return [int(x) for x in raw.split(",") if x.strip()]

@@ -35,14 +35,14 @@ lockstep with the simulation, never with the host.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.windows.occupancy import FREE
 
 # Defaults are tuned for evaluation-scale runs (millions of cycles):
 # a 16k-cycle grid gives a full-scale sweep point >1000 samples while
 # keeping the enabled-path overhead well inside the 3% budget.  Small
-# test runs pass an explicit `every`.
+# test runs set a finer grid on the instance before the run.
 DEFAULT_EVERY = 16384     # cycles between samples
 DEFAULT_CHECK_STEPS = 32  # quanta (kernel) / instructions (ISA)
                           # between countdown checks
@@ -55,10 +55,8 @@ class CycleProfiler:
                  "_last_cycle", "samples", "checks", "stack_cycles",
                  "op_cycles", "occupancy", "_n_windows", "_window_kinds")
 
-    def __init__(self, every: Optional[int] = None):
-        self.every = int(every) if every else DEFAULT_EVERY
-        if self.every <= 0:
-            raise ValueError("profiler interval must be positive")
+    def __init__(self):
+        self.every = DEFAULT_EVERY
         self.check_every = DEFAULT_CHECK_STEPS
         #: persistent countdown: the kernel decrements it per quantum,
         #: the ISA machine per instruction (hoisted into a local and

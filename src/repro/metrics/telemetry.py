@@ -464,11 +464,11 @@ class RunTelemetry:
     uninstrumented hot path free.
     """
 
-    def __init__(self, every: Optional[int] = None):
+    def __init__(self):
         from repro.metrics.profiler import CycleProfiler
 
         self.registry = MetricsRegistry()
-        self.profiler = CycleProfiler(every)
+        self.profiler = CycleProfiler()
         #: (scheme, switch_hist, trap_hist, occ_hist) armed by
         #: :meth:`attach`; their buffers are drained by :meth:`_fold`
         self._armed = []

@@ -60,6 +60,10 @@ FLIGHT_CAPACITY = 256
 #: the batched loop's step limit when a run has no step budget
 _UNBOUNDED = sys.maxsize
 
+#: a window trace's op codes (see :mod:`repro.runtime.replay`): a
+#: ``save``, a ``restore`` and a ``FlushHint``
+TRACE_SAVE, TRACE_RESTORE, TRACE_FLUSH = 0, 1, 2
+
 
 @dataclass
 class RunResult:
@@ -68,8 +72,9 @@ class RunResult:
     counters: Counters
     threads: List[SimThread]
     steps: int
-    #: the dispatch loop that executed (``"pure-batched"``; the test
-    #: suite's reference loop reports ``"step"``)
+    #: the dispatch loop that executed (``"pure-batched"``; a window
+    #: trace's replay reports ``"replay"``, the test suite's reference
+    #: loop ``"step"``)
     loop: Optional[str] = None
 
     @property
@@ -121,6 +126,9 @@ class Kernel:
         #: the cycle profiler ``RunTelemetry.attach`` arms (None: off;
         #: the batched loop's guard is a hoisted-local None check)
         self._profiler = None
+        #: the window-trace recorder ``WindowTrace.attach`` arms (None:
+        #: off; see :mod:`repro.runtime.replay`)
+        self._trace = None
         self._running = False
         self._steps = 0
         #: 1 after a step-budget exit: ``_steps`` counts the step the
@@ -213,6 +221,8 @@ class Kernel:
             raise
         if self._observer is not None:
             self._observer.finish(self)
+        if self._trace is not None:
+            self._trace.finish(result)
         return result
 
     def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
@@ -417,7 +427,12 @@ class Kernel:
           the ready queue's, the kernel's and the injector's too —
           reads the exact cycle (an untrapped save or restore pays
           one ``events_on`` check), and nothing is left to fold at a
-          dispatch.
+          dispatch;
+        * the window-trace recorder (``record``, armed by
+          :meth:`~repro.runtime.replay.WindowTrace.attach` on an
+          observed run): one op code per save, restore and flush hint,
+          and each logged quantum's facts, for replay through other
+          schemes and window counts.
 
         The profiler and the telemetry buffers are quantum-granular and
         fed per batch.  With a ``RunObserver`` armed (``observed``),
@@ -491,6 +506,10 @@ class Kernel:
         observed = observer is not None
         log_append = observer.log.append if observed else None
         snapshot = observer.timeline.snapshot if observed else None
+        # the window-trace recorder: one op code per save, restore and
+        # flush hint, and each logged quantum's facts (an observed run)
+        trace = self._trace
+        record = trace.ops.append if trace is not None else None
         events = self.events
         events_on = self._tracing
         handle_overflow = scheme.handle_overflow
@@ -662,6 +681,8 @@ class Kernel:
                                     clean = False
                             n_restores += 1
                             call_cycles += restore_cost
+                            if record is not None:
+                                record(TRACE_RESTORE)
                             target = below[cwp]
                             if wim[target]:
                                 # Underflow: SNP/SP restore in place
@@ -743,6 +764,8 @@ class Kernel:
                                     clean = False
                             n_saves += 1
                             call_cycles += save_cost
+                            if record is not None:
+                                record(TRACE_SAVE)
                             target = above[cwp]
                             if wim[target]:
                                 clean = False
@@ -991,6 +1014,8 @@ class Kernel:
                             # switch, no cost.
                         elif t is FlushHint_:
                             thread.flush_on_switch = True
+                            if record is not None:
+                                record(TRACE_FLUSH)
                         elif t is Spawn_:
                             resume = self._spawn(cmd.factory, cmd.args,
                                                  cmd.name)
@@ -1068,6 +1093,11 @@ class Kernel:
                         log_append(dispatched + (
                             low, high, thread.state,
                             counters.total_cycles))
+                        if record is not None:
+                            trace.end_quantum(
+                                dispatched[0], dispatched[3] is not None,
+                                low, high, thread.state,
+                                counters.compute_cycles)
                         dispatched = None
                     if prof is not None:
                         prof_cd -= 1

@@ -129,6 +129,54 @@ def test_bad_windows_or_scale_is_a_usage_error(args, message, capsys,
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("env,args,message", [
+    ({"REPRO_WINDOWS": "abc"}, ["fig13"],
+     "error: REPRO_WINDOWS=abc: not a comma-separated list of integers\n"),
+    ({"REPRO_WINDOWS": "2"}, ["fig13", "--scale", "0.02"],
+     "error: REPRO_WINDOWS=2: NS needs at least 3 windows\n"),
+    ({"REPRO_WINDOWS": "8,3"}, ["all", "--scale", "0.02"],
+     "error: REPRO_WINDOWS=8,3: SP needs at least 4 windows\n"),
+    ({"REPRO_SCALE": "abc"}, ["fig11"],
+     "error: REPRO_SCALE=abc: not a positive number\n"),
+    ({"REPRO_SCALE": "-1"}, ["fig11", "--windows", "4"],
+     "error: REPRO_SCALE=-1: not a positive number\n"),
+    ({"REPRO_SCALE": "0"}, ["report"],
+     "error: REPRO_SCALE=0: not a positive number\n"),
+])
+def test_bad_environment_windows_or_scale_is_a_usage_error(
+        env, args, message, capsys, tmp_path, monkeypatch):
+    """``REPRO_WINDOWS`` and ``REPRO_SCALE`` stand in for ``--windows``
+    and ``--scale`` and get the same checks: one ``error:`` line and
+    exit 2 before any point runs."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert not (tmp_path / "cache").exists()
+
+
+def test_flags_override_bad_environment_values(capsys, monkeypatch):
+    """A flag replaces its environment value, so only the flag is
+    checked; ``report`` reads ``--windows`` alone."""
+    monkeypatch.setenv("REPRO_WINDOWS", "abc")
+    monkeypatch.setenv("REPRO_SCALE", "abc")
+    assert main(["fig13", "--windows", "4", "--scale", "0.02"]) == 0
+    assert main(["report", "--scheme", "NS", "--scale", "0.02"]) == 0
+    assert '"n_windows": 8' in capsys.readouterr().out
+
+
+def test_environment_values_parse_as_the_targets_read_them(monkeypatch):
+    """The checks read the environment as the targets do: a trailing
+    comma in ``REPRO_WINDOWS`` is no error, and ``table2``, which runs
+    its own scale, does not read ``REPRO_SCALE``."""
+    monkeypatch.setenv("REPRO_WINDOWS", "4,")
+    assert main(["fig13", "--scale", "0.02"]) == 0
+    monkeypatch.setenv("REPRO_SCALE", "abc")
+    assert main(["table2"]) == 0
+
+
 def test_smallest_window_count_of_each_target_runs(capsys):
     """NS and SNP run on 3 windows, so an NS report there is legal."""
     assert main(["report", "--scheme", "NS", "--windows", "3",

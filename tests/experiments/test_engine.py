@@ -20,10 +20,25 @@ from repro.metrics.report import SCHEMA_NAME, SCHEMA_VERSION
 SPEC = PointSpec("SP", 8, "high", "fine", 0.02)
 
 
+class Unrecorded:
+    """A replay group's recorder that runs the group's first point
+    through a point runner and records no trace, so the group's other
+    points run through the point runner too (module-level, so it
+    pickles into pool workers)."""
+
+    def __init__(self, runner):
+        self.runner = runner
+
+    def __call__(self, task):
+        return self.runner(task), None
+
+
 def engine_with(runner, **kwargs) -> Engine:
-    """An engine whose workers run each task through ``runner``."""
+    """An engine whose workers run each task through ``runner``, point
+    by point also inside a replay group."""
     engine = Engine(**kwargs)
     engine._runner = runner
+    engine._recorder = Unrecorded(runner)
     return engine
 
 

@@ -115,7 +115,7 @@ class TestEngineSnapshot:
 
 class TestLiveSnapshotFile:
     def _specs(self):
-        return sweep_specs(["SP"], [4, 6], ["high"], ["fine"], 0.02)
+        return sweep_specs("high", "fine", [4, 6], ("SP",), 0.02)
 
     def test_run_writes_valid_snapshot_and_path(self, tmp_path):
         out = tmp_path / "engine-metrics.json"

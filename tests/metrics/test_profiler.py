@@ -1,11 +1,10 @@
 """The deterministic cycle-domain profiler: grid arithmetic, stack
 folding, and the flamegraph/collapsed outputs."""
 
-import pytest
-
 from repro.metrics.counters import Counters
 from repro.metrics.export import collapsed_stacks
 from repro.metrics.profiler import CycleProfiler, flamegraph_from_stacks
+from tests.support.profiling import with_interval
 
 
 class _FakeThread:
@@ -22,12 +21,8 @@ def _gen(name):
 
 
 class TestSampling:
-    def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CycleProfiler(every=-5)
-
     def test_no_sample_below_first_boundary(self):
-        prof = CycleProfiler(every=100)
+        prof = with_interval(CycleProfiler(), 100)
         counters = Counters()
         counters.compute_cycles = 99
         prof._check(None, None, counters)
@@ -36,7 +31,7 @@ class TestSampling:
         assert prof._cd == prof.check_every  # countdown re-armed
 
     def test_sample_attributes_delta_to_stack(self):
-        prof = CycleProfiler(every=100)
+        prof = with_interval(CycleProfiler(), 100)
         counters = Counters()
         thread = _FakeThread("T1.main", ["outer", "inner"])
         counters.compute_cycles = 150
@@ -47,7 +42,7 @@ class TestSampling:
         assert prof._next_cycle == 200
 
     def test_skipped_boundaries_collapse_into_one_sample(self):
-        prof = CycleProfiler(every=100)
+        prof = with_interval(CycleProfiler(), 100)
         counters = Counters()
         thread = _FakeThread("T", ["f"])
         counters.compute_cycles = 150
@@ -60,14 +55,14 @@ class TestSampling:
         assert prof._next_cycle == 600
 
     def test_idle_stack_label(self):
-        prof = CycleProfiler(every=10)
+        prof = with_interval(CycleProfiler(), 10)
         counters = Counters()
         counters.compute_cycles = 10
         prof._check(None, None, counters)
         assert prof.stack_cycles == {"(idle)": 10}
 
     def test_check_op_attributes_opcode(self):
-        prof = CycleProfiler(every=10)
+        prof = with_interval(CycleProfiler(), 10)
         counters = Counters()
         counters.compute_cycles = 12
         prof.check_op("hw0", "add", counters)
@@ -77,7 +72,7 @@ class TestSampling:
         assert prof.stack_cycles == {"hw0": 25}
 
     def test_profile_section_is_sorted_and_complete(self):
-        prof = CycleProfiler(every=10)
+        prof = with_interval(CycleProfiler(), 10)
         prof.check_every = 4
         counters = Counters()
         counters.compute_cycles = 11

@@ -26,6 +26,7 @@ from repro.metrics.export import main as export_main
 from repro.metrics.telemetry import RunTelemetry, snapshot_to_json
 from repro.metrics.trace import main as trace_main
 from tests.support.goldens import assert_golden
+from tests.support.profiling import with_interval
 
 GOLDENS = Path(__file__).parent / "goldens" / "snapshots"
 
@@ -68,7 +69,7 @@ def test_machine_snapshot_matches_golden():
     """Two yielding ISA threads on four windows: switches, traps and a
     per-opcode profile."""
     machine = Machine(assemble(TWO_COUNTERS), n_windows=4, scheme="SP")
-    telemetry = RunTelemetry(every=64).attach(machine)
+    telemetry = with_interval(RunTelemetry(), 64).attach(machine)
     machine.add_thread("start", args=(0, 512), name="c1")
     machine.add_thread("start", args=(0, 768), name="c2")
     assert machine.run() == {"c1": 8, "c2": 8}

@@ -22,6 +22,7 @@ from repro.metrics.telemetry import (
     validate_snapshot,
 )
 from repro.runtime.kernel import Kernel
+from tests.support.profiling import with_interval
 
 CONFIG = SpellConfig.named("high", "coarse", scale=0.03)
 
@@ -63,14 +64,14 @@ class TestDisabledPathIsInert:
 class TestEnabledPathIsTransparent:
     def test_instrumented_run_changes_no_behavior(self):
         bare, bare_out = _run()
-        telemetry = RunTelemetry(every=1024)
+        telemetry = with_interval(RunTelemetry(), 1024)
         metered, metered_out = _run(telemetry.attach)
         assert metered.steps == bare.steps
         assert metered.counters.snapshot() == bare.counters.snapshot()
         assert metered_out == bare_out
 
     def test_histogram_counts_match_exact_counters(self):
-        telemetry = RunTelemetry(every=1024)
+        telemetry = with_interval(RunTelemetry(), 1024)
         result, __ = _run(telemetry.attach)
         telemetry.finalize(result)
         snap = result.counters.snapshot()
@@ -87,7 +88,7 @@ class TestEnabledPathIsTransparent:
         assert reg["sim_total_cycles"].value == snap["total_cycles"]
 
     def test_fold_is_idempotent(self):
-        telemetry = RunTelemetry(every=1024)
+        telemetry = with_interval(RunTelemetry(), 1024)
         result, __ = _run(telemetry.attach)
         telemetry.finalize(result)
         meta = {"scheme": "SNP", "n_windows": 8}
@@ -96,7 +97,7 @@ class TestEnabledPathIsTransparent:
         assert snapshot_to_json(first) == snapshot_to_json(second)
 
     def test_occupancy_sampled_on_cycle_grid(self):
-        telemetry = RunTelemetry(every=512)
+        telemetry = with_interval(RunTelemetry(), 512)
         result, __ = _run(telemetry.attach)
         prof = telemetry.profiler
         assert prof.samples > 0
@@ -113,7 +114,7 @@ class TestDeterminism:
             self, scheme):
         texts = []
         for __ in range(2):
-            telemetry = RunTelemetry(every=2048)
+            telemetry = with_interval(RunTelemetry(), 2048)
             result, __out = run_spellchecker(8, scheme, CONFIG,
                                              instrument=telemetry.attach)
             telemetry.finalize(result)
@@ -125,7 +126,7 @@ class TestDeterminism:
     def test_snapshot_body_contains_no_wall_clock(self):
         """Every value in a simulator snapshot is cycle- or count-
         domain; nothing floats (wall-clock would)."""
-        telemetry = RunTelemetry(every=2048)
+        telemetry = with_interval(RunTelemetry(), 2048)
         result, __ = _run(telemetry.attach)
         telemetry.finalize(result)
         snap = telemetry.snapshot({"scheme": "SNP"})
@@ -159,7 +160,7 @@ class TestMachineTelemetry:
 
     def test_isa_profiler_attributes_opcodes(self):
         machine = Machine(assemble(self.SOURCE), n_windows=8, scheme="SP")
-        telemetry = RunTelemetry(every=64)
+        telemetry = with_interval(RunTelemetry(), 64)
         telemetry.attach(machine)
         machine.add_thread("start", name="t")
         machine.run()
@@ -176,7 +177,7 @@ class TestMachineTelemetry:
             machine = Machine(assemble(self.SOURCE), n_windows=8,
                               scheme="SP")
             if attach:
-                RunTelemetry(every=64).attach(machine)
+                with_interval(RunTelemetry(), 64).attach(machine)
             thread = machine.add_thread("start", name="t")
             machine.run()
             return thread.exit_value, machine.counters.snapshot()
