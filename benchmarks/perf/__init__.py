@@ -1,17 +1,11 @@
-"""Tracked performance suite: simulator steps/sec + sweep wall-clock.
+"""Perf gates of the tree.
 
-Run ``python -m benchmarks.perf`` (repo root on the path, ``src`` on
-``PYTHONPATH``) to measure, ``--update`` to append the next committed
-baseline ``BENCH_<n+1>.json``, ``--check`` to fail when the current
-tree regresses more than the tolerance against the newest baseline
-measured on the pure-Python loop (``BASELINE_PATH``).
+* ``python -m benchmarks.perf`` — the telemetry-overhead gate
+  (:mod:`benchmarks.perf.bench`);
+* ``python -m benchmarks.perf.pairs PARENT_TREE CHANGE_TREE`` — the
+  regression gate: alternating parent/change pairs of
+  ``benchmarks/workloads/suite.py`` on one host
+  (:mod:`benchmarks.perf.pairs`).
+
+Run both from the repo root with ``src`` on ``PYTHONPATH``.
 """
-
-from benchmarks.perf.bench import (  # noqa: F401
-    BASELINE_PATH,
-    SCHEMA_NAME,
-    SCHEMA_VERSION,
-    check_against_baseline,
-    load_baseline,
-    run_suite,
-)

@@ -166,11 +166,14 @@ class Histogram:
 
         bounds = self.bounds
         buckets = self.bucket_counts
-        for value, n in _TallyCounter(values).items():
+        tally = _TallyCounter(values)
+        for value, n in tally.items():
             buckets[bisect_left(bounds, value)] += n
             self.sum += value * n
         self.count += len(values)
-        lo, hi = min(values), max(values)
+        # the tally's keys are the distinct values: min/max over them
+        # instead of two more scans of the whole buffer
+        lo, hi = min(tally), max(tally)
         if self.min is None or lo < self.min:
             self.min = lo
         if self.max is None or hi > self.max:

@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: the benchmark harnesses' own tests, which are not production
 SELF_TESTS = ("benchmarks/workloads/test_suite.py",
-              "benchmarks/perf/test_perf_suite.py")
+              "benchmarks/perf/test_pairs.py")
 
 #: names reached without a read naming them, one reason each
 ALLOWED = (
