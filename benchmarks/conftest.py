@@ -1,14 +1,17 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the paper-claim suite.
 
-Environment knobs:
+Environment knob: ``REPRO_BENCH_SCALE``, the corpus scale (default
+0.08; 1.0 is the paper's full 40 500-byte draft, which the nightly CI
+job runs).
 
-* ``REPRO_BENCH_SCALE``   corpus scale (default 0.08; 1.0 = the paper's
-  full 40 500-byte draft — expect several minutes per figure);
-* ``REPRO_BENCH_WINDOWS`` comma-separated window counts.
-
-Figures 11, 12 and 13 come from the *same* runs in the paper, so the
-high-concurrency sweep is computed once per session and shared.
-Rendered tables/charts are written to ``benchmarks/results/``.
+Every figure and table comes from the functions ``python -m
+repro.experiments`` runs (``run_fig11``–``run_fig15``, ``run_table1``,
+``run_table2``), through one session :class:`~repro.experiments.
+engine.Engine`: a worker pool of the default width and a result cache
+in a pytest temporary directory.  As in a cold ``all``, FIFO points
+replay their group's window trace, and Figures 12 and 13 are cache
+hits of Figure 11's points (the paper draws all three from the same
+runs).  Rendered tables/charts are written to ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.harness import sweep_windows
+from repro.experiments.engine import Engine
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -28,13 +31,6 @@ DEFAULT_WINDOWS = (4, 5, 6, 7, 8, 10, 12, 16, 24, 32)
 
 def bench_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", DEFAULT_SCALE))
-
-
-def bench_windows():
-    raw = os.environ.get("REPRO_BENCH_WINDOWS")
-    if not raw:
-        return list(DEFAULT_WINDOWS)
-    return [int(x) for x in raw.split(",") if x.strip()]
 
 
 @pytest.fixture(autouse=True)
@@ -53,8 +49,9 @@ def scale():
 
 
 @pytest.fixture(scope="session")
-def windows():
-    return bench_windows()
+def engine(tmp_path_factory):
+    """The session's sweep engine: default pool width, private cache."""
+    return Engine(cache_dir=tmp_path_factory.mktemp("sweep-cache"))
 
 
 @pytest.fixture(scope="session")
@@ -63,44 +60,23 @@ def results_dir():
     return RESULTS_DIR
 
 
-def _sweep_all_granularities(concurrency, windows, scale,
-                             working_set=False):
-    points = {}
-    for granularity in ("coarse", "medium", "fine"):
-        points[granularity] = sweep_windows(
-            concurrency, granularity, windows=windows, scale=scale,
-            working_set=working_set)
-    return points
-
-
 @pytest.fixture(scope="session")
-def high_sweep(windows, scale):
-    """scheme x granularity x window sweep at high concurrency
-    (feeds Figures 11, 12 and 13)."""
-    return _sweep_all_granularities("high", windows, scale)
+def figure(engine, scale):
+    """``figure(run_figN)``: that figure, run once per session, as
+    ``{granularity: {scheme: [(windows, value)]}}``."""
+    memo = {}
 
+    def run(run_fig):
+        if run_fig not in memo:
+            result = run_fig(windows=DEFAULT_WINDOWS, scale=scale,
+                             engine=engine)
+            memo[run_fig] = by_granularity = {}
+            for label, points in result.series.items():
+                scheme, granularity = label.split("/")
+                by_granularity.setdefault(granularity, {})[scheme] = points
+        return memo[run_fig]
 
-@pytest.fixture(scope="session")
-def low_sweep(windows, scale):
-    """The low-concurrency sweep (Figure 14)."""
-    return _sweep_all_granularities("low", windows, scale)
-
-
-@pytest.fixture(scope="session")
-def ws_sweep(windows, scale):
-    """High concurrency under working-set scheduling (Figure 15)."""
-    return _sweep_all_granularities("high", windows, scale,
-                                    working_set=True)
-
-
-def series_from(sweep, metric):
-    """{granularity: {scheme: [(windows, value)]}} from a sweep."""
-    out = {}
-    for granularity, by_scheme in sweep.items():
-        out[granularity] = {
-            scheme: [(p.n_windows, metric(p)) for p in points]
-            for scheme, points in by_scheme.items()}
-    return out
+    return run
 
 
 def value_at(points, n_windows):

@@ -30,8 +30,9 @@ AB_CONCURRENCY = "high"
 AB_GRANULARITY = "medium"
 #: corpus scale of the measured run (1.0 = the paper's 40.5 kB)
 AB_SCALE = 0.25
-#: disabled runs; the fastest is the base the overhead is relative to
-AB_REPEATS = 3
+#: rounds of one counted run, one disabled run and one timed loop of
+#: each unit-cost probe; each measured time keeps its fastest round
+AB_ROUNDS = 5
 #: largest enabled overhead the gate accepts, as a fraction
 AB_BUDGET = 0.03
 
@@ -44,19 +45,22 @@ def bench_ab_metrics() -> Dict[str, object]:
     5-15%, and no pairing/median/min statistic survives that.  Instead
     the gate builds a **cost model**:
 
-    1. one fully-instrumented run yields the exact, deterministic event
+    1. a fully-instrumented run yields the exact, deterministic event
        counts (quanta, switches, traps, profiler checks, samples) and
-       the one-shot ``finalize`` fold time;
+       the time of its one ``finalize`` fold;
     2. tight-loop microbenchmarks measure each telemetry primitive's
-       unit cost (best-of-5 over 200k iterations, so per-iteration
-       noise averages out within a single timed region);
+       unit cost (50k-200k iterations in one timed region, so
+       per-iteration noise averages out);
     3. ``overhead = sum(count * unit_cost) / baseline_run_time``.
 
-    Unit costs and the baseline are measured on the same host under the
-    same load, so ambient slowdown inflates numerator and denominator
-    together and cancels to first order — the model is reproducible on
-    a noisy box to a few tenths of a percent, where direct A/B flapped
-    by whole percents.  The loop-emulation unit costs *include* the
+    The counted run, the disabled baseline run and the four unit-cost
+    loops take turns, round by round, and each time keeps its minimum
+    over ``AB_ROUNDS`` rounds.  A burst of host load then lands on
+    every quantity's rounds alike, and each minimum comes from a quiet
+    round.  Measured back to back, one burst over the unit-cost loops
+    read all four unit costs 50-90% high against an unmoved baseline,
+    and the single ``finalize`` time (a third of the modeled cost)
+    scattered by half.  The loop-emulation unit costs *include* the
     bench loop overhead, biasing the model conservatively high.
     """
     from repro.metrics.counters import Counters
@@ -66,47 +70,22 @@ def bench_ab_metrics() -> Dict[str, object]:
     config = SpellConfig.named(AB_CONCURRENCY, AB_GRANULARITY,
                                scale=AB_SCALE)
 
-    # 1. counted run: exact event counts + fold cost ---------------------
-    telemetry = RunTelemetry()
-    start = time.process_time()
-    result, _out = run_spellchecker(AB_WINDOWS, AB_SCHEME, config,
-                                    instrument=telemetry.attach)
-    enabled_cpu = time.process_time() - start
-    start = time.process_time()
-    telemetry.finalize(result)
-    finalize_s = time.process_time() - start
-    prof = telemetry.profiler
-    snap = result.counters.snapshot()
-    counts = {
-        # each quantum executes the profiler guard once (decrement +
-        # compare in the dispatch loop's finally)
-        "quanta": prof.checks * prof.check_every
-                  + (prof.check_every - prof._cd),
-        "switch_appends": snap["context_switches"],
-        "trap_appends": snap["overflow_traps"] + snap["underflow_traps"],
-        "checks": prof.checks,
-        "samples": prof.samples,
-    }
-    steps = result.steps
-
-    # 2. baseline: the disabled run this overhead is relative to --------
-    baseline = None
-    for _ in range(AB_REPEATS):
+    def cpu_s(body, *args):
         start = time.process_time()
-        run_spellchecker(AB_WINDOWS, AB_SCHEME, config)
-        elapsed = time.process_time() - start
-        baseline = elapsed if baseline is None else min(baseline, elapsed)
+        body(*args)
+        return time.process_time() - start
 
-    # 3. unit costs ------------------------------------------------------
-    def unit_ns(body, iters=200_000, rounds=5):
-        best = None
-        for _ in range(rounds):
-            t0 = time.process_time()
-            body(iters)
-            dt = time.process_time() - t0
-            best = dt if best is None else min(best, dt)
-        return best / iters * 1e9
+    # 1. counted run: exact event counts + fold cost ---------------------
+    def counted_run():
+        telemetry = RunTelemetry()
+        start = time.process_time()
+        result, _out = run_spellchecker(AB_WINDOWS, AB_SCHEME, config,
+                                        instrument=telemetry.attach)
+        enabled = time.process_time() - start
+        return telemetry, result, enabled, cpu_s(telemetry.finalize,
+                                                 result)
 
+    # 2. the unit-cost probes --------------------------------------------
     uprof = CycleProfiler()
     ucounters = Counters()
     ucounters.compute_cycles = 1  # keep total_cycles below the grid
@@ -159,12 +138,41 @@ def bench_ab_metrics() -> Dict[str, object]:
         prof.occupancy.clear()
         prof.stack_cycles.clear()
 
-    unit = {
-        "guard_ns": unit_ns(guard_body),
-        "append_ns": unit_ns(append_body),
-        "check_ns": unit_ns(check_body, iters=50_000),
-        "sample_ns": unit_ns(sample_body, iters=50_000),
+    probes = {
+        "guard_ns": (guard_body, 200_000),
+        "append_ns": (append_body, 200_000),
+        "check_ns": (check_body, 50_000),
+        "sample_ns": (sample_body, 50_000),
     }
+
+    # 3. counted, disabled and probe timings, round by round ------------
+    enabled_cpu = finalize_s = baseline = float("inf")
+    best = dict.fromkeys(probes, float("inf"))
+    for _ in range(AB_ROUNDS):
+        telemetry, result, enabled, finalize = counted_run()
+        enabled_cpu = min(enabled_cpu, enabled)
+        finalize_s = min(finalize_s, finalize)
+        baseline = min(baseline, cpu_s(run_spellchecker, AB_WINDOWS,
+                                       AB_SCHEME, config))
+        for name, (body, iters) in probes.items():
+            best[name] = min(best[name], cpu_s(body, iters))
+    unit = {name: best[name] / iters * 1e9
+            for name, (__, iters) in probes.items()}
+
+    # every round's counted run makes the same counts
+    prof = telemetry.profiler
+    snap = result.counters.snapshot()
+    counts = {
+        # each quantum executes the profiler guard once (decrement +
+        # compare in the dispatch loop's finally)
+        "quanta": prof.checks * prof.check_every
+                  + (prof.check_every - prof._cd),
+        "switch_appends": snap["context_switches"],
+        "trap_appends": snap["overflow_traps"] + snap["underflow_traps"],
+        "checks": prof.checks,
+        "samples": prof.samples,
+    }
+    steps = result.steps
 
     modeled_s = (
         counts["quanta"] * unit["guard_ns"]
@@ -178,7 +186,7 @@ def bench_ab_metrics() -> Dict[str, object]:
         "scheme": AB_SCHEME,
         "n_windows": AB_WINDOWS,
         "scale": AB_SCALE,
-        "repeats": AB_REPEATS,
+        "rounds": AB_ROUNDS,
         "steps": steps,
         "counts": counts,
         "unit_ns": {k: round(v, 1) for k, v in unit.items()},

@@ -12,14 +12,15 @@ Shape claims reproduced (paper §6.3):
 
 import pytest
 
-from benchmarks.conftest import series_from, value_at, write_series_report
+from benchmarks.conftest import value_at, write_series_report
+from repro.experiments.figures import run_fig11
 
 GRANULARITIES = ("coarse", "medium", "fine")
 
 
 @pytest.fixture(scope="module")
-def fig11(high_sweep):
-    return series_from(high_sweep, lambda p: p.total_cycles)
+def fig11(figure):
+    return figure(run_fig11)
 
 
 def test_regenerate_fig11(benchmark, fig11, results_dir, scale):

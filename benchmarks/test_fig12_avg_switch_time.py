@@ -10,15 +10,16 @@ architectures (§6.3).
 
 import pytest
 
-from benchmarks.conftest import series_from, value_at, write_series_report
+from benchmarks.conftest import value_at, write_series_report
 from repro.core.costs import CostModel
+from repro.experiments.figures import run_fig12
 
 GRANULARITIES = ("coarse", "medium", "fine")
 
 
 @pytest.fixture(scope="module")
-def fig12(high_sweep):
-    return series_from(high_sweep, lambda p: p.avg_switch_cycles)
+def fig12(figure):
+    return figure(run_fig12)
 
 
 @pytest.fixture(scope="module")

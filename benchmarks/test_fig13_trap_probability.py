@@ -10,14 +10,15 @@ underflow traps caused by flushing on every switch.
 
 import pytest
 
-from benchmarks.conftest import series_from, value_at, write_series_report
+from benchmarks.conftest import value_at, write_series_report
+from repro.experiments.figures import run_fig13
 
 GRANULARITIES = ("coarse", "medium", "fine")
 
 
 @pytest.fixture(scope="module")
-def fig13(high_sweep):
-    return series_from(high_sweep, lambda p: p.trap_probability)
+def fig13(figure):
+    return figure(run_fig13)
 
 
 def test_regenerate_fig13(benchmark, fig13, results_dir, scale):

@@ -9,14 +9,15 @@ granularity because of the simple allocation policy.
 
 import pytest
 
-from benchmarks.conftest import series_from, value_at, write_series_report
+from benchmarks.conftest import value_at, write_series_report
+from repro.experiments.figures import run_fig11, run_fig14
 
 GRANULARITIES = ("coarse", "medium", "fine")
 
 
 @pytest.fixture(scope="module")
-def fig14(low_sweep):
-    return series_from(low_sweep, lambda p: p.total_cycles)
+def fig14(figure):
+    return figure(run_fig14)
 
 
 def test_regenerate_fig14(benchmark, fig14, results_dir, scale):
@@ -60,10 +61,9 @@ class TestFig14Shape:
             assert points[-1][1] < points[0][1]
 
     def test_low_concurrency_runs_fewer_cycles_than_high(self, fig14,
-                                                         high_sweep):
+                                                         figure):
         """Fewer context switches overall (Table 1's low columns)."""
-        high = series_from(high_sweep,
-                           lambda p: p.total_cycles)
+        high = figure(run_fig11)
         for granularity in GRANULARITIES:
             last = max(x for x, __ in fig14[granularity]["SP"])
             assert (value_at(fig14[granularity]["SP"], last)

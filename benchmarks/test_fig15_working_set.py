@@ -14,19 +14,20 @@ Paper claims reproduced:
 
 import pytest
 
-from benchmarks.conftest import series_from, value_at, write_series_report
+from benchmarks.conftest import value_at, write_series_report
+from repro.experiments.figures import run_fig11, run_fig15
 
 GRANULARITIES = ("coarse", "medium", "fine")
 
 
 @pytest.fixture(scope="module")
-def fig15(ws_sweep):
-    return series_from(ws_sweep, lambda p: p.total_cycles)
+def fig15(figure):
+    return figure(run_fig15)
 
 
 @pytest.fixture(scope="module")
-def fig11_series(high_sweep):
-    return series_from(high_sweep, lambda p: p.total_cycles)
+def fig11_series(figure):
+    return figure(run_fig11)
 
 
 def test_regenerate_fig15(benchmark, fig15, results_dir, scale):

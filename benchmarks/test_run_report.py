@@ -1,10 +1,10 @@
-"""RunReport emission — the cross-PR perf-trajectory artifact.
+"""RunReport emission.
 
 Each benchmark session produces one versioned RunReport JSON per
 scheme through the sweep engine (serial, uncached, so the benchmark
 always measures a fresh run) and writes it atomically into
-``benchmarks/results/``; CI uploads them so run-to-run performance
-(cycles, traps, switch-cost percentiles) can be diffed mechanically.
+``benchmarks/results/``, where ``git diff`` shows any drift of the
+cycles, traps and switch-cost percentiles.
 """
 
 import json

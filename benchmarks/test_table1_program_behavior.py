@@ -7,18 +7,18 @@ and checks the structural properties the paper's analysis rests on.
 
 import pytest
 
-from benchmarks.conftest import bench_scale
 from repro.experiments.table1 import CONFIGS, render_table1, run_table1
 
 
 @pytest.fixture(scope="module")
-def table1():
-    return run_table1(scale=bench_scale())
+def table1(engine, scale):
+    return run_table1(scale=scale, engine=engine)
 
 
-def test_regenerate_table1(benchmark, results_dir):
+def test_regenerate_table1(benchmark, results_dir, engine, scale):
     result = benchmark.pedantic(
-        lambda: run_table1(scale=bench_scale()), rounds=1, iterations=1)
+        lambda: run_table1(scale=scale, engine=engine),
+        rounds=1, iterations=1)
     (results_dir / "table1.txt").write_text(render_table1(result))
 
 
@@ -36,10 +36,11 @@ class TestTable1Shape:
             low = table1.total_switches(("low", granularity))
             assert low < high
 
-    def test_dictionary_threads_pinned_to_buffer_size(self, table1):
+    def test_dictionary_threads_pinned_to_buffer_size(self, table1,
+                                                     scale):
         """T6/T7 block about once per M bytes: the column signature
         that pins the paper's buffer sizes (50001/12501/3126/49)."""
-        dict_bytes = 50000 * bench_scale()
+        dict_bytes = 50000 * scale
         for (concurrency, granularity), switches in table1.switches.items():
             m = {"fine": 1, "medium": 4, "coarse": 16}[granularity]
             if concurrency == "low":

@@ -12,13 +12,14 @@ from repro.experiments.table2 import render_table2, run_table2
 
 
 @pytest.fixture(scope="module")
-def table2():
-    return run_table2(scale=0.05)
+def table2(engine):
+    return run_table2(scale=0.05, engine=engine)
 
 
-def test_regenerate_table2(benchmark, results_dir):
-    result = benchmark.pedantic(lambda: run_table2(scale=0.05),
-                                rounds=1, iterations=1)
+def test_regenerate_table2(benchmark, results_dir, engine):
+    result = benchmark.pedantic(
+        lambda: run_table2(scale=0.05, engine=engine),
+        rounds=1, iterations=1)
     (results_dir / "table2.txt").write_text(render_table2(result))
 
 

@@ -8,17 +8,21 @@ Run:  python examples/working_set_demo.py [scale]
 
 import sys
 
-from repro.experiments.harness import run_point
+from repro.experiments.engine import Engine, PointSpec
 from repro.metrics.reporting import format_table
+
+WINDOWS = (5, 6, 7, 8, 10, 12, 16)
 
 
 def main():
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.08
+    specs = [PointSpec(scheme="SP", n_windows=n_windows,
+                       concurrency="high", granularity="fine",
+                       scale=scale, working_set=working_set)
+             for n_windows in WINDOWS for working_set in (False, True)]
+    points = Engine(cache_dir=None).run_points(specs)
     rows = []
-    for n_windows in (5, 6, 7, 8, 10, 12, 16):
-        fifo = run_point("SP", n_windows, "high", "fine", scale=scale)
-        wset = run_point("SP", n_windows, "high", "fine", scale=scale,
-                         working_set=True)
+    for n_windows, fifo, wset in zip(WINDOWS, points[::2], points[1::2]):
         rows.append([
             n_windows,
             fifo.total_cycles,

@@ -24,8 +24,7 @@ _exports = LazyExports(__name__, {
                                  "PointSpec", "ResultCache", "cache_key",
                                  "point_from_report", "sweep_specs"),
     "repro.experiments.points": ("ExperimentPoint",),
-    "repro.experiments.harness": ("run_point", "run_report_point",
-                                  "sweep_windows"),
+    "repro.experiments.harness": ("run_point", "run_report_point"),
     "repro.experiments.table1": ("run_table1",),
     "repro.experiments.table2": ("run_table2",),
     "repro.experiments.figures": ("run_fig11", "run_fig12", "run_fig13",
@@ -44,7 +43,6 @@ __all__ = [
     "run_point",
     "run_report_point",
     "sweep_specs",
-    "sweep_windows",
     "run_table1",
     "run_table2",
     "run_fig11",

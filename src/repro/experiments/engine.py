@@ -178,9 +178,8 @@ def sweep_specs(concurrency: str, granularity: str,
                 schemes: Sequence[str],
                 scale: float,
                 working_set: bool = False) -> List[PointSpec]:
-    """The (scheme x windows) grid for one figure series, skipping the
-    SP points below its 4-window minimum (same rule as the serial
-    :func:`~repro.experiments.harness.sweep_windows`)."""
+    """The (scheme x windows) grid for one figure series, in scheme
+    order, skipping the SP points below its 4-window minimum."""
     specs = []
     for scheme in schemes:
         for n in windows:
@@ -841,11 +840,14 @@ def engine_metrics_snapshot(stats: EngineStats, jobs: int,
 
 
 def point_from_report(report: Dict) -> ExperimentPoint:
-    """Project a RunReport back onto an :class:`ExperimentPoint`.
+    """Project a RunReport back onto an :class:`ExperimentPoint`: the
+    summary every figure, table and example reads
+    (:meth:`Engine.run_points`).
 
     Field-for-field identical to what :func:`~repro.experiments.
-    harness.run_point` computes from the live counters — the
-    differential tests assert the equality for the whole grid.
+    harness.run_point` computes from the live counters of a run with
+    no observer — ``tests/experiments/test_differential.py`` asserts
+    the equality over the grid.
     """
     config = report["config"]
     c = report["counters"]

@@ -1,23 +1,19 @@
 """Shared experiment machinery: run one (scheme, windows, workload)
-point, sweep window counts, and collect the measures the figures plot.
+point and collect the measures the figures plot.  Sweeps go through
+:meth:`repro.experiments.engine.Engine.run_points`.
 
-Importing this module loads the simulator.  The point model it
-re-exports (:class:`ExperimentPoint`, the grid's axes, the default
-sweep) lives in :mod:`repro.experiments.points`, which does not.
+Importing this module loads the simulator.  The point model
+(:class:`ExperimentPoint`, the grid's axes, the default sweep) lives
+in :mod:`repro.experiments.points`, which does not.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.core.working_set import FIFOPolicy, WorkingSetPolicy
-from repro.experiments.points import (
-    SCHEMES,
-    ExperimentPoint,
-    env_scale,
-    env_windows,
-)
+from repro.experiments.points import ExperimentPoint, env_scale
 from repro.metrics.observer import RunObserver
 from repro.metrics.report import build_run_report
 
@@ -25,7 +21,17 @@ from repro.metrics.report import build_run_report
 def run_point(scheme: str, n_windows: int, concurrency: str,
               granularity: str, scale: Optional[float] = None,
               working_set: bool = False, seed: int = 1993) -> ExperimentPoint:
-    """Run the spell checker once and summarise the counters."""
+    """Run the spell checker once and summarise the counters, with no
+    observer attached.
+
+    Every figure, table and example runs its points through the engine
+    (:func:`run_report_point`, then
+    :func:`~repro.experiments.engine.point_from_report`).  This bare
+    run is what the workload benchmark's report-tax probe
+    (``benchmarks/workloads/jobs.py``) times as its untaxed baseline,
+    and what ``tests/experiments/test_differential.py`` compares the
+    engine's points against.
+    """
     if scale is None:
         scale = env_scale()
     config = SpellConfig.named(concurrency, granularity,
@@ -68,8 +74,8 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
                      trace=None) -> Dict:
     """Run one spell-checker point with a
     :class:`~repro.metrics.observer.RunObserver` attached and return its
-    versioned RunReport dict (the document ``benchmarks/`` emits for
-    cross-PR perf trajectories).
+    versioned RunReport dict: what the engine executes and caches for
+    every point.
 
     The observer is fed by the kernel, not by tracing: the kernel
     appends one record per quantum to its log, from which the report's
@@ -144,44 +150,3 @@ def replay_report_point(trace, config: Dict, scheme: str,
     return build_run_report(
         result, config=dict(config, scheme=scheme, n_windows=n_windows),
         observer=observer)
-
-
-def sweep_windows(concurrency: str, granularity: str,
-                  windows: Optional[Sequence[int]] = None,
-                  schemes: Sequence[str] = SCHEMES,
-                  scale: Optional[float] = None,
-                  working_set: bool = False,
-                  engine=None) -> Dict[str, List[ExperimentPoint]]:
-    """Run every scheme over a window-count sweep.
-
-    With an :class:`~repro.experiments.engine.Engine` the grid fans out
-    over its worker pool and result cache; without one each point runs
-    serially in-process (the reference path the differential tests
-    compare the engine against).
-    """
-    if windows is None:
-        windows = env_windows()
-    if scale is None:
-        scale = env_scale()
-    if engine is not None:
-        from repro.experiments.engine import sweep_specs
-
-        specs = sweep_specs(concurrency, granularity, windows, schemes,
-                            scale, working_set=working_set)
-        points = engine.run_points(specs)
-        out: Dict[str, List[ExperimentPoint]] = {s: [] for s in schemes}
-        for spec, point in zip(specs, points):
-            if point is None:
-                continue  # quarantined by a keep_going engine
-            out[spec.scheme].append(point)
-        return out
-    out = {}
-    for scheme in schemes:
-        pts = []
-        for n in windows:
-            if scheme == "SP" and n < 4:
-                continue
-            pts.append(run_point(scheme, n, concurrency, granularity,
-                                 scale=scale, working_set=working_set))
-        out[scheme] = pts
-    return out

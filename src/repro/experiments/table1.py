@@ -48,34 +48,26 @@ class Table1Result:
 def run_table1(scale: Optional[float] = None,
                scheme: str = "SP", engine=None) -> Table1Result:
     """Measure all six configurations (FIFO; counts are scheme-
-    independent, which the test suite verifies separately).
+    independent, which the test suite verifies separately).  The six
+    runs go through the sweep engine (a serial, uncached one when the
+    caller passes none)."""
+    from repro.experiments.engine import Engine, PointSpec
 
-    With an engine the six configuration runs fan out over its worker
-    pool / cache; without one they run serially in-process.
-    """
     if scale is None:
         scale = env_scale()
+    if engine is None:
+        engine = Engine(jobs=1, cache_dir=None)
+    specs = [PointSpec(scheme=scheme, n_windows=12,
+                       concurrency=concurrency,
+                       granularity=granularity, scale=scale)
+             for concurrency, granularity in CONFIGS]
     switches: Dict[Tuple[str, str], Dict[str, int]] = {}
     saves: Dict[str, int] = {}
-    if engine is not None:
-        from repro.experiments.engine import PointSpec
-
-        specs = [PointSpec(scheme=scheme, n_windows=12,
-                           concurrency=concurrency,
-                           granularity=granularity, scale=scale)
-                 for concurrency, granularity in CONFIGS]
-        points = engine.run_points(specs)
-    else:
-        from repro.experiments.harness import run_point
-
-        points = [run_point(scheme, 12, concurrency, granularity,
-                            scale=scale)
-                  for concurrency, granularity in CONFIGS]
-    for (concurrency, granularity), point in zip(CONFIGS, points):
+    for config, point in zip(CONFIGS, engine.run_points(specs)):
         if point is None:  # quarantined by a keep_going engine
-            switches[(concurrency, granularity)] = {}
+            switches[config] = {}
             continue
-        switches[(concurrency, granularity)] = point.per_thread_switches
+        switches[config] = point.per_thread_switches
         saves = point.per_thread_saves  # identical across configs
     return Table1Result(switches, saves, scale)
 

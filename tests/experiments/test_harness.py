@@ -1,13 +1,8 @@
-"""The experiment harness: run_point, sweeps and env knobs."""
+"""The experiment harness: run_point, sweep grids and env knobs."""
 
-import pytest
-
-from repro.experiments.harness import (
-    env_scale,
-    env_windows,
-    run_point,
-    sweep_windows,
-)
+from repro.experiments.engine import sweep_specs
+from repro.experiments.harness import run_point
+from repro.experiments.points import env_scale, env_windows
 
 TINY = 0.02
 
@@ -40,10 +35,9 @@ class TestRunPoint:
 
 class TestSweep:
     def test_sp_skips_too_small_files(self):
-        swept = sweep_windows("high", "fine", windows=[3, 4, 5],
-                              schemes=("SP", "SNP"), scale=TINY)
-        assert [p.n_windows for p in swept["SP"]] == [4, 5]
-        assert [p.n_windows for p in swept["SNP"]] == [3, 4, 5]
+        specs = sweep_specs("high", "fine", [3, 4, 5], ("SP", "SNP"), TINY)
+        assert [(s.scheme, s.n_windows) for s in specs] == [
+            ("SP", 4), ("SP", 5), ("SNP", 3), ("SNP", 4), ("SNP", 5)]
 
     def test_deterministic(self):
         a = run_point("SP", 6, "high", "medium", scale=TINY)

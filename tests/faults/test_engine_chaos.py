@@ -76,15 +76,20 @@ class TestQuarantineSweep:
             engine.run_reports([spec])
         assert "WindowIntegrityError" in str(info.value)
 
-    def test_sweep_windows_skips_quarantined_points(self, tmp_path):
-        from repro.experiments.harness import sweep_windows
+    def test_figure_skips_quarantined(self, tmp_path):
+        from repro.experiments.figures import run_fig11
 
         engine = Engine(jobs=1, cache_dir=tmp_path / "cache",
                         keep_going=True,
                         spec_defaults={"faults": "retval@5"})
-        out = sweep_windows("high", "coarse", windows=[6],
-                            schemes=("SP",), scale=SCALE, engine=engine)
-        assert out["SP"] == []  # every point quarantined, none invented
+        fig = run_fig11(windows=[6], scale=SCALE, engine=engine)
+        # every point quarantined, none invented, each one noted
+        assert all(points == [] for points in fig.series.values())
+        assert len(fig.series) == 9
+        assert sorted(fig.notes) == sorted(
+            "missing point: %s/w6/high/%s/fifo" % (scheme, granularity)
+            for scheme in ("NS", "SNP", "SP")
+            for granularity in ("coarse", "medium", "fine"))
 
 
 class TestFaultedPointsStillCache:
